@@ -541,16 +541,21 @@ def report(outdir: str) -> int:
     """Re-aggregate a finished directory from its per-run summaries.
 
     Rewrites aggregate.csv (noting when the stored copy was stale) and keeps
-    the run exit-code convention: 1 when any summarized run diverged.
+    the run exit-code convention: 1 when any summarized run diverged. A
+    `*.json` file that is not a run summary is named on stderr, left out of
+    the aggregate, and also makes the exit code 1.
     """
     names = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
-    if not names:
+    summaries, skipped = [], 0
+    for name in names:
+        try:
+            summaries.append(_load_summary(os.path.join(outdir, name)))
+        except ValueError as exc:
+            print(f"skipping {name}: {exc}", file=sys.stderr)
+            skipped += 1
+    if not summaries:
         print(f"no run summaries in {outdir}", file=sys.stderr)
         return 2
-    summaries = []
-    for name in names:
-        with open(os.path.join(outdir, name), "r", encoding="utf-8") as fh:
-            summaries.append(json.load(fh))
     order = sorted(set(s["cell"] for s in summaries))
     rows = _aggregate_rows(summaries, order)
     text = _format_aggregate(rows)
@@ -575,7 +580,27 @@ def report(outdir: str) -> int:
             print("stored aggregate.csv was stale; rewritten", file=sys.stderr)
     with open(agg_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return 1 if any(s["aborted"] for s in summaries) else 0
+    return 1 if skipped or any(s["aborted"] for s in summaries) else 0
+
+
+# The summary fields report() aggregates, with the types it needs.
+_SUMMARY_FIELDS = (("cell", str), ("final_gap", (int, float)), ("aborted", bool))
+
+
+def _load_summary(path: str) -> dict:
+    """One run summary; ValueError when the file cannot be read as JSON or
+    lacks a field the aggregate reads."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot be read as JSON ({exc})") from None
+    if not isinstance(summary, dict):
+        raise ValueError("not a run summary (top level is not an object)")
+    for key, kind in _SUMMARY_FIELDS:
+        if not isinstance(summary.get(key), kind):
+            raise ValueError(f"not a run summary (missing or mistyped {key!r})")
+    return summary
 
 
 def _parse_aggregate(text: str) -> list[dict]:

@@ -73,12 +73,42 @@ def softmax(scores) -> np.ndarray:
     return e / np.sum(e)
 
 
+# Numpy sums fewer than this many contiguous items strictly left to right and
+# switches to a pairwise block from here on. Summing the rows of a class-major
+# (k, n) array is also left to right, so it matches the row-major
+# np.sum(axis=1) bit for bit only below this class count.
+_PAIRWISE_BLOCK = 8
+
+
+def class_sum(a_t: np.ndarray) -> np.ndarray:
+    """Per-example sums of a class-major (k, n) array.
+
+    Bit-identical to np.sum(a_t.T, axis=1) on a row-major copy at any k. Below
+    the pairwise block the sum runs over the leading axis, which reduces in
+    full-length vector adds instead of numpy's slow k-wide inner loop.
+    """
+    if a_t.shape[0] < _PAIRWISE_BLOCK:
+        return np.sum(a_t, axis=0)
+    return np.sum(np.ascontiguousarray(a_t.T), axis=1)
+
+
+def softmax_parts(scores: np.ndarray):
+    """Class-major pieces of a row-wise softmax of an (n, k) score matrix.
+
+    Returns (s_t, m, e_t, tot): the scores as a (k, n) array, the per-example
+    max, e_t = exp(s_t - m) and its per-example sums. A max is exact in any
+    order, so every piece equals its row-major counterpart bit for bit.
+    """
+    s_t = np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T)
+    m = np.max(s_t, axis=0)
+    e_t = np.exp(s_t - m)
+    return s_t, m, e_t, class_sum(e_t)
+
+
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, K) score matrix."""
-    s = np.asarray(scores, dtype=np.float64)
-    shifted = s - np.max(s, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    """Row-wise softmax of an (n, K) score matrix, as a row-major array."""
+    _, _, e_t, tot = softmax_parts(scores)
+    return np.ascontiguousarray((e_t / tot).T)
 
 
 class Rng:

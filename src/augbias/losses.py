@@ -24,10 +24,12 @@ import numpy as np
 
 from .core import AUGMENTED, ORIGINAL, LabeledSet, as_vec
 from .models import (
+    EvalSet,
     GradSample,
     Predictor,
     _check_simplex_label,
     batch_scores,
+    eval_scores,
     label_grad,
     p_from_scores,
     p_rows,
@@ -141,24 +143,16 @@ def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    if kind == "L":
-        if dataset.provenance != ORIGINAL:
-            raise ValueError("kind 'L' needs an original-provenance dataset")
-        p = p_rows(batch_scores(model, dataset.inputs))
-        return float(np.mean(np.sum(dataset.labels * p, axis=1)))
-    if kind == "L_tilde":
-        if dataset.provenance != AUGMENTED:
-            raise ValueError("kind 'L_tilde' needs an augmented-provenance dataset")
-        p = p_rows(batch_scores(model, dataset.inputs))
-        return float(np.mean(np.sum(dataset.labels * p, axis=1)))
-    if kind == "L_a":
-        if dataset.provenance != AUGMENTED:
-            raise ValueError("kind 'L_a' needs an augmented-provenance dataset")
-        if delta_y < 0:
+    if kind in ("L", "L_tilde", "L_a"):
+        want = ORIGINAL if kind == "L" else AUGMENTED
+        if dataset.provenance != want:
+            raise ValueError(f"kind {kind!r} needs an {want}-provenance dataset")
+        if kind == "L_a" and delta_y < 0:
             raise ValueError("delta_y must be nonnegative")
-        p = p_rows(batch_scores(model, dataset.inputs))
-        vals = np.sum(dataset.labels * p, axis=1) - delta_y * np.linalg.norm(p, axis=1)
-        return float(np.mean(vals))
+        ev = EvalSet.of(dataset.inputs, dataset.labels)
+        st = eval_scores(model, batch_scores(model, ev.inputs), ev,
+                         delta_y=delta_y if kind == "L_a" else None)
+        return st.corrected if kind == "L_a" else st.loss
     if kind == "L_c":
         if lam is None or not (0.0 <= lam <= 1.0):
             raise ValueError("kind 'L_c' needs lam in [0, 1]")

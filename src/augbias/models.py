@@ -10,10 +10,11 @@ exactly that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import LabeledSet, as_vec, check_finite, softmax, softmax_rows
+from .core import LabeledSet, as_vec, check_finite, class_sum, softmax, softmax_parts
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,8 @@ def p_from_scores(scores) -> np.ndarray:
 
 def p_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise negative log-softmax of an (n, k) score matrix."""
-    s = np.asarray(scores, dtype=np.float64)
-    m = np.max(s, axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(s - m), axis=1, keepdims=True))
-    return lse - s
+    s_t, m, _, tot = softmax_parts(scores)
+    return np.ascontiguousarray(((m + np.log(tot)) - s_t).T)
 
 
 def p_of(model: Predictor, x) -> np.ndarray:
@@ -154,29 +153,13 @@ def ce_loss(y, scores) -> float:
     return float(yv @ p)
 
 
-def ce_values(model: Predictor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example cross-entropy values for a batch; no simplex check (hot path)."""
-    p = p_rows(batch_scores(model, x))
-    return np.sum(np.asarray(y, dtype=np.float64) * p, axis=1)
-
-
-def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean over the batch of the parameter gradient of <z_i, p(x_i; w)>.
-
-    Valid for arbitrary label rows z, on or off the simplex: the score-space
-    gradient of <z, p(s)> is (sum z) * softmax(s) - z. Both the plain CE path
-    and the corrected-loss path go through here so that their arithmetic is
-    identical when they coincide.
-    """
+def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
+    """Mean parameter gradient of <z_i, p(x_i; w)> from class-major softmax
+    parts (see core.softmax_parts), labels z_t (k, n) and their row sums."""
     arch = model.arch
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    s = batch_scores(model, x)
-    sig = softmax_rows(s)
-    ds = (z.sum(axis=1, keepdims=True) * sig - z) / n
+    # score-space gradient, made row-major so the products below keep their
+    # memory layout (and so their BLAS rounding)
+    ds = np.ascontiguousarray(((z_sums * (e_t / tot) - z_t) / x.shape[0]).T)
     if isinstance(arch, SoftmaxLinear):
         return (ds.T @ x).ravel()
     w1, b1, w2, b2 = arch.unpack(model.params)
@@ -188,6 +171,63 @@ def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     dw1 = da.T @ x
     db1 = da.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mean over the batch of the parameter gradient of <z_i, p(x_i; w)>.
+
+    Valid for arbitrary label rows z, on or off the simplex: the score-space
+    gradient of <z, p(s)> is (sum z) * softmax(s) - z. Both the plain CE path
+    and the corrected-loss path go through here so that their arithmetic is
+    identical when they coincide.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    z_t = np.ascontiguousarray(np.asarray(z, dtype=np.float64).T)
+    _, _, e_t, tot = softmax_parts(batch_scores(model, x))
+    return _grad_from_parts(model, x, e_t, tot, z_t, class_sum(z_t))
+
+
+@dataclass(frozen=True)
+class EvalSet:
+    """A fixed evaluation set with the per-set constants the evaluation kernel
+    reuses on every call: class-major labels and label row sums."""
+
+    inputs: np.ndarray
+    labels_t: np.ndarray
+    label_sums: np.ndarray
+
+    @staticmethod
+    def of(inputs, labels) -> "EvalSet":
+        x = np.asarray(inputs, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.float64)
+        return EvalSet(x, np.ascontiguousarray(y.T), y.sum(axis=1))
+
+
+class ScoreStats(NamedTuple):
+    loss: float  # mean <y_i, p_i>
+    corrected: float | None  # mean <y_i, p_i> - delta_y * ||p_i||
+    grad: np.ndarray | None  # gradient of `loss` in the parameters
+
+
+def eval_scores(model: Predictor, scores: np.ndarray, ev: EvalSet,
+                delta_y: float | None = None, grad: bool = False) -> ScoreStats:
+    """Mean cross entropy over an evaluation set from one scores pass.
+
+    `scores` is batch_scores(model, ev.inputs). The softmax max, exp and sum
+    are computed once and shared by p and by the gradient; the corrected
+    loss at radius delta_y and the gradient are computed only on request.
+    Each value equals the row-major formula bit for bit (core.class_sum).
+    """
+    s_t, m, e_t, tot = softmax_parts(scores)
+    p_t = (m + np.log(tot)) - s_t
+    ce = class_sum(ev.labels_t * p_t)
+    corrected = None
+    if delta_y is not None:
+        corrected = float(np.mean(ce - delta_y * np.sqrt(class_sum(p_t * p_t))))
+    g = _grad_from_parts(model, ev.inputs, e_t, tot, ev.labels_t, ev.label_sums) if grad else None
+    return ScoreStats(float(np.mean(ce)), corrected, g)
 
 
 def ce_grad(model: Predictor, x, y) -> GradSample:

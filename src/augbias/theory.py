@@ -19,13 +19,13 @@ formulas share the clamp and flag it in the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
 from .core import DegenerateEstimateError, LabeledSet
-from .models import Arch, Predictor, batch_scores, label_grad, p_rows
+from .models import Arch, EvalSet, Predictor, batch_scores, eval_scores, label_grad
 
 _E = math.e
 
@@ -41,14 +41,18 @@ class CeObjective:
     arch: Arch
     inputs: np.ndarray
     labels: np.ndarray
+    _eval: EvalSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_eval", EvalSet.of(self.inputs, self.labels))
 
     @staticmethod
     def over(arch: Arch, dataset: LabeledSet) -> "CeObjective":
         return CeObjective(arch, dataset.inputs, dataset.labels)
 
     def loss(self, w: np.ndarray) -> float:
-        p = p_rows(batch_scores(Predictor(self.arch, w), self.inputs))
-        return float(np.mean(np.sum(self.labels * p, axis=1)))
+        m = Predictor(self.arch, w)
+        return eval_scores(m, batch_scores(m, self._eval.inputs), self._eval).loss
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return label_grad(Predictor(self.arch, w), self.inputs, self.labels)

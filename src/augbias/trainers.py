@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .core import LabeledSet, Rng
-from .models import Predictor, batch_scores, label_grad, p_rows
+from .models import EvalSet, Predictor, batch_scores, eval_scores, label_grad
 from .losses import MixWeights, combined_grad
 
 STREAM_INIT = 0
@@ -105,7 +105,6 @@ class TrainConfig:
     lr_every: int = 0
     epochs: int = 1
     seed: int = 0
-    theory_mode: bool = False
     # Evaluation-only sets for schemes that do not train on that side; they
     # fill the L / L_tilde trace columns so plateau and constraint checks can
     # run on any scheme.
@@ -173,12 +172,6 @@ class TrainTrace:
     aborted: bool = False
     meta: dict = field(default_factory=dict)
     iterates: np.ndarray | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=np.float64)
-
-    def stage_rows(self, stage: int) -> list[TraceRow]:
-        return [r for r in self.rows if r.stage == stage]
 
     def final_gap(self, floor: float) -> float:
         return self.rows[-1].L - floor
@@ -296,15 +289,19 @@ class _Stage:
     eta: float
 
 
-def _mean_ce_rows(model: Predictor, ds: LabeledSet) -> float:
-    p = p_rows(batch_scores(model, ds.inputs))
-    return float(np.mean(np.sum(ds.labels * p, axis=1)))
-
-
-def _mean_corrected(model: Predictor, ds: LabeledSet, delta_y: float) -> float:
-    p = p_rows(batch_scores(model, ds.inputs))
-    vals = np.sum(ds.labels * p, axis=1) - delta_y * np.linalg.norm(p, axis=1)
-    return float(np.mean(vals))
+def _record_values(model: Predictor, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
+                   lam: float, delta_y: float, ltilde_ref: float) -> tuple[float, ...]:
+    """(L, L_tilde, L_c, grad_norm, constraint) at one iterate, from one
+    scores pass per evaluation set; a missing set reads as zeros."""
+    l_val, gnorm = 0.0, 0.0
+    if eval_orig is not None:
+        st = eval_scores(model, batch_scores(model, eval_orig.inputs), eval_orig, grad=True)
+        l_val, gnorm = st.loss, float(np.linalg.norm(st.grad))
+    lt_val, la_val, cons = 0.0, 0.0, 0.0
+    if eval_aug is not None:
+        st = eval_scores(model, batch_scores(model, eval_aug.inputs), eval_aug, delta_y=delta_y)
+        lt_val, la_val, cons = st.loss, st.corrected, st.loss - ltilde_ref
+    return (l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
 
 
 def _run(
@@ -322,6 +319,8 @@ def _run(
     w = np.array(model.params, dtype=np.float64)
     eval_orig = orig if orig is not None else cfg.eval_orig
     eval_aug = aug if aug is not None else cfg.eval_aug
+    eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
+    eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
     rec_lam = cfg.record_lam if cfg.record_lam is not None else lam
     rec_delta = cfg.record_delta_y if cfg.record_delta_y is not None else delta_y
 
@@ -332,23 +331,11 @@ def _run(
     def record(t: int, tag: int) -> bool:
         if not np.all(np.isfinite(w)):
             return False
-        m = Predictor(arch, w)
         # huge-but-finite iterates overflow during evaluation; the finite
         # check below turns that into an abort rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if eval_orig is not None:
-                l_val = _mean_ce_rows(m, eval_orig)
-                gnorm = float(np.linalg.norm(label_grad(m, eval_orig.inputs, eval_orig.labels)))
-            else:
-                l_val, gnorm = 0.0, 0.0
-            if eval_aug is not None:
-                lt_val = _mean_ce_rows(m, eval_aug)
-                la_val = _mean_corrected(m, eval_aug, rec_delta)
-                cons = lt_val - cfg.ltilde_ref
-            else:
-                lt_val, la_val, cons = 0.0, 0.0, 0.0
-            lc_val = rec_lam * l_val + (1.0 - rec_lam) * la_val
-        vals = (l_val, lt_val, lc_val, gnorm, cons)
+            vals = _record_values(Predictor(arch, w), eval_orig, eval_aug,
+                                  rec_lam, rec_delta, cfg.ltilde_ref)
         if not all(np.isfinite(v) for v in vals):
             return False
         rows.append(TraceRow(t, tag, *vals))

@@ -321,6 +321,27 @@ class TestReport:
         os.makedirs(tmp_path / "empty")
         assert report(str(tmp_path / "empty")) == 2
 
+    def test_report_skips_corrupt_and_foreign_json(self, tmp_path, capsys):
+        plan = tiny_plan(tmp_path / "o", seeds=(0, 1))
+        run_plan(plan)
+        out = tmp_path / "o"
+        before = (out / "aggregate.csv").read_text()
+        (out / "broken.json").write_text('{"cell": "orig", "final_gap": ')
+        (out / "foreign.json").write_text('{"name": "not a run summary"}')
+        (out / "list.json").write_text("[1, 2, 3]")
+        assert report(str(out)) == 1
+        err = capsys.readouterr().err
+        for name in ("broken.json", "foreign.json", "list.json"):
+            assert f"skipping {name}" in err
+        assert "stale" not in err
+        assert (out / "aggregate.csv").read_text() == before
+
+    def test_report_with_only_foreign_json(self, tmp_path, capsys):
+        os.makedirs(tmp_path / "o")
+        (tmp_path / "o" / "foreign.json").write_text("{}")
+        assert report(str(tmp_path / "o")) == 2
+        assert "skipping foreign.json" in capsys.readouterr().err
+
 
 class TestMain:
     def test_validate_exit_codes(self, tmp_path, capsys):
