@@ -440,10 +440,12 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
 
     resolved: dict = {}
     warnings: list[str] = []
+    constants = None
     scheme, train = cell.scheme, dict(cell.train)
     if plan.mode == "theory":
-        scheme, train, resolved, warnings, _ = _theory_scheme(
+        scheme, train, resolved, warnings, consts = _theory_scheme(
             cell, task, arch, orig, aug, planted, seed)
+        constants = dataclasses.asdict(consts)
 
     ltilde_ref = 0.0
     if plan.constraint_floor:
@@ -472,6 +474,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "wall_time": time.perf_counter() - t_start,
         "trace_csv": csv_name,
         "resolved": resolved,
+        "constants": constants,
         "warnings": warnings,
     }
     with open(os.path.join(plan.outdir, f"{cell.name}__seed{seed}.json"), "w",

@@ -22,17 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AUGMENTED, ORIGINAL, LabeledSet, as_vec
+from .core import AUGMENTED, ORIGINAL, LabeledSet, as_vec, class_sum, softmax_parts
 from .models import (
     EvalSet,
     GradSample,
     Predictor,
     _check_simplex_label,
+    _grad_from_parts,
     batch_scores,
     eval_scores,
     label_grad,
     p_from_scores,
-    p_rows,
 )
 
 # Below this p-norm the corrected minimizer direction is numerically
@@ -82,12 +82,21 @@ def loss_a(y_tilde, scores, delta_y: float) -> CorrectedLossResult:
     return CorrectedLossResult(value=float(y @ p) - delta_y * pnorm, minimizer_z=z)
 
 
-def corrected_label_rows(y: np.ndarray, p: np.ndarray, delta_y: float) -> np.ndarray:
-    """Row-wise corrected-loss minimizers z* for a batch (hot path)."""
-    norms = np.linalg.norm(p, axis=1, keepdims=True)
+def _corrected_labels_t(y_t: np.ndarray, p_t: np.ndarray, delta_y: float) -> np.ndarray:
+    """Corrected-loss minimizers z* from class-major (k, n) labels and p.
+
+    The p-norms are per-example sums (core.class_sum), so they equal the
+    row-major np.linalg.norm(p, axis=1) bit for bit.
+    """
+    norms = np.sqrt(class_sum(p_t * p_t))
     safe = np.where(norms < _P_NORM_FLOOR, 1.0, norms)
     scale = np.where(norms < _P_NORM_FLOOR, 0.0, delta_y / safe)
-    return y - scale * p
+    return y_t - scale * p_t
+
+
+def corrected_label_rows(y: np.ndarray, p: np.ndarray, delta_y: float) -> np.ndarray:
+    """Row-wise corrected-loss minimizers z* for an (n, k) batch."""
+    return _corrected_labels_t(np.asarray(y, dtype=np.float64).T, np.asarray(p).T, delta_y).T
 
 
 def grad_a(model: Predictor, x_tilde, y_tilde, delta_y: float) -> GradSample:
@@ -105,10 +114,18 @@ def grad_a(model: Predictor, x_tilde, y_tilde, delta_y: float) -> GradSample:
 
 
 def mean_grad_a(model: Predictor, x: np.ndarray, y: np.ndarray, delta_y: float) -> np.ndarray:
-    """Mean corrected-loss gradient over a batch (hot path, no simplex check)."""
-    p = p_rows(batch_scores(model, x))
-    z = corrected_label_rows(np.asarray(y, dtype=np.float64), p, delta_y)
-    return label_grad(model, x, z)
+    """Mean corrected-loss gradient over a batch (hot path, no simplex check).
+
+    One scores pass: the softmax parts give both p, for the minimizers z*,
+    and the softmax the gradient at z* needs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    s_t, m, e_t, tot = softmax_parts(batch_scores(model, x))
+    y_t = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
+    z_t = _corrected_labels_t(y_t, (m + np.log(tot)) - s_t, delta_y)
+    return _grad_from_parts(model, x, e_t, tot, z_t, class_sum(z_t))
 
 
 def combined_grad(model: Predictor, orig_batch, aug_batch, weights: MixWeights) -> np.ndarray:

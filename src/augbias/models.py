@@ -279,19 +279,70 @@ def p_jacobian(model: Predictor, x) -> np.ndarray:
     return (np.outer(np.ones(len(sig)), sig) - np.eye(len(sig))) @ j
 
 
+# Relative slack of the screen in estimate_G. It covers the rounding of the
+# closed form and of the SVD, each a few ulp.
+_SCREEN_RTOL = 1e-9
+
+
+def _screen_pairs(arch: SoftmaxLinear, cloud: list, x: np.ndarray) -> np.ndarray | None:
+    """(cloud index, input index) pairs that can hold the largest p-Jacobian
+    norm, or None when the screen is not finite.
+
+    For a linear model the p-Jacobian is (1 sigma^T - I) kron x^T, and
+    1 sigma^T - I is an oblique projection (sigma sums to 1) of norm
+    sqrt(k) * ||sigma||, so the Jacobian norm is sqrt(k) * ||sigma|| * ||x||.
+    The screen evaluates that for every pair at once. Its scores can round
+    differently from the one-row scores of p_jacobian, by at most `slack` per
+    class; a score shift of at most `slack` scales ||sigma|| by a factor
+    within exp(+-2 slack). So a pair is kept when its screen, widened by that
+    factor and by _SCREEN_RTOL, reaches the largest narrowed screen.
+    """
+    k, d = arch.k, arch.d
+    w = np.stack([m.params for m in cloud]).reshape(len(cloud) * k, d)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        s = (x @ w.T).reshape(len(x), len(cloud), k)
+        e = np.exp(s - s.max(axis=2, keepdims=True))
+        sig = e / e.sum(axis=2, keepdims=True)
+        # ||x|| scaled by its largest entry, so it neither overflows nor
+        # loses digits to subnormals
+        top = np.abs(x).max(axis=1)
+        xn = top * np.sqrt(np.sum((x / np.where(top > 0, top, 1.0)[:, None]) ** 2, axis=1))
+        screen = np.sqrt(k) * np.sqrt(np.sum(sig * sig, axis=2)) * xn[:, None]
+        # |x| @ |w| bounds every score; below half the float range no score
+        # can overflow, whichever way it is rounded
+        bound = (np.abs(x) @ np.abs(w).T).reshape(len(x), len(cloud), k).max(axis=2)
+        if not (np.all(np.isfinite(screen)) and np.all(np.isfinite(2.0 * bound))):
+            return None
+        # twice the rounding bound of a length-d dot product, with margin
+        slack = 2.0 * (d + 2) * np.finfo(np.float64).eps * bound
+        hi = screen * np.exp(2.0 * slack) * (1.0 + _SCREEN_RTOL)
+        lo = screen * np.exp(-2.0 * slack) * (1.0 - _SCREEN_RTOL)
+    rows, cols = np.nonzero(hi >= lo.max())
+    return np.stack([cols, rows], axis=1)
+
+
 def estimate_G(model: Predictor, dataset: LabeledSet, params_cloud) -> float:
     """Largest spectral norm of the p-Jacobian over (input, parameter) pairs.
 
     An empirical stand-in for the uniform gradient bound: the max never
     decreases as points are added. Reported over visited parameters only.
+
+    For SoftmaxLinear a closed-form screen (_screen_pairs) picks the pairs
+    that can hold the max, and only those get the exact SVD norm, so the
+    result is the full scan's bit for bit. A plain closed form is not: it
+    differs from the SVD by an ulp or two. Mlp, and a screen that is not
+    finite, scan every pair.
     """
-    cloud = list(params_cloud)
+    cloud = [model.with_params(np.asarray(w, dtype=np.float64)) for w in params_cloud]
     if dataset.n == 0 or len(cloud) == 0:
         raise ValueError("need a nonempty dataset and parameter cloud")
+    pairs = None
+    if isinstance(model.arch, SoftmaxLinear):
+        pairs = _screen_pairs(model.arch, cloud, dataset.inputs)
+    if pairs is None:
+        pairs = [(c, i) for c in range(len(cloud)) for i in range(dataset.n)]
     best = 0.0
-    for w in cloud:
-        m = model.with_params(np.asarray(w, dtype=np.float64))
-        for i in range(dataset.n):
-            jac = p_jacobian(m, dataset.inputs[i])
-            best = max(best, float(np.linalg.norm(jac, 2)))
+    for c, i in pairs:
+        jac = p_jacobian(cloud[c], dataset.inputs[i])
+        best = max(best, float(np.linalg.norm(jac, 2)))
     return best

@@ -57,6 +57,12 @@ class CeObjective:
     def grad(self, w: np.ndarray) -> np.ndarray:
         return label_grad(Predictor(self.arch, w), self.inputs, self.labels)
 
+    def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """(loss(w), grad(w)) from one scores pass, equal to both bit for bit."""
+        m = Predictor(self.arch, w)
+        st = eval_scores(m, batch_scores(m, self._eval.inputs), self._eval, grad=True)
+        return st.loss, st.grad
+
 
 # ---------------------------------------------------------------------------
 # constants
@@ -168,9 +174,9 @@ def in_constraint_set(w, gamma: float, ltilde_floor: float, aug_obj: CeObjective
 def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3, scale: float = 0.5):
     """Multi-start quasi-Newton floor for a full-batch objective.
 
-    Returns (value, argmin). Best-found, not certified: the reported floor is
-    an upper bound on the true one, which is the conservative direction for
-    every gap it feeds.
+    `obj` provides value_and_grad(w). Returns (value, argmin). Best-found,
+    not certified: the reported floor is an upper bound on the true one,
+    which is the conservative direction for every gap it feeds.
     """
     starts = [np.zeros(dim)]
     starts += [np.asarray(s, dtype=np.float64) for s in extra_starts]
@@ -178,7 +184,7 @@ def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3, sca
     best_val, best_w = math.inf, None
     for s in starts:
         res = optimize.minimize(
-            lambda w: (obj.loss(w), obj.grad(w)),
+            obj.value_and_grad,
             s,
             jac=True,
             method="L-BFGS-B",

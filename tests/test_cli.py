@@ -291,6 +291,14 @@ class TestRunPlan:
         s2 = json.load(open(tmp_path / "o" / "orig__seed0.json"))
         assert s2["resolved"]["batch"] == 1
 
+    def test_theory_summary_carries_constants(self, tmp_path):
+        plan = tiny_plan(tmp_path / "o", mode="theory", cells=(Cell("orig", Original(eta=0.3)),))
+        run_plan(plan)
+        for seed in plan.seeds:
+            c = json.load(open(tmp_path / "o" / f"orig__seed{seed}.json"))["constants"]
+            assert np.isfinite(c["g_bound"]) and c["g_bound"] > 0
+            assert c["mu"] <= c["l_smooth"]
+
 
 class TestReport:
     def test_report_reproduces_aggregate(self, tmp_path, capsys):

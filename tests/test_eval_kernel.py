@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import augbias.trainers as trainers
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, softmax_rows
-from augbias.losses import objective_value
+from augbias.losses import mean_grad_a, objective_value
 from augbias.models import EvalSet, Mlp, Predictor, SoftmaxLinear, batch_scores, label_grad, p_rows
 from augbias.theory import CeObjective
 from augbias.trainers import AugDrop, MixLoss, TrainConfig, run_scheme
@@ -49,6 +49,16 @@ def frozen_label_grad(model, x, z):
     dw1 = da.T @ x
     db1 = da.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def frozen_mean_grad_a(model, x, y, delta_y):
+    """The corrected-loss batch gradient as two scores passes: one for p and
+    the minimizers z*, one more inside the gradient."""
+    p = frozen_p_rows(batch_scores(model, x))
+    norms = np.linalg.norm(p, axis=1, keepdims=True)
+    safe = np.where(norms < 1e-12, 1.0, norms)
+    scale = np.where(norms < 1e-12, 0.0, delta_y / safe)
+    return frozen_label_grad(model, x, y - scale * p)
 
 
 def frozen_mean_ce(model, ds):
@@ -161,6 +171,23 @@ def test_gradient_and_objectives_match_frozen_formulas(kind, k, n, d, log_scale,
     assert objective_value(model, orig, "L") == frozen_mean_ce(model, orig)
     assert objective_value(model, aug, "L_tilde") == frozen_mean_ce(model, aug)
     assert objective_value(model, aug, "L_a", delta_y=0.3) == frozen_mean_corrected(model, aug, 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["linear", "mlp"]), k=classes, n=rows, d=st.integers(1, 4),
+       log_scale=log_scales, delta_y=st.floats(0.0, 2.0), seed=seeds)
+def test_single_pass_gradients_match_two_pass(kind, k, n, d, log_scale, delta_y, seed):
+    """mean_grad_a and CeObjective.value_and_grad score each batch once."""
+    rng = np.random.default_rng(seed)
+    arch = make_arch(kind, d, k)
+    w = 10.0**log_scale * rng.standard_normal(arch.param_count)
+    model = Predictor(arch, w)
+    x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same(mean_grad_a(model, x, y, delta_y), frozen_mean_grad_a(model, x, y, delta_y))
+        obj = CeObjective.over(arch, LabeledSet(x, y, ORIGINAL))
+        value, grad = obj.value_and_grad(w)
+        assert same(value, obj.loss(w)) and same(grad, obj.grad(w))
 
 
 def _sets(seed, n, m, d, k):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augbias.core import ORIGINAL, LabeledSet, Rng
 from augbias.models import (
@@ -253,6 +255,113 @@ class TestEstimateG:
         m = zeros_predictor(SoftmaxLinear(2, 2))
         with pytest.raises(ValueError):
             estimate_G(m, self._set([[1.0, 0.0]], 2), [])
+
+
+def frozen_estimate_G(model, dataset, params_cloud):
+    """The per-pair SVD scan as it stood before the closed-form screen."""
+    cloud = list(params_cloud)
+    if dataset.n == 0 or len(cloud) == 0:
+        raise ValueError("need a nonempty dataset and parameter cloud")
+    best = 0.0
+    for w in cloud:
+        m = model.with_params(np.asarray(w, dtype=np.float64))
+        for i in range(dataset.n):
+            jac = p_jacobian(m, dataset.inputs[i])
+            best = max(best, float(np.linalg.norm(jac, 2)))
+    return best
+
+
+def g_outcome(fn, model, dataset, cloud):
+    """The value, or the exception type, so raising cases compare too."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(model, dataset, cloud)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+class TestEstimateGMatchesFullScan:
+    """The screened estimate_G against the frozen full scan, compared with ==:
+    the screen only chooses which pairs get the exact SVD norm."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["linear", "linear", "mlp"]), k=st.integers(2, 12),
+           d=st.integers(1, 4), n=st.integers(1, 12), c=st.integers(1, 4),
+           log_w=st.floats(-3.0, 3.0), log_x=st.floats(-3.0, 200.0),
+           dup_points=st.booleans(), zero_rows=st.booleans(), tie_classes=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_frozen_scan(self, kind, k, d, n, c, log_w, log_x, dup_points,
+                                zero_rows, tie_classes, seed):
+        rng = np.random.default_rng(seed)
+        arch = SoftmaxLinear(d, k) if kind == "linear" else Mlp(d, 3, k)
+        cloud = [10.0**log_w * rng.standard_normal(arch.param_count) for _ in range(c)]
+        if tie_classes and kind == "linear":
+            for w in cloud:  # two classes with equal scores on every input
+                w[d:2 * d] = w[:d]
+        if dup_points:
+            cloud = cloud + cloud[:1]
+        # per-row scales spread the inputs over many orders of magnitude
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, log_x, size=(n, 1))
+        if zero_rows:
+            x[rng.random(n) < 0.4] = 0.0
+        ds = LabeledSet(x, np.full((n, k), 1.0 / k), ORIGINAL)
+        model = Predictor(arch, cloud[0])
+        got = g_outcome(estimate_G, model, ds, cloud)
+        assert got == g_outcome(frozen_estimate_G, model, ds, cloud)
+
+    def test_score_overflow_raises(self):
+        # the scores of x overflow, so the screen is not finite and the full
+        # scan raises where the softmax meets them
+        arch = SoftmaxLinear(2, 2)
+        w = np.array([1e11, 0.0, -1e11, 0.0])
+        ds = LabeledSet(np.array([[1e300, 1.0]]), np.full((1, 2), 0.5), ORIGINAL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                frozen_estimate_G(Predictor(arch, w), ds, [w])
+            with pytest.raises(ValueError):
+                estimate_G(Predictor(arch, w), ds, [w])
+
+    def test_squared_norm_overflow_keeps_the_max(self):
+        # ||x||^2 of the first row is past the float range; the second row,
+        # saturated, holds the max sqrt(5) * 1e154
+        arch = SoftmaxLinear(2, 5)
+        w = np.zeros(10)
+        w[1] = 1.0
+        ds = LabeledSet(np.array([[1.5e154, 0.0], [0.0, 1e154]]), np.full((2, 5), 0.2), ORIGINAL)
+        want = frozen_estimate_G(Predictor(arch, w), ds, [w])
+        assert want == pytest.approx(np.sqrt(5.0) * 1e154, rel=1e-12)
+        assert estimate_G(Predictor(arch, w), ds, [w]) == want
+
+    def test_near_tied_large_scores(self):
+        # Two classes whose weights are the same entries in another order tie
+        # in exact arithmetic on a constant input. Near 1e16 the batched
+        # product of the screen and the one-row product of p_jacobian round
+        # the tie apart differently, so one reads a uniform softmax where the
+        # other reads a saturated one. The screen's rounding slack keeps the
+        # tied input, whose exact norm beats the saturated second input.
+        rng = np.random.default_rng(1)
+        d = 10
+        arch = SoftmaxLinear(d, 2)
+        for _ in range(60):
+            w0 = rng.standard_normal(d)
+            w1 = np.roll(w0, 1 + int(rng.integers(d - 1)))
+            xa = np.full(d, 10.0 ** rng.uniform(14, 17))
+            u = (w0 - w1) / np.linalg.norm(w0 - w1)
+            xb = 0.85 * np.linalg.norm(xa) * u
+            ds = LabeledSet(np.stack([xa, xb]), np.full((2, 2), 0.5), ORIGINAL)
+            w = np.concatenate([w0, w1])
+            m = Predictor(arch, w)
+            assert estimate_G(m, ds, [w]) == frozen_estimate_G(m, ds, [w])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cloud_point_raises(self, bad):
+        arch = SoftmaxLinear(2, 3)
+        m = zeros_predictor(arch)
+        w = np.ones(arch.param_count)
+        w[2] = bad
+        with pytest.raises(ValueError):
+            estimate_G(m, LabeledSet(np.ones((1, 2)), np.full((1, 3), 1 / 3), ORIGINAL),
+                       [np.zeros(6), w])
 
 
 class TestGradientLabelLipschitz:

@@ -55,6 +55,9 @@ class Quad:
     def grad(self, w):
         return self.a.T @ (self.a @ w - self.b)
 
+    def value_and_grad(self, w):
+        return self.loss(w), self.grad(w)
+
 
 @dataclass(frozen=True)
 class Lin:
