@@ -31,7 +31,6 @@ from .models import (
     zeros_predictor,
 )
 from .augment import (
-    BiasEstimate,
     Contrast,
     MixupK,
     SyntheticInputShift,
@@ -53,22 +52,20 @@ from .losses import (
     objective_value,
 )
 from .trainers import (
+    SCHEMES,
     AugDrop,
     Augmented,
     MixLoss,
     Original,
+    Scheme,
+    Stage,
     TrainConfig,
     TrainTrace,
     TraceRow,
     WeMix,
-    augdrop,
-    mixloss,
     read_trace_csv,
     run_scheme,
     sgd_step,
-    train_augmented,
-    train_original,
-    wemix,
     write_trace_csv,
 )
 from .theory import (

@@ -299,17 +299,6 @@ def clean_labels(planted: PlantedParams, inputs: np.ndarray) -> np.ndarray:
 # Bias estimators
 
 
-@dataclass(frozen=True)
-class BiasEstimate:
-    delta_y: float
-    delta_p: float | None
-    method: str
-
-    def __post_init__(self):
-        if self.delta_y < 0 or (self.delta_p is not None and self.delta_p < 0):
-            raise ValueError("bias estimates must be nonnegative")
-
-
 def estimate_delta_y(paired) -> float:
     """Exact maximum of ||y - y~|| over label pairs sharing an input."""
     pairs = list(paired)

@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import inspect
 import json
 import math
 import os
 import re
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,35 +32,23 @@ from .core import Rng
 from .models import SoftmaxLinear, zeros_predictor
 from .theory import CeObjective, best_found_floor, estimate_constants, theory_stepsizes
 from .trainers import (
+    SCHEMES,
     AugDrop,
     Augmented,
     MixLoss,
     Original,
+    Scheme,
     TrainConfig,
     WeMix,
     run_scheme,
+    size_stages,
     write_trace_csv,
 )
 
-_SCHEME_NAMES = ("original", "augmented", "augdrop", "mixloss", "wemix")
-_COMMON_CELL_KEYS = (
-    "scheme", "batch", "epochs", "momentum", "weight_decay", "lr_decay",
-    "lr_every", "task_delta_y", "task_delta_p",
-)
-_SCHEME_KEYS = {
-    "original": ("eta",),
-    "augmented": ("eta",),
-    "augdrop": ("t1", "m1", "m2", "eta1", "eta2", "t2"),
-    "mixloss": ("lam", "delta_y", "m0", "eta"),
-    "wemix": ("lam", "delta_y", "t1", "t2", "m0", "eta1", "eta2"),
-}
-_SCHEME_REQUIRED = {
-    "original": ("eta",),
-    "augmented": ("eta",),
-    "augdrop": ("t1", "m1", "m2", "eta1", "eta2"),
-    "mixloss": ("lam", "delta_y", "m0", "eta"),
-    "wemix": ("lam", "delta_y", "t1", "t2", "m0", "eta1", "eta2"),
-}
+# Cell keys besides the scheme constructor's arguments, with their types.
+_TRAIN_KEYS = (("batch", int), ("epochs", int), ("momentum", float),
+               ("weight_decay", float), ("lr_decay", float), ("lr_every", int))
+_TASK_OVERRIDE_KEYS = ("task_delta_y", "task_delta_p")
 _TASK_KEYS = ("mode", "n", "m", "d", "k", "delta_y", "delta_p", "teacher_scale")
 _PLAN_KEYS = ("preset", "seeds", "outdir", "mode", "eval_n", "constraint_floor")
 
@@ -66,7 +56,7 @@ _PLAN_KEYS = ("preset", "seeds", "outdir", "mode", "eval_n", "constraint_floor")
 @dataclass(frozen=True)
 class Cell:
     name: str
-    scheme: object
+    scheme: Scheme
     train: dict = field(default_factory=dict)
     task_delta_y: float | None = None
     task_delta_p: float | None = None
@@ -201,7 +191,17 @@ def _parse_task(cp, errors) -> SyntheticTask | None:
         return None
 
 
-def _parse_cell(name, sec, mode, errors) -> Cell | None:
+def _checked(prefix, errors, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), or None after adding each message of its
+    ValueError ("; "-joined) to errors."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        errors.extend(f"{prefix} {msg}" for msg in str(exc).split("; "))
+        return None
+
+
+def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     prefix = f"[cell.{name}]"
     if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
         errors.append(f"{prefix} cell names must be alphanumeric with - or _")
@@ -210,15 +210,18 @@ def _parse_cell(name, sec, mode, errors) -> Cell | None:
     if scheme_name is None:
         errors.append(f"{prefix} missing required key 'scheme'")
         return None
-    if scheme_name not in _SCHEME_NAMES:
+    if scheme_name not in SCHEMES:
         errors.append(f"{prefix} unknown scheme '{scheme_name}' "
-                      f"(one of {', '.join(_SCHEME_NAMES)})")
+                      f"(one of {', '.join(SCHEMES)})")
         return None
-    allowed = set(_COMMON_CELL_KEYS) | set(_SCHEME_KEYS[scheme_name])
+    ctor = SCHEMES[scheme_name]
+    params = inspect.signature(ctor).parameters
+    hints = typing.get_type_hints(ctor)
+    allowed = {"scheme", *params, *(k for k, _ in _TRAIN_KEYS), *_TASK_OVERRIDE_KEYS}
     for key in sec:
         if key not in allowed:
             errors.append(f"{prefix} unknown key '{key}'")
-    missing = [k for k in _SCHEME_REQUIRED[scheme_name] if k not in sec]
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in sec]
     if missing:
         errors.append(f"{prefix} missing required keys: {', '.join(missing)}")
         return None
@@ -226,46 +229,31 @@ def _parse_cell(name, sec, mode, errors) -> Cell | None:
         errors.append(f"{prefix} theory mode does not resolve wemix schedules")
         return None
 
-    kw = {}
-    bad = False
-    int_keys = {"t1", "t2", "m0", "m1", "m2"}
-    for key in _SCHEME_KEYS[scheme_name]:
-        if key not in sec:
-            continue
-        kind = int if key in int_keys else float
-        val = _parse_num(f"cell.{name}", key, sec[key], kind, errors)
-        if val is None:
-            bad = True
-        else:
-            kw[key] = val
-    if bad:
-        return None
-    ctor = {"original": Original, "augmented": Augmented, "augdrop": AugDrop,
-            "mixloss": MixLoss, "wemix": WeMix}[scheme_name]
-    try:
-        scheme = ctor(**kw)
-    except ValueError as exc:
-        errors.append(f"{prefix} {exc}")
-        return None
+    n_errors = len(errors)
 
-    train = {}
-    for key, kind in (("batch", int), ("epochs", int), ("momentum", float),
-                      ("weight_decay", float), ("lr_decay", float), ("lr_every", int)):
-        if key in sec:
-            val = _parse_num(f"cell.{name}", key, sec[key], kind, errors)
-            if val is None:
-                bad = True
-            else:
-                train[key] = val
-    overrides = {}
-    for key in ("task_delta_y", "task_delta_p"):
-        if key in sec:
-            val = _parse_num(f"cell.{name}", key, sec[key], float, errors)
-            if val is None:
-                bad = True
-            else:
-                overrides[key] = val
-    if bad:
+    def parse(keys_kinds) -> dict:
+        out = {}
+        for key, kind in keys_kinds:
+            if key in sec:
+                val = _parse_num(f"cell.{name}", key, sec[key], kind, errors)
+                if val is not None:
+                    out[key] = val
+        return out
+
+    # int-typed constructor arguments (t2 is int | None) parse as int
+    kw = parse((k, int if int in (hints[k], *typing.get_args(hints[k])) else float)
+               for k in params)
+    train = parse(_TRAIN_KEYS)
+    overrides = parse((k, float) for k in _TASK_OVERRIDE_KEYS)
+    if len(errors) > n_errors:
+        return None
+    scheme = _checked(prefix, errors, ctor, **kw)
+    # TrainConfig checks only its own fields, so it also runs after a bad scheme
+    cfg = _checked(prefix, errors, TrainConfig, scheme=scheme, **train)
+    if scheme is None or cfg is None:
+        return None
+    if mode == "practical" and task is not None and \
+            _checked(prefix, errors, size_stages, scheme, cfg, task.n, task.m) is None:
         return None
     return Cell(name=name, scheme=scheme, train=train, **overrides)
 
@@ -347,7 +335,7 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         errors.append("no [cell.*] sections (at least one training cell required)")
     cells = []
     for s in cell_sections:
-        cell = _parse_cell(s[len("cell."):], dict(cp[s]), mode, errors)
+        cell = _parse_cell(s[len("cell."):], dict(cp[s]), mode, task, errors)
         if cell is not None:
             cells.append(cell)
     names = [c.name for c in cells]
@@ -395,8 +383,8 @@ def _theory_scheme(cell: Cell, task, arch, orig, aug, planted, seed):
         rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
     )
     shift = task.mode == "input_shift"
-    name = type(cell.scheme).__name__.lower()
-    lam = getattr(cell.scheme, "lam", None)
+    name = cell.scheme.name
+    lam = cell.scheme.lam if name == "mixloss" else None
     mode = {"original": "original",
             "augmented": "augmented_shift" if shift else "augmented",
             "augdrop": "augdrop_shift" if shift else "augdrop",
@@ -462,7 +450,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
     summary = {
         "cell": cell.name,
         "seed": seed,
-        "scheme": type(scheme).__name__.lower(),
+        "scheme": scheme.name,
         "task": dataclasses.asdict(task),
         "final_L": trace.rows[-1].L,
         "floor": floor,

@@ -51,15 +51,6 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
-def matvec(a, x) -> np.ndarray:
-    """Matrix-vector product with explicit dimension validation."""
-    m = as_mat(a, name="a")
-    v = as_vec(x, name="x")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: ({m.shape[0]}x{m.shape[1]}) @ ({v.shape[0]},)")
-    return m @ v
-
-
 def softmax(scores) -> np.ndarray:
     """Softmax of a score vector, computed with max-subtraction.
 

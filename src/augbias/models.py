@@ -245,11 +245,6 @@ def ce_grad(model: Predictor, x, y) -> GradSample:
     return GradSample(loss=loss, grad=check_finite(grad, "grad"))
 
 
-def mean_ce_grad(model: Predictor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean CE gradient over a batch (hot path, no simplex check)."""
-    return label_grad(model, x, y)
-
-
 def score_jacobian(model: Predictor, x) -> np.ndarray:
     """Jacobian of the score vector in the flat parameters, shape (k, D)."""
     arch = model.arch

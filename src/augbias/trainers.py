@@ -1,13 +1,14 @@
 """Mini-batch SGD engine and the five training schemes.
 
-All schemes run through one two-stage engine so that the stated reductions
-hold bit-exactly, not just approximately:
+A scheme is a tuple of stages (`Scheme`, `Stage`), and `run_scheme` runs
+every scheme through one engine, so the stated reductions hold bit-exactly,
+not just approximately:
 
-  * wemix(lam=0, delta_y=0)  is augdrop with the same schedule;
-  * wemix(t2=0)              is mixloss;
-  * mixloss(lam=1)           steps like train_original with batch 1;
-  * augdrop(t1=0)            is train_original;
-  * augdrop with empty stage 2 is train_augmented.
+  * WeMix(lam=0, delta_y=0)  is AugDrop with m1 = m0 and m2 = batch;
+  * WeMix(t1=n, t2=0)        is MixLoss at one epoch;
+  * MixLoss(lam=1)           steps like Original at batch 1;
+  * AugDrop(t1=0)            is Original at one epoch and batch m2, with lam = 0;
+  * AugDrop(t2=0)            is Augmented at one epoch and batch m1, t1 = m // m1.
 
 Randomness is keyed per purpose: stream 0 initializes parameters, stream 1
 drives original-set index draws, stream 2 drives augmented draws. Each stage
@@ -42,55 +43,111 @@ TRACE_COLUMNS = ("t", "stage", "L", "L_tilde", "L_c", "grad_norm", "constraint")
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# schemes
+
+MODES = ("orig", "aug", "mixed")
 
 
 @dataclass(frozen=True)
-class Original:
+class Stage:
+    """One run of SGD steps at a fixed step size.
+
+    mode "orig" steps on a batch of originals, "aug" on a batch of augmented
+    examples, "mixed" on one original and `batch` augmented draws weighted
+    by the scheme's lam. `run_scheme` sizes a None `iters` or `batch` from
+    the TrainConfig.
+    """
+
+    mode: str
     eta: float
-
-
-@dataclass(frozen=True)
-class Augmented:
-    eta: float
-
-
-@dataclass(frozen=True)
-class AugDrop:
-    t1: int
-    m1: int
-    m2: int
-    eta1: float
-    eta2: float
-    # Stage-2 iteration count defaults to one pass, n // m2; an explicit
-    # override supports budget-matched comparisons and the empty-stage edge.
-    t2: int | None = None
-
-
-@dataclass(frozen=True)
-class MixLoss:
-    lam: float
-    delta_y: float
-    m0: int
-    eta: float
+    iters: int | None = None
+    batch: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError("lambda out of (0,1]")
+        if self.mode not in MODES:
+            raise ValueError(f"stage mode must be one of {', '.join(MODES)}")
 
 
 @dataclass(frozen=True)
-class WeMix:
-    lam: float
-    delta_y: float
-    t1: int
-    t2: int
-    m0: int
-    eta1: float
-    eta2: float
+class Scheme:
+    """Stages run in order. lam and delta_y weight the mixed steps and the
+    L_c trace column, lam * L + (1 - lam) * L_a at radius delta_y."""
+
+    name: str
+    stages: tuple[Stage, ...]
+    lam: float = 0.0
+    delta_y: float = 0.0
+
+    def __post_init__(self):
+        if not self.stages:
+            raise ValueError("a scheme needs at least one stage")
+        if not (0.0 <= self.lam <= 1.0):
+            raise ValueError("lam must lie in [0, 1]")
 
 
-Scheme = Original | Augmented | AugDrop | MixLoss | WeMix
+# Out-of-range tests by argument family (eta1 is an eta, t2 a t, ...).
+_OUT_OF_RANGE = {
+    "eta": (lambda v: v <= 0, "must be positive"),
+    "t": (lambda v: v < 0, "must be nonnegative"),
+    "m": (lambda v: v < 1, "must be at least 1"),
+    "lam": (lambda v: not (0.0 <= v <= 1.0), "must lie in [0, 1]"),
+    "delta_y": (lambda v: v < 0, "must be nonnegative"),
+}
+
+
+def _check(*found: str, **args) -> None:
+    """One ValueError naming every out-of-range argument after `found`."""
+    bad = list(found)
+    for key, v in args.items():
+        test, rule = _OUT_OF_RANGE[key.rstrip("0123456789")]
+        if v is not None and test(v):
+            bad.append(f"{key} {rule}")
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
+def Original(eta: float) -> Scheme:
+    """Mini-batch SGD on the original objective, cfg.epochs passes."""
+    _check(eta=eta)
+    return Scheme("original", (Stage("orig", eta),), lam=1.0)
+
+
+def Augmented(eta: float) -> Scheme:
+    """Mini-batch SGD on the augmented objective, cfg.epochs passes."""
+    _check(eta=eta)
+    return Scheme("augmented", (Stage("aug", eta),))
+
+
+def AugDrop(t1: int, m1: int, m2: int, eta1: float, eta2: float,
+            t2: int | None = None) -> Scheme:
+    """Stage 1 on the augmented objective, stage 2 on the original one; t2
+    defaults to one pass, n // m2, and m2 is capped at n."""
+    _check(t1=t1, m1=m1, m2=m2, eta1=eta1, eta2=eta2, t2=t2)
+    return Scheme("augdrop", (Stage("aug", eta1, t1, m1), Stage("orig", eta2, t2, m2)))
+
+
+def MixLoss(lam: float, delta_y: float, m0: int, eta: float) -> Scheme:
+    """One stage on the mixed objective, cfg.epochs passes over the originals."""
+    lam_bad = () if 0.0 < lam <= 1.0 else ("lambda out of (0,1]",)
+    _check(*lam_bad, delta_y=delta_y, m0=m0, eta=eta)
+    return Scheme("mixloss", (Stage("mixed", eta, batch=m0),), lam, delta_y)
+
+
+def WeMix(lam: float, delta_y: float, t1: int, t2: int, m0: int,
+          eta1: float, eta2: float) -> Scheme:
+    """Mixed-objective stage, then an original-only stage at cfg.batch."""
+    _check(lam=lam, delta_y=delta_y, t1=t1, t2=t2, m0=m0, eta1=eta1, eta2=eta2)
+    return Scheme("wemix", (Stage("mixed", eta1, t1, m0), Stage("orig", eta2, t2)),
+                  lam, delta_y)
+
+
+# The scheme constructors by scheme name; their signatures are the INI keys.
+SCHEMES = {ctor.__name__.lower(): ctor for ctor in (Original, Augmented, AugDrop, MixLoss, WeMix)}
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
 
 FreshSampler = Callable[[Rng, int], tuple[np.ndarray, np.ndarray]]
 
@@ -113,41 +170,18 @@ class TrainConfig:
     ltilde_ref: float = 0.0
     keep_iterates: bool = False
     fresh_sampler: FreshSampler | None = None
-    # The L_c trace column evaluates lam * L + (1 - lam) * L_a at these
-    # weights. None takes the scheme's own (lam, delta_y), with (1, 0) for
-    # original-only and (0, 0) for augmented-only schemes; overrides let
-    # cross-scheme identity checks record the same mixture.
-    record_lam: float | None = None
-    record_delta_y: float | None = None
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError("batch must be at least 1")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.lr_decay <= 0:
-            raise ValueError("lr_decay must be positive")
-        if self.lr_every < 0:
-            raise ValueError("lr_every must be nonnegative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        for name in ("eta", "eta1", "eta2"):
-            eta = getattr(self.scheme, name, None)
-            if eta is not None and eta <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("t1", "t2"):
-            v = getattr(self.scheme, name, None)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("m0", "m1", "m2"):
-            v = getattr(self.scheme, name, None)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be at least 1")
-        lam = getattr(self.scheme, "lam", None)
-        if lam is not None and not (0.0 <= lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
+        bad = [msg for failed, msg in (
+            (self.batch < 1, "batch must be at least 1"),
+            (not (0.0 <= self.momentum < 1.0), "momentum must lie in [0, 1)"),
+            (self.weight_decay < 0, "weight_decay must be nonnegative"),
+            (self.lr_decay <= 0, "lr_decay must be positive"),
+            (self.lr_every < 0, "lr_every must be nonnegative"),
+            (self.epochs < 0, "epochs must be nonnegative"),
+        ) if failed]
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +314,31 @@ class EpochSampler:
 # engine
 
 
-@dataclass(frozen=True)
-class _Stage:
-    tag: int
-    mode: str  # "orig" | "aug" | "mixed"
-    iters: int
-    batch: int
-    eta: float
+def size_stages(scheme: Scheme, cfg: TrainConfig, n_orig: int, n_aug: int) -> list[tuple[int, int]]:
+    """(iters, batch) of each stage of `scheme` on n_orig originals and
+    n_aug augmented examples.
+
+    A None batch is cfg.batch; an explicit batch of originals is capped at
+    n_orig. A None iters is cfg.epochs passes in a single-stage scheme and
+    one pass otherwise. A pass is n // batch steps on one side, or n_orig
+    mixed steps (one original each), and must hold at least one batch.
+    """
+    passes = cfg.epochs if len(scheme.stages) == 1 else 1
+    sizes = []
+    for st in scheme.stages:
+        batch = cfg.batch if st.batch is None else st.batch
+        if st.mode == "orig" and st.batch is not None:
+            batch = min(batch, n_orig)
+        iters = st.iters
+        if iters is None and st.mode == "mixed":
+            iters = passes * n_orig
+        elif iters is None:
+            n, side = (n_orig, "original") if st.mode == "orig" else (n_aug, "augmented")
+            if batch > n:
+                raise ValueError(f"batch {batch} is larger than the {n} {side} examples")
+            iters = passes * (n // batch)
+        sizes.append((iters, batch))
+    return sizes
 
 
 def _record_values(model: Predictor, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
@@ -304,25 +356,33 @@ def _record_values(model: Predictor, eval_orig: EvalSet | None, eval_aug: EvalSe
     return (l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
 
 
-def _run(
+def run_scheme(
     model: Predictor,
     orig: LabeledSet | None,
     aug: LabeledSet | None,
     cfg: TrainConfig,
-    stages: list[_Stage],
-    lam: float,
-    delta_y: float,
-    scheme_name: str,
 ) -> TrainTrace:
+    """Run cfg.scheme's stages from `model`, recording after every step.
+
+    Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
+    no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
+    when its set is passed in.
+    """
     t_start = time.perf_counter()
+    scheme = cfg.scheme
+    modes = {st.mode for st in scheme.stages}
+    uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
+    if (uses_orig and orig is None) or (uses_aug and aug is None and cfg.fresh_sampler is None):
+        raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
+    sizes = size_stages(scheme, cfg, orig.n if orig is not None else 0,
+                        aug.n if aug is not None else 0)
     arch = model.arch
     w = np.array(model.params, dtype=np.float64)
-    eval_orig = orig if orig is not None else cfg.eval_orig
-    eval_aug = aug if aug is not None else cfg.eval_aug
+    eval_orig = orig if uses_orig else cfg.eval_orig
+    eval_aug = aug if uses_aug else cfg.eval_aug
     eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
     eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
-    rec_lam = cfg.record_lam if cfg.record_lam is not None else lam
-    rec_delta = cfg.record_delta_y if cfg.record_delta_y is not None else delta_y
+    lam, delta_y = scheme.lam, scheme.delta_y
 
     rows: list[TraceRow] = []
     iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
@@ -335,7 +395,7 @@ def _run(
         # check below turns that into an abort rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _record_values(Predictor(arch, w), eval_orig, eval_aug,
-                                  rec_lam, rec_delta, cfg.ltilde_ref)
+                                  lam, delta_y, cfg.ltilde_ref)
         if not all(np.isfinite(v) for v in vals):
             return False
         rows.append(TraceRow(t, tag, *vals))
@@ -343,37 +403,35 @@ def _run(
             iterates.append(w.copy())
         return True
 
-    first_tag = next((s.tag for s in stages if s.iters > 0), stages[-1].tag if stages else 2)
+    tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
+    first_tag = next((tag for tag, (iters, _) in zip(tags, sizes) if iters > 0), tags[-1])
     if not record(0, first_tag):
         aborted = True
 
     global_t = 0
-    for stage in stages:
-        if aborted or stage.iters == 0:
+    for stage, tag, (iters, batch) in zip(scheme.stages, tags, sizes):
+        if aborted or iters == 0:
             continue
         state = fresh_momentum(cfg.momentum, arch.param_count)
-        orig_sampler = (
-            EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen)
-            if orig is not None and stage.mode in ("orig", "mixed")
-            else None
-        )
+        orig_sampler = EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen) \
+            if stage.mode != "aug" else None
         rng_aug = Rng(cfg.seed, STREAM_AUG)
-        for _ in range(stage.iters):
+        for _ in range(iters):
             m = Predictor(arch, w)
             if stage.mode == "orig":
-                idx = orig_sampler.draw(stage.batch)
+                idx = orig_sampler.draw(batch)
                 grad = label_grad(m, orig.inputs[idx], orig.labels[idx])
             elif stage.mode == "aug":
-                xa, ya = _draw_aug(aug, cfg, rng_aug, stage.batch)
+                xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
                 grad = label_grad(m, xa, ya)
             else:
                 idx = orig_sampler.draw(1)
-                xa, ya = _draw_aug(aug, cfg, rng_aug, stage.batch)
+                xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
                 grad = combined_grad(
                     m,
                     (orig.inputs[idx], orig.labels[idx]),
                     (xa, ya),
-                    MixWeights(lam, delta_y, stage.batch),
+                    MixWeights(lam, delta_y, batch),
                 )
             if not np.all(np.isfinite(grad)):
                 aborted = True
@@ -385,12 +443,12 @@ def _run(
             with np.errstate(over="ignore", invalid="ignore"):
                 w, state = sgd_step(w, grad, eta, state, cfg.weight_decay)
             global_t += 1
-            if not record(global_t, stage.tag):
+            if not record(global_t, tag):
                 aborted = True
                 break
 
     meta = {
-        "scheme": scheme_name,
+        "scheme": scheme.name,
         "seed": cfg.seed,
         "iterations": global_t,
         "wall_time": time.perf_counter() - t_start,
@@ -412,84 +470,3 @@ def _draw_aug(aug, cfg, rng_aug: Rng, count: int) -> tuple[np.ndarray, np.ndarra
         return cfg.fresh_sampler(rng_aug, count)
     idx = rng_aug.gen.integers(0, aug.n, size=count)
     return aug.inputs[idx], aug.labels[idx]
-
-
-# ---------------------------------------------------------------------------
-# schemes
-
-
-def _expect(cfg: TrainConfig, kind: type) -> Scheme:
-    if not isinstance(cfg.scheme, kind):
-        raise ValueError(f"config carries {type(cfg.scheme).__name__}, expected {kind.__name__}")
-    return cfg.scheme
-
-
-def train_original(model: Predictor, orig: LabeledSet, cfg: TrainConfig) -> TrainTrace:
-    """Plain mini-batch SGD on the original objective, epochs passes."""
-    sch = _expect(cfg, Original)
-    if cfg.batch > orig.n:
-        raise ValueError("batch exceeds dataset size")
-    iters = cfg.epochs * (orig.n // cfg.batch)
-    stages = [_Stage(2, "orig", iters, cfg.batch, sch.eta)]
-    return _run(model, orig, None, cfg, stages, 1.0, 0.0, "original")
-
-
-def train_augmented(model: Predictor, aug: LabeledSet, cfg: TrainConfig) -> TrainTrace:
-    """Plain mini-batch SGD on the augmented objective, epochs passes."""
-    sch = _expect(cfg, Augmented)
-    iters = cfg.epochs * (aug.n // cfg.batch)
-    stages = [_Stage(1, "aug", iters, cfg.batch, sch.eta)]
-    return _run(model, None, aug, cfg, stages, 0.0, 0.0, "augmented")
-
-
-def augdrop(model: Predictor, orig: LabeledSet, aug: LabeledSet, cfg: TrainConfig) -> TrainTrace:
-    """Stage 1 on the augmented objective, stage 2 on the original one."""
-    sch = _expect(cfg, AugDrop)
-    m2 = min(sch.m2, orig.n)
-    t2 = sch.t2 if sch.t2 is not None else orig.n // m2
-    stages = [
-        _Stage(1, "aug", sch.t1, sch.m1, sch.eta1),
-        _Stage(2, "orig", t2, m2, sch.eta2),
-    ]
-    trace = _run(model, orig, aug, cfg, stages, 0.0, 0.0, "augdrop")
-    if m2 != sch.m2:
-        trace.meta["m2_capped"] = m2
-    return trace
-
-
-def mixloss(model: Predictor, orig: LabeledSet, aug: LabeledSet, cfg: TrainConfig) -> TrainTrace:
-    """Single stage on the mixed objective; one original example per step,
-    walked without replacement, with m0 augmented draws alongside."""
-    sch = _expect(cfg, MixLoss)
-    stages = [_Stage(1, "mixed", cfg.epochs * orig.n, sch.m0, sch.eta)]
-    return _run(model, orig, aug, cfg, stages, sch.lam, sch.delta_y, "mixloss")
-
-
-def wemix(model: Predictor, orig: LabeledSet, aug: LabeledSet, cfg: TrainConfig) -> TrainTrace:
-    """Mixed-objective stage then original-only stage."""
-    sch = _expect(cfg, WeMix)
-    stages = [
-        _Stage(1, "mixed", sch.t1, sch.m0, sch.eta1),
-        _Stage(2, "orig", sch.t2, cfg.batch, sch.eta2),
-    ]
-    return _run(model, orig, aug, cfg, stages, sch.lam, sch.delta_y, "wemix")
-
-
-def run_scheme(
-    model: Predictor,
-    orig: LabeledSet | None,
-    aug: LabeledSet | None,
-    cfg: TrainConfig,
-) -> TrainTrace:
-    """Dispatch on the configured scheme; used by sweep drivers."""
-    if isinstance(cfg.scheme, Original):
-        return train_original(model, orig, cfg)
-    if isinstance(cfg.scheme, Augmented):
-        return train_augmented(model, aug, cfg)
-    if isinstance(cfg.scheme, AugDrop):
-        return augdrop(model, orig, aug, cfg)
-    if isinstance(cfg.scheme, MixLoss):
-        return mixloss(model, orig, aug, cfg)
-    if isinstance(cfg.scheme, WeMix):
-        return wemix(model, orig, aug, cfg)
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")

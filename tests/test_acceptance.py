@@ -40,10 +40,8 @@ from augbias.trainers import (
     TrainConfig,
     TrainTrace,
     WeMix,
-    augdrop,
-    mixloss,
     read_trace_csv,
-    wemix,
+    run_scheme,
     write_trace_csv,
 )
 from augbias.theory import (
@@ -242,7 +240,7 @@ def membership_runs():
         cfg = TrainConfig(
             scheme=AugDrop(t1=1000, m1=64, m2=64, eta1=0.5, eta2=0.5, t2=1000),
             seed=seed, keep_iterates=True)
-        trace = augdrop(zeros_predictor(arch), orig, aug, cfg)
+        trace = run_scheme(zeros_predictor(arch), orig, aug, cfg)
         assert not trace.aborted
 
         stage2_all = [w for w, r in zip(trace.iterates, trace.rows) if r.stage == 2]
@@ -362,17 +360,17 @@ def test_scheme_reductions_are_bitwise(tmp_path):
 
     base = dict(batch=8, momentum=0.5, weight_decay=0.01, lr_decay=0.5,
                 lr_every=4, seed=13)
-    tw = wemix(model, orig, aug, TrainConfig(
+    tw = run_scheme(model, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2),
         **base))
-    ta = augdrop(model, orig, aug, TrainConfig(
+    ta = run_scheme(model, orig, aug, TrainConfig(
         scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2, t2=5), **base))
     pair1 = _csv_bytes(tw, tmp_path / "w1.csv") == _csv_bytes(ta, tmp_path / "a1.csv")
 
-    tw2 = wemix(model, orig, aug, TrainConfig(
+    tw2 = run_scheme(model, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6,
                      eta1=0.25, eta2=0.1), batch=4, seed=23))
-    tm = mixloss(model, orig, aug, TrainConfig(
+    tm = run_scheme(model, orig, aug, TrainConfig(
         scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25),
         batch=4, epochs=1, seed=23))
     pair2 = _csv_bytes(tw2, tmp_path / "w2.csv") == _csv_bytes(tm, tmp_path / "m2.csv")

@@ -73,8 +73,8 @@ class TestValidateConfig:
         assert errors == []
         assert plan.seeds == (0, 1)
         assert [c.name for c in plan.cells] == ["orig", "drop"]
-        assert isinstance(plan.cells[0].scheme, Original)
-        assert isinstance(plan.cells[1].scheme, AugDrop)
+        assert plan.cells[0].scheme.name == "original"
+        assert plan.cells[1].scheme.name == "augdrop"
         assert plan.task.n == 40 and plan.task.delta_y == 0.2
 
     def test_lambda_out_of_range_is_single_error(self, tmp_path):
@@ -176,6 +176,109 @@ eta2 = 0.3
     def test_missing_file(self, tmp_path):
         plan, errors = validate_config(str(tmp_path / "absent.ini"))
         assert plan is None and any("cannot read" in e for e in errors)
+
+    def test_out_of_range_values_all_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
+[cell.eta]
+scheme = original
+eta = 0
+
+[cell.t1]
+scheme = augdrop
+t1 = -3
+m1 = 6
+m2 = 6
+eta1 = 0.3
+eta2 = 0.3
+
+[cell.m1]
+scheme = augdrop
+t1 = 4
+m1 = 0
+m2 = 6
+eta1 = 0.3
+eta2 = 0.3
+
+[cell.batch]
+scheme = wemix
+lam = 0.5
+delta_y = 0.2
+t1 = 4
+t2 = 4
+m0 = 3
+eta1 = 0.3
+eta2 = 0.3
+batch = 0
+
+[cell.many]
+scheme = augdrop
+t1 = -3
+m1 = 0
+m2 = 6
+eta1 = 0.3
+eta2 = 0
+momentum = 1.5
+lr_decay = 0
+""")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        for cell, key in (("eta", "eta"), ("t1", "t1"), ("m1", "m1"), ("batch", "batch"),
+                          ("many", "t1"),
+                          ("many", "m1"), ("many", "eta2"), ("many", "momentum"),
+                          ("many", "lr_decay")):
+            assert any(e.startswith(f"[cell.{cell}]") and key in e for e in errors), (cell, key)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg]) == 2
+        assert "eta2" in capsys.readouterr().err
+
+    def test_batch_larger_than_a_pass_named(self, tmp_path):
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
+[cell.orig]
+scheme = original
+eta = 0.3
+batch = 41
+
+[cell.aug]
+scheme = augmented
+eta = 0.3
+batch = 61
+
+[cell.wemix]
+scheme = wemix
+lam = 0.5
+delta_y = 0.2
+t1 = 4
+t2 = 4
+m0 = 3
+eta1 = 0.3
+eta2 = 0.3
+batch = 41
+""")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert [e.split()[0] for e in errors] == ["[cell.orig]", "[cell.aug]"]
+        assert "batch 41" in errors[0] and "batch 61" in errors[1]
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
+
+
+class TestBenchmarkWorkloads:
+    def test_every_workload_validates(self):
+        names = sorted(f for f in os.listdir(WORKLOADS) if f.endswith(".ini"))
+        assert names
+        for name in names:
+            plan, errors = validate_config(os.path.join(WORKLOADS, name))
+            assert errors == [] and plan is not None, (name, errors)
+
+    @pytest.mark.parametrize("ini, preset", [("table1.ini", "table1-desk"),
+                                             ("plateau.ini", "lemma2-plateau")])
+    def test_workload_matches_its_preset(self, ini, preset):
+        plan, _ = validate_config(os.path.join(WORKLOADS, ini))
+        want = presets()[preset]
+        assert plan.task == want.task
+        assert plan.cells == want.cells
+        assert plan.mode == want.mode == "practical"
 
 
 class TestPresets:

@@ -7,7 +7,6 @@ from augbias.core import (
     ORIGINAL,
     LabeledSet,
     Rng,
-    matvec,
     sample_beta,
     sample_dirichlet,
     softmax,
@@ -112,23 +111,6 @@ class TestRng:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             Rng(-1)
-
-
-class TestMatvec:
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.standard_normal((8, 8))
-            x = rng.standard_normal(8)
-            ref = np.zeros(8)
-            for i in range(8):
-                for j in range(8):
-                    ref[i] += a[i, j] * x[j]
-            np.testing.assert_allclose(matvec(a, x), ref, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(3), np.ones(4))
 
 
 class TestLabeledSet:

@@ -10,7 +10,7 @@ from augbias.models import (
     ce_loss,
     forward,
     init_predictor,
-    mean_ce_grad,
+    label_grad,
     p_from_scores,
 )
 from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
@@ -206,13 +206,13 @@ class TestCombinedGrad:
         m = init_predictor(SoftmaxLinear(3, 4), Rng(4))
         orig, aug = self._batches()
         g = combined_grad(m, orig, aug, MixWeights(1.0, 0.3, 2))
-        np.testing.assert_array_equal(g, mean_ce_grad(m, orig[0], orig[1]))
+        np.testing.assert_array_equal(g, label_grad(m, orig[0], orig[1]))
 
     def test_lam_zero_no_radius_is_augmented_ce(self):
         m = init_predictor(SoftmaxLinear(3, 4), Rng(5))
         orig, aug = self._batches()
         g = combined_grad(m, orig, aug, MixWeights(0.0, 0.0, 2))
-        np.testing.assert_array_equal(g, mean_ce_grad(m, aug[0], aug[1]))
+        np.testing.assert_array_equal(g, label_grad(m, aug[0], aug[1]))
 
     def test_midpoint_of_single_samples(self):
         m = init_predictor(Mlp(3, 4, 4), Rng(6))
@@ -249,7 +249,7 @@ class TestCombinedGrad:
             i = rng.integers(0, 12, size=3)
             j = rng.integers(0, 20, size=4)
             total += combined_grad(m, (xo[i], yo[i]), (xa[j], ya[j]), w)
-        full = 0.3 * mean_ce_grad(m, xo, yo) + 0.7 * mean_grad_a(m, xa, ya, 0.15)
+        full = 0.3 * label_grad(m, xo, yo) + 0.7 * mean_grad_a(m, xa, ya, 0.15)
         err = np.linalg.norm(total / draws - full) / np.linalg.norm(full)
         assert err < 0.05
 

@@ -14,7 +14,7 @@ from augbias.models import (
     estimate_G,
     forward,
     init_predictor,
-    mean_ce_grad,
+    label_grad,
     p_from_scores,
     p_jacobian,
     p_of,
@@ -188,7 +188,7 @@ class TestCeGrad:
             x = rng.standard_normal((7, 3))
             y = np.stack([random_simplex(rng, 3) for _ in range(7)])
             per = np.mean([ce_grad(m, x[i], y[i]).grad for i in range(7)], axis=0)
-            np.testing.assert_allclose(mean_ce_grad(m, x, y), per, atol=1e-12)
+            np.testing.assert_allclose(label_grad(m, x, y), per, atol=1e-12)
 
 
 class TestJacobians:

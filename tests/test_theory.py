@@ -38,7 +38,7 @@ from augbias.theory import (
     shift_radius,
     theory_stepsizes,
 )
-from augbias.trainers import Original, TrainConfig, train_original
+from augbias.trainers import Original, TrainConfig, run_scheme
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ class TestBoundReport:
     def test_trace_input_uses_final_L_minus_floor(self):
         orig, aug, _, arch = small_ce(23, n=30)
         cfg = TrainConfig(scheme=Original(eta=0.1), batch=5, seed=0, eval_aug=aug)
-        trace = train_original(init_predictor(arch, Rng(24, 0)), orig, cfg)
+        trace = run_scheme(init_predictor(arch, Rng(24, 0)), orig, None, cfg)
         c = self.constants(l_floor=0.05)
         rep = bound_report(c, trace, "original", n=orig.n)
         assert rep.measured_gap == pytest.approx(trace.rows[-1].L - 0.05, abs=1e-15)
@@ -483,7 +483,7 @@ class TestEstimateConstantsPipeline:
         model = init_predictor(arch, Rng(26, 0))
         cfg = TrainConfig(scheme=Original(eta=0.2), batch=10, epochs=3,
                           seed=3, keep_iterates=True, eval_aug=aug)
-        trace = train_original(model, orig, cfg)
+        trace = run_scheme(model, orig, None, cfg)
         cloud = trace.iterates[:: max(1, len(trace.iterates) // 12)]
         c = estimate_constants(
             arch, orig, aug, model.params, cloud,
@@ -501,7 +501,7 @@ class TestEstimateConstantsPipeline:
         model = init_predictor(arch, Rng(29, 0))
         cfg = TrainConfig(scheme=Original(eta=0.2), batch=10, epochs=4,
                           seed=4, keep_iterates=True, eval_aug=aug)
-        trace = train_original(model, orig, cfg)
+        trace = run_scheme(model, orig, None, cfg)
         pts = trace.iterates
         c = estimate_constants(
             arch, orig, aug, model.params, pts[::4],

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng
 from augbias.models import SoftmaxLinear, init_predictor
 from augbias.augment import SyntheticTask, gen_synthetic, make_sampler
+from augbias.theory import CeObjective
 from augbias.trainers import (
     AugDrop,
     Augmented,
@@ -14,15 +17,10 @@ from augbias.trainers import (
     TrainConfig,
     TraceRow,
     WeMix,
-    augdrop,
     fresh_momentum,
-    mixloss,
     read_trace_csv,
     run_scheme,
     sgd_step,
-    train_augmented,
-    train_original,
-    wemix,
     write_trace_csv,
 )
 
@@ -119,7 +117,7 @@ class TestTraceCsv:
         orig, aug, _ = small_task()
         m0 = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, epochs=2, seed=7)
-        trace = train_original(m0, orig, cfg)
+        trace = run_scheme(m0, orig, None, cfg)
         path = tmp_path / "run.csv"
         write_trace_csv(trace, path)
         parsed = read_trace_csv(path)
@@ -143,7 +141,7 @@ class TestTrainOriginal:
         orig, _, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, epochs=0, seed=1)
-        trace = train_original(m, orig, cfg)
+        trace = run_scheme(m, orig, None, cfg)
         assert len(trace.rows) == 1
         assert trace.rows[0].t == 0
         np.testing.assert_array_equal(trace.final_params, m.params)
@@ -154,7 +152,7 @@ class TestTrainOriginal:
             orig, _, _ = small_task(seed=seed, n=60)
             m = init_predictor(SoftmaxLinear(3, 3), Rng(seed))
             cfg = TrainConfig(scheme=Original(eta=0.5), batch=6, epochs=3, seed=seed)
-            trace = train_original(m, orig, cfg)
+            trace = run_scheme(m, orig, None, cfg)
             assert len(trace.rows) == 3 * 10 + 1
             initials.append(trace.rows[0].L)
             finals.append(trace.rows[-1].L)
@@ -164,8 +162,8 @@ class TestTrainOriginal:
         orig, _, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Original(eta=0.4), batch=5, epochs=2, seed=9)
-        t1 = train_original(m, orig, cfg)
-        t2 = train_original(m, orig, cfg)
+        t1 = run_scheme(m, orig, None, cfg)
+        t2 = run_scheme(m, orig, None, cfg)
         assert_rows_equal(t1.rows, t2.rows)
         np.testing.assert_array_equal(t1.final_params, t2.final_params)
 
@@ -174,7 +172,7 @@ class TestTrainOriginal:
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Original(eta=0.4), batch=11, seed=1)
         with pytest.raises(ValueError):
-            train_original(m, orig, cfg)
+            run_scheme(m, orig, None, cfg)
 
 
 class TestTrainAugmented:
@@ -182,7 +180,7 @@ class TestTrainAugmented:
         orig, aug, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, epochs=1, seed=2, eval_orig=orig)
-        trace = train_augmented(m, aug, cfg)
+        trace = run_scheme(m, None, aug, cfg)
         assert len(trace.rows) == (60 // 6) + 1
         assert all(r.stage == 1 for r in trace.rows)
         assert all(np.isfinite(r.L) and r.L > 0 for r in trace.rows)
@@ -191,7 +189,7 @@ class TestTrainAugmented:
         _, aug, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
         cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, seed=2)
-        trace = train_augmented(m, aug, cfg)
+        trace = run_scheme(m, None, aug, cfg)
         assert all(r.L == 0.0 and r.grad_norm == 0.0 for r in trace.rows)
         assert all(r.L_tilde > 0 for r in trace.rows)
 
@@ -212,8 +210,8 @@ class TestReductions:
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2), **base
         )
-        tw = wemix(model, orig, aug, cfg_w)
-        ta = augdrop(model, orig, aug, cfg_a)
+        tw = run_scheme(model, orig, aug, cfg_w)
+        ta = run_scheme(model, orig, aug, cfg_a)
         assert_rows_equal(tw.rows, ta.rows)
         np.testing.assert_array_equal(tw.final_params, ta.final_params)
 
@@ -227,8 +225,8 @@ class TestReductions:
         cfg_m = TrainConfig(
             scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25), epochs=1, **base
         )
-        tw = wemix(model, orig, aug, cfg_w)
-        tm = mixloss(model, orig, aug, cfg_m)
+        tw = run_scheme(model, orig, aug, cfg_w)
+        tm = run_scheme(model, orig, aug, cfg_m)
         assert_rows_equal(tw.rows, tm.rows)
         np.testing.assert_array_equal(tw.final_params, tm.final_params)
 
@@ -236,14 +234,14 @@ class TestReductions:
         orig, aug, model = self._common(seed=19)
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=0, m1=5, m2=8, eta1=0.3, eta2=0.2),
-            batch=8, seed=29, record_lam=0.0, record_delta_y=0.0,
+            batch=8, seed=29,
         )
         cfg_o = TrainConfig(
-            scheme=Original(eta=0.2), batch=8, epochs=1, seed=29,
-            eval_aug=aug, record_lam=0.0, record_delta_y=0.0,
+            scheme=dataclasses.replace(Original(eta=0.2), lam=0.0, delta_y=0.0),
+            batch=8, epochs=1, seed=29, eval_aug=aug,
         )
-        ta = augdrop(model, orig, aug, cfg_a)
-        to = train_original(model, orig, cfg_o)
+        ta = run_scheme(model, orig, aug, cfg_a)
+        to = run_scheme(model, orig, None, cfg_o)
         assert_rows_equal(ta.rows, to.rows)
         np.testing.assert_array_equal(ta.final_params, to.final_params)
 
@@ -255,8 +253,8 @@ class TestReductions:
         cfg_g = TrainConfig(
             scheme=Augmented(eta=0.3), batch=6, epochs=1, seed=37, eval_orig=orig
         )
-        ta = augdrop(model, orig, aug, cfg_a)
-        tg = train_augmented(model, aug, cfg_g)
+        ta = run_scheme(model, orig, aug, cfg_a)
+        tg = run_scheme(model, None, aug, cfg_g)
         assert_rows_equal(ta.rows, tg.rows)
         np.testing.assert_array_equal(ta.final_params, tg.final_params)
 
@@ -266,11 +264,11 @@ class TestReductions:
             scheme=MixLoss(lam=1.0, delta_y=0.2, m0=3, eta=0.3), epochs=1, seed=43
         )
         cfg_o = TrainConfig(
-            scheme=Original(eta=0.3), batch=1, epochs=1, seed=43, eval_aug=aug,
-            record_lam=1.0, record_delta_y=0.2,
+            scheme=dataclasses.replace(Original(eta=0.3), lam=1.0, delta_y=0.2),
+            batch=1, epochs=1, seed=43, eval_aug=aug,
         )
-        tm = mixloss(model, orig, aug, cfg_m)
-        to = train_original(model, orig, cfg_o)
+        tm = run_scheme(model, orig, aug, cfg_m)
+        to = run_scheme(model, orig, None, cfg_o)
         assert_rows_equal(tm.rows, to.rows, skip_stage=True)
         np.testing.assert_array_equal(tm.final_params, to.final_params)
 
@@ -283,7 +281,7 @@ class TestStagePartition:
             scheme=WeMix(lam=0.4, delta_y=0.1, t1=6, t2=4, m0=3, eta1=0.2, eta2=0.1),
             batch=5, seed=5,
         )
-        trace = wemix(model, orig, aug, cfg)
+        trace = run_scheme(model, orig, aug, cfg)
         tags = [r.stage for r in trace.rows]
         assert tags[0] == 1
         assert tags[1:].count(1) == 6
@@ -294,8 +292,73 @@ class TestStagePartition:
         orig, aug, _ = small_task(seed=4)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(4))
         cfg = TrainConfig(scheme=AugDrop(t1=0, m1=5, m2=10, eta1=0.2, eta2=0.2), seed=6)
-        trace = augdrop(model, orig, aug, cfg)
+        trace = run_scheme(model, orig, aug, cfg)
         assert trace.rows[0].stage == 2
+
+
+class TestEdgeBehaviour:
+    """Sizing and evaluation rules that presets and the CLI rely on."""
+
+    def test_augmented_scores_L_on_eval_orig_even_given_originals(self):
+        orig, aug, _ = small_task(seed=12)
+        held, _, _ = small_task(seed=13)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(12))
+        cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, seed=4, eval_orig=held)
+        both = run_scheme(model, orig, aug, cfg)
+        alone = run_scheme(model, None, aug, cfg)
+        assert_rows_equal(both.rows, alone.rows)
+        w0 = model.params
+        assert both.rows[0].L == pytest.approx(CeObjective.over(model.arch, held).loss(w0),
+                                               rel=1e-12)
+        assert both.rows[0].L != pytest.approx(CeObjective.over(model.arch, orig).loss(w0),
+                                               rel=1e-6)
+
+    def test_original_scores_L_tilde_on_eval_aug_even_given_augmented(self):
+        orig, aug, _ = small_task(seed=14)
+        _, held_aug, _ = small_task(seed=15)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(14))
+        cfg = TrainConfig(scheme=Original(eta=0.3), batch=8, seed=4, eval_aug=held_aug)
+        both = run_scheme(model, orig, aug, cfg)
+        alone = run_scheme(model, orig, None, cfg)
+        assert_rows_equal(both.rows, alone.rows)
+        w0 = model.params
+        assert both.rows[0].L_tilde == pytest.approx(
+            CeObjective.over(model.arch, held_aug).loss(w0), rel=1e-12)
+        assert both.rows[0].L_tilde != pytest.approx(
+            CeObjective.over(model.arch, aug).loss(w0), rel=1e-6)
+
+    def test_augdrop_default_t2_is_one_pass_whatever_epochs(self):
+        orig, aug, _ = small_task(seed=16)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(16))
+        cfg = TrainConfig(scheme=AugDrop(t1=4, m1=5, m2=6, eta1=0.2, eta2=0.2),
+                          epochs=3, seed=2)
+        tags = [r.stage for r in run_scheme(model, orig, aug, cfg).rows[1:]]
+        assert tags.count(1) == 4
+        assert tags.count(2) == orig.n // 6
+
+    def test_augdrop_m2_above_n_runs_stage_two_at_batch_n(self):
+        orig, aug, _ = small_task(seed=17)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(17))
+        runs = [
+            run_scheme(model, orig, aug, TrainConfig(
+                scheme=AugDrop(t1=3, m1=5, m2=m2, eta1=0.2, eta2=0.2, t2=t2), seed=3))
+            for m2, t2 in ((orig.n, 4), (orig.n + 7, 4), (orig.n + 7, None))
+        ]
+        assert_rows_equal(runs[0].rows, runs[1].rows)
+        np.testing.assert_array_equal(runs[0].final_params, runs[1].final_params)
+        assert [r.stage for r in runs[2].rows[1:]].count(2) == 1
+
+    def test_wemix_stage_two_batch_is_cfg_batch_not_m0(self):
+        orig, aug, _ = small_task(seed=18)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(18))
+        wemix_cfg = TrainConfig(
+            scheme=WeMix(lam=0.0, delta_y=0.0, t1=0, t2=5, m0=3, eta1=0.2, eta2=0.2),
+            batch=8, seed=6)
+        tw = run_scheme(model, orig, aug, wemix_cfg)
+        for m2, same in ((8, True), (3, False)):
+            ta = run_scheme(model, orig, aug, TrainConfig(
+                scheme=AugDrop(t1=0, m1=3, m2=m2, eta1=0.2, eta2=0.2, t2=5), seed=6))
+            assert np.array_equal(tw.final_params, ta.final_params) == same
 
 
 class TestAbortOnDivergence:
@@ -304,7 +367,7 @@ class TestAbortOnDivergence:
         model = init_predictor(SoftmaxLinear(3, 3), Rng(5))
         cfg = TrainConfig(scheme=Original(eta=1e200), batch=5, epochs=2, seed=7,
                           weight_decay=1.0)
-        trace = train_original(model, orig, cfg)
+        trace = run_scheme(model, orig, None, cfg)
         assert trace.aborted
         assert len(trace.rows) < 2 * (orig.n // 5) + 1
         assert all(np.isfinite(r.L) for r in trace.rows)
@@ -318,9 +381,9 @@ class TestFreshSampling:
         pool_cfg = TrainConfig(scheme=sch, epochs=1, seed=8)
         fresh_cfg = TrainConfig(scheme=sch, epochs=1, seed=8,
                                 fresh_sampler=make_sampler(planted))
-        tp = mixloss(model, orig, aug, pool_cfg)
-        tf1 = mixloss(model, orig, aug, fresh_cfg)
-        tf2 = mixloss(model, orig, aug, fresh_cfg)
+        tp = run_scheme(model, orig, aug, pool_cfg)
+        tf1 = run_scheme(model, orig, aug, fresh_cfg)
+        tf2 = run_scheme(model, orig, aug, fresh_cfg)
         assert_rows_equal(tf1.rows, tf2.rows)
         assert any(a.L != b.L for a, b in zip(tp.rows[1:], tf1.rows[1:]))
 
@@ -331,21 +394,10 @@ class TestKeepIterates:
         model = init_predictor(SoftmaxLinear(3, 3), Rng(7))
         cfg = TrainConfig(scheme=Original(eta=0.3), batch=8, epochs=1, seed=9,
                           keep_iterates=True)
-        trace = train_original(model, orig, cfg)
+        trace = run_scheme(model, orig, None, cfg)
         assert trace.iterates.shape == (len(trace.rows), 9)
         np.testing.assert_array_equal(trace.iterates[0], model.params)
         np.testing.assert_array_equal(trace.iterates[-1], trace.final_params)
-
-
-class TestRunScheme:
-    def test_dispatch_matches_direct_calls(self):
-        orig, aug, _ = small_task(seed=8)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(8))
-        cfg = TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.1, m0=3, eta=0.2),
-                          epochs=1, seed=10)
-        a = run_scheme(model, orig, aug, cfg)
-        b = mixloss(model, orig, aug, cfg)
-        assert_rows_equal(a.rows, b.rows)
 
 
 class TestConfigValidation:
@@ -366,6 +418,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(scheme=WeMix(lam=1.5, delta_y=0.0, t1=1, t2=1, m0=1,
                                      eta1=0.1, eta2=0.1))
+
+    def test_run_needs_the_sets_it_trains_on(self):
+        orig, aug, _ = small_task()
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        cfg = TrainConfig(scheme=MixLoss(lam=0.5, delta_y=0.1, m0=2, eta=0.1))
+        for o, a in ((None, aug), (orig, None)):
+            with pytest.raises(ValueError, match="needs the set it trains on"):
+                run_scheme(model, o, a, cfg)
 
     def test_mixloss_lambda_range(self):
         with pytest.raises(ValueError, match=r"lambda out of \(0,1\]"):
