@@ -3,17 +3,20 @@
 Plans come from an INI file ([task], [plan], [cell.*] sections) or from a
 named preset; each (cell, seed) pair becomes one training run that writes a
 trace CSV and a summary JSON, and the plan ends with an aggregate CSV of
-per-cell gap statistics. Workers regenerate their task from the seed, so
-runs are independent and the pool never ships arrays between processes.
+per-cell gap statistics. A (task, seed)'s data, floors and theory-mode
+constants are computed once and shared by the cells that run on it; each
+worker recomputes them from the seed, so the pool never ships arrays
+between processes.
 
-Exit codes: 0 all runs finished finite, 1 some run diverged (or a report
-mismatch), 2 invalid configuration.
+Exit codes: 0 all runs finished finite, 1 some run diverged or failed (or a
+report mismatch), 2 invalid configuration.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -21,6 +24,7 @@ import os
 import re
 import sys
 import time
+import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,9 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import SyntheticTask, gen_synthetic, sample_original
-from .core import Rng
+from .core import LabeledSet, Rng
 from .models import SoftmaxLinear, zeros_predictor
-from .theory import CeObjective, best_found_floor, estimate_constants, theory_stepsizes
+from .theory import (
+    CeObjective,
+    ConstantEstimates,
+    best_found_floor,
+    estimate_constants,
+    theory_stepsizes,
+)
 from .trainers import (
     SCHEMES,
     AugDrop,
@@ -366,22 +376,69 @@ def _cell_task(plan: ExperimentPlan, cell: Cell) -> SyntheticTask:
     return task
 
 
-def _theory_scheme(cell: Cell, task, arch, orig, aug, planted, seed):
-    """Resolve the cell's schedule from estimated constants.
+@dataclass(frozen=True)
+class _Setup:
+    """What every cell on one (task, seed) shares."""
 
-    A short full-batch probe supplies the iterate cloud; the declared
-    generator bias stands in for the estimated one (the generator plants it
-    exactly, and its estimators are validated separately).
+    arch: SoftmaxLinear
+    orig: LabeledSet
+    aug: LabeledSet
+    eval_set: LabeledSet
+    floor: float
+    ltilde_floor: float | None    # set when the plan asks for the constraint floor
+    consts: ConstantEstimates | None  # set in theory mode
+
+
+@functools.lru_cache(maxsize=1)
+def _setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
+           mode: str) -> _Setup:
+    """Data, floors and, in theory mode, estimated constants of one (task, seed).
+
+    None of them depends on the cell, so run_plan walks its pairs seed-major
+    and this one-entry cache serves every cell on the same key. The layer
+    functions are called through this module's globals, so wrappers installed
+    there see every call.
+
+    Theory mode runs a short full-batch probe for the iterate cloud; the
+    declared generator bias stands in for the estimated one (the generator
+    plants it exactly, and its estimators are validated separately).
     """
-    probe_cfg = TrainConfig(scheme=Original(eta=0.5), batch=orig.n, epochs=60,
-                            seed=seed, keep_iterates=True)
-    probe = run_scheme(zeros_predictor(arch), orig, aug, probe_cfg)
-    cloud = probe.iterates[::6]
-    consts = estimate_constants(
-        arch, orig, aug, probe.iterates[0], cloud,
-        delta_y=task.delta_y, delta_p=task.delta_p if task.mode == "input_shift" else None,
-        rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
-    )
+    orig, aug, planted = gen_synthetic(task, Rng(seed, 0))
+    arch = SoftmaxLinear(d=task.d, k=task.k)
+    rng = np.random.default_rng(seed)
+    eval_set = sample_original(planted, Rng(seed, 7), eval_n) if eval_n > 0 else orig
+    floor, _ = best_found_floor(CeObjective.over(arch, eval_set), arch.param_count, rng,
+                                extra_starts=[planted.w_star.ravel()], n_random=1)
+    ltilde_floor = None
+    if constraint_floor:  # drawn from rng right after the gap floor
+        ltilde_floor, _ = best_found_floor(CeObjective.over(arch, aug), arch.param_count,
+                                           rng, n_random=1)
+    consts = None
+    if mode == "theory":
+        probe_cfg = TrainConfig(scheme=Original(eta=0.5), batch=orig.n, epochs=60,
+                                seed=seed, keep_iterates=True)
+        probe = run_scheme(zeros_predictor(arch), orig, aug, probe_cfg)
+        consts = estimate_constants(
+            arch, orig, aug, probe.iterates[0], probe.iterates[::6],
+            delta_y=task.delta_y,
+            delta_p=task.delta_p if task.mode == "input_shift" else None,
+            rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
+        )
+    return _Setup(arch, orig, aug, eval_set, floor, ltilde_floor, consts)
+
+
+# The resolved batches that _theory_scheme caps, as (resolved key, stage index).
+_CAPPED_BATCHES = {"augmented": (("m0", 0),), "augdrop": (("m1", 0),)}
+
+
+def _theory_scheme(cell: Cell, task: SyntheticTask, consts: ConstantEstimates,
+                   n_orig: int, n_aug: int):
+    """Map the shared constants to the cell's schedule.
+
+    The warnings add one line for each place where the run departs from the
+    resolved values: a step count other than the resolved iters or t1, and a
+    capped batch.
+    """
     shift = task.mode == "input_shift"
     name = cell.scheme.name
     lam = cell.scheme.lam if name == "mixloss" else None
@@ -389,60 +446,62 @@ def _theory_scheme(cell: Cell, task, arch, orig, aug, planted, seed):
             "augmented": "augmented_shift" if shift else "augmented",
             "augdrop": "augdrop_shift" if shift else "augdrop",
             "mixloss": "mixloss"}[name]
-    sched = theory_stepsizes(consts, mode, n=orig.n, lam=lam)
+    sched = theory_stepsizes(consts, mode, n=n_orig, lam=lam)
     v = dict(sched.values)
     train = dict(cell.train)
     if name == "original":
         scheme = Original(eta=v["eta"])
-        train.update(batch=1, epochs=max(1, v["iters"] // orig.n))
+        train.update(batch=1, epochs=max(1, v["iters"] // n_orig))
     elif name == "augmented":
-        batch = min(int(v["m0"]), aug.n)
-        per_epoch = max(1, aug.n // batch)
+        batch = min(int(v["m0"]), n_aug)
+        per_epoch = max(1, n_aug // batch)
         scheme = Augmented(eta=v["eta"])
         train.update(batch=batch, epochs=max(1, round(v["iters"] / per_epoch)))
     elif name == "augdrop":
-        scheme = AugDrop(t1=int(v["t1"]), m1=min(int(v["m1"]), 4 * aug.n),
+        scheme = AugDrop(t1=int(v["t1"]), m1=min(int(v["m1"]), 4 * n_aug),
                          m2=int(v["m2"]), eta1=v["eta1"], eta2=v["eta2"])
     else:
         scheme = MixLoss(lam=lam, delta_y=cell.scheme.delta_y,
                          m0=int(v["m0"]), eta=v["eta"])
         train["epochs"] = 1
     resolved = {k: (int(x) if isinstance(x, int) else float(x)) for k, x in v.items()}
-    return scheme, train, resolved, list(sched.warnings), consts
+    warnings = list(sched.warnings)
+    sizes = size_stages(scheme, TrainConfig(scheme=scheme, **train), n_orig, n_aug)
+    for key, steps in (("iters", sum(it for it, _ in sizes)), ("t1", sizes[0][0])):
+        if key in resolved and steps != resolved[key]:
+            warnings.append(f"runs {steps} steps where the resolved {key} is {resolved[key]}")
+    for key, i in _CAPPED_BATCHES.get(name, ()):
+        if sizes[i][1] != resolved[key]:
+            warnings.append(f"runs batch {sizes[i][1]} where the resolved {key} is "
+                            f"{resolved[key]}")
+    return scheme, train, resolved, warnings
+
+
+def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
+    path = os.path.join(plan.outdir, f"{summary['cell']}__seed{summary['seed']}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
     t_start = time.perf_counter()
     task = _cell_task(plan, cell)
-    orig, aug, planted = gen_synthetic(task, Rng(seed, 0))
-    arch = SoftmaxLinear(d=task.d, k=task.k)
-    rng = np.random.default_rng(seed)
-
-    if plan.eval_n > 0:
-        eval_set = sample_original(planted, Rng(seed, 7), plan.eval_n)
-    else:
-        eval_set = orig
-    gap_obj = CeObjective.over(arch, eval_set)
-    floor, _ = best_found_floor(gap_obj, arch.param_count, rng,
-                                extra_starts=[planted.w_star.ravel()], n_random=1)
+    s = _setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
 
     resolved: dict = {}
     warnings: list[str] = []
     constants = None
     scheme, train = cell.scheme, dict(cell.train)
     if plan.mode == "theory":
-        scheme, train, resolved, warnings, consts = _theory_scheme(
-            cell, task, arch, orig, aug, planted, seed)
-        constants = dataclasses.asdict(consts)
+        scheme, train, resolved, warnings = _theory_scheme(
+            cell, task, s.consts, s.orig.n, s.aug.n)
+        constants = dataclasses.asdict(s.consts)
 
-    ltilde_ref = 0.0
-    if plan.constraint_floor:
-        obj_t = CeObjective.over(arch, aug)
-        ltilde_ref, _ = best_found_floor(obj_t, arch.param_count, rng, n_random=1)
-
-    cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=eval_set, eval_aug=aug,
-                      ltilde_ref=ltilde_ref, **train)
-    trace = run_scheme(zeros_predictor(arch), orig, aug, cfg)
+    cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
+                      ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor,
+                      **train)
+    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))
@@ -453,10 +512,10 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "scheme": scheme.name,
         "task": dataclasses.asdict(task),
         "final_L": trace.rows[-1].L,
-        "floor": floor,
-        "final_gap": trace.rows[-1].L - floor,
-        "initial_gap": trace.rows[0].L - floor,
-        "ltilde_floor": ltilde_ref if plan.constraint_floor else None,
+        "floor": s.floor,
+        "final_gap": trace.rows[-1].L - s.floor,
+        "initial_gap": trace.rows[0].L - s.floor,
+        "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
         "iterations": trace.meta["iterations"],
         "wall_time": time.perf_counter() - t_start,
@@ -465,16 +524,30 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "constants": constants,
         "warnings": warnings,
     }
-    with open(os.path.join(plan.outdir, f"{cell.name}__seed{seed}.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(plan, summary)
     return summary
+
+
+def _run_pair(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
+    """_run_one, or a failed summary when the run or its shared setup raises:
+    the exception text as "error", aborted, and a NaN final_gap."""
+    t_start = time.perf_counter()
+    try:
+        return _run_one(plan, cell, seed)
+    except Exception as exc:  # one bad pair must not stop the plan
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"{cell.name} seed {seed} failed:\n{traceback.format_exc()}",
+              end="", file=sys.stderr)
+        summary = {"cell": cell.name, "seed": seed, "scheme": cell.scheme.name,
+                   "error": error, "aborted": True, "final_gap": math.nan,
+                   "wall_time": time.perf_counter() - t_start}
+        _write_summary(plan, summary)
+        return summary
 
 
 def _worker(args) -> dict:
     plan_dict, cell, seed = args
-    return _run_one(ExperimentPlan(**plan_dict), cell, seed)
+    return _run_pair(ExperimentPlan(**plan_dict), cell, seed)
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
@@ -504,21 +577,30 @@ def _format_aggregate(rows) -> str:
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
-    """Execute every (cell, seed) pair; returns (aggregate rows, exit code)."""
+    """Execute every (cell, seed) pair; returns (aggregate rows, exit code).
+
+    A pair that raises gets a failed summary and the plan goes on; the exit
+    code is 1 when any run aborted or failed.
+    """
     os.makedirs(plan.outdir, exist_ok=True)
     probe = os.path.join(plan.outdir, ".writable")
     with open(probe, "w", encoding="utf-8") as fh:  # I/O failure surfaces here,
         fh.write("ok\n")                            # before any run starts
     os.remove(probe)
 
-    pairs = [(cell, seed) for cell in plan.cells for seed in plan.seeds]
-    if jobs > 1:
-        plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(
-                _worker, [(plan_dict, cell, seed) for cell, seed in pairs]))
-    else:
-        summaries = [_run_one(plan, cell, seed) for cell, seed in pairs]
+    # Seed-major, so the cells that share a (task, seed) setup run back to back.
+    pairs = [(cell, seed) for seed in plan.seeds for cell in plan.cells]
+    _setup.cache_clear()
+    try:
+        if jobs > 1:
+            plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                summaries = list(pool.map(
+                    _worker, [(plan_dict, cell, seed) for cell, seed in pairs]))
+        else:
+            summaries = [_run_pair(plan, cell, seed) for cell, seed in pairs]
+    finally:
+        _setup.cache_clear()
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))

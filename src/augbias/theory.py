@@ -109,6 +109,8 @@ class ConstantEstimates:
 def estimate_mu(obj, points, l_floor: float) -> float:
     """Smallest squared-gradient-to-gap ratio over the cloud.
 
+    `obj` provides value_and_grad(w), one evaluation per point.
+
     Points within 1e-10 of the floor carry no curvature information and are
     skipped. Shrinking the point set can only raise the estimate, which is
     the operational form of restricted-curvature monotonicity.
@@ -116,10 +118,10 @@ def estimate_mu(obj, points, l_floor: float) -> float:
     best = math.inf
     used = 0
     for w in points:
-        gap = obj.loss(w) - l_floor
+        loss, g = obj.value_and_grad(w)
+        gap = loss - l_floor
         if gap < 1e-10:
             continue
-        g = obj.grad(w)
         best = min(best, float(g @ g) / (2.0 * gap))
         used += 1
     if used == 0:
@@ -128,7 +130,19 @@ def estimate_mu(obj, points, l_floor: float) -> float:
 
 
 def estimate_L_smooth(obj, pairs) -> float:
-    """Largest gradient-difference-to-distance ratio over sampled pairs."""
+    """Largest gradient-difference-to-distance ratio over sampled pairs.
+
+    Each distinct point's gradient is taken once, keyed on its bytes, so a
+    point shared by several pairs costs one `obj.grad` call.
+    """
+    grads: dict[bytes, np.ndarray] = {}
+
+    def grad(w: np.ndarray) -> np.ndarray:
+        key = w.tobytes()
+        if key not in grads:
+            grads[key] = obj.grad(w)
+        return grads[key]
+
     best = 0.0
     used = 0
     for w, u in pairs:
@@ -137,7 +151,7 @@ def estimate_L_smooth(obj, pairs) -> float:
         dist = float(np.linalg.norm(w - u))
         if dist < 1e-8:
             continue
-        best = max(best, float(np.linalg.norm(obj.grad(w) - obj.grad(u))) / dist)
+        best = max(best, float(np.linalg.norm(grad(w) - grad(u))) / dist)
         used += 1
     if used == 0:
         raise DegenerateEstimateError("no pair is separated enough to probe smoothness")

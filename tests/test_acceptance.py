@@ -317,6 +317,9 @@ class Quad:
     def grad(self, w):
         return self.a.T @ (self.a @ w - self.b)
 
+    def value_and_grad(self, w):
+        return self.loss(w), self.grad(w)
+
 
 def test_constant_estimators_recover_planted_values():
     quad = Quad(5)

@@ -1,11 +1,13 @@
 """Config parsing, plan execution, and the command-line entry point."""
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from augbias import cli
 from augbias.cli import (
     Cell,
     ExperimentPlan,
@@ -496,3 +498,136 @@ class TestTable1Preset:
         med = {r["cell"]: r["median_gap"] for r in rows}
         assert med["wemix"] <= med["augdrop"]
         assert med["mixloss"] <= med["augmented"]
+
+
+def outputs(outdir) -> dict:
+    """Every trace CSV's bytes and every summary without its wall_time."""
+    out = {}
+    for name in sorted(os.listdir(outdir)):
+        path = os.path.join(outdir, name)
+        if name.endswith(".csv") and name != "aggregate.csv":
+            out[name] = open(path, "rb").read()
+        elif name.endswith(".json"):
+            summary = json.load(open(path))
+            summary.pop("wall_time")
+            out[name] = summary
+    return out
+
+
+class TestSharedSetup:
+    """A (task, seed)'s data, floors and constants are computed once per plan
+    and shared by every cell on it, without changing any output."""
+
+    @pytest.mark.parametrize("mode,eval_n,constraint_floor", [
+        ("practical", 0, False),
+        ("practical", 50, True),
+        ("theory", 0, False),
+        ("theory", 50, True),
+    ])
+    def test_shared_plan_matches_one_plan_per_cell(self, tmp_path, mode, eval_n,
+                                                   constraint_floor):
+        cells = (
+            Cell("orig", Original(eta=0.3), {"batch": 8, "epochs": 2}),
+            Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
+            Cell("aug", Augmented(eta=0.3), {"batch": 8, "epochs": 1}),
+        )
+        kw = dict(seeds=(0, 1), mode=mode, eval_n=eval_n, constraint_floor=constraint_floor)
+        run_plan(tiny_plan(tmp_path / "shared", cells=cells, **kw))
+        shared = outputs(tmp_path / "shared")
+        alone = {}
+        for cell in cells:
+            run_plan(tiny_plan(tmp_path / cell.name, cells=(cell,), **kw))
+            alone.update(outputs(tmp_path / cell.name))
+        assert len(shared) == 2 * len(cells) * len(kw["seeds"])
+        assert shared == alone
+
+    def test_setup_runs_once_per_task_and_seed(self, tmp_path, monkeypatch):
+        calls = {"gen_synthetic": 0, "best_found_floor": 0, "estimate_constants": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        cells = (
+            Cell("orig", Original(eta=0.3)),
+            Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
+            Cell("aug", Augmented(eta=0.3)),
+            Cell("aug-dy01", Augmented(eta=0.3), task_delta_y=0.1),
+        )
+        _, code = run_plan(tiny_plan(tmp_path / "o", cells=cells, seeds=(0, 1),
+                                     mode="theory"))
+        assert code == 0
+        # two tasks (the plan's and the delta_y override) times two seeds
+        assert calls == {"gen_synthetic": 4, "best_found_floor": 4, "estimate_constants": 4}
+
+
+class TestScheduleFlags:
+    def test_theory_summary_flags_departures_from_the_schedule(self, tmp_path):
+        task = SyntheticTask(mode="label_bias", n=40, m=400, d=3, k=3, delta_y=0.4)
+        plan = ExperimentPlan(task=task, cells=(
+            Cell("aug", Augmented(eta=0.3)),
+            Cell("aug-dy01", Augmented(eta=0.3), task_delta_y=0.1),
+        ), seeds=(0,), outdir=str(tmp_path / "o"), mode="theory")
+        _, code = run_plan(plan)
+        assert code == 0
+        s = json.load(open(tmp_path / "o" / "aug__seed0.json"))
+        resolved = s["resolved"]
+        # 8 / 0.4**2 = 50 per batch: 8 steps per pass, more than the resolved iters
+        assert resolved["m0"] == 50 and s["iterations"] == 400 // 50 != resolved["iters"]
+        assert (f"runs {s['iterations']} steps where the resolved iters is "
+                f"{resolved['iters']}") in s["warnings"]
+        assert not any("batch" in w for w in s["warnings"])
+        s = json.load(open(tmp_path / "o" / "aug-dy01__seed0.json"))
+        # 8 / 0.1**2 = 800 per batch, capped at the 400 augmented examples
+        assert s["resolved"]["m0"] == 800
+        assert "runs batch 400 where the resolved m0 is 800" in s["warnings"]
+
+
+class TestFailureIsolation:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_run_gets_failed_summary(self, tmp_path, monkeypatch, capsys, jobs):
+        real = cli.run_scheme
+
+        def run_scheme(model, orig, aug, cfg):
+            if cfg.scheme.name == "augdrop":
+                raise RuntimeError("boom")
+            return real(model, orig, aug, cfg)
+
+        monkeypatch.setattr(cli, "run_scheme", run_scheme)
+        out = tmp_path / "o"
+        rows, code = run_plan(tiny_plan(out, seeds=(0, 1)), jobs=jobs)
+        assert code == 1
+        by = {r["cell"]: r for r in rows}
+        assert by["drop"]["aborted"] == 2 and np.isnan(by["drop"]["median_gap"])
+        assert by["orig"]["aborted"] == 0 and np.isfinite(by["orig"]["median_gap"])
+        assert (out / "aggregate.csv").exists()
+        for seed in (0, 1):
+            s = json.load(open(out / f"drop__seed{seed}.json"))
+            assert s["error"] == "RuntimeError: boom"
+            assert s["aborted"] is True and math.isnan(s["final_gap"])
+            assert "error" not in json.load(open(out / f"orig__seed{seed}.json"))
+            assert (out / f"orig__seed{seed}.csv").exists()
+        if jobs == 1:  # worker processes write to their own stderr
+            assert "RuntimeError: boom" in capsys.readouterr().err
+        capsys.readouterr()
+        assert report(str(out)) == 1
+        err = capsys.readouterr().err
+        assert "skipping" not in err and "stale" not in err
+
+    def test_failing_setup_fails_only_its_pairs(self, tmp_path, monkeypatch):
+        real = cli.gen_synthetic
+
+        def gen_synthetic(task, rng):
+            if rng.seed == 1:
+                raise ValueError("no data")
+            return real(task, rng)
+
+        monkeypatch.setattr(cli, "gen_synthetic", gen_synthetic)
+        out = tmp_path / "o"
+        rows, code = run_plan(tiny_plan(out, seeds=(0, 1)))
+        assert code == 1
+        assert all(r["aborted"] == 1 and r["seeds"] == 2 for r in rows)
+        for cell in ("orig", "drop"):
+            assert "error" not in json.load(open(out / f"{cell}__seed0.json"))
+            s = json.load(open(out / f"{cell}__seed1.json"))
+            assert s["error"] == "ValueError: no data" and s["aborted"] is True

@@ -113,6 +113,63 @@ class TestCeObjective:
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
+class Counting:
+    """Forwards to an objective and records every point it evaluates."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.grads: list[bytes] = []
+        self.evals: list[bytes] = []
+
+    def grad(self, w):
+        self.grads.append(w.tobytes())
+        return self.obj.grad(w)
+
+    def value_and_grad(self, w):
+        self.evals.append(w.tobytes())
+        return self.obj.value_and_grad(w)
+
+
+def frozen_L_smooth(obj, pairs):
+    """The pairwise loop before per-point gradient reuse: two gradients per pair."""
+    best = 0.0
+    for w, u in pairs:
+        w = np.asarray(w, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        dist = float(np.linalg.norm(w - u))
+        if dist < 1e-8:
+            continue
+        best = max(best, float(np.linalg.norm(obj.grad(w) - obj.grad(u))) / dist)
+    return best
+
+
+def frozen_mu(obj, points, l_floor):
+    """The two-pass loop: loss, then grad, per point."""
+    best = math.inf
+    for w in points:
+        gap = obj.loss(w) - l_floor
+        if gap < 1e-10:
+            continue
+        g = obj.grad(w)
+        best = min(best, float(g @ g) / (2.0 * gap))
+    return best
+
+
+def repeating_pairs(center, rng, count=12):
+    """Neighbour pairs around a ring of points, each point paired with the
+    center too, plus one coincident pair that the estimator skips."""
+    pts = [center + rng.standard_normal(center.shape) for _ in range(count)]
+    pairs = [(pts[i], pts[(i + 1) % count]) for i in range(count)]
+    pairs += [(p, center) for p in pts[: count // 2]]
+    pairs.append((pts[0], pts[0].copy()))
+    return pairs, 1 + count
+
+
+def ce_objective(seed):
+    orig, _, _, arch = small_ce(seed)
+    return CeObjective.over(arch, orig), init_predictor(arch, Rng(seed, 1)).params
+
+
 class TestEstimateMu:
     def test_single_point_is_exact_ratio(self):
         quad, w_star, _ = planted_quad(3)
@@ -149,6 +206,15 @@ class TestEstimateMu:
         alone = estimate_mu(quad, [w], 0.0)
         assert estimate_mu(quad, [w_star, w], 0.0) == alone
 
+    @pytest.mark.parametrize("kind", ["quad", "ce"])
+    def test_one_evaluation_per_point(self, kind):
+        obj, center = planted_quad(12)[:2] if kind == "quad" else ce_objective(12)
+        r = np.random.default_rng(13)
+        pts = [center] + [center + r.standard_normal(center.shape) for _ in range(20)]
+        counting = Counting(obj)
+        assert estimate_mu(counting, pts, 0.0) == frozen_mu(obj, pts, 0.0)
+        assert counting.evals == [p.tobytes() for p in pts] and counting.grads == []
+
 
 class TestEstimateLSmooth:
     def test_recovers_planted_lambda_max(self):
@@ -174,6 +240,14 @@ class TestEstimateLSmooth:
         pairs = [(r.standard_normal(5), r.standard_normal(5)) for _ in range(30)]
         partial = estimate_L_smooth(quad, pairs[:5])
         assert estimate_L_smooth(quad, pairs) >= partial
+
+    @pytest.mark.parametrize("kind", ["quad", "ce"])
+    def test_one_gradient_per_distinct_point(self, kind):
+        obj, center = planted_quad(14)[:2] if kind == "quad" else ce_objective(14)
+        pairs, distinct = repeating_pairs(center, np.random.default_rng(15))
+        counting = Counting(obj)
+        assert estimate_L_smooth(counting, pairs) == frozen_L_smooth(obj, pairs)
+        assert len(counting.grads) == len(set(counting.grads)) == distinct
 
     def test_coincident_pairs_rejected(self):
         quad, w_star, _ = planted_quad(11)
