@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import functools
 import inspect
@@ -389,15 +390,37 @@ class _Setup:
     consts: ConstantEstimates | None  # set in theory mode
 
 
-@functools.lru_cache(maxsize=1)
+# The last key _setup computed, with its _Setup or the exception (and its
+# traceback) it raised. At most one entry, so one set-up is alive at a time.
+_last_setup: dict = {}
+
+
 def _setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
            mode: str) -> _Setup:
     """Data, floors and, in theory mode, estimated constants of one (task, seed).
 
     None of them depends on the cell, so run_plan walks its pairs seed-major
-    and this one-entry cache serves every cell on the same key. The layer
-    functions are called through this module's globals, so wrappers installed
-    there see every call.
+    and a one-entry cache serves every cell on the same key. The entry is
+    dropped before the next key is computed, and a set-up that raised raises
+    the same exception again for the other cells on its key.
+    """
+    key = (task, seed, eval_n, constraint_floor, mode)
+    if key not in _last_setup:
+        _last_setup.clear()
+        try:
+            _last_setup[key] = (_build_setup(*key), None)
+        except Exception as exc:
+            _last_setup[key] = (exc, exc.__traceback__)
+    value, tb = _last_setup[key]
+    if tb is not None:
+        raise value.with_traceback(tb)
+    return value
+
+
+def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
+                 mode: str) -> _Setup:
+    """_setup without the cache. The layer functions are called through this
+    module's globals, so wrappers installed there see every call.
 
     Theory mode runs a short full-batch probe for the iterate cloud; the
     declared generator bias stands in for the estimated one (the generator
@@ -546,6 +569,7 @@ def _run_pair(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
 
 
 def _worker(args) -> dict:
+    _keep_freed_memory()
     plan_dict, cell, seed = args
     return _run_pair(ExperimentPlan(**plan_dict), cell, seed)
 
@@ -576,12 +600,35 @@ def _format_aggregate(rows) -> str:
     return "\n".join(out) + "\n"
 
 
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Have the C allocator keep freed memory in the process; True if set.
+
+    Every step and trace record allocates and frees numpy temporaries of a
+    few hundred KB. glibc's default thresholds hand such blocks back to the
+    kernel (munmap, heap trim), and the next step faults the pages in again:
+    about 10^5 minor faults per plateau plan. With both thresholds fixed the
+    blocks stay in the heap and are reused. Setting either one turns off
+    glibc's dynamic adjustment, so both are set. Where the C library has no
+    mallopt (not glibc), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mmap_set = mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
+    trim_set = mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: 256 MiB
+    return bool(mmap_set and trim_set)
+
+
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair; returns (aggregate rows, exit code).
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
     """
+    _keep_freed_memory()
     os.makedirs(plan.outdir, exist_ok=True)
     probe = os.path.join(plan.outdir, ".writable")
     with open(probe, "w", encoding="utf-8") as fh:  # I/O failure surfaces here,
@@ -590,7 +637,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
 
     # Seed-major, so the cells that share a (task, seed) setup run back to back.
     pairs = [(cell, seed) for seed in plan.seeds for cell in plan.cells]
-    _setup.cache_clear()
+    _last_setup.clear()
     try:
         if jobs > 1:
             plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
@@ -600,7 +647,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
         else:
             summaries = [_run_pair(plan, cell, seed) for cell, seed in pairs]
     finally:
-        _setup.cache_clear()
+        _last_setup.clear()
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))

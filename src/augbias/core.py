@@ -90,7 +90,11 @@ def softmax_parts(scores: np.ndarray):
     max, e_t = exp(s_t - m) and its per-example sums. A max is exact in any
     order, so every piece equals its row-major counterpart bit for bit.
     """
-    s_t = np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T)
+    return softmax_parts_t(np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T))
+
+
+def softmax_parts_t(s_t: np.ndarray):
+    """softmax_parts of scores that are already class-major, (k, n) C-ordered."""
     m = np.max(s_t, axis=0)
     e_t = np.exp(s_t - m)
     return s_t, m, e_t, class_sum(e_t)

@@ -167,8 +167,7 @@ def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,
         if kind == "L_a" and delta_y < 0:
             raise ValueError("delta_y must be nonnegative")
         ev = EvalSet.of(dataset.inputs, dataset.labels)
-        st = eval_scores(model, batch_scores(model, ev.inputs), ev,
-                         delta_y=delta_y if kind == "L_a" else None)
+        st = eval_scores(model, ev, delta_y=delta_y if kind == "L_a" else None)
         return st.corrected if kind == "L_a" else st.loss
     if kind == "L_c":
         if lam is None or not (0.0 <= lam <= 1.0):

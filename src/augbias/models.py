@@ -14,7 +14,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LabeledSet, as_vec, check_finite, class_sum, softmax, softmax_parts
+from .core import (
+    LabeledSet,
+    as_vec,
+    check_finite,
+    class_sum,
+    softmax,
+    softmax_parts,
+    softmax_parts_t,
+)
 
 
 @dataclass(frozen=True)
@@ -192,9 +200,11 @@ def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class EvalSet:
     """A fixed evaluation set with the per-set constants the evaluation kernel
-    reuses on every call: class-major labels and label row sums."""
+    reuses on every call: class-major inputs (d, n) for the linear scores,
+    class-major labels and label row sums."""
 
     inputs: np.ndarray
+    inputs_t: np.ndarray
     labels_t: np.ndarray
     label_sums: np.ndarray
 
@@ -202,7 +212,20 @@ class EvalSet:
     def of(inputs, labels) -> "EvalSet":
         x = np.asarray(inputs, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
-        return EvalSet(x, np.ascontiguousarray(y.T), y.sum(axis=1))
+        return EvalSet(x, np.ascontiguousarray(x.T), np.ascontiguousarray(y.T),
+                       y.sum(axis=1))
+
+
+def scores_t(model: Predictor, ev: EvalSet) -> np.ndarray:
+    """Class-major (k, n) scores over an evaluation set, C-ordered.
+
+    For SoftmaxLinear this is W @ inputs_t, which equals batch_scores(...).T
+    bit for bit and needs no transposed copy; the Mlp scores are transposed.
+    """
+    arch = model.arch
+    if isinstance(arch, SoftmaxLinear):
+        return model.params.reshape(arch.k, arch.d) @ ev.inputs_t
+    return np.ascontiguousarray(batch_scores(model, ev.inputs).T)
 
 
 class ScoreStats(NamedTuple):
@@ -211,16 +234,17 @@ class ScoreStats(NamedTuple):
     grad: np.ndarray | None  # gradient of `loss` in the parameters
 
 
-def eval_scores(model: Predictor, scores: np.ndarray, ev: EvalSet,
-                delta_y: float | None = None, grad: bool = False) -> ScoreStats:
+def eval_scores(model: Predictor, ev: EvalSet, delta_y: float | None = None,
+                grad: bool = False) -> ScoreStats:
     """Mean cross entropy over an evaluation set from one scores pass.
 
-    `scores` is batch_scores(model, ev.inputs). The softmax max, exp and sum
-    are computed once and shared by p and by the gradient; the corrected
-    loss at radius delta_y and the gradient are computed only on request.
-    Each value equals the row-major formula bit for bit (core.class_sum).
+    The scores are scores_t(model, ev), class-major from the start. The
+    softmax max, exp and sum are computed once and shared by p and by the
+    gradient; the corrected loss at radius delta_y and the gradient are
+    computed only on request. Each value equals the row-major formula bit for
+    bit (core.class_sum).
     """
-    s_t, m, e_t, tot = softmax_parts(scores)
+    s_t, m, e_t, tot = softmax_parts_t(scores_t(model, ev))
     p_t = (m + np.log(tot)) - s_t
     ce = class_sum(ev.labels_t * p_t)
     corrected = None

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import DegenerateEstimateError, LabeledSet
-from .models import Arch, EvalSet, Predictor, batch_scores, eval_scores, label_grad
+from .models import Arch, EvalSet, Predictor, eval_scores, label_grad
 
 _E = math.e
 
@@ -51,16 +51,14 @@ class CeObjective:
         return CeObjective(arch, dataset.inputs, dataset.labels)
 
     def loss(self, w: np.ndarray) -> float:
-        m = Predictor(self.arch, w)
-        return eval_scores(m, batch_scores(m, self._eval.inputs), self._eval).loss
+        return eval_scores(Predictor(self.arch, w), self._eval).loss
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return label_grad(Predictor(self.arch, w), self.inputs, self.labels)
 
     def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """(loss(w), grad(w)) from one scores pass, equal to both bit for bit."""
-        m = Predictor(self.arch, w)
-        st = eval_scores(m, batch_scores(m, self._eval.inputs), self._eval, grad=True)
+        st = eval_scores(Predictor(self.arch, w), self._eval, grad=True)
         return st.loss, st.grad
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .core import LabeledSet, Rng
-from .models import EvalSet, Predictor, batch_scores, eval_scores, label_grad
+from .models import EvalSet, Predictor, eval_scores, label_grad
 from .losses import MixWeights, combined_grad
 
 STREAM_INIT = 0
@@ -347,11 +347,11 @@ def _record_values(model: Predictor, eval_orig: EvalSet | None, eval_aug: EvalSe
     scores pass per evaluation set; a missing set reads as zeros."""
     l_val, gnorm = 0.0, 0.0
     if eval_orig is not None:
-        st = eval_scores(model, batch_scores(model, eval_orig.inputs), eval_orig, grad=True)
+        st = eval_scores(model, eval_orig, grad=True)
         l_val, gnorm = st.loss, float(np.linalg.norm(st.grad))
     lt_val, la_val, cons = 0.0, 0.0, 0.0
     if eval_aug is not None:
-        st = eval_scores(model, batch_scores(model, eval_aug.inputs), eval_aug, delta_y=delta_y)
+        st = eval_scores(model, eval_aug, delta_y=delta_y)
         lt_val, la_val, cons = st.loss, st.corrected, st.loss - ltilde_ref
     return (l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from augbias.cli import (
     validate_config,
 )
 from augbias.augment import SyntheticTask
+from augbias.core import DegenerateEstimateError
 from augbias.trainers import AugDrop, Augmented, MixLoss, Original, read_trace_csv
 
 TINY_TASK = """
@@ -561,6 +563,27 @@ class TestSharedSetup:
         assert calls == {"gen_synthetic": 4, "best_found_floor": 4, "estimate_constants": 4}
 
 
+    def test_previous_setup_is_dropped_before_the_next(self, tmp_path, monkeypatch):
+        """Two set-ups are never alive at once: the cached one is released
+        before the data of the next (task, seed) is generated."""
+        real = cli.gen_synthetic
+        previous, alive = [], []
+
+        def gen_synthetic(task, rng):
+            alive.extend(ref() is not None for ref in previous)
+            orig, aug, planted = real(task, rng)
+            previous[:] = [weakref.ref(orig), weakref.ref(aug)]
+            return orig, aug, planted
+
+        monkeypatch.setattr(cli, "gen_synthetic", gen_synthetic)
+        cells = tiny_plan(tmp_path).cells + (
+            Cell("orig-dy01", Original(eta=0.3), {"batch": 8}, task_delta_y=0.1),)
+        _, code = run_plan(tiny_plan(tmp_path / "o", cells=cells, seeds=(0, 1)))
+        assert code == 0
+        # four keys: two tasks times two seeds
+        assert alive == [False] * 6
+
+
 class TestScheduleFlags:
     def test_theory_summary_flags_departures_from_the_schedule(self, tmp_path):
         task = SyntheticTask(mode="label_bias", n=40, m=400, d=3, k=3, delta_y=0.4)
@@ -631,3 +654,45 @@ class TestFailureIsolation:
             assert "error" not in json.load(open(out / f"{cell}__seed0.json"))
             s = json.load(open(out / f"{cell}__seed1.json"))
             assert s["error"] == "ValueError: no data" and s["aborted"] is True
+
+    def test_failing_setup_is_computed_once(self, tmp_path, monkeypatch):
+        """A set-up that raises raises again for the other cells on its
+        (task, seed) without being computed again."""
+        real = cli.run_scheme
+        runs = []
+
+        def run_scheme(model, orig, aug, cfg):
+            runs.append(cfg.scheme.name)
+            return real(model, orig, aug, cfg)
+
+        def estimate_constants(*args, **kwargs):
+            raise DegenerateEstimateError("flat probe")
+
+        monkeypatch.setattr(cli, "run_scheme", run_scheme)
+        monkeypatch.setattr(cli, "estimate_constants", estimate_constants)
+        cells = tiny_plan(tmp_path).cells + (Cell("aug", Augmented(eta=0.3)),)
+        out = tmp_path / "o"
+        rows, code = run_plan(tiny_plan(out, cells=cells, mode="theory"))
+        assert code == 1
+        assert runs == ["original"]  # the set-up's 60-step probe, once
+        for cell in ("orig", "drop", "aug"):
+            s = json.load(open(out / f"{cell}__seed0.json"))
+            assert s["error"] == "DegenerateEstimateError: flat probe"
+
+
+class TestAllocator:
+    def test_repeated_plan_takes_no_new_page_faults(self, tmp_path):
+        """Freed temporaries stay in the process: a plan that has run once
+        runs again without faulting its working memory back in."""
+        resource = pytest.importorskip("resource")
+        if not cli._keep_freed_memory():
+            pytest.skip("the C library has no mallopt")
+        task = SyntheticTask(mode="label_bias", n=2000, m=4000, d=10, k=5, delta_y=0.2)
+        plan = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "o"), cells=(
+            Cell("aug", Augmented(eta=1.0), {"batch": 4000, "epochs": 100}),))
+        run_plan(plan)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _, code = run_plan(plan)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert code == 0
+        assert faults < 100

@@ -5,8 +5,10 @@ before the kernel: every reduction runs over the last axis of an (n, k)
 array with np.max / np.sum(axis=1), and each evaluation set is scored once
 per value. The kernel reorders those reductions to run over the class axis,
 which is exact only because of how numpy orders small sums, so every check
-here is ==, never a tolerance. k runs from 2 to 12 to cross numpy's 8-item
-pairwise block, and parameter scales reach the range where scores overflow.
+here is ==, never a tolerance. The linear scores are computed class-major
+by another BLAS call, which is checked the same way. k runs from 2 to 12 to
+cross numpy's 8-item pairwise block, and parameter scales reach the range
+where scores overflow.
 """
 import numpy as np
 import pytest
@@ -16,7 +18,16 @@ from hypothesis import strategies as st
 import augbias.trainers as trainers
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, softmax_rows
 from augbias.losses import mean_grad_a, objective_value
-from augbias.models import EvalSet, Mlp, Predictor, SoftmaxLinear, batch_scores, label_grad, p_rows
+from augbias.models import (
+    EvalSet,
+    Mlp,
+    Predictor,
+    SoftmaxLinear,
+    batch_scores,
+    label_grad,
+    p_rows,
+    scores_t,
+)
 from augbias.theory import CeObjective
 from augbias.trainers import AugDrop, MixLoss, TrainConfig, run_scheme
 
@@ -134,6 +145,23 @@ def test_row_helpers_match_row_major(k, n, log_scale, seed):
     assert same(p, ref_p)
     # row-major outputs keep downstream products in their old memory layout
     assert sm.flags.c_contiguous and p.flags.c_contiguous
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=classes, n=st.one_of(rows, st.sampled_from([2000, 4000])), d=st.integers(1, 12),
+       log_scale=log_scales, seed=seeds)
+def test_linear_class_major_scores_match_transposed_batch_scores(k, n, d, log_scale, seed):
+    """W @ x.T is computed by another BLAS call than x @ W.T, yet it must
+    round the same: the kernel takes the first in place of the second."""
+    rng = np.random.default_rng(seed)
+    arch = SoftmaxLinear(d, k)
+    model = Predictor(arch, 10.0**log_scale * rng.standard_normal(arch.param_count))
+    ev = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = scores_t(model, ev)
+        want = batch_scores(model, ev.inputs).T
+    assert same(got, want)
+    assert got.flags.c_contiguous  # the class-major reductions need C order
 
 
 @settings(max_examples=200, deadline=None)
