@@ -52,6 +52,7 @@ from .trainers import (
     TrainConfig,
     WeMix,
     run_scheme,
+    share_cpus,
     size_stages,
     write_trace_csv,
 )
@@ -568,8 +569,14 @@ def _run_pair(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         return summary
 
 
-def _worker(args) -> dict:
+def _init_worker(jobs: int) -> None:
+    """Set up one of `jobs` worker processes: keep freed memory, and score
+    trace records on this worker's share of the CPUs."""
     _keep_freed_memory()
+    share_cpus(jobs)
+
+
+def _worker(args) -> dict:
     plan_dict, cell, seed = args
     return _run_pair(ExperimentPlan(**plan_dict), cell, seed)
 
@@ -641,7 +648,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     try:
         if jobs > 1:
             plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                     initargs=(jobs,)) as pool:
                 summaries = list(pool.map(
                     _worker, [(plan_dict, cell, seed) for cell, seed in pairs]))
         else:

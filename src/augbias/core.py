@@ -71,16 +71,17 @@ def softmax(scores) -> np.ndarray:
 _PAIRWISE_BLOCK = 8
 
 
-def class_sum(a_t: np.ndarray) -> np.ndarray:
-    """Per-example sums of a class-major (k, n) array.
+def class_sum(a_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-example sums of a class-major (k, n) array, or of each array in a
+    (B, k, n) stack, into `out` when given.
 
     Bit-identical to np.sum(a_t.T, axis=1) on a row-major copy at any k. Below
-    the pairwise block the sum runs over the leading axis, which reduces in
+    the pairwise block the sum runs over the class axis, which reduces in
     full-length vector adds instead of numpy's slow k-wide inner loop.
     """
-    if a_t.shape[0] < _PAIRWISE_BLOCK:
-        return np.sum(a_t, axis=0)
-    return np.sum(np.ascontiguousarray(a_t.T), axis=1)
+    if a_t.shape[-2] < _PAIRWISE_BLOCK:
+        return np.add.reduce(a_t, axis=-2, out=out)
+    return np.add.reduce(np.ascontiguousarray(np.swapaxes(a_t, -1, -2)), axis=-1, out=out)
 
 
 def softmax_parts(scores: np.ndarray):
@@ -90,11 +91,7 @@ def softmax_parts(scores: np.ndarray):
     max, e_t = exp(s_t - m) and its per-example sums. A max is exact in any
     order, so every piece equals its row-major counterpart bit for bit.
     """
-    return softmax_parts_t(np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T))
-
-
-def softmax_parts_t(s_t: np.ndarray):
-    """softmax_parts of scores that are already class-major, (k, n) C-ordered."""
+    s_t = np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T)
     m = np.max(s_t, axis=0)
     e_t = np.exp(s_t - m)
     return s_t, m, e_t, class_sum(e_t)

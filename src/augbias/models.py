@@ -21,7 +21,6 @@ from .core import (
     class_sum,
     softmax,
     softmax_parts,
-    softmax_parts_t,
 )
 
 
@@ -115,7 +114,11 @@ def batch_scores(model: Predictor, x: np.ndarray) -> np.ndarray:
     if isinstance(arch, SoftmaxLinear):
         w = model.params.reshape(arch.k, arch.d)
         return x @ w.T
-    w1, b1, w2, b2 = arch.unpack(model.params)
+    return _mlp_scores(arch, model.params, x)
+
+
+def _mlp_scores(arch: Mlp, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    w1, b1, w2, b2 = arch.unpack(w)
     h = np.tanh(x @ w1.T + b1)
     return h @ w2.T + b2
 
@@ -164,13 +167,17 @@ def ce_loss(y, scores) -> float:
 def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
     """Mean parameter gradient of <z_i, p(x_i; w)> from class-major softmax
     parts (see core.softmax_parts), labels z_t (k, n) and their row sums."""
-    arch = model.arch
     # score-space gradient, made row-major so the products below keep their
     # memory layout (and so their BLAS rounding)
     ds = np.ascontiguousarray(((z_sums * (e_t / tot) - z_t) / x.shape[0]).T)
+    return _param_grad(model.arch, model.params, x, ds)
+
+
+def _param_grad(arch: Arch, w: np.ndarray, x: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Parameter gradient from the row-major (n, k) score-space gradient ds."""
     if isinstance(arch, SoftmaxLinear):
         return (ds.T @ x).ravel()
-    w1, b1, w2, b2 = arch.unpack(model.params)
+    w1, b1, w2, b2 = arch.unpack(w)
     h = np.tanh(x @ w1.T + b1)
     dw2 = ds.T @ h
     db2 = ds.sum(axis=0)
@@ -215,17 +222,132 @@ class EvalSet:
         return EvalSet(x, np.ascontiguousarray(x.T), np.ascontiguousarray(y.T),
                        y.sum(axis=1))
 
+    @property
+    def n(self) -> int:
+        return self.inputs.shape[0]
 
-def scores_t(model: Predictor, ev: EvalSet) -> np.ndarray:
-    """Class-major (k, n) scores over an evaluation set, C-ordered.
 
-    For SoftmaxLinear this is W @ inputs_t, which equals batch_scores(...).T
-    bit for bit and needs no transposed copy; the Mlp scores are transposed.
+# Iterates the evaluation kernel scores per pass. Numpy's per-call cost is
+# paid once per pass, and a pass's (STACK_BATCH, k, n) workspaces stay in the
+# cache; chosen by measurement on the table1 benchmark workload.
+STACK_BATCH = 4
+
+
+class Workspace:
+    """Scratch arrays for the evaluation kernel, one per thread: passes of up
+    to `batch` iterates over sets of up to n examples and k classes, with
+    gradients on sets of up to n_grad examples."""
+
+    def __init__(self, batch: int, k: int, n: int, n_grad: int):
+        self.batch = batch
+        self._k = k
+        self._buffers = (np.empty(batch * k * n), np.empty(batch * k * n),
+                         np.empty(batch * k * n_grad), np.empty((5, batch * n)))
+        self._views: dict = {}
+
+    def views(self, b: int, n: int) -> tuple:
+        """Contiguous views for a pass of b iterates over n examples: two
+        (b, k, n) stacks, the (b, n, k) gradient stack and five (b, n) rows."""
+        v = self._views.get((b, n))
+        if v is None:
+            stack, size = (b, self._k, n), b * self._k * n
+            s, e, d, rows = self._buffers
+            v = (s[:size].reshape(stack), e[:size].reshape(stack),
+                 d[:size].reshape(b, n, self._k) if d.size >= size else None,
+                 *(r[:b * n].reshape(b, n) for r in rows))
+            self._views[(b, n)] = v
+        return v
+
+
+def scores_t(arch: Arch, params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
+    """Class-major (B, k, n) scores of a (B, P) stack of parameter vectors
+    over an evaluation set, into the C-ordered `out`.
+
+    For SoftmaxLinear this is W @ inputs_t for every W in the stack, which
+    equals batch_scores(...).T bit for bit and needs no transposed copy; the
+    Mlp scores are computed per iterate and transposed.
     """
-    arch = model.arch
     if isinstance(arch, SoftmaxLinear):
-        return model.params.reshape(arch.k, arch.d) @ ev.inputs_t
-    return np.ascontiguousarray(batch_scores(model, ev.inputs).T)
+        return np.matmul(params.reshape(len(params), arch.k, arch.d), ev.inputs_t, out=out)
+    for i, w in enumerate(params):
+        np.copyto(out[i], _mlp_scores(arch, w, ev.inputs).T)
+    return out
+
+
+class StackStats(NamedTuple):
+    loss: np.ndarray  # (B,) mean <y_i, p_i>
+    corrected: np.ndarray | None  # (B,) mean <y_i, p_i> - delta_y * ||p_i||
+    grad: np.ndarray | None  # (B, P) gradients of `loss` in the parameters
+
+
+def stack_stats(arch: Arch, params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
+                grad: bool = False, ws: Workspace | None = None) -> StackStats:
+    """Mean cross entropy over an evaluation set at each of a (B, P) stack of
+    parameter vectors: the evaluation kernel.
+
+    The stack is scored ws.batch iterates per pass, class-major from the
+    start (scores_t). The softmax max, exp and sum are computed once per pass
+    and shared by p and by the gradient; the corrected loss at radius delta_y
+    and the gradient are computed only on request. Every step writes into
+    the workspace `ws` (a fresh one when None). Each value equals the
+    row-major formula at one iterate bit for bit (core.class_sum).
+    """
+    params = np.ascontiguousarray(params, dtype=np.float64)
+    total = len(params)
+    if ws is None:
+        batch = min(total, STACK_BATCH)
+        ws = Workspace(batch, arch.k, ev.n, ev.n if grad else 0)
+    loss = np.empty(total)
+    corrected = np.empty(total) if delta_y is not None else None
+    grads = np.empty(params.shape) if grad else None
+    for lo in range(0, total, ws.batch):
+        hi = min(lo + ws.batch, total)
+        _stack_pass(arch, params[lo:hi], ev, delta_y, ws, loss[lo:hi],
+                    None if corrected is None else corrected[lo:hi],
+                    None if grads is None else grads[lo:hi])
+    return StackStats(loss, corrected, grads)
+
+
+def _stack_pass(arch, params, ev, delta_y, ws, loss, corrected, grads) -> None:
+    """stack_stats for at most ws.batch iterates, into loss, corrected and grads.
+
+    The means are sums over the examples divided by n, which is what np.mean
+    computes, without its Python wrapper.
+    """
+    n = ev.n
+    p_t, e_t, ds, m, tot, lse, ce, norms = ws.views(len(params), n)
+    scores_t(arch, params, ev, out=p_t)
+    np.maximum.reduce(p_t, axis=1, out=m)
+    np.subtract(p_t, m[:, None, :], out=e_t)
+    np.exp(e_t, out=e_t)
+    class_sum(e_t, out=tot)
+    np.log(tot, out=lse)
+    lse += m
+    np.subtract(lse[:, None, :], p_t, out=p_t)  # p = logsumexp(s) - s, over the scores
+    if grads is not None:
+        # score-space gradient ((sum y) * softmax - y) / n, made row-major
+        # per iterate as in _grad_from_parts, so the products keep their
+        # BLAS rounding
+        np.divide(e_t, tot[:, None, :], out=e_t)
+        e_t *= ev.label_sums
+        e_t -= ev.labels_t
+        np.divide(e_t.transpose(0, 2, 1), n, out=ds)
+        if isinstance(arch, SoftmaxLinear):
+            np.matmul(ds.transpose(0, 2, 1), ev.inputs,
+                      out=grads.reshape(len(params), arch.k, arch.d))
+        else:
+            for i, w in enumerate(params):
+                grads[i] = _param_grad(arch, w, ev.inputs, ds[i])
+    class_sum(np.multiply(ev.labels_t, p_t, out=e_t), out=ce)
+    np.add.reduce(ce, axis=1, out=loss)
+    loss /= n
+    if corrected is not None:
+        class_sum(np.multiply(p_t, p_t, out=e_t), out=norms)
+        np.sqrt(norms, out=norms)
+        norms *= delta_y
+        np.subtract(ce, norms, out=norms)
+        np.add.reduce(norms, axis=1, out=corrected)
+        corrected /= n
 
 
 class ScoreStats(NamedTuple):
@@ -236,22 +358,12 @@ class ScoreStats(NamedTuple):
 
 def eval_scores(model: Predictor, ev: EvalSet, delta_y: float | None = None,
                 grad: bool = False) -> ScoreStats:
-    """Mean cross entropy over an evaluation set from one scores pass.
-
-    The scores are scores_t(model, ev), class-major from the start. The
-    softmax max, exp and sum are computed once and shared by p and by the
-    gradient; the corrected loss at radius delta_y and the gradient are
-    computed only on request. Each value equals the row-major formula bit for
-    bit (core.class_sum).
-    """
-    s_t, m, e_t, tot = softmax_parts_t(scores_t(model, ev))
-    p_t = (m + np.log(tot)) - s_t
-    ce = class_sum(ev.labels_t * p_t)
-    corrected = None
-    if delta_y is not None:
-        corrected = float(np.mean(ce - delta_y * np.sqrt(class_sum(p_t * p_t))))
-    g = _grad_from_parts(model, ev.inputs, e_t, tot, ev.labels_t, ev.label_sums) if grad else None
-    return ScoreStats(float(np.mean(ce)), corrected, g)
+    """Mean cross entropy over an evaluation set at one model: stack_stats
+    on a stack of one."""
+    st = stack_stats(model.arch, model.params[None, :], ev, delta_y, grad)
+    return ScoreStats(float(st.loss[0]),
+                      None if st.corrected is None else float(st.corrected[0]),
+                      None if st.grad is None else st.grad[0])
 
 
 def ce_grad(model: Predictor, x, y) -> GradSample:

@@ -22,17 +22,27 @@ The combined step is lam * g_orig + (1 - lam) * g_aug, which degenerates
 bitwise to either side at lam in {0, 1}; that is what makes the reductions
 exact. On a non-finite loss or gradient the run aborts and returns the trace
 accumulated so far instead of raising, so sweeps never die on divergence.
+
+The trace has one record at the start and one after every step, but records
+are not scored step by step. Training runs up to CHUNK steps ahead, keeping
+each iterate, and the chunk's records are then scored together by the
+batched evaluation kernel (models.stack_stats), split across threads.
+Training never reads a record, so the trace is the one a per-step loop
+records, cut at the same step when the run diverges.
 """
 from __future__ import annotations
 
+import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import LabeledSet, Rng
-from .models import EvalSet, Predictor, eval_scores, label_grad
+from .models import STACK_BATCH, EvalSet, Predictor, Workspace, label_grad, stack_stats
 from .losses import MixWeights, combined_grad
 
 STREAM_INIT = 0
@@ -341,19 +351,26 @@ def size_stages(scheme: Scheme, cfg: TrainConfig, n_orig: int, n_aug: int) -> li
     return sizes
 
 
-def _record_values(model: Predictor, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
-                   lam: float, delta_y: float, ltilde_ref: float) -> tuple[float, ...]:
-    """(L, L_tilde, L_c, grad_norm, constraint) at one iterate, from one
-    scores pass per evaluation set; a missing set reads as zeros."""
-    l_val, gnorm = 0.0, 0.0
-    if eval_orig is not None:
-        st = eval_scores(model, eval_orig, grad=True)
-        l_val, gnorm = st.loss, float(np.linalg.norm(st.grad))
-    lt_val, la_val, cons = 0.0, 0.0, 0.0
-    if eval_aug is not None:
-        st = eval_scores(model, eval_aug, delta_y=delta_y)
-        lt_val, la_val, cons = st.loss, st.corrected, st.loss - ltilde_ref
-    return (l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
+# Steps trained ahead of their trace records, so the records of one chunk are
+# scored together; chosen by measurement on the table1 benchmark workload.
+CHUNK = 128
+
+# Processes that share this one's CPUs, such as run_plan's --jobs workers.
+_cpu_sharers = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Score this process's trace records on 1/processes of its CPUs, because
+    that many processes run schemes on them at once."""
+    global _cpu_sharers
+    _cpu_sharers = processes
+
+
+def scoring_threads() -> int:
+    """Threads that score a chunk of records: the CPUs this process may run
+    on, divided among the processes sharing them, at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // _cpu_sharers)
 
 
 def run_scheme(
@@ -362,7 +379,14 @@ def run_scheme(
     aug: LabeledSet | None,
     cfg: TrainConfig,
 ) -> TrainTrace:
-    """Run cfg.scheme's stages from `model`, recording after every step.
+    """Run cfg.scheme's stages from `model`, with one trace record at the
+    start and one after every step.
+
+    Training and scoring alternate: training runs up to CHUNK steps ahead,
+    then that chunk's records are scored together, split across
+    scoring_threads() threads. Training never reads a record, so the trace is
+    the same as recording after every step; the first non-finite iterate,
+    record or gradient ends it where a per-step loop would.
 
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
@@ -376,84 +400,57 @@ def run_scheme(
         raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
     sizes = size_stages(scheme, cfg, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
-    arch = model.arch
     w = np.array(model.params, dtype=np.float64)
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
     eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
-    lam, delta_y = scheme.lam, scheme.delta_y
-
-    rows: list[TraceRow] = []
-    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
-    aborted = False
-
-    def record(t: int, tag: int) -> bool:
-        if not np.all(np.isfinite(w)):
-            return False
-        # huge-but-finite iterates overflow during evaluation; the finite
-        # check below turns that into an abort rather than a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = _record_values(Predictor(arch, w), eval_orig, eval_aug,
-                                  lam, delta_y, cfg.ltilde_ref)
-        if not all(np.isfinite(v) for v in vals):
-            return False
-        rows.append(TraceRow(t, tag, *vals))
-        if iterates is not None:
-            iterates.append(w.copy())
-        return True
 
     tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
     first_tag = next((tag for tag, (iters, _) in zip(tags, sizes) if iters > 0), tags[-1])
-    if not record(0, first_tag):
-        aborted = True
-
-    global_t = 0
-    for stage, tag, (iters, batch) in zip(scheme.stages, tags, sizes):
-        if aborted or iters == 0:
-            continue
-        state = fresh_momentum(cfg.momentum, arch.param_count)
-        orig_sampler = EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen) \
-            if stage.mode != "aug" else None
-        rng_aug = Rng(cfg.seed, STREAM_AUG)
-        for _ in range(iters):
-            m = Predictor(arch, w)
-            if stage.mode == "orig":
-                idx = orig_sampler.draw(batch)
-                grad = label_grad(m, orig.inputs[idx], orig.labels[idx])
-            elif stage.mode == "aug":
-                xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
-                grad = label_grad(m, xa, ya)
-            else:
-                idx = orig_sampler.draw(1)
-                xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
-                grad = combined_grad(
-                    m,
-                    (orig.inputs[idx], orig.labels[idx]),
-                    (xa, ya),
-                    MixWeights(lam, delta_y, batch),
-                )
-            if not np.all(np.isfinite(grad)):
-                aborted = True
+    steps = _train(model.arch, w, orig, aug, cfg, zip(scheme.stages, tags, sizes))
+    scorer = _RecordScorer(model.arch, eval_orig, eval_aug, scheme.lam, scheme.delta_y,
+                           cfg.ltilde_ref, scoring_threads())
+    rows: list[TraceRow] = []
+    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
+    chunk = [(0, first_tag, w)]
+    end = chunk[0]  # the (t, tag, w) the run ends on
+    trained, error = False, None
+    with scorer:
+        while True:
+            try:
+                for step in steps:
+                    chunk.append(step)
+                    if len(chunk) == CHUNK or not np.all(np.isfinite(step[2])):
+                        break
+                else:
+                    trained = True
+            except Exception as exc:  # raised once the chunk's records are known
+                trained, error = True, exc
+            good = scorer.rows(chunk)
+            rows.extend(good)
+            if iterates is not None:
+                iterates.extend(w for _, _, w in chunk[:len(good)])
+            if chunk:
+                end = chunk[min(len(good), len(chunk) - 1)]
+            if len(good) < len(chunk):
+                break  # what training met after a non-finite record does not count
+            if error is not None:
+                raise error
+            if trained:
                 break
-            eta = stage.eta
-            if cfg.lr_every > 0:
-                eta = eta * cfg.lr_decay ** (global_t // cfg.lr_every)
-            # divergence overflows to inf and is caught at the next record
-            with np.errstate(over="ignore", invalid="ignore"):
-                w, state = sgd_step(w, grad, eta, state, cfg.weight_decay)
-            global_t += 1
-            if not record(global_t, tag):
-                aborted = True
-                break
+            chunk = []
+    global_t, _, w = end
+    # a run stops short at a non-finite iterate, record or gradient
+    aborted = len(rows) == 0 or rows[-1].t < sum(iters for iters, _ in sizes)
 
     meta = {
         "scheme": scheme.name,
         "seed": cfg.seed,
         "iterations": global_t,
         "wall_time": time.perf_counter() - t_start,
-        "lam": lam,
-        "delta_y": delta_y,
+        "lam": scheme.lam,
+        "delta_y": scheme.delta_y,
         "aborted": aborted,
     }
     return TrainTrace(
@@ -463,6 +460,129 @@ def run_scheme(
         meta=meta,
         iterates=np.array(iterates) if iterates is not None else None,
     )
+
+
+def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
+    """SGD from w over (stage, tag, (iters, batch)) in order; yields
+    (t, tag, w) after every step and stops at a non-finite gradient.
+
+    Steps run ahead of their records, so a step can follow an iterate whose
+    record overflows; its arithmetic may then give inf and NaN, without
+    warnings.
+    """
+    lam, delta_y = cfg.scheme.lam, cfg.scheme.delta_y
+    global_t = 0
+    for stage, tag, (iters, batch) in stages:
+        if iters == 0:
+            continue
+        state = fresh_momentum(cfg.momentum, arch.param_count)
+        orig_sampler = EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen) \
+            if stage.mode != "aug" else None
+        rng_aug = Rng(cfg.seed, STREAM_AUG)
+        for _ in range(iters):
+            m = Predictor(arch, w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if stage.mode == "orig":
+                    idx = orig_sampler.draw(batch)
+                    grad = label_grad(m, orig.inputs[idx], orig.labels[idx])
+                elif stage.mode == "aug":
+                    xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
+                    grad = label_grad(m, xa, ya)
+                else:
+                    idx = orig_sampler.draw(1)
+                    xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
+                    grad = combined_grad(
+                        m,
+                        (orig.inputs[idx], orig.labels[idx]),
+                        (xa, ya),
+                        MixWeights(lam, delta_y, batch),
+                    )
+                if not np.all(np.isfinite(grad)):
+                    return
+                eta = stage.eta
+                if cfg.lr_every > 0:
+                    eta = eta * cfg.lr_decay ** (global_t // cfg.lr_every)
+                # divergence overflows to inf and is caught at the next record
+                w, state = sgd_step(w, grad, eta, state, cfg.weight_decay)
+            global_t += 1
+            yield global_t, tag, w
+
+
+class _RecordScorer:
+    """Scores trace records, split into `threads` contiguous parts: one on the
+    calling thread, the rest on a thread pool that lives as long as the
+    `with` block, so no forked process inherits it.
+
+    The pool threads run only augbias.models code (the evaluation kernel and
+    numpy), never a layer function that a tracer may have wrapped.
+    """
+
+    def __init__(self, arch, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
+                 lam: float, delta_y: float, ltilde_ref: float, threads: int):
+        self._arch = arch
+        self._sets = (eval_orig, eval_aug)
+        self._lam, self._delta_y, self._ltilde_ref = lam, delta_y, ltilde_ref
+        n = max((ev.n for ev in self._sets if ev is not None), default=0)
+        n_grad = eval_orig.n if eval_orig is not None else 0
+        self._workspaces = [Workspace(STACK_BATCH, arch.k, n, n_grad) for _ in range(threads)]
+        self._pool = None
+
+    def __enter__(self):
+        if len(self._workspaces) > 1:
+            self._pool = ThreadPoolExecutor(max_workers=len(self._workspaces) - 1)
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def rows(self, chunk) -> list[TraceRow]:
+        """TraceRows of a chunk of (t, tag, w) records, up to its first
+        non-finite iterate or value."""
+        finite = len(chunk)
+        if chunk and not np.all(np.isfinite(chunk[-1][2])):
+            finite -= 1  # training stops at a non-finite iterate, so only the last can be
+        values = self.values(np.array([w for _, _, w in chunk[:finite]]))
+        rows = []
+        for (t, tag, _), vals in zip(chunk, values):
+            if not all(math.isfinite(v) for v in vals):
+                break
+            rows.append(TraceRow(t, tag, *vals))
+        return rows
+
+    def values(self, params: np.ndarray) -> list[tuple[float, ...]]:
+        """(L, L_tilde, L_c, grad_norm, constraint) at each of a (B, P) stack
+        of finite iterates; a missing evaluation set reads as zeros."""
+        if len(params) == 0:
+            return []
+        parts = min(len(self._workspaces), len(params))
+        bounds = [len(params) * i // parts for i in range(parts + 1)]
+        futures = [self._pool.submit(self._score, params[lo:hi], ws)
+                   for lo, hi, ws in zip(bounds[1:-1], bounds[2:], self._workspaces[1:])]
+        scored = [self._score(params[:bounds[1]], self._workspaces[0])]
+        scored += [f.result() for f in futures]
+        lam = self._lam
+        return [(l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
+                for l_val, gnorm, lt_val, la_val, cons in np.concatenate(scored).tolist()]
+
+    def _score(self, params: np.ndarray, ws: Workspace) -> np.ndarray:
+        """(L, grad_norm, L_tilde, L_a, constraint) per iterate, one row each."""
+        eval_orig, eval_aug = self._sets
+        out = np.zeros((len(params), 5))
+        # huge-but-finite iterates overflow during evaluation; the finite
+        # check on the values turns that into an abort rather than a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if eval_orig is not None:
+                st = stack_stats(self._arch, params, eval_orig, grad=True, ws=ws)
+                out[:, 0] = st.loss
+                out[:, 1] = [np.linalg.norm(g) for g in st.grad]
+            if eval_aug is not None:
+                st = stack_stats(self._arch, params, eval_aug, delta_y=self._delta_y, ws=ws)
+                out[:, 2] = st.loss
+                out[:, 3] = st.corrected
+                out[:, 4] = st.loss - self._ltilde_ref
+        return out
 
 
 def _draw_aug(aug, cfg, rng_aug: Rng, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,10 @@ import dataclasses
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -696,3 +700,42 @@ class TestAllocator:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert code == 0
         assert faults < 100
+
+
+class TestScoringPool:
+    def test_worker_plan_after_a_serial_plan_in_one_process(self, tmp_path):
+        """A --jobs 2 plan that follows a jobs=1 plan in the same process
+        finishes, with the same aggregate.csv. On Linux the workers fork from
+        that process, so they would inherit a scoring pool the first plan
+        left behind, without its threads. The process is told it has four
+        CPUs, so each worker scores on a pool of its own on any host; it runs
+        in a child with a timeout, so a hang fails the test instead of
+        stopping the suite."""
+        long_cell = "\n[cell.long]\nscheme = original\neta = 0.3\nbatch = 4\nepochs = 20\n"
+        ini = tiny_cfg(tmp_path, extra=long_cell)
+        serial, workers = tmp_path / "serial", tmp_path / "workers"
+        script = textwrap.dedent(f"""
+            import os, sys
+            os.sched_getaffinity = lambda pid: set(range(4))
+            from augbias.cli import main
+            codes = [main(["run", {ini!r}, "--outdir", {str(serial)!r}]),
+                     main(["run", {ini!r}, "--outdir", {str(workers)!r}, "--jobs", "2"])]
+            sys.exit(max(codes))
+        """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # a session of its own, so a hang can be ended with its workers
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the --jobs 2 plan did not finish within 120 s")
+        assert proc.returncode == 0, err
+        assert (serial / "aggregate.csv").read_bytes() == \
+            (workers / "aggregate.csv").read_bytes()
+        assert len(read_trace_csv(workers / "long__seed1.csv")) == 201
