@@ -13,8 +13,6 @@ from .core import (
     DegenerateEstimateError,
     LabeledSet,
     Rng,
-    sample_beta,
-    sample_dirichlet,
     softmax,
 )
 from .models import (
@@ -31,17 +29,10 @@ from .models import (
     zeros_predictor,
 )
 from .augment import (
-    Contrast,
-    MixupK,
-    SyntheticInputShift,
-    SyntheticLabelBias,
     SyntheticTask,
-    contrast,
     estimate_delta_P,
     estimate_delta_y,
     gen_synthetic,
-    make_sampler,
-    mixup_k,
 )
 from .losses import (
     CorrectedLossResult,

@@ -1,5 +1,5 @@
-"""Augmentation transforms, synthetic tasks with exactly planted bias, and
-estimators for the two bias measures.
+"""Synthetic tasks with exactly planted augmentation bias, and estimators
+for the two bias measures.
 
 Bias comes in two flavors. Label bias perturbs the conditional label law while
 keeping the input marginal; its size is the largest Euclidean distance between
@@ -21,8 +21,6 @@ from .core import (
     DegenerateEstimateError,
     LabeledSet,
     Rng,
-    as_vec,
-    sample_dirichlet,
     softmax_rows,
 )
 
@@ -31,81 +29,7 @@ _SIMPLEX_DIAMETER = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Augmentation specs and elementary transforms
-
-
-@dataclass(frozen=True)
-class MixupK:
-    """Convex combination of k examples with Dirichlet(alpha, ..., alpha) weights."""
-
-    k: int = 2
-    alpha: float = 1.0
-    stream: int = 0
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("mixup needs k >= 2")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-@dataclass(frozen=True)
-class Contrast:
-    """Scale deviations about the per-example mean by a magnitude in [lo, hi]."""
-
-    lo: float = 0.1
-    hi: float = 1.9
-    stream: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.lo <= self.hi):
-            raise ValueError("need 0 < lo <= hi")
-
-
-@dataclass(frozen=True)
-class SyntheticLabelBias:
-    """Perturb labels by exactly delta_y toward each row's least likely class."""
-
-    delta_y: float
-    stream: int = 0
-
-    def __post_init__(self):
-        if self.delta_y < 0:
-            raise ValueError("delta_y must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SyntheticInputShift:
-    """Translate inputs by a fixed vector, keeping each example's label."""
-
-    shift: tuple
-    stream: int = 0
-
-
-AugSpec = MixupK | Contrast | SyntheticLabelBias | SyntheticInputShift
-
-
-def mixup_k(examples, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual example: the exact convex combination of inputs and labels."""
-    if len(examples) == 0:
-        raise ValueError("need at least one example")
-    w = as_vec(weights, size=len(examples), name="weights")
-    if abs(float(np.sum(w)) - 1.0) > 1e-9 or float(np.min(w)) < -1e-9:
-        raise ValueError("weights must lie on the probability simplex")
-    xs = [as_vec(x, name="x") for x, _ in examples]
-    ys = [as_vec(y, name="y") for _, y in examples]
-    if len({x.shape[0] for x in xs}) > 1 or len({y.shape[0] for y in ys}) > 1:
-        raise ValueError("all inputs must share a dimension")
-    return w @ np.stack(xs), w @ np.stack(ys)
-
-
-def contrast(x, magnitude: float, lo: float = 0.1, hi: float = 1.9) -> np.ndarray:
-    """x' = mean(x) + magnitude * (x - mean(x)); magnitude 1 is the identity."""
-    if not (lo <= magnitude <= hi):
-        raise ValueError(f"magnitude {magnitude} outside configured range [{lo}, {hi}]")
-    xv = as_vec(x, name="x")
-    mu = float(np.mean(xv))
-    return mu + magnitude * (xv - mu)
+# Synthetic tasks with exactly controllable bias
 
 
 def perturb_labels(labels: np.ndarray, delta_y: float) -> np.ndarray:
@@ -129,43 +53,6 @@ def perturb_labels(labels: np.ndarray, delta_y: float) -> np.ndarray:
     room = np.linalg.norm(dirs, axis=1)
     step = np.minimum(delta_y, room)
     return y + (step / room)[:, None] * dirs
-
-
-def apply_augspec(spec: AugSpec, dataset: LabeledSet, rng: Rng, count: int) -> LabeledSet:
-    """Materialize `count` augmented examples from a dataset under a spec."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    n = dataset.n
-    xs = np.empty((count, dataset.d))
-    ys = np.empty((count, dataset.k))
-    if isinstance(spec, MixupK):
-        for i in range(count):
-            idx = rng.gen.choice(n, size=spec.k, replace=False)
-            w = sample_dirichlet(spec.alpha, spec.k, rng)
-            pairs = [(dataset.inputs[j], dataset.labels[j]) for j in idx]
-            xs[i], ys[i] = mixup_k(pairs, w)
-    elif isinstance(spec, Contrast):
-        idx = rng.gen.integers(0, n, size=count)
-        mags = rng.gen.uniform(spec.lo, spec.hi, size=count)
-        for i in range(count):
-            xs[i] = contrast(dataset.inputs[idx[i]], float(mags[i]), spec.lo, spec.hi)
-            ys[i] = dataset.labels[idx[i]]
-    elif isinstance(spec, SyntheticLabelBias):
-        idx = rng.gen.integers(0, n, size=count)
-        xs[:] = dataset.inputs[idx]
-        ys[:] = perturb_labels(dataset.labels[idx], spec.delta_y)
-    elif isinstance(spec, SyntheticInputShift):
-        shift = as_vec(np.asarray(spec.shift), size=dataset.d, name="shift")
-        idx = rng.gen.integers(0, n, size=count)
-        xs[:] = dataset.inputs[idx] + shift
-        ys[:] = dataset.labels[idx]
-    else:
-        raise ValueError(f"unknown augmentation spec {spec!r}")
-    return LabeledSet(xs, ys, AUGMENTED)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic tasks with exactly controllable bias
 
 
 @dataclass(frozen=True)
@@ -203,41 +90,12 @@ class PlantedParams:
     """Ground truth behind one synthetic task instance."""
 
     w_star: np.ndarray          # teacher weights, shape (k, d)
-    mode: str
-    delta_y: float
-    delta_p: float
     shift: np.ndarray | None    # input translation for input_shift mode
     l_floor_planted: float      # mean CE of the original set at the teacher
 
 
 def _teacher_labels(w_star: np.ndarray, x: np.ndarray) -> np.ndarray:
     return softmax_rows(x @ w_star.T)
-
-
-@dataclass(frozen=True)
-class LabelBiasSampler:
-    """Fresh augmented draws for a label-bias task; picklable for worker pools."""
-
-    w_star: np.ndarray
-    delta_y: float
-
-    def __call__(self, rng: Rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        x = rng.gen.standard_normal((count, self.w_star.shape[1]))
-        y = perturb_labels(_teacher_labels(self.w_star, x), self.delta_y)
-        return x, y
-
-
-@dataclass(frozen=True)
-class InputShiftSampler:
-    """Fresh augmented draws for an input-shift task."""
-
-    w_star: np.ndarray
-    shift: np.ndarray
-
-    def __call__(self, rng: Rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        src = rng.gen.standard_normal((count, self.w_star.shape[1]))
-        y = _teacher_labels(self.w_star, src)
-        return src + self.shift, y
 
 
 def gen_synthetic(task: SyntheticTask, rng: Rng) -> tuple[LabeledSet, LabeledSet, PlantedParams]:
@@ -266,22 +124,7 @@ def gen_synthetic(task: SyntheticTask, rng: Rng) -> tuple[LabeledSet, LabeledSet
 
     p = y  # labels at the teacher equal its softmax outputs
     floor = float(np.mean(np.sum(-p * np.log(p), axis=1)))
-    planted = PlantedParams(
-        w_star=w_star,
-        mode=task.mode,
-        delta_y=task.delta_y,
-        delta_p=task.delta_p,
-        shift=shift,
-        l_floor_planted=floor,
-    )
-    return original, augmented, planted
-
-
-def make_sampler(planted: PlantedParams):
-    """Fresh-sample closure matching the augmented law of a synthetic task."""
-    if planted.mode == "label_bias":
-        return LabelBiasSampler(planted.w_star, planted.delta_y)
-    return InputShiftSampler(planted.w_star, planted.shift)
+    return original, augmented, PlantedParams(w_star, shift, floor)
 
 
 def sample_original(planted: PlantedParams, rng: Rng, count: int) -> LabeledSet:
@@ -320,47 +163,25 @@ def _as_sample_matrix(sample) -> np.ndarray:
     return a
 
 
-def estimate_delta_P(sample_p, sample_q, family: str = "gaussian") -> float:
+def estimate_delta_P(sample_p, sample_q) -> float:
     """KL divergence of input marginals estimated from two sample sets.
 
-    gaussian: fits the two means and one pooled covariance, then evaluates
-    the equal-covariance closed form (difference of means, Mahalanobis
-    norm over two). histogram: discrete support with add-one smoothing.
+    Fits the two means and one pooled covariance, then evaluates the
+    equal-covariance Gaussian closed form (difference of means, Mahalanobis
+    norm over two).
     """
-    if family == "gaussian":
-        p = _as_sample_matrix(sample_p)
-        q = _as_sample_matrix(sample_q)
-        if p.shape[0] < 2 or q.shape[0] < 2:
-            raise ValueError("gaussian mode needs at least 2 samples per side")
-        if p.shape[1] != q.shape[1]:
-            raise ValueError("sample dimensions differ")
-        diff = p.mean(axis=0) - q.mean(axis=0)
-        np_, nq = p.shape[0], q.shape[0]
-        pooled = (np.cov(p, rowvar=False) * (np_ - 1) + np.cov(q, rowvar=False) * (nq - 1)) / (np_ + nq - 2)
-        pooled = np.atleast_2d(pooled)
-        try:
-            factor = cho_factor(pooled)
-        except LinAlgError as exc:
-            raise DegenerateEstimateError("pooled covariance is singular") from exc
-        return float(0.5 * diff @ cho_solve(factor, diff))
-    if family == "histogram":
-        p = _as_sample_matrix(sample_p)
-        q = _as_sample_matrix(sample_q)
-        keys_p = [tuple(row) for row in p]
-        keys_q = [tuple(row) for row in q]
-        support = sorted(set(keys_p) | set(keys_q))
-        counts_p = {s: 1.0 for s in support}  # add-one smoothing
-        counts_q = {s: 1.0 for s in support}
-        for s in keys_p:
-            counts_p[s] += 1.0
-        for s in keys_q:
-            counts_q[s] += 1.0
-        tot_p = sum(counts_p.values())
-        tot_q = sum(counts_q.values())
-        kl = 0.0
-        for s in support:
-            fp = counts_p[s] / tot_p
-            fq = counts_q[s] / tot_q
-            kl += fp * math.log(fp / fq)
-        return kl
-    raise ValueError("family must be 'gaussian' or 'histogram'")
+    p = _as_sample_matrix(sample_p)
+    q = _as_sample_matrix(sample_q)
+    if p.shape[0] < 2 or q.shape[0] < 2:
+        raise ValueError("need at least 2 samples per side")
+    if p.shape[1] != q.shape[1]:
+        raise ValueError("sample dimensions differ")
+    diff = p.mean(axis=0) - q.mean(axis=0)
+    np_, nq = p.shape[0], q.shape[0]
+    pooled = (np.cov(p, rowvar=False) * (np_ - 1) + np.cov(q, rowvar=False) * (nq - 1)) / (np_ + nq - 2)
+    pooled = np.atleast_2d(pooled)
+    try:
+        factor = cho_factor(pooled)
+    except LinAlgError as exc:
+        raise DegenerateEstimateError("pooled covariance is singular") from exc
+    return float(0.5 * diff @ cho_solve(factor, diff))

@@ -61,7 +61,8 @@ from .trainers import (
 _TRAIN_KEYS = (("batch", int), ("epochs", int), ("momentum", float),
                ("weight_decay", float), ("lr_decay", float), ("lr_every", int))
 _TASK_OVERRIDE_KEYS = ("task_delta_y", "task_delta_p")
-_TASK_KEYS = ("mode", "n", "m", "d", "k", "delta_y", "delta_p", "teacher_scale")
+# The [task] keys, SyntheticTask's fields, with their types.
+_TASK_FIELDS = typing.get_type_hints(SyntheticTask)
 _PLAN_KEYS = ("preset", "seeds", "outdir", "mode", "eval_n", "constraint_floor")
 
 
@@ -187,11 +188,10 @@ def _parse_seeds(raw, errors):
 def _parse_task(cp, errors) -> SyntheticTask | None:
     sec = dict(cp["task"])
     for key in sec:
-        if key not in _TASK_KEYS:
+        if key not in _TASK_FIELDS:
             errors.append(f"[task] unknown key '{key}'")
     kw = {}
-    for key, kind in (("mode", str), ("n", int), ("m", int), ("d", int), ("k", int),
-                      ("delta_y", float), ("delta_p", float), ("teacher_scale", float)):
+    for key, kind in _TASK_FIELDS.items():
         if key in sec:
             val = sec[key] if kind is str else _parse_num("task", key, sec[key], kind, errors)
             if val is not None:
@@ -316,7 +316,7 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         return (plan, errors) if not errors else (None, errors)
 
     if not cp.has_section("task"):
-        errors.append("missing [task] section (keys: mode, n, m, d, k, delta_y, delta_p)")
+        errors.append(f"missing [task] section (keys: {', '.join(_TASK_FIELDS)})")
         task = None
     else:
         task = _parse_task(cp, errors)

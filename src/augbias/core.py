@@ -123,28 +123,8 @@ class Rng:
         key = np.array([seed, stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def derive(self, stream: int) -> "Rng":
-        """Fresh independent stream under the same seed."""
-        return Rng(self.seed, stream)
-
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, stream={self.stream})"
-
-
-def sample_beta(alpha: float, rng: Rng) -> float:
-    """One draw from Beta(alpha, alpha); alpha=1 is Uniform[0,1]."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return float(rng.gen.beta(alpha, alpha))
-
-
-def sample_dirichlet(alpha: float, k: int, rng: Rng) -> np.ndarray:
-    """One draw from Dirichlet(alpha, ..., alpha) on the k-simplex."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return rng.gen.dirichlet(np.full(k, float(alpha)))
 
 
 def _validate_labels(labels: np.ndarray) -> None:

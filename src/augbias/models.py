@@ -139,12 +139,6 @@ def p_from_scores(scores) -> np.ndarray:
     return lse - s
 
 
-def p_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise negative log-softmax of an (n, k) score matrix."""
-    s_t, m, _, tot = softmax_parts(scores)
-    return np.ascontiguousarray(((m + np.log(tot)) - s_t).T)
-
-
 def p_of(model: Predictor, x) -> np.ndarray:
     return p_from_scores(forward(model, x))
 

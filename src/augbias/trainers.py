@@ -15,13 +15,14 @@ drives original-set index draws, stream 2 drives augmented draws. Each stage
 recreates its generators from the stream key, so the draw sequence a stage
 sees depends only on (seed, stream), never on what an earlier stage consumed.
 Original examples are walked without replacement (reshuffled per pass);
-augmented examples are drawn with replacement, or generated on the fly when a
-fresh-sample source is configured.
+augmented examples are drawn with replacement.
 
 The combined step is lam * g_orig + (1 - lam) * g_aug, which degenerates
 bitwise to either side at lam in {0, 1}; that is what makes the reductions
-exact. On a non-finite loss or gradient the run aborts and returns the trace
-accumulated so far instead of raising, so sweeps never die on divergence.
+exact. On a non-finite loss or gradient, or a scheduled step size that
+leaves the positive float range (lr_decay ** k overflowing or underflowing
+to 0), the run aborts and returns the trace accumulated so far instead of
+raising, so sweeps never die on divergence.
 
 The trace has one record at the start and one after every step, but records
 are not scored step by step. Training runs up to CHUNK steps ahead, keeping
@@ -37,7 +38,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -159,9 +159,6 @@ SCHEMES = {ctor.__name__.lower(): ctor for ctor in (Original, Augmented, AugDrop
 # configuration
 
 
-FreshSampler = Callable[[Rng, int], tuple[np.ndarray, np.ndarray]]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     scheme: Scheme
@@ -179,7 +176,6 @@ class TrainConfig:
     eval_aug: LabeledSet | None = None
     ltilde_ref: float = 0.0
     keep_iterates: bool = False
-    fresh_sampler: FreshSampler | None = None
 
     def __post_init__(self):
         bad = [msg for failed, msg in (
@@ -386,7 +382,7 @@ def run_scheme(
     then that chunk's records are scored together, split across
     scoring_threads() threads. Training never reads a record, so the trace is
     the same as recording after every step; the first non-finite iterate,
-    record or gradient ends it where a per-step loop would.
+    record, gradient or step size ends it where a per-step loop would.
 
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
@@ -396,7 +392,7 @@ def run_scheme(
     scheme = cfg.scheme
     modes = {st.mode for st in scheme.stages}
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
-    if (uses_orig and orig is None) or (uses_aug and aug is None and cfg.fresh_sampler is None):
+    if (uses_orig and orig is None) or (uses_aug and aug is None):
         raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
     sizes = size_stages(scheme, cfg, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
@@ -441,7 +437,7 @@ def run_scheme(
                 break
             chunk = []
     global_t, _, w = end
-    # a run stops short at a non-finite iterate, record or gradient
+    # a run stops short at a non-finite iterate, record, gradient or step size
     aborted = len(rows) == 0 or rows[-1].t < sum(iters for iters, _ in sizes)
 
     meta = {
@@ -464,7 +460,8 @@ def run_scheme(
 
 def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
     """SGD from w over (stage, tag, (iters, batch)) in order; yields
-    (t, tag, w) after every step and stops at a non-finite gradient.
+    (t, tag, w) after every step and stops at a non-finite gradient or at a
+    scheduled step size that is not a positive finite float.
 
     Steps run ahead of their records, so a step can follow an iterate whose
     record overflows; its arithmetic may then give inf and NaN, without
@@ -486,11 +483,11 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
                     idx = orig_sampler.draw(batch)
                     grad = label_grad(m, orig.inputs[idx], orig.labels[idx])
                 elif stage.mode == "aug":
-                    xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
+                    xa, ya = _draw_aug(aug, rng_aug, batch)
                     grad = label_grad(m, xa, ya)
                 else:
                     idx = orig_sampler.draw(1)
-                    xa, ya = _draw_aug(aug, cfg, rng_aug, batch)
+                    xa, ya = _draw_aug(aug, rng_aug, batch)
                     grad = combined_grad(
                         m,
                         (orig.inputs[idx], orig.labels[idx]),
@@ -501,7 +498,12 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
                     return
                 eta = stage.eta
                 if cfg.lr_every > 0:
-                    eta = eta * cfg.lr_decay ** (global_t // cfg.lr_every)
+                    try:
+                        eta = eta * cfg.lr_decay ** (global_t // cfg.lr_every)
+                    except OverflowError:
+                        eta = math.inf
+                    if not 0.0 < eta < math.inf:
+                        return  # the schedule left the positive float range
                 # divergence overflows to inf and is caught at the next record
                 w, state = sgd_step(w, grad, eta, state, cfg.weight_decay)
             global_t += 1
@@ -585,8 +587,6 @@ class _RecordScorer:
         return out
 
 
-def _draw_aug(aug, cfg, rng_aug: Rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.fresh_sampler is not None:
-        return cfg.fresh_sampler(rng_aug, count)
+def _draw_aug(aug: LabeledSet, rng_aug: Rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     idx = rng_aug.gen.integers(0, aug.n, size=count)
     return aug.inputs[idx], aug.labels[idx]

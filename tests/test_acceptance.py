@@ -337,7 +337,7 @@ def test_constant_estimators_recover_planted_values():
     true_kl = float(0.5 * shift @ shift)
     p = rng.standard_normal((100_000, 3))
     q = rng.standard_normal((100_000, 3)) + shift
-    kl_hat = estimate_delta_P(p, q, family="gaussian")
+    kl_hat = estimate_delta_P(p, q)
     ok_kl = abs(kl_hat - true_kl) <= 0.10 * true_kl
     record_verdict(
         8, "mu/L recover a planted spectrum; delta_P recovers a planted KL",

@@ -1,83 +1,16 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from augbias.core import AUGMENTED, ORIGINAL, DegenerateEstimateError, LabeledSet, Rng
+from augbias.core import AUGMENTED, ORIGINAL, DegenerateEstimateError, Rng
 from augbias.augment import (
-    Contrast,
-    MixupK,
-    SyntheticInputShift,
-    SyntheticLabelBias,
     SyntheticTask,
-    apply_augspec,
     clean_labels,
-    contrast,
     estimate_delta_P,
     estimate_delta_y,
     gen_synthetic,
-    make_sampler,
-    mixup_k,
     perturb_labels,
     sample_original,
 )
-
-
-class TestMixup:
-    def test_degenerate_weight(self):
-        x, y = mixup_k([([1.0, 2.0], [1.0, 0.0]), ([3.0, 4.0], [0.0, 1.0])], [1.0, 0.0])
-        np.testing.assert_array_equal(x, [1.0, 2.0])
-        np.testing.assert_array_equal(y, [1.0, 0.0])
-
-    def test_even_pair(self):
-        x, y = mixup_k([([1.0, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])], [0.5, 0.5])
-        np.testing.assert_allclose(x, [0.5, 0.5])
-        np.testing.assert_allclose(y, [0.5, 0.5])
-
-    def test_three_way_symmetry(self):
-        examples = [([1.0], [1.0, 0.0, 0.0]), ([2.0], [0.0, 1.0, 0.0]), ([3.0], [0.0, 0.0, 1.0])]
-        _, y = mixup_k(examples, np.full(3, 1 / 3))
-        np.testing.assert_allclose(y, np.full(3, 1 / 3), atol=1e-15)
-
-    def test_rejects_off_simplex_weights(self):
-        with pytest.raises(ValueError):
-            mixup_k([([1.0], [1.0, 0.0]), ([2.0], [0.0, 1.0])], [0.7, 0.7])
-
-    def test_labels_stay_on_simplex(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            k = int(rng.integers(2, 5))
-            examples = [(rng.standard_normal(3), rng.dirichlet(np.ones(4))) for _ in range(k)]
-            w = rng.dirichlet(np.ones(k))
-            _, y = mixup_k(examples, w)
-            assert abs(y.sum() - 1.0) <= 1e-12
-            assert np.all(y >= -1e-15)
-
-    def test_k2_dirichlet_weight_matches_beta(self):
-        # Consistency of the k-example weight law with pairwise Beta mixing.
-        from augbias.core import sample_dirichlet
-
-        rng = Rng(21)
-        first = np.array([sample_dirichlet(2.0, 2, rng)[0] for _ in range(10_000)])
-        assert stats.kstest(first, stats.beta(2.0, 2.0).cdf).statistic < 0.02
-
-
-class TestContrast:
-    def test_identity_magnitude(self):
-        x = np.array([0.3, -1.2, 4.0])
-        np.testing.assert_allclose(contrast(x, 1.0), x, atol=1e-15)
-
-    def test_constant_fixed_point(self):
-        x = np.full(4, 2.5)
-        np.testing.assert_allclose(contrast(x, 1.7), x, atol=1e-15)
-
-    def test_worked_example(self):
-        np.testing.assert_allclose(contrast([0.0, 2.0], 1.5), [-0.5, 2.5])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            contrast([0.0, 1.0], 2.5)
-        with pytest.raises(ValueError):
-            contrast([0.0, 1.0], 0.05)
 
 
 class TestPerturbLabels:
@@ -102,6 +35,46 @@ class TestPerturbLabels:
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
             perturb_labels(np.array([[0.5, 0.5]]), 1.5)
+
+    def test_rejects_negative_delta(self):
+        with pytest.raises(ValueError):
+            perturb_labels(np.array([[0.5, 0.5]]), -0.1)
+
+    def test_moves_toward_least_likely_class(self):
+        y = np.array([[0.2, 0.1, 0.7], [0.6, 0.3, 0.1]])
+        out = perturb_labels(y, 0.1)
+        rows = np.arange(2)
+        least = np.argmin(y, axis=1)
+        assert np.all(out[rows, least] > y[rows, least])
+        others = np.ones_like(y, dtype=bool)
+        others[rows, least] = False
+        assert np.all(out[others] < y[others])
+
+    def test_caps_at_the_vertex(self):
+        y = np.array([[0.05, 0.05, 0.9]])
+        vertex = np.array([[1.0, 0.0, 0.0]])  # first of the tied least likely classes
+        assert np.linalg.norm(vertex - y) < 1.4
+        np.testing.assert_allclose(perturb_labels(y, 1.4), vertex, atol=1e-15)
+
+    def test_leaves_its_argument_unchanged(self):
+        y = np.array([[0.2, 0.3, 0.5]])
+        kept = y.copy()
+        perturb_labels(y, 0.2)
+        out = perturb_labels(y, 0.0)
+        out[0, 0] = 1.0
+        np.testing.assert_array_equal(y, kept)
+
+
+class TestSyntheticTask:
+    @pytest.mark.parametrize("bad", [
+        dict(mode="mixup"),
+        dict(k=1),
+        dict(n=0),
+        dict(delta_p=-0.1),
+    ])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            SyntheticTask(**bad)
 
 
 class TestGenSynthetic:
@@ -145,44 +118,38 @@ class TestGenSynthetic:
         ent = -np.sum(orig.labels * np.log(orig.labels), axis=1).mean()
         assert planted.l_floor_planted == pytest.approx(float(ent), abs=1e-12)
 
-    def test_samplers_match_generation_law(self):
-        task = SyntheticTask(mode="label_bias", n=10, m=10, d=3, k=3, delta_y=0.25)
-        _, _, planted = gen_synthetic(task, Rng(9))
-        x, y = make_sampler(planted)(Rng(10), 500)
-        clean = clean_labels(planted, x)
-        dists = np.linalg.norm(y - clean, axis=1)
-        np.testing.assert_allclose(dists.max(), 0.25, atol=1e-9)
+    def test_shapes(self):
+        task = SyntheticTask(n=7, m=9, d=3, k=4)
+        orig, aug, planted = gen_synthetic(task, Rng(1))
+        assert (orig.n, orig.d, orig.k) == (7, 3, 4)
+        assert (aug.n, aug.d, aug.k) == (9, 3, 4)
+        assert planted.w_star.shape == (4, 3)
+
+    def test_same_stream_same_sets(self):
+        task = SyntheticTask(mode="input_shift", n=20, m=30, d=3, k=3, delta_p=0.4)
+        a = gen_synthetic(task, Rng(9, 2))
+        b = gen_synthetic(task, Rng(9, 2))
+        for sa, sb in zip(a[:2], b[:2]):
+            np.testing.assert_array_equal(sa.inputs, sb.inputs)
+            np.testing.assert_array_equal(sa.labels, sb.labels)
+        np.testing.assert_array_equal(a[2].shift, b[2].shift)
+
+    def test_label_bias_keeps_input_law(self):
+        task = SyntheticTask(mode="label_bias", n=10, m=10, d=3, k=3, delta_y=0.1)
+        _, _, planted = gen_synthetic(task, Rng(2))
+        assert planted.shift is None
+
+    def test_teacher_scale_scales_teacher(self):
+        task = SyntheticTask(n=10, m=10, d=3, k=3)
+        orig1, _, p1 = gen_synthetic(task, Rng(4))
+        orig2, _, p2 = gen_synthetic(SyntheticTask(n=10, m=10, d=3, k=3, teacher_scale=2.0), Rng(4))
+        np.testing.assert_array_equal(p2.w_star, 2.0 * p1.w_star)
+        np.testing.assert_array_equal(orig2.inputs, orig1.inputs)
 
     def test_sample_original_uses_teacher(self):
         _, _, planted = gen_synthetic(SyntheticTask(n=10, m=10, d=3, k=3), Rng(11))
         ds = sample_original(planted, Rng(12), 20)
         np.testing.assert_allclose(ds.labels, clean_labels(planted, ds.inputs), atol=1e-12)
-
-
-class TestApplyAugspec:
-    def _dataset(self, seed=0):
-        rng = np.random.default_rng(seed)
-        labels = rng.dirichlet(np.ones(3), size=20)
-        return LabeledSet(rng.standard_normal((20, 4)), labels, ORIGINAL)
-
-    def test_mixup_spec(self):
-        out = apply_augspec(MixupK(k=3, alpha=1.0), self._dataset(), Rng(1), 15)
-        assert out.n == 15 and out.provenance == AUGMENTED
-
-    def test_contrast_spec_preserves_labels(self):
-        ds = self._dataset()
-        out = apply_augspec(Contrast(0.1, 1.9), ds, Rng(2), 30)
-        label_set = {tuple(np.round(r, 12)) for r in ds.labels}
-        assert all(tuple(np.round(r, 12)) in label_set for r in out.labels)
-
-    def test_label_bias_spec_distance(self):
-        out = apply_augspec(SyntheticLabelBias(0.2), self._dataset(), Rng(3), 50)
-        assert out.n == 50
-
-    def test_input_shift_spec(self):
-        ds = self._dataset()
-        out = apply_augspec(SyntheticInputShift(shift=(1.0, 0.0, 0.0, 0.0)), ds, Rng(4), 10)
-        assert out.n == 10
 
 
 class TestEstimateDeltaY:
@@ -204,36 +171,48 @@ class TestEstimateDeltaY:
         with pytest.raises(ValueError):
             estimate_delta_y([])
 
+    def test_accepts_a_generator(self):
+        pairs = [([1.0, 0.0], [0.0, 1.0]), ([0.5, 0.5], [0.5, 0.5])]
+        assert estimate_delta_y(p for p in pairs) == estimate_delta_y(pairs)
+
 
 class TestEstimateDeltaP:
-    def test_identical_histogram(self):
-        rng = np.random.default_rng(41)
-        sample = rng.integers(0, 5, size=(10_000, 1)).astype(float)
-        assert abs(estimate_delta_P(sample, sample, "histogram")) < 1e-3
-
     def test_gaussian_unit_shift(self):
         rng = np.random.default_rng(42)
         p = rng.normal(0.0, 1.0, size=100_000)
         q = rng.normal(1.0, 1.0, size=100_000)
-        assert estimate_delta_P(p, q, "gaussian") == pytest.approx(0.5, abs=0.05)
+        assert estimate_delta_P(p, q) == pytest.approx(0.5, abs=0.05)
 
     def test_recovers_planted_shift(self):
         task = SyntheticTask(mode="input_shift", n=100_000, m=100_000, d=5, k=3, delta_p=0.18)
         orig, aug, _ = gen_synthetic(task, Rng(43))
-        est = estimate_delta_P(orig.inputs, aug.inputs, "gaussian")
+        est = estimate_delta_P(orig.inputs, aug.inputs)
         assert abs(est - 0.18) / 0.18 < 0.10
 
     def test_degenerate_covariance(self):
         flat = np.ones((50, 3))
         with pytest.raises(DegenerateEstimateError):
-            estimate_delta_P(flat, flat + 0.5, "gaussian")
+            estimate_delta_P(flat, flat + 0.5)
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
-            estimate_delta_P(np.ones(1), np.ones(1), "gaussian")
+            estimate_delta_P(np.ones(1), np.ones(1))
 
-    def test_histogram_nonnegative(self):
-        rng = np.random.default_rng(44)
-        p = rng.integers(0, 4, size=(2000, 1)).astype(float)
-        q = rng.integers(0, 4, size=(2000, 1)).astype(float)
-        assert estimate_delta_P(p, q, "histogram") >= 0.0
+    def test_identical_samples_give_zero(self):
+        p = np.random.default_rng(5).standard_normal((200, 3))
+        assert estimate_delta_P(p, p) == 0.0
+
+    def test_invariant_to_common_translation(self):
+        rng = np.random.default_rng(6)
+        p = rng.standard_normal((300, 2))
+        q = rng.standard_normal((300, 2)) + [0.5, -0.2]
+        c = np.array([3.0, -1.0])
+        assert estimate_delta_P(p + c, q + c) == pytest.approx(estimate_delta_P(p, q), rel=1e-9)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            estimate_delta_P(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    def test_rejects_three_d_samples(self):
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            estimate_delta_P(np.zeros((5, 2, 2)), np.zeros((5, 2, 2)))

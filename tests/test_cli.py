@@ -85,6 +85,51 @@ class TestValidateConfig:
         assert plan.cells[1].scheme.name == "augdrop"
         assert plan.task.n == 40 and plan.task.delta_y == 0.2
 
+    def test_missing_task_section_names_every_task_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[plan]\nseeds = 0\noutdir = o\n" + TINY_CELLS)
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert "missing [task] section (keys: mode, n, m, d, k, delta_y, delta_p, "\
+               "teacher_scale)" in errors
+
+    def test_every_task_key_parses(self, tmp_path):
+        cfg = write_cfg(tmp_path, """
+[task]
+mode = input_shift
+n = 30
+m = 50
+d = 4
+k = 4
+delta_y = 0.1
+delta_p = 0.3
+teacher_scale = 2.5
+
+[plan]
+seeds = 0
+outdir = o
+""" + TINY_CELLS)
+        plan, errors = validate_config(cfg)
+        assert errors == []
+        assert plan.task == SyntheticTask(mode="input_shift", n=30, m=50, d=4, k=4,
+                                          delta_y=0.1, delta_p=0.3, teacher_scale=2.5)
+        assert all(getattr(plan.task, f.name) != f.default
+                   for f in dataclasses.fields(SyntheticTask))
+
+    def test_task_values_take_their_field_types(self, tmp_path):
+        task = TINY_TASK.replace("n = 40", "n = 2.5").replace("delta_y = 0.2", "delta_y = big")
+        plan, errors = validate_config(write_cfg(
+            tmp_path, task + "\n[plan]\nseeds = 0\noutdir = o\n" + TINY_CELLS))
+        assert plan is None
+        assert "[task] key 'n' is not a valid int: '2.5'" in errors
+        assert "[task] key 'delta_y' is not a valid float: 'big'" in errors
+
+    def test_task_range_error_named(self, tmp_path):
+        task = TINY_TASK.replace("k = 3", "k = 1")
+        plan, errors = validate_config(write_cfg(
+            tmp_path, task + "\n[plan]\nseeds = 0\noutdir = o\n" + TINY_CELLS))
+        assert plan is None
+        assert "[task] need n, m >= 1, d >= 1, k >= 2" in errors
+
     def test_lambda_out_of_range_is_single_error(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
 [cell.mix]

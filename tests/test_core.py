@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from augbias.core import (
     AUGMENTED,
     ORIGINAL,
     LabeledSet,
     Rng,
-    sample_beta,
-    sample_dirichlet,
+    as_mat,
+    as_vec,
+    check_finite,
+    class_sum,
     softmax,
+    softmax_rows,
 )
 
 
@@ -48,48 +50,6 @@ class TestSoftmax:
             softmax([1.0])
 
 
-class TestSamplers:
-    def test_beta_uniform_mean(self):
-        rng = Rng(1)
-        draws = np.array([sample_beta(1.0, rng) for _ in range(100_000)])
-        assert abs(draws.mean() - 0.5) < 0.01
-        assert abs(draws.var() - 1 / 12) < 0.005
-        assert draws.min() >= 0 and draws.max() <= 1
-
-    def test_beta_half_alpha_mean(self):
-        rng = Rng(2)
-        draws = np.array([sample_beta(0.5, rng) for _ in range(100_000)])
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_beta_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            sample_beta(0.0, Rng(0))
-        with pytest.raises(ValueError):
-            sample_beta(-1.0, Rng(0))
-
-    def test_dirichlet_k2_matches_beta_marginal(self):
-        rng = Rng(3)
-        first = np.array([sample_dirichlet(1.0, 2, rng)[0] for _ in range(10_000)])
-        ks = stats.kstest(first, "uniform").statistic
-        assert ks < 0.02
-
-    def test_dirichlet_coordinate_means(self):
-        rng = Rng(4)
-        draws = np.array([sample_dirichlet(1.0, 3, rng) for _ in range(100_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), np.full(3, 1 / 3), atol=0.01)
-
-    def test_dirichlet_simplex(self):
-        rng = Rng(5)
-        for _ in range(200):
-            v = sample_dirichlet(1.0, 10, rng)
-            assert abs(v.sum() - 1.0) <= 1e-12
-            assert np.all(v >= 0)
-
-    def test_dirichlet_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet(1.0, 1, Rng(0))
-
-
 class TestRng:
     def test_bit_identical_streams(self):
         a = Rng(11, 3).gen.standard_normal(100)
@@ -101,16 +61,60 @@ class TestRng:
         b = Rng(11, 1).gen.standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_derive(self):
-        base = Rng(9)
-        assert np.array_equal(
-            base.derive(4).gen.standard_normal(10),
-            Rng(9, 4).gen.standard_normal(10),
-        )
-
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             Rng(-1)
+
+    def test_rejects_negative_stream(self):
+        with pytest.raises(ValueError):
+            Rng(0, -1)
+
+    def test_repr_names_seed_and_stream(self):
+        assert repr(Rng(11, 3)) == "Rng(seed=11, stream=3)"
+
+
+class TestArrays:
+    def test_as_vec_checks_length(self):
+        np.testing.assert_array_equal(as_vec([1, 2, 3], size=3), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="length 2"):
+            as_vec([1.0, 2.0, 3.0], size=2)
+
+    def test_as_vec_rejects_matrix_and_non_finite(self):
+        with pytest.raises(ValueError, match="1-d"):
+            as_vec(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vec([0.0, np.nan])
+
+    def test_as_mat_checks_shape(self):
+        assert as_mat([[1, 2]], shape=(1, 2)).dtype == np.float64
+        with pytest.raises(ValueError, match="shape"):
+            as_mat(np.zeros((2, 3)), shape=(3, 2))
+        with pytest.raises(ValueError, match="2-d"):
+            as_mat(np.zeros(3))
+
+    def test_check_finite(self):
+        a = np.array([1.0, -2.0])
+        assert check_finite(a) is a
+        with pytest.raises(ValueError, match="grad"):
+            check_finite(np.array([np.inf]), name="grad")
+
+
+class TestClassSum:
+    # both sides of the pairwise block at which numpy changes summation order
+    @pytest.mark.parametrize("k", [2, 7, 8, 13])
+    def test_matches_row_major_sum_bit_for_bit(self, k):
+        a = np.random.default_rng(k).standard_normal((50, k)) * 1e3
+        a_t = np.ascontiguousarray(a.T)
+        np.testing.assert_array_equal(class_sum(a_t), np.sum(a, axis=1))
+        stack = np.stack([a_t, 2.0 * a_t])
+        np.testing.assert_array_equal(class_sum(stack)[1], np.sum(2.0 * a, axis=1))
+
+    def test_softmax_rows_matches_softmax(self):
+        s = np.random.default_rng(3).standard_normal((20, 4)) * 30
+        out = softmax_rows(s)
+        assert out.flags["C_CONTIGUOUS"]
+        for row, scores in zip(out, s):
+            np.testing.assert_allclose(row, softmax(scores), rtol=1e-14)
 
 
 class TestLabeledSet:
@@ -134,6 +138,21 @@ class TestLabeledSet:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             LabeledSet(np.zeros((2, 2)), np.ones((2, 1)), ORIGINAL)
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="same number of rows"):
+            LabeledSet(np.zeros((3, 2)), np.full((2, 2), 0.5), ORIGINAL)
+
+    def test_rejects_non_finite_inputs(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            LabeledSet(np.array([[np.nan, 0.0]]), np.full((1, 2), 0.5), ORIGINAL)
+
+    def test_holds_its_own_copy(self):
+        x, y = np.zeros((2, 2)), np.full((2, 2), 0.5)
+        ds = LabeledSet(x, y, ORIGINAL)
+        x[0, 0], y[0] = 7.0, [1.0, 0.0]
+        assert ds.inputs[0, 0] == 0.0
+        np.testing.assert_array_equal(ds.labels[0], [0.5, 0.5])
 
     def test_immutable(self):
         ds = LabeledSet(np.zeros((2, 2)), np.full((2, 2), 0.5), ORIGINAL)

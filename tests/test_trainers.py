@@ -5,7 +5,7 @@ import pytest
 
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng
 from augbias.models import SoftmaxLinear, init_predictor
-from augbias.augment import SyntheticTask, gen_synthetic, make_sampler
+from augbias.augment import SyntheticTask, gen_synthetic
 from augbias.theory import CeObjective
 from augbias.trainers import (
     AugDrop,
@@ -14,6 +14,8 @@ from augbias.trainers import (
     MixLoss,
     MomentumState,
     Original,
+    Scheme,
+    Stage,
     TrainConfig,
     TraceRow,
     WeMix,
@@ -373,19 +375,56 @@ class TestAbortOnDivergence:
         assert all(np.isfinite(r.L) for r in trace.rows)
 
 
-class TestFreshSampling:
-    def test_fresh_sampler_changes_draws_deterministically(self):
-        orig, aug, planted = small_task(seed=6, m=30)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(6))
-        sch = MixLoss(lam=0.5, delta_y=0.2, m0=4, eta=0.2)
-        pool_cfg = TrainConfig(scheme=sch, epochs=1, seed=8)
-        fresh_cfg = TrainConfig(scheme=sch, epochs=1, seed=8,
-                                fresh_sampler=make_sampler(planted))
-        tp = run_scheme(model, orig, aug, pool_cfg)
-        tf1 = run_scheme(model, orig, aug, fresh_cfg)
-        tf2 = run_scheme(model, orig, aug, fresh_cfg)
-        assert_rows_equal(tf1.rows, tf2.rows)
-        assert any(a.L != b.L for a, b in zip(tp.rows[1:], tf1.rows[1:]))
+class TestStepSizeSchedule:
+    """A scheduled step size that leaves the positive float range ends the
+    run at that step, as a non-finite gradient does."""
+
+    @staticmethod
+    def runs(cfg):
+        """The run of cfg, and the same run cut to the steps it took."""
+        orig, _, _ = small_task(seed=5)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(5))
+        trace = run_scheme(model, orig, None, cfg)
+        stage = cfg.scheme.stages[0]
+        cut = Scheme("original", (Stage("orig", stage.eta, iters=trace.rows[-1].t),), lam=1.0)
+        return trace, run_scheme(model, orig, None, dataclasses.replace(cfg, scheme=cut))
+
+    def test_step_size_underflow_to_zero_aborts(self):
+        cfg = TrainConfig(scheme=Original(eta=0.1), batch=4, epochs=200, seed=7,
+                          lr_decay=0.5, lr_every=1)
+        trace, cut = self.runs(cfg)
+        assert trace.aborted and not cut.aborted
+        assert 1000 < trace.rows[-1].t < 2000
+        assert_rows_equal(trace.rows, cut.rows)
+
+    def test_step_size_power_overflow_aborts(self):
+        cfg = TrainConfig(scheme=Original(eta=1e-300), batch=5, epochs=2, seed=7,
+                          lr_decay=1e60, lr_every=1)
+        trace, cut = self.runs(cfg)
+        assert trace.aborted and not cut.aborted
+        assert trace.rows[-1].t == 6  # 1e60 ** 6 overflows
+        assert all(np.isfinite(r.L) for r in trace.rows)
+        assert_rows_equal(trace.rows, cut.rows)
+
+    def test_step_size_product_overflow_aborts(self):
+        cfg = TrainConfig(scheme=Original(eta=2.0), batch=5, epochs=2, seed=7,
+                          lr_decay=1e308, lr_every=5)
+        trace, cut = self.runs(cfg)
+        assert trace.aborted and not cut.aborted
+        assert trace.rows[-1].t == 5  # 2.0 * 1e308 overflows, 1e308 ** 1 does not
+        assert_rows_equal(trace.rows, cut.rows)
+        # no step is taken with the overflowed size
+        assert trace.meta["iterations"] == 5
+        np.testing.assert_array_equal(trace.final_params, cut.final_params)
+
+    def test_unit_decay_is_no_schedule(self):
+        orig, _, _ = small_task(seed=5)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(5))
+        base = TrainConfig(scheme=Original(eta=0.3), batch=4, epochs=2, seed=7)
+        flat = run_scheme(model, orig, None, base)
+        unit = run_scheme(model, orig, None, dataclasses.replace(base, lr_decay=1.0, lr_every=1))
+        assert not unit.aborted
+        assert_rows_equal(flat.rows, unit.rows)
 
 
 class TestKeepIterates:
