@@ -79,6 +79,8 @@ class SyntheticTask:
             raise ValueError("mode must be 'label_bias' or 'input_shift'")
         if min(self.n, self.m) < 1 or self.d < 1 or self.k < 2:
             raise ValueError("need n, m >= 1, d >= 1, k >= 2")
+        if not all(map(math.isfinite, (self.delta_y, self.delta_p, self.teacher_scale))):
+            raise ValueError("delta_y, delta_p and teacher_scale must be finite")
         if self.delta_y < 0 or self.delta_p < 0:
             raise ValueError("bias targets must be nonnegative")
         if self.delta_y > _SIMPLEX_DIAMETER:

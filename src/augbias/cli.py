@@ -58,8 +58,7 @@ from .trainers import (
 )
 
 # Cell keys besides the scheme constructor's arguments, with their types.
-_TRAIN_KEYS = (("batch", int), ("epochs", int), ("momentum", float),
-               ("weight_decay", float), ("lr_decay", float), ("lr_every", int))
+_TRAIN_KEYS = (("batch", int), ("epochs", int))
 _TASK_OVERRIDE_KEYS = ("task_delta_y", "task_delta_p")
 # The [task] keys, SyntheticTask's fields, with their types.
 _TASK_FIELDS = typing.get_type_hints(SyntheticTask)
@@ -264,10 +263,13 @@ def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     cfg = _checked(prefix, errors, TrainConfig, scheme=scheme, **train)
     if scheme is None or cfg is None:
         return None
-    if mode == "practical" and task is not None and \
-            _checked(prefix, errors, size_stages, scheme, cfg, task.n, task.m) is None:
-        return None
-    return Cell(name=name, scheme=scheme, train=train, **overrides)
+    cell = Cell(name=name, scheme=scheme, train=train, **overrides)
+    if task is None:
+        return cell
+    cell_task = _checked(prefix, errors, _cell_task, task, cell)
+    sized = mode != "practical" or \
+        _checked(prefix, errors, size_stages, scheme, cfg, task.n, task.m) is not None
+    return cell if cell_task is not None and sized else None
 
 
 def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
@@ -369,8 +371,8 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
 # running
 
 
-def _cell_task(plan: ExperimentPlan, cell: Cell) -> SyntheticTask:
-    task = plan.task
+def _cell_task(task: SyntheticTask, cell: Cell) -> SyntheticTask:
+    """`task` with the cell's task_* overrides."""
     if cell.task_delta_y is not None:
         task = dataclasses.replace(task, delta_y=cell.task_delta_y)
     if cell.task_delta_p is not None:
@@ -510,7 +512,7 @@ def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
 
 def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
     t_start = time.perf_counter()
-    task = _cell_task(plan, cell)
+    task = _cell_task(plan.task, cell)
     s = _setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
 
     resolved: dict = {}
@@ -541,7 +543,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "initial_gap": trace.rows[0].L - s.floor,
         "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
-        "iterations": trace.meta["iterations"],
+        "iterations": trace.iterations,
         "wall_time": time.perf_counter() - t_start,
         "trace_csv": csv_name,
         "resolved": resolved,

@@ -17,12 +17,12 @@ sees depends only on (seed, stream), never on what an earlier stage consumed.
 Original examples are walked without replacement (reshuffled per pass);
 augmented examples are drawn with replacement.
 
-The combined step is lam * g_orig + (1 - lam) * g_aug, which degenerates
-bitwise to either side at lam in {0, 1}; that is what makes the reductions
-exact. On a non-finite loss or gradient, or a scheduled step size that
-leaves the positive float range (lr_decay ** k overflowing or underflowing
-to 0), the run aborts and returns the trace accumulated so far instead of
-raising, so sweeps never die on divergence.
+Every step is plain SGD, w - eta * grad, at the step size of its stage; a
+step-size schedule is a sequence of stages. The combined step is
+lam * g_orig + (1 - lam) * g_aug, which degenerates bitwise to either side
+at lam in {0, 1}; that is what makes the reductions exact. On a non-finite
+loss or gradient the run aborts and returns the trace accumulated so far
+instead of raising, so sweeps never die on divergence.
 
 The trace has one record at the start and one after every step, but records
 are not scored step by step. Training runs up to CHUNK steps ahead, keeping
@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +96,11 @@ class Scheme:
 
 # Out-of-range tests by argument family (eta1 is an eta, t2 a t, ...).
 _OUT_OF_RANGE = {
-    "eta": (lambda v: v <= 0, "must be positive"),
+    "eta": (lambda v: not (v > 0 and math.isfinite(v)), "must be positive and finite"),
     "t": (lambda v: v < 0, "must be nonnegative"),
     "m": (lambda v: v < 1, "must be at least 1"),
     "lam": (lambda v: not (0.0 <= v <= 1.0), "must lie in [0, 1]"),
-    "delta_y": (lambda v: v < 0, "must be nonnegative"),
+    "delta_y": (lambda v: not (v >= 0 and math.isfinite(v)), "must be nonnegative and finite"),
 }
 
 
@@ -163,10 +162,6 @@ SCHEMES = {ctor.__name__.lower(): ctor for ctor in (Original, Augmented, AugDrop
 class TrainConfig:
     scheme: Scheme
     batch: int = 32
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    lr_decay: float = 1.0
-    lr_every: int = 0
     epochs: int = 1
     seed: int = 0
     # Evaluation-only sets for schemes that do not train on that side; they
@@ -180,10 +175,6 @@ class TrainConfig:
     def __post_init__(self):
         bad = [msg for failed, msg in (
             (self.batch < 1, "batch must be at least 1"),
-            (not (0.0 <= self.momentum < 1.0), "momentum must lie in [0, 1)"),
-            (self.weight_decay < 0, "weight_decay must be nonnegative"),
-            (self.lr_decay <= 0, "lr_decay must be positive"),
-            (self.lr_every < 0, "lr_every must be nonnegative"),
             (self.epochs < 0, "epochs must be nonnegative"),
         ) if failed]
         if bad:
@@ -210,7 +201,7 @@ class TrainTrace:
     rows: list[TraceRow]
     final_params: np.ndarray
     aborted: bool = False
-    meta: dict = field(default_factory=dict)
+    iterations: int = 0
     iterates: np.ndarray | None = None
 
     def final_gap(self, floor: float) -> float:
@@ -256,31 +247,13 @@ def read_trace_csv(path) -> list[TraceRow]:
 # optimizer step
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    coef: float
-    velocity: np.ndarray
-
-
-def fresh_momentum(coef: float, dim: int) -> MomentumState:
-    return MomentumState(coef, np.zeros(dim))
-
-
-def sgd_step(
-    w: np.ndarray,
-    grad: np.ndarray,
-    eta: float,
-    state: MomentumState,
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, MomentumState]:
-    """w' = w - eta * v' with v' = coef * v + (grad + weight_decay * w)."""
+def sgd_step(w: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+    """w - eta * grad."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
-    g = grad + weight_decay * w if weight_decay != 0.0 else grad
-    v = state.coef * state.velocity + g
-    return w - eta * v, MomentumState(state.coef, v)
+    return w - eta * grad
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +355,12 @@ def run_scheme(
     then that chunk's records are scored together, split across
     scoring_threads() threads. Training never reads a record, so the trace is
     the same as recording after every step; the first non-finite iterate,
-    record, gradient or step size ends it where a per-step loop would.
+    record or gradient ends it where a per-step loop would.
 
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
     when its set is passed in.
     """
-    t_start = time.perf_counter()
     scheme = cfg.scheme
     modes = {st.mode for st in scheme.stages}
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
@@ -437,31 +409,20 @@ def run_scheme(
                 break
             chunk = []
     global_t, _, w = end
-    # a run stops short at a non-finite iterate, record, gradient or step size
+    # a run stops short at a non-finite iterate, record or gradient
     aborted = len(rows) == 0 or rows[-1].t < sum(iters for iters, _ in sizes)
-
-    meta = {
-        "scheme": scheme.name,
-        "seed": cfg.seed,
-        "iterations": global_t,
-        "wall_time": time.perf_counter() - t_start,
-        "lam": scheme.lam,
-        "delta_y": scheme.delta_y,
-        "aborted": aborted,
-    }
     return TrainTrace(
         rows=rows,
         final_params=w,
         aborted=aborted,
-        meta=meta,
+        iterations=global_t,
         iterates=np.array(iterates) if iterates is not None else None,
     )
 
 
 def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
     """SGD from w over (stage, tag, (iters, batch)) in order; yields
-    (t, tag, w) after every step and stops at a non-finite gradient or at a
-    scheduled step size that is not a positive finite float.
+    (t, tag, w) after every step and stops at a non-finite gradient.
 
     Steps run ahead of their records, so a step can follow an iterate whose
     record overflows; its arithmetic may then give inf and NaN, without
@@ -472,7 +433,6 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
     for stage, tag, (iters, batch) in stages:
         if iters == 0:
             continue
-        state = fresh_momentum(cfg.momentum, arch.param_count)
         orig_sampler = EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen) \
             if stage.mode != "aug" else None
         rng_aug = Rng(cfg.seed, STREAM_AUG)
@@ -496,16 +456,8 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
                     )
                 if not np.all(np.isfinite(grad)):
                     return
-                eta = stage.eta
-                if cfg.lr_every > 0:
-                    try:
-                        eta = eta * cfg.lr_decay ** (global_t // cfg.lr_every)
-                    except OverflowError:
-                        eta = math.inf
-                    if not 0.0 < eta < math.inf:
-                        return  # the schedule left the positive float range
                 # divergence overflows to inf and is caught at the next record
-                w, state = sgd_step(w, grad, eta, state, cfg.weight_decay)
+                w = sgd_step(w, grad, stage.eta)
             global_t += 1
             yield global_t, tag, w
 

@@ -361,8 +361,7 @@ def test_scheme_reductions_are_bitwise(tmp_path):
     arch = SoftmaxLinear(3, 3)
     model = zeros_predictor(arch)
 
-    base = dict(batch=8, momentum=0.5, weight_decay=0.01, lr_decay=0.5,
-                lr_every=4, seed=13)
+    base = dict(batch=8, seed=13)
     tw = run_scheme(model, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2),
         **base))

@@ -54,6 +54,9 @@ eta2 = 0.3
 """
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def write_cfg(tmp_path, body, name="plan.ini"):
     path = tmp_path / name
     path.write_text(body, encoding="utf-8")
@@ -230,6 +233,13 @@ eta2 = 0.3
         plan, errors = validate_config(str(tmp_path / "absent.ini"))
         assert plan is None and any("cannot read" in e for e in errors)
 
+    def test_readme_example_validates(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        plan, errors = validate_config(write_cfg(tmp_path, block))
+        assert errors == []
+        assert [c.name for c in plan.cells] == ["augdrop", "mixloss"]
+
     def test_out_of_range_values_all_named(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
 [cell.eta]
@@ -272,17 +282,55 @@ eta1 = 0.3
 eta2 = 0
 momentum = 1.5
 lr_decay = 0
+
+[cell.eta_nan]
+scheme = original
+eta = nan
+
+[cell.eta_inf]
+scheme = original
+eta = inf
+
+[cell.mix_nan]
+scheme = mixloss
+lam = 0.5
+delta_y = nan
+m0 = 3
+eta = 0.3
+
+[cell.task_nan]
+scheme = original
+eta = 0.3
+task_delta_y = nan
+
+[cell.task_far]
+scheme = original
+eta = 0.3
+task_delta_y = 5.0
+
+[cell.task_neg]
+scheme = original
+eta = 0.3
+task_delta_p = -1
 """)
         plan, errors = validate_config(cfg)
         assert plan is None
         for cell, key in (("eta", "eta"), ("t1", "t1"), ("m1", "m1"), ("batch", "batch"),
                           ("many", "t1"),
                           ("many", "m1"), ("many", "eta2"), ("many", "momentum"),
-                          ("many", "lr_decay")):
+                          ("many", "lr_decay"), ("eta_nan", "eta"), ("eta_inf", "eta"),
+                          ("mix_nan", "delta_y"), ("task_nan", "delta_y"),
+                          ("task_far", "delta_y"), ("task_neg", "bias targets")):
             assert any(e.startswith(f"[cell.{cell}]") and key in e for e in errors), (cell, key)
         assert main(["validate", cfg]) == 2
         assert main(["run", cfg]) == 2
         assert "eta2" in capsys.readouterr().err
+        for line in ("delta_y = nan", "teacher_scale = nan"):
+            task = TINY_TASK.replace("delta_y = 0.2", line)
+            plan, errors = validate_config(write_cfg(
+                tmp_path, task + "\n[plan]\nseeds = 0\noutdir = o\n" + TINY_CELLS))
+            assert plan is None
+            assert "[task] delta_y, delta_p and teacher_scale must be finite" in errors, line
 
     def test_batch_larger_than_a_pass_named(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
@@ -404,7 +452,7 @@ class TestRunPlan:
 
     def test_divergence_recorded_not_fatal(self, tmp_path):
         plan = tiny_plan(tmp_path / "o", cells=(
-            Cell("boom", Original(eta=1e200), {"batch": 8, "epochs": 2, "weight_decay": 1.0}),
+            Cell("boom", Original(eta=3e307), {"batch": 8, "epochs": 2}),
             Cell("fine", Original(eta=0.3), {"batch": 8, "epochs": 1}),
         ))
         rows, code = run_plan(plan)

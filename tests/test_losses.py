@@ -15,7 +15,6 @@ from augbias.models import (
 )
 from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
 from augbias.losses import (
-    CorrectedLossResult,
     MixWeights,
     combined_grad,
     corrected_label_rows,

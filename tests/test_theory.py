@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from augbias.augment import SyntheticTask, gen_synthetic
-from augbias.core import DegenerateEstimateError, LabeledSet, Rng
+from augbias.core import DegenerateEstimateError, Rng
 from augbias.models import SoftmaxLinear, Predictor, init_predictor
 from augbias.theory import (
     BoundReport,
