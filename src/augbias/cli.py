@@ -545,6 +545,8 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "aborted": trace.aborted,
         "iterations": trace.iterations,
         "wall_time": time.perf_counter() - t_start,
+        "train_s": trace.train_s,
+        "score_s": trace.score_s,
         "trace_csv": csv_name,
         "resolved": resolved,
         "constants": constants,

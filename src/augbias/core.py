@@ -92,8 +92,9 @@ def softmax_parts(scores: np.ndarray):
     order, so every piece equals its row-major counterpart bit for bit.
     """
     s_t = np.ascontiguousarray(np.asarray(scores, dtype=np.float64).T)
-    m = np.max(s_t, axis=0)
-    e_t = np.exp(s_t - m)
+    m = s_t.max(axis=0)
+    e_t = s_t - m
+    np.exp(e_t, out=e_t)
     return s_t, m, e_t, class_sum(e_t)
 
 

@@ -90,6 +90,17 @@ class Predictor:
         return Predictor(self.arch, w)
 
 
+def _unchecked_predictor(arch: Arch, w: np.ndarray) -> Predictor:
+    """A Predictor on `w` itself, for a caller that already knows it is a
+    finite float64 vector of arch.param_count entries: no checks and no copy.
+    `w` is made read-only, as Predictor's own copy is."""
+    w.setflags(write=False)
+    model = object.__new__(Predictor)
+    object.__setattr__(model, "arch", arch)
+    object.__setattr__(model, "params", w)
+    return model
+
+
 @dataclass(frozen=True)
 class GradSample:
     loss: float
@@ -161,9 +172,14 @@ def ce_loss(y, scores) -> float:
 def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
     """Mean parameter gradient of <z_i, p(x_i; w)> from class-major softmax
     parts (see core.softmax_parts), labels z_t (k, n) and their row sums."""
-    # score-space gradient, made row-major so the products below keep their
-    # memory layout (and so their BLAS rounding)
-    ds = np.ascontiguousarray(((z_sums * (e_t / tot) - z_t) / x.shape[0]).T)
+    # score-space gradient ((sum z) * softmax - z) / n, in place (a product
+    # rounds the same in either order), made row-major so the products below
+    # keep their memory layout (and so their BLAS rounding)
+    q = e_t / tot
+    q *= z_sums
+    q -= z_t
+    q /= x.shape[0]
+    ds = np.ascontiguousarray(q.T)
     return _param_grad(model.arch, model.params, x, ds)
 
 

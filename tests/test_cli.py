@@ -422,6 +422,13 @@ class TestRunPlan:
         assert rows[0]["median_gap"] == s["initial_gap"]
         assert len(read_trace_csv(tmp_path / "o" / "frozen__seed0.csv")) == 1
 
+    def test_summary_says_where_the_run_time_went(self, tmp_path):
+        run_plan(tiny_plan(tmp_path / "o"))
+        for cell in ("orig", "drop"):
+            s = json.load(open(tmp_path / "o" / f"{cell}__seed0.json"))
+            assert 0 < s["train_s"] and 0 < s["score_s"]
+            assert s["train_s"] + s["score_s"] < s["wall_time"]
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         for d in ("a", "b"):
             run_plan(tiny_plan(tmp_path / d, seeds=(0, 1)))
@@ -600,7 +607,7 @@ class TestTable1Preset:
 
 
 def outputs(outdir) -> dict:
-    """Every trace CSV's bytes and every summary without its wall_time."""
+    """Every trace CSV's bytes and every summary without its wall times."""
     out = {}
     for name in sorted(os.listdir(outdir)):
         path = os.path.join(outdir, name)
@@ -608,7 +615,8 @@ def outputs(outdir) -> dict:
             out[name] = open(path, "rb").read()
         elif name.endswith(".json"):
             summary = json.load(open(path))
-            summary.pop("wall_time")
+            for key in ("wall_time", "train_s", "score_s"):
+                summary.pop(key)
             out[name] = summary
     return out
 

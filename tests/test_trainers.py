@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from augbias import models, trainers
 from augbias.core import Rng
 from augbias.models import SoftmaxLinear, init_predictor
 from augbias.augment import SyntheticTask, gen_synthetic
@@ -13,6 +15,7 @@ from augbias.trainers import (
     EpochSampler,
     MixLoss,
     Original,
+    Stage,
     TrainConfig,
     WeMix,
     read_trace_csv,
@@ -59,6 +62,10 @@ class TestSgdStep:
             sgd_step(np.ones(2), np.array([np.nan, 0.0]), 0.1)
         with pytest.raises(ValueError):
             sgd_step(np.ones(2), np.ones(2), 0.0)
+
+    def test_rejects_a_nan_step_size(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            sgd_step(np.ones(2), np.ones(2), math.nan)
 
 
 class TestEpochSampler:
@@ -356,6 +363,45 @@ class TestKeepIterates:
         np.testing.assert_array_equal(trace.iterates[-1], trace.final_params)
 
 
+class TestStepChecks:
+    """No step builds a validated Predictor, and only a non-finite gradient
+    ends a run quietly."""
+
+    def test_predictor_validation_does_not_grow_with_the_step_count(self, monkeypatch):
+        _, aug, _ = small_task(seed=3, m=300)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(3))
+        post_init = models.Predictor.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(models.Predictor, "__post_init__", counting)
+        counts = []
+        for epochs in (1, 10):  # 30 and 300 steps
+            calls.clear()
+            cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=10, epochs=epochs, seed=4)
+            trace = run_scheme(model, None, aug, cfg)
+            assert trace.iterations == 30 * epochs and not trace.aborted
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 30
+
+    def test_a_step_error_with_a_finite_gradient_is_raised(self, monkeypatch):
+        """sgd_step's ValueError ends the run quietly only when the gradient
+        is not finite; any other ValueError is the caller's to see."""
+        orig, _, _ = small_task(seed=1)
+        model = init_predictor(SoftmaxLinear(3, 3), Rng(1))
+
+        def refusing_step(w, grad, eta):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(trainers, "sgd_step", refusing_step)
+        cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, seed=2)
+        with pytest.raises(ValueError, match="refused"):
+            run_scheme(model, orig, None, cfg)
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
         sch = Original(eta=0.1)
@@ -378,6 +424,22 @@ class TestConfigValidation:
         for o, a in ((None, aug), (orig, None)):
             with pytest.raises(ValueError, match="needs the set it trains on"):
                 run_scheme(model, o, a, cfg)
+
+    @pytest.mark.parametrize("eta,iters,batch,bad", [
+        (math.nan, 5, 10, "eta must be positive and finite"),
+        (-1.0, 5, 10, "eta must be positive and finite"),
+        (math.inf, 5, 10, "eta must be positive and finite"),
+        (0.5, -3, 10, "iters must be nonnegative"),
+        (0.5, 5, 0, "batch must be at least 1"),
+    ])
+    def test_stage_rejects_a_bad_step_size_count_or_batch(self, eta, iters, batch, bad):
+        with pytest.raises(ValueError, match=bad):
+            Stage("orig", eta, iters, batch)
+
+    def test_stage_names_every_bad_field(self):
+        with pytest.raises(ValueError, match="stage mode must be one of .*; eta must be "
+                                             ".*; iters must be .*; batch must be"):
+            Stage("both", 0.0, -1, 0)
 
     def test_mixloss_lambda_range(self):
         with pytest.raises(ValueError, match=r"lambda out of \(0,1\]"):
