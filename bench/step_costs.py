@@ -13,15 +13,14 @@ microseconds per call:
                                     one step of trainers._train: draw, gradient
                                     and sgd_step, at those batches
 
-The canonical task is the one the table1-desk and lemma2-plateau presets
-train on (n = 2,000 originals, m = 4,000 augmented, d = 10, k = 5), at seed
-0, with BLAS on one thread and the allocator thresholds run_plan sets
-(cli._keep_freed_memory). Each cost is the mean of --calls calls (a
-twentieth of that for 4,000-row calls), and the median and the min of that
-mean over --rounds rounds are kept; on a shared host the min is the steadier
-of the two. The result is stored under --label in the JSON
-file --out, next to the other labels already there, so the costs of two
-checkouts measured on one host sit side by side.
+The task is table1-desk's canonical one (n = 2,000 originals, m = 4,000
+augmented, d = 10, k = 5, delta_y = 0.4), at seed 0, with BLAS on one
+thread and the allocator thresholds run_plan sets (cli._keep_freed_memory).
+Each cost is the mean of --calls calls (a twentieth of that for 4,000-row
+calls), and the median and the min of that mean over --rounds rounds are
+kept; on a shared host the min is the steadier of the two. The result is
+stored under --label in the JSON file --out, next to the labels already
+there, so the costs of two checkouts measured on one host sit side by side.
 """
 from __future__ import annotations
 
