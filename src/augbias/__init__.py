@@ -46,6 +46,7 @@ from .trainers import (
     SCHEMES,
     AugDrop,
     Augmented,
+    FirstStageStore,
     MixLoss,
     Original,
     Scheme,

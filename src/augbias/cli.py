@@ -46,6 +46,7 @@ from .trainers import (
     SCHEMES,
     AugDrop,
     Augmented,
+    FirstStageStore,
     MixLoss,
     Original,
     Scheme,
@@ -89,6 +90,8 @@ class ExperimentPlan:
             raise ValueError("a plan needs at least one cell and one seed")
         if self.mode not in ("practical", "theory"):
             raise ValueError("mode must be 'practical' or 'theory'")
+        if self.eval_n < 0:
+            raise ValueError("eval_n must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +298,20 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         if key not in _PLAN_KEYS:
             errors.append(f"[plan] unknown key '{key}'")
 
+    eval_n = 0  # None when invalid, as is constraint_floor
+    if "eval_n" in plan_sec:
+        eval_n = _parse_num("plan", "eval_n", plan_sec["eval_n"], int, errors)
+        if eval_n is not None and eval_n < 0:
+            errors.append("[plan] eval_n must be nonnegative")
+            eval_n = None
+    constraint_floor = False
+    if "constraint_floor" in plan_sec:
+        try:
+            constraint_floor = cp.getboolean("plan", "constraint_floor")
+        except ValueError:
+            errors.append("[plan] constraint_floor must be a boolean")
+            constraint_floor = None
+
     preset_name = plan_sec.get("preset")
     if preset_name is not None:
         if preset_name not in presets():
@@ -308,13 +325,13 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
             seeds = _parse_seeds(plan_sec["seeds"], errors)
             if seeds:
                 plan = dataclasses.replace(plan, seeds=seeds)
-        if "outdir" in plan_sec:
-            plan = dataclasses.replace(plan, outdir=plan_sec["outdir"])
-        if "mode" in plan_sec:
-            try:
-                plan = dataclasses.replace(plan, mode=plan_sec["mode"])
-            except ValueError as exc:
-                errors.append(f"[plan] {exc}")
+        overrides = {"outdir": plan_sec.get("outdir"), "mode": plan_sec.get("mode"),
+                     "eval_n": eval_n, "constraint_floor": constraint_floor}
+        try:
+            plan = dataclasses.replace(plan, **{k: v for k, v in overrides.items()
+                                                if k in plan_sec and v is not None})
+        except ValueError as exc:
+            errors.append(f"[plan] {exc}")
         return (plan, errors) if not errors else (None, errors)
 
     if not cp.has_section("task"):
@@ -334,16 +351,6 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         outdir = plan_sec.get("outdir")
         if outdir is None:
             errors.append("[plan] missing required key 'outdir'")
-
-    eval_n = 0
-    if "eval_n" in plan_sec:
-        eval_n = _parse_num("plan", "eval_n", plan_sec["eval_n"], int, errors) or 0
-    constraint_floor = False
-    if "constraint_floor" in plan_sec:
-        try:
-            constraint_floor = cp.getboolean("plan", "constraint_floor")
-        except ValueError:
-            errors.append("[plan] constraint_floor must be a boolean")
 
     if not cell_sections:
         errors.append("no [cell.*] sections (at least one training cell required)")
@@ -382,7 +389,8 @@ def _cell_task(task: SyntheticTask, cell: Cell) -> SyntheticTask:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What every cell on one (task, seed) shares."""
+    """What every cell on one (task, seed) shares, including the first stage
+    of the last run that stored one, for a later cell to continue from."""
 
     arch: SoftmaxLinear
     orig: LabeledSet
@@ -391,6 +399,7 @@ class _Setup:
     floor: float
     ltilde_floor: float | None    # set when the plan asks for the constraint floor
     consts: ConstantEstimates | None  # set in theory mode
+    first_stage: FirstStageStore = field(default_factory=FirstStageStore)
 
 
 # The last key _setup computed, with its _Setup or the exception (and its
@@ -527,7 +536,8 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
                       ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor,
                       **train)
-    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg)
+    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg,
+                       first_stage=s.first_stage)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))
@@ -544,6 +554,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
         "iterations": trace.iterations,
+        "reused_steps": trace.reused_steps,
         "wall_time": time.perf_counter() - t_start,
         "train_s": trace.train_s,
         "score_s": trace.score_s,
@@ -633,6 +644,21 @@ def _keep_freed_memory() -> bool:
     return bool(mmap_set and trim_set)
 
 
+def _announced(summaries) -> list[dict]:
+    """The summaries, each announced on stderr by one progress line as it
+    arrives: cell, seed, final gap, steps (with those reused) and wall time."""
+    out = []
+    for s in summaries:
+        head = f"{s['cell']} seed {s['seed']}:"
+        if "error" in s:
+            print(f"{head} failed ({s['error']}), {s['wall_time']:.2f} s", file=sys.stderr)
+        else:
+            print(f"{head} final gap {s['final_gap']:.6g}, {s['iterations']} steps "
+                  f"({s['reused_steps']} reused), {s['wall_time']:.2f} s", file=sys.stderr)
+        out.append(s)
+    return out
+
+
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair; returns (aggregate rows, exit code).
 
@@ -654,10 +680,10 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
             plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
             with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                      initargs=(jobs,)) as pool:
-                summaries = list(pool.map(
+                summaries = _announced(pool.map(
                     _worker, [(plan_dict, cell, seed) for cell, seed in pairs]))
         else:
-            summaries = [_run_pair(plan, cell, seed) for cell, seed in pairs]
+            summaries = _announced(_run_pair(plan, cell, seed) for cell, seed in pairs)
     finally:
         _last_setup.clear()
 

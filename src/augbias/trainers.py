@@ -30,11 +30,21 @@ each iterate, and the chunk's records are then scored together by the
 batched evaluation kernel (models.stack_stats), split across threads.
 Training never reads a record, so the trace is the one a per-step loop
 records, cut at the same step when the run diverges.
+
+A caller may own a FirstStageStore and pass it to every run_scheme call of a
+plan. A run stores its first stage there (records and iterates), and a later
+run whose first stage is the same, on the same inputs, starts after it: it
+takes the stored records and the iterate at its own first stage's end, and
+trains only its remaining stages. AugDrop's first stage is Augmented's and
+WeMix's is MixLoss's, so a plan that runs both pays for each stage once.
+Because each stage recreates its generators, the continued run is the run
+from scratch, bit for bit.
 """
 from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -220,20 +230,22 @@ class TrainTrace:
     # each iterate) and scoring the records
     train_s: float = 0.0
     score_s: float = 0.0
+    # leading steps and records taken from a FirstStageStore, not computed
+    reused_steps: int = 0
 
     def final_gap(self, floor: float) -> float:
         return self.rows[-1].L - floor
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:
-    """One row per record; floats via repr for a lossless, byte-stable file."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.rows:
-        lines.append(
-            f"{r.t},{r.stage},{r.L!r},{r.L_tilde!r},{r.L_c!r},{r.grad_norm!r},{r.constraint!r}"
-        )
+    """One row per record; floats via repr for a lossless, byte-stable file.
+    Lines go to the file as they are formatted, never all held at once."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{r.t},{r.stage},{r.L!r},{r.L_tilde!r},{r.L_c!r},{r.grad_norm!r},{r.constraint!r}\n"
+            for r in trace.rows
+        )
 
 
 def read_trace_csv(path) -> list[TraceRow]:
@@ -359,11 +371,58 @@ def scoring_threads() -> int:
     return max(1, (cpus or 1) // _cpu_sharers)
 
 
+class FirstStageStore:
+    """The first stage of one run: its records and iterates, with the key of
+    every input that decides them. Owned by the caller, which passes it to
+    run_scheme; a run that does not take from it replaces what it holds.
+
+    A run may take the stored stage when its own first stage is at least one
+    step long, no longer than the stored one, and keyed the same: the start
+    iterate's bytes and architecture, the stage's mode, step size and
+    resolved batch, the scheme's lam and delta_y, the seed, ltilde_ref, and
+    the very sets (by identity) it trains on and scores. A longer first stage
+    runs from scratch, since continuing the stored one would need its
+    generators' state. The stored records are all finite: a run stores the
+    records its first stage reached before any abort.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._key, self._sets = None, ()
+        self._rows: list[TraceRow] = []
+        self._iterates: np.ndarray | None = None
+
+    def put(self, key: tuple, sets: tuple, rows: list[TraceRow], iterates: np.ndarray) -> None:
+        """Hold `rows` (records 0..T, shared, not copied) and the (T+1, P)
+        iterates they score."""
+        self._key, self._sets, self._rows, self._iterates = key, sets, rows, iterates
+
+    def take(self, key: tuple, sets: tuple, steps: int):
+        """(records 0..steps, iterate at `steps`) if a stage stored under
+        `key` and `sets` reached that step, else None."""
+        if (steps < 1 or steps >= len(self._rows) or key != self._key
+                or any(a is not b for a, b in zip(sets, self._sets))):
+            return None
+        return self._rows[:steps + 1], self._iterates[steps].copy()
+
+
+def _stage_key(arch, w: np.ndarray, scheme: Scheme, cfg: TrainConfig, batch: int) -> tuple:
+    """What decides a run's first-stage steps and records, besides the sets;
+    floats by their bits, so a key never matches a different value."""
+    stage = scheme.stages[0]
+    floats = struct.pack("<4d", stage.eta, scheme.lam, scheme.delta_y, cfg.ltilde_ref)
+    return (arch, w.tobytes(), stage.mode, batch, cfg.seed, floats)
+
+
 def run_scheme(
     model: Predictor,
     orig: LabeledSet | None,
     aug: LabeledSet | None,
     cfg: TrainConfig,
+    *,
+    first_stage: FirstStageStore | None = None,
 ) -> TrainTrace:
     """Run cfg.scheme's stages from `model`, with one trace record at the
     start and one after every step.
@@ -377,6 +436,10 @@ def run_scheme(
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
     when its set is passed in.
+
+    With `first_stage`, the run takes its first stage from that store when
+    the store holds the same one (see FirstStageStore), and otherwise stores
+    its own there. Runs that keep iterates neither take nor store.
     """
     scheme = cfg.scheme
     modes = {st.mode for st in scheme.stages}
@@ -388,18 +451,34 @@ def run_scheme(
     w = np.array(model.params, dtype=np.float64)
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
+    sets = (orig, aug, eval_orig, eval_aug)
     eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
     eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
 
     tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
     first_tag = next((tag for tag, (iters, _) in zip(tags, sizes) if iters > 0), tags[-1])
-    steps = _train(model.arch, w, orig, aug, cfg, zip(scheme.stages, tags, sizes))
+    stages = list(zip(scheme.stages, tags, sizes))
+    first = sizes[0][0]
+    store = None if cfg.keep_iterates else first_stage
+    key = _stage_key(model.arch, w, scheme, cfg, sizes[0][1]) if store is not None else None
+    taken = store.take(key, sets, first) if store is not None else None
+    if taken is not None:
+        # the first stage's records are known; training resumes after it
+        (rows, w), reused = taken, first
+        chunk, end = [], (first, tags[0], w)
+        steps = _train(model.arch, w, orig, aug, cfg, stages[1:], first)
+    else:
+        rows, reused = [], 0
+        chunk = [(0, first_tag, w)]
+        end = chunk[0]  # the (t, tag, w) the run ends on
+        steps = _train(model.arch, w, orig, aug, cfg, stages)
+        if store is not None:
+            store.clear()  # released before this run fills its own stage
+    storing = store is not None and taken is None
+    stage_iterates = np.empty((first + 1, w.size)) if storing else None
+    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
     scorer = _RecordScorer(model.arch, eval_orig, eval_aug, scheme.lam, scheme.delta_y,
                            cfg.ltilde_ref, scoring_threads())
-    rows: list[TraceRow] = []
-    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
-    chunk = [(0, first_tag, w)]
-    end = chunk[0]  # the (t, tag, w) the run ends on
     trained, error = False, None
     train_s = score_s = 0.0
     with scorer:
@@ -421,6 +500,10 @@ def run_scheme(
             rows.extend(good)
             if iterates is not None:
                 iterates.extend(w for _, _, w in chunk[:len(good)])
+            if storing:
+                for t, _, w_t in chunk[:len(good)]:
+                    if t <= first:
+                        stage_iterates[t] = w_t
             if chunk:
                 end = chunk[min(len(good), len(chunk) - 1)]
             if len(good) < len(chunk):
@@ -431,6 +514,9 @@ def run_scheme(
                 break
             chunk = []
     global_t, _, w = end
+    if storing:
+        stored = min(len(rows), first + 1)
+        store.put(key, sets, rows[:stored], stage_iterates[:stored])
     # a run stops short at a non-finite iterate, record or gradient
     aborted = len(rows) == 0 or rows[-1].t < sum(iters for iters, _ in sizes)
     return TrainTrace(
@@ -441,12 +527,14 @@ def run_scheme(
         iterates=np.array(iterates) if iterates is not None else None,
         train_s=train_s,
         score_s=score_s,
+        reused_steps=reused,
     )
 
 
-def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
-    """SGD from w over (stage, tag, (iters, batch)) in order; yields
-    (t, tag, w) after every step and stops at a non-finite gradient.
+def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0):
+    """SGD from w, the iterate at step global_t, over (stage, tag, (iters,
+    batch)) in order; yields (t, tag, w) after every step and stops at a
+    non-finite gradient.
 
     Each value is checked for finiteness once. A gradient is checked by
     sgd_step, whose ValueError ends the run when the gradient is the cause.
@@ -459,7 +547,6 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages):
     warnings.
     """
     lam, delta_y = cfg.scheme.lam, cfg.scheme.delta_y
-    global_t = 0
     for stage, tag, (iters, batch) in stages:
         if iters == 0:
             continue

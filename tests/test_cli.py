@@ -24,7 +24,7 @@ from augbias.cli import (
 )
 from augbias.augment import SyntheticTask
 from augbias.core import DegenerateEstimateError
-from augbias.trainers import AugDrop, Augmented, MixLoss, Original, read_trace_csv
+from augbias.trainers import AugDrop, Augmented, MixLoss, Original, WeMix, read_trace_csv
 
 TINY_TASK = """
 [task]
@@ -201,6 +201,26 @@ eta = fast
         assert {c.name for c in plan.cells} == {
             "original", "augmented", "augdrop", "mixloss", "wemix"}
         assert plan.task.delta_y == 0.4
+
+    def test_preset_takes_every_plan_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\neval_n = 100\n"
+                        "constraint_floor = yes\nmode = theory\n")
+        plan, errors = validate_config(cfg)
+        assert errors == []
+        assert (plan.eval_n, plan.constraint_floor, plan.mode) == (100, True, "theory")
+        plan, errors = validate_config(write_cfg(
+            tmp_path, "[plan]\npreset = small-bias\nconstraint_floor = no\n"))
+        assert errors == [] and (plan.eval_n, plan.constraint_floor) == (4000, False)
+
+    @pytest.mark.parametrize("plan_keys", [
+        "preset = table1-desk", f"seeds = 0\noutdir = o\n{TINY_TASK}{TINY_CELLS}"],
+        ids=["preset", "inline"])
+    def test_negative_eval_n_rejected(self, tmp_path, plan_keys):
+        cfg = write_cfg(tmp_path, f"[plan]\neval_n = -5\n{plan_keys}\n")
+        plan, errors = validate_config(cfg)
+        assert plan is None and errors == ["[plan] eval_n must be nonnegative"]
+        with pytest.raises(ValueError, match="eval_n must be nonnegative"):
+            tiny_plan(tmp_path, eval_n=-5)
 
     def test_preset_rejects_extra_sections(self, tmp_path):
         cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\n" + TINY_TASK)
@@ -515,6 +535,7 @@ class TestReport:
     def test_report_reproduces_aggregate(self, tmp_path, capsys):
         plan = tiny_plan(tmp_path / "o", seeds=(0, 1))
         run_plan(plan)
+        capsys.readouterr()  # the plan's progress lines
         before = (tmp_path / "o" / "aggregate.csv").read_text()
         assert report(str(tmp_path / "o")) == 0
         assert capsys.readouterr().err == ""  # not stale
@@ -607,7 +628,9 @@ class TestTable1Preset:
 
 
 def outputs(outdir) -> dict:
-    """Every trace CSV's bytes and every summary without its wall times."""
+    """Every trace CSV's bytes and every summary without its wall times and
+    its reused steps, which say how the outputs were computed, not what
+    they are."""
     out = {}
     for name in sorted(os.listdir(outdir)):
         path = os.path.join(outdir, name)
@@ -615,7 +638,7 @@ def outputs(outdir) -> dict:
             out[name] = open(path, "rb").read()
         elif name.endswith(".json"):
             summary = json.load(open(path))
-            for key in ("wall_time", "train_s", "score_s"):
+            for key in ("wall_time", "train_s", "score_s", "reused_steps"):
                 summary.pop(key)
             out[name] = summary
     return out
@@ -647,6 +670,68 @@ class TestSharedSetup:
             alone.update(outputs(tmp_path / cell.name))
         assert len(shared) == 2 * len(cells) * len(kw["seeds"])
         assert shared == alone
+
+    # Cells whose first stages repeat an earlier cell's. Theory mode resolves
+    # Augmented's batch apart from AugDrop's m1 and runs no wemix cell, so
+    # there the repeat is a second augdrop cell.
+    SHARING = {
+        "practical": (
+            Cell("aug", Augmented(eta=0.3), {"batch": 6, "epochs": 1}),
+            Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
+            Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3), {"epochs": 1}),
+            Cell("wemix", WeMix(lam=0.6, delta_y=0.2, t1=8, t2=8, m0=3, eta1=0.3, eta2=0.3)),
+        ),
+        "theory": (
+            Cell("aug", Augmented(eta=0.3)),
+            Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
+            Cell("drop-again", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
+            Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3)),
+        ),
+    }
+
+    @staticmethod
+    def _reused(outdir) -> dict:
+        return {name: json.load(open(os.path.join(outdir, name)))["reused_steps"]
+                for name in sorted(os.listdir(outdir)) if name.endswith(".json")}
+
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_cells_that_share_a_first_stage_match_their_runs_alone(self, tmp_path, mode):
+        cells = self.SHARING[mode]
+        run_plan(tiny_plan(tmp_path / "shared", cells=cells, seeds=(0, 1), mode=mode))
+        shared = outputs(tmp_path / "shared")
+        alone = {}
+        for cell in cells:
+            run_plan(tiny_plan(tmp_path / cell.name, cells=(cell,), seeds=(0, 1), mode=mode))
+            alone.update(outputs(tmp_path / cell.name))
+            assert set(self._reused(tmp_path / cell.name).values()) == {0}
+        assert len(shared) == 2 * len(cells) * 2
+        assert shared == alone
+        reused = self._reused(tmp_path / "shared")
+        continued = ("drop", "wemix") if mode == "practical" else ("drop-again",)
+        for name, steps in reused.items():
+            assert (steps > 0) == (name.split("__")[0] in continued), name
+
+    def test_a_shorter_first_stage_does_not_serve_a_longer_one(self, tmp_path):
+        cells = self.SHARING["practical"][:2][::-1]  # augdrop before augmented
+        run_plan(tiny_plan(tmp_path / "shared", cells=cells, seeds=(0, 1)))
+        alone = {}
+        for cell in cells:
+            run_plan(tiny_plan(tmp_path / cell.name, cells=(cell,), seeds=(0, 1)))
+            alone.update(outputs(tmp_path / cell.name))
+        assert outputs(tmp_path / "shared") == alone
+        assert set(self._reused(tmp_path / "shared").values()) == {0}
+
+    def test_each_finished_pair_prints_one_progress_line(self, tmp_path, capsys):
+        _, code = run_plan(tiny_plan(tmp_path / "o", cells=self.SHARING["practical"][:2],
+                                     seeds=(0, 1)))
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == [
+            "aug seed 0", "drop seed 0", "aug seed 1", "drop seed 1"]
+        s = json.load(open(tmp_path / "o" / "drop__seed1.json"))
+        assert lines[-1].startswith(
+            f"drop seed 1: final gap {s['final_gap']:.6g}, 16 steps (8 reused), ")
+        assert lines[-1].endswith(" s")
 
     def test_setup_runs_once_per_task_and_seed(self, tmp_path, monkeypatch):
         calls = {"gen_synthetic": 0, "best_found_floor": 0, "estimate_constants": 0}
@@ -716,10 +801,10 @@ class TestFailureIsolation:
     def test_failing_run_gets_failed_summary(self, tmp_path, monkeypatch, capsys, jobs):
         real = cli.run_scheme
 
-        def run_scheme(model, orig, aug, cfg):
+        def run_scheme(model, orig, aug, cfg, **kwargs):
             if cfg.scheme.name == "augdrop":
                 raise RuntimeError("boom")
-            return real(model, orig, aug, cfg)
+            return real(model, orig, aug, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "run_scheme", run_scheme)
         out = tmp_path / "o"
@@ -735,9 +820,13 @@ class TestFailureIsolation:
             assert s["aborted"] is True and math.isnan(s["final_gap"])
             assert "error" not in json.load(open(out / f"orig__seed{seed}.json"))
             assert (out / f"orig__seed{seed}.csv").exists()
+        err = capsys.readouterr().err
+        # this process prints one progress line per pair, whatever the job count
+        for seed in (0, 1):
+            assert f"drop seed {seed}: failed (RuntimeError: boom), " in err
         if jobs == 1:  # worker processes write to their own stderr
-            assert "RuntimeError: boom" in capsys.readouterr().err
-        capsys.readouterr()
+            assert "RuntimeError: boom" in err
+            assert "drop seed 0 failed:\nTraceback" in err
         assert report(str(out)) == 1
         err = capsys.readouterr().err
         assert "skipping" not in err and "stale" not in err
@@ -766,9 +855,9 @@ class TestFailureIsolation:
         real = cli.run_scheme
         runs = []
 
-        def run_scheme(model, orig, aug, cfg):
+        def run_scheme(model, orig, aug, cfg, **kwargs):
             runs.append(cfg.scheme.name)
-            return real(model, orig, aug, cfg)
+            return real(model, orig, aug, cfg, **kwargs)
 
         def estimate_constants(*args, **kwargs):
             raise DegenerateEstimateError("flat probe")

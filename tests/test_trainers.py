@@ -13,6 +13,7 @@ from augbias.trainers import (
     AugDrop,
     Augmented,
     EpochSampler,
+    FirstStageStore,
     MixLoss,
     Original,
     Stage,
@@ -400,6 +401,161 @@ class TestStepChecks:
         cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, seed=2)
         with pytest.raises(ValueError, match="refused"):
             run_scheme(model, orig, None, cfg)
+
+
+class TestFirstStageStore:
+    """A run continues from a stored first stage only when every input that
+    decides that stage is the same, and then gives the run from scratch,
+    byte for byte, computing only its remaining steps."""
+
+    def _sets(self):
+        orig, aug, _ = small_task(seed=21)
+        return orig, aug, init_predictor(SoftmaxLinear(3, 3), Rng(21))
+
+    @staticmethod
+    def _same_run(a, b, tmp_path):
+        """Same trace bytes, end point, abort flag and step count."""
+        write_trace_csv(a, tmp_path / "a.csv")
+        write_trace_csv(b, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        np.testing.assert_array_equal(a.final_params, b.final_params)
+        assert (a.aborted, a.iterations) == (b.aborted, b.iterations)
+
+    @staticmethod
+    def _counted_steps(monkeypatch):
+        calls = []
+        real = trainers.sgd_step
+
+        def counted(w, grad, eta):
+            calls.append(1)
+            return real(w, grad, eta)
+
+        monkeypatch.setattr(trainers, "sgd_step", counted)
+        return calls
+
+    # (first run, second run): the second's first stage is a prefix of the first's
+    PAIRS = {
+        "augmented-then-augdrop": (
+            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
+            dict(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2, t2=7)),
+        ),
+        "mixloss-then-wemix": (
+            dict(scheme=MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3)),
+            dict(scheme=WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3, eta2=0.2),
+                 batch=8),
+        ),
+        "a-twin": (
+            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
+            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_continued_run_is_the_run_from_scratch(self, pair, tmp_path, monkeypatch):
+        orig, aug, model = self._sets()
+        first, second = (TrainConfig(seed=5, eval_orig=orig, ltilde_ref=0.1, **kw)
+                         for kw in self.PAIRS[pair])
+        alone = run_scheme(model, orig, aug, second)
+        store = FirstStageStore()
+        stored = run_scheme(model, orig, aug, first, first_stage=store)
+        assert stored.reused_steps == 0
+        calls = self._counted_steps(monkeypatch)
+        shared = run_scheme(model, orig, aug, second, first_stage=store)
+        self._same_run(shared, alone, tmp_path)
+        t1 = trainers.size_stages(second.scheme, second, orig.n, aug.n)[0][0]
+        assert shared.reused_steps == t1 > 0
+        assert len(calls) == shared.iterations - t1
+        # the stage stays stored for the next run that shares it
+        again = run_scheme(model, orig, aug, second, first_stage=store)
+        assert again.reused_steps == t1
+        self._same_run(again, alone, tmp_path)
+
+    @pytest.mark.parametrize("change", [
+        "eta", "batch", "seed", "ltilde_ref", "start", "eval_set", "orig", "lam",
+        "delta_y", "longer", "mode"])
+    def test_any_other_input_runs_from_scratch(self, change, tmp_path):
+        orig, aug, model = self._sets()
+        twin = dataclasses.replace(orig)  # equal arrays, another set
+        is_mix = change in ("lam", "delta_y")
+        scheme = (MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3) if is_mix
+                  else Augmented(eta=0.3))
+        base = dict(batch=6, epochs=2, seed=5, eval_orig=orig, ltilde_ref=0.1)
+        second = dict(base, scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2))
+        if is_mix:
+            second["scheme"] = WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
+                                     eta2=0.2)
+        start, sets = model, (orig, aug)
+        if change == "eta":
+            second["scheme"] = AugDrop(t1=8, m1=6, m2=8, eta1=0.31, eta2=0.2)
+        elif change == "batch":
+            second["scheme"] = AugDrop(t1=8, m1=5, m2=8, eta1=0.3, eta2=0.2)
+        elif change == "longer":
+            second["scheme"] = AugDrop(t1=21, m1=6, m2=8, eta1=0.3, eta2=0.2)
+        elif change == "mode":
+            # lam 0 and the same sets, as AugDrop's: only the mode differs
+            scheme = trainers.Scheme("orig-first", (Stage("orig", 0.3, 12, 6),))
+            base["eval_aug"] = aug
+        elif change == "lam":
+            second["scheme"] = WeMix(lam=0.5, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
+                                     eta2=0.2)
+        elif change == "delta_y":
+            second["scheme"] = WeMix(lam=0.6, delta_y=0.3, t1=9, t2=5, m0=3, eta1=0.3,
+                                     eta2=0.2)
+        elif change in ("seed", "ltilde_ref"):
+            second[change] = {"seed": 6, "ltilde_ref": 0.2}[change]
+        elif change == "start":
+            start = init_predictor(SoftmaxLinear(3, 3), Rng(22))
+        elif change == "eval_set":
+            # Augmented scores L on eval_orig, AugDrop on the originals it trains on
+            base["eval_orig"] = twin
+        else:
+            sets = (twin, aug)
+        store = FirstStageStore()
+        run_scheme(model, orig, aug, TrainConfig(scheme=scheme, **base), first_stage=store)
+        cfg = TrainConfig(**second)
+        shared = run_scheme(start, *sets, cfg, first_stage=store)
+        assert shared.reused_steps == 0
+        self._same_run(shared, run_scheme(start, *sets, cfg), tmp_path)
+
+    def test_a_diverging_first_stage_is_cut_where_each_run_alone_is(self, tmp_path):
+        orig, aug, model = self._sets()
+        first = TrainConfig(scheme=Augmented(eta=3e307), batch=6, epochs=2, seed=5,
+                            eval_orig=orig)
+        second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=3e307, eta2=0.2),
+                             seed=5, eval_orig=orig)
+        store = FirstStageStore()
+        stored = run_scheme(model, orig, aug, first, first_stage=store)
+        assert stored.aborted and len(stored.rows) <= 8
+        shared = run_scheme(model, orig, aug, second, first_stage=store)
+        alone = run_scheme(model, orig, aug, second)
+        assert alone.aborted and shared.reused_steps == 0
+        self._same_run(shared, alone, tmp_path)
+        self._same_run(stored, run_scheme(model, orig, aug, first), tmp_path)
+
+    def test_runs_that_keep_iterates_neither_take_nor_store(self, tmp_path):
+        orig, aug, model = self._sets()
+        first = TrainConfig(scheme=Augmented(eta=0.3), batch=6, epochs=2, seed=5,
+                            eval_orig=orig)
+        second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2), seed=5)
+        store = FirstStageStore()
+        kept = dataclasses.replace(first, keep_iterates=True)
+        run_scheme(model, orig, aug, kept, first_stage=store)
+        assert run_scheme(model, orig, aug, second, first_stage=store).reused_steps == 0
+        run_scheme(model, orig, aug, first, first_stage=store)
+        keeping = run_scheme(model, orig, aug, dataclasses.replace(second, keep_iterates=True),
+                             first_stage=store)
+        assert keeping.reused_steps == 0 and len(keeping.iterates) == len(keeping.rows)
+        shared = run_scheme(model, orig, aug, second, first_stage=store)
+        assert shared.reused_steps == 8
+        self._same_run(shared, keeping, tmp_path)
+
+    def test_without_a_store_every_step_is_computed(self, monkeypatch):
+        orig, aug, model = self._sets()
+        calls = self._counted_steps(monkeypatch)
+        for kw in self.PAIRS["augmented-then-augdrop"]:
+            calls.clear()
+            trace = run_scheme(model, orig, aug, TrainConfig(seed=5, eval_orig=orig, **kw))
+            assert trace.reused_steps == 0 and len(calls) == trace.iterations > 0
 
 
 class TestConfigValidation:
