@@ -17,7 +17,6 @@ from .core import (
 )
 from .models import (
     GradSample,
-    Mlp,
     Predictor,
     SoftmaxLinear,
     ce_grad,

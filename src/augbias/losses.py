@@ -62,8 +62,8 @@ class MixWeights:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lam must lie in [0, 1]")
-        if self.delta_y < 0:
-            raise ValueError("delta_y must be nonnegative")
+        if not (self.delta_y >= 0 and np.isfinite(self.delta_y)):
+            raise ValueError("delta_y must be nonnegative and finite")
         if self.m0 < 1:
             raise ValueError("m0 must be at least 1")
 

@@ -1,8 +1,7 @@
-"""Small differentiable classifiers with exact cross-entropy gradients.
+"""A linear softmax classifier with exact cross-entropy gradients.
 
-Two architectures only: a linear softmax classifier (convex instance, sharp
-constant estimates) and a one-hidden-layer tanh network (the smooth
-non-convex instance). The cross-entropy loss is written as the inner product
+The classifier is the convex instance of the analysis, with sharp constant
+estimates. The cross-entropy loss is written as the inner product
 of the label with the negative-log-softmax vector p, so its gradient in the
 parameters is linear in the label; several estimators downstream rely on
 exactly that structure.
@@ -41,43 +40,10 @@ class SoftmaxLinear:
 
 
 @dataclass(frozen=True)
-class Mlp:
-    """One tanh hidden layer: f(x; w) = W2 tanh(W1 x + b1) + b2.
-
-    Parameter layout: [W1 (hidden*d), b1 (hidden), W2 (k*hidden), b2 (k)].
-    tanh keeps the map smooth, which the smoothness estimates require.
-    """
-
-    d: int
-    hidden: int
-    k: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.hidden < 1 or self.k < 2:
-            raise ValueError("Mlp needs d >= 1, hidden >= 1, k >= 2")
-
-    @property
-    def param_count(self) -> int:
-        return self.hidden * self.d + self.hidden + self.k * self.hidden + self.k
-
-    def unpack(self, w: np.ndarray):
-        h, d, k = self.hidden, self.d, self.k
-        i = 0
-        w1 = w[i:i + h * d].reshape(h, d); i += h * d
-        b1 = w[i:i + h]; i += h
-        w2 = w[i:i + k * h].reshape(k, h); i += k * h
-        b2 = w[i:i + k]
-        return w1, b1, w2, b2
-
-
-Arch = SoftmaxLinear | Mlp
-
-
-@dataclass(frozen=True)
 class Predictor:
-    """An architecture plus one flat parameter vector."""
+    """A model shape plus one flat parameter vector."""
 
-    arch: Arch
+    arch: SoftmaxLinear
     params: np.ndarray
 
     def __post_init__(self):
@@ -90,7 +56,7 @@ class Predictor:
         return Predictor(self.arch, w)
 
 
-def _unchecked_predictor(arch: Arch, w: np.ndarray) -> Predictor:
+def _unchecked_predictor(arch: SoftmaxLinear, w: np.ndarray) -> Predictor:
     """A Predictor on `w` itself, for a caller that already knows it is a
     finite float64 vector of arch.param_count entries: no checks and no copy.
     `w` is made read-only, as Predictor's own copy is."""
@@ -107,12 +73,12 @@ class GradSample:
     grad: np.ndarray
 
 
-def zeros_predictor(arch: Arch) -> Predictor:
+def zeros_predictor(arch: SoftmaxLinear) -> Predictor:
     return Predictor(arch, np.zeros(arch.param_count))
 
 
-def init_predictor(arch: Arch, rng, scale: float = 0.1) -> Predictor:
-    """Gaussian init; needed for the Mlp, whose all-zero point is a dead saddle."""
+def init_predictor(arch: SoftmaxLinear, rng, scale: float = 0.1) -> Predictor:
+    """Gaussian init of the flat parameters."""
     return Predictor(arch, scale * rng.gen.standard_normal(arch.param_count))
 
 
@@ -122,16 +88,8 @@ def batch_scores(model: Predictor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.d:
         raise ValueError(f"batch must have shape (n, {arch.d})")
-    if isinstance(arch, SoftmaxLinear):
-        w = model.params.reshape(arch.k, arch.d)
-        return x @ w.T
-    return _mlp_scores(arch, model.params, x)
-
-
-def _mlp_scores(arch: Mlp, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w1, b1, w2, b2 = arch.unpack(w)
-    h = np.tanh(x @ w1.T + b1)
-    return h @ w2.T + b2
+    w = model.params.reshape(arch.k, arch.d)
+    return x @ w.T
 
 
 def forward(model: Predictor, x) -> np.ndarray:
@@ -180,22 +138,7 @@ def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> 
     q -= z_t
     q /= x.shape[0]
     ds = np.ascontiguousarray(q.T)
-    return _param_grad(model.arch, model.params, x, ds)
-
-
-def _param_grad(arch: Arch, w: np.ndarray, x: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """Parameter gradient from the row-major (n, k) score-space gradient ds."""
-    if isinstance(arch, SoftmaxLinear):
-        return (ds.T @ x).ravel()
-    w1, b1, w2, b2 = arch.unpack(w)
-    h = np.tanh(x @ w1.T + b1)
-    dw2 = ds.T @ h
-    db2 = ds.sum(axis=0)
-    dh = ds @ w2
-    da = (1.0 - h * h) * dh
-    dw1 = da.T @ x
-    db1 = da.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    return (ds.T @ x).ravel()
 
 
 def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -269,19 +212,14 @@ class Workspace:
         return v
 
 
-def scores_t(arch: Arch, params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
+def scores_t(arch: SoftmaxLinear, params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
     """Class-major (B, k, n) scores of a (B, P) stack of parameter vectors
     over an evaluation set, into the C-ordered `out`.
 
-    For SoftmaxLinear this is W @ inputs_t for every W in the stack, which
-    equals batch_scores(...).T bit for bit and needs no transposed copy; the
-    Mlp scores are computed per iterate and transposed.
+    This is W @ inputs_t for every W in the stack, which equals
+    batch_scores(...).T bit for bit and needs no transposed copy.
     """
-    if isinstance(arch, SoftmaxLinear):
-        return np.matmul(params.reshape(len(params), arch.k, arch.d), ev.inputs_t, out=out)
-    for i, w in enumerate(params):
-        np.copyto(out[i], _mlp_scores(arch, w, ev.inputs).T)
-    return out
+    return np.matmul(params.reshape(len(params), arch.k, arch.d), ev.inputs_t, out=out)
 
 
 class StackStats(NamedTuple):
@@ -290,7 +228,7 @@ class StackStats(NamedTuple):
     grad: np.ndarray | None  # (B, P) gradients of `loss` in the parameters
 
 
-def stack_stats(arch: Arch, params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
+def stack_stats(arch: SoftmaxLinear, params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
                 grad: bool = False, ws: Workspace | None = None) -> StackStats:
     """Mean cross entropy over an evaluation set at each of a (B, P) stack of
     parameter vectors: the evaluation kernel.
@@ -342,12 +280,8 @@ def _stack_pass(arch, params, ev, delta_y, ws, loss, corrected, grads) -> None:
         e_t *= ev.label_sums
         e_t -= ev.labels_t
         np.divide(e_t.transpose(0, 2, 1), n, out=ds)
-        if isinstance(arch, SoftmaxLinear):
-            np.matmul(ds.transpose(0, 2, 1), ev.inputs,
-                      out=grads.reshape(len(params), arch.k, arch.d))
-        else:
-            for i, w in enumerate(params):
-                grads[i] = _param_grad(arch, w, ev.inputs, ds[i])
+        np.matmul(ds.transpose(0, 2, 1), ev.inputs,
+                  out=grads.reshape(len(params), arch.k, arch.d))
     class_sum(np.multiply(ev.labels_t, p_t, out=e_t), out=ce)
     np.add.reduce(ce, axis=1, out=loss)
     loss /= n
@@ -395,21 +329,7 @@ def score_jacobian(model: Predictor, x) -> np.ndarray:
     """Jacobian of the score vector in the flat parameters, shape (k, D)."""
     arch = model.arch
     xv = as_vec(x, size=arch.d, name="x")
-    if isinstance(arch, SoftmaxLinear):
-        return np.kron(np.eye(arch.k), xv)
-    w1, b1, w2, b2 = arch.unpack(model.params)
-    h = np.tanh(w1 @ xv + b1)
-    dtanh = 1.0 - h * h
-    k, hid, d = arch.k, arch.hidden, arch.d
-    jac = np.zeros((k, arch.param_count))
-    # ds_i/dW2 puts h into row i; ds_i/db2 = e_i; hidden path through tanh'.
-    for i in range(k):
-        da = dtanh * w2[i]
-        jac[i, :hid * d] = np.outer(da, xv).ravel()
-        jac[i, hid * d:hid * d + hid] = da
-        jac[i, hid * d + hid + i * hid:hid * d + hid + (i + 1) * hid] = h
-        jac[i, hid * d + hid + k * hid + i] = 1.0
-    return jac
+    return np.kron(np.eye(arch.k), xv)
 
 
 def p_jacobian(model: Predictor, x) -> np.ndarray:
@@ -468,18 +388,15 @@ def estimate_G(model: Predictor, dataset: LabeledSet, params_cloud) -> float:
     An empirical stand-in for the uniform gradient bound: the max never
     decreases as points are added. Reported over visited parameters only.
 
-    For SoftmaxLinear a closed-form screen (_screen_pairs) picks the pairs
-    that can hold the max, and only those get the exact SVD norm, so the
-    result is the full scan's bit for bit. A plain closed form is not: it
-    differs from the SVD by an ulp or two. Mlp, and a screen that is not
-    finite, scan every pair.
+    A closed-form screen (_screen_pairs) picks the pairs that can hold the
+    max, and only those get the exact SVD norm, so the result is the full
+    scan's bit for bit. A plain closed form is not: it differs from the SVD
+    by an ulp or two. A screen that is not finite scans every pair.
     """
     cloud = [model.with_params(np.asarray(w, dtype=np.float64)) for w in params_cloud]
     if dataset.n == 0 or len(cloud) == 0:
         raise ValueError("need a nonempty dataset and parameter cloud")
-    pairs = None
-    if isinstance(model.arch, SoftmaxLinear):
-        pairs = _screen_pairs(model.arch, cloud, dataset.inputs)
+    pairs = _screen_pairs(model.arch, cloud, dataset.inputs)
     if pairs is None:
         pairs = [(c, i) for c in range(len(cloud)) for i in range(dataset.n)]
     best = 0.0

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import DegenerateEstimateError, LabeledSet
-from .models import Arch, EvalSet, Predictor, eval_scores, label_grad
+from .models import EvalSet, Predictor, SoftmaxLinear, eval_scores, label_grad
 
 _E = math.e
 
@@ -38,7 +38,7 @@ _E = math.e
 class CeObjective:
     """Full-batch cross entropy over a fixed dataset, with exact gradient."""
 
-    arch: Arch
+    arch: SoftmaxLinear
     inputs: np.ndarray
     labels: np.ndarray
     _eval: EvalSet = field(init=False, repr=False, compare=False)
@@ -47,7 +47,7 @@ class CeObjective:
         object.__setattr__(self, "_eval", EvalSet.of(self.inputs, self.labels))
 
     @staticmethod
-    def over(arch: Arch, dataset: LabeledSet) -> "CeObjective":
+    def over(arch: SoftmaxLinear, dataset: LabeledSet) -> "CeObjective":
         return CeObjective(arch, dataset.inputs, dataset.labels)
 
     def loss(self, w: np.ndarray) -> float:
@@ -217,7 +217,7 @@ def perturbed_cloud(points, rng, per_point: int = 2, scale: float = 0.1) -> list
 
 
 def estimate_constants(
-    arch: Arch,
+    arch: SoftmaxLinear,
     orig: LabeledSet,
     aug: LabeledSet,
     w1: np.ndarray,

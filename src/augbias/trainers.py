@@ -108,10 +108,8 @@ class Scheme:
     delta_y: float = 0.0
 
     def __post_init__(self):
-        if not self.stages:
-            raise ValueError("a scheme needs at least one stage")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
+        stages_bad = () if self.stages else ("a scheme needs at least one stage",)
+        _check(*stages_bad, lam=self.lam, delta_y=self.delta_y)
 
 
 # Out-of-range tests by argument family (eta1 is an eta, t2 a t, ...); a

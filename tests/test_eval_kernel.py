@@ -22,7 +22,6 @@ from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng, softmax_rows
 from augbias.models import (
     STACK_BATCH,
     EvalSet,
-    Mlp,
     Predictor,
     SoftmaxLinear,
     batch_scores,
@@ -61,21 +60,10 @@ def frozen_p_rows(s):
 
 
 def frozen_label_grad(model, x, z):
-    arch = model.arch
     n = x.shape[0]
     sig = frozen_softmax_rows(batch_scores(model, x))
     ds = (z.sum(axis=1, keepdims=True) * sig - z) / n
-    if isinstance(arch, SoftmaxLinear):
-        return (ds.T @ x).ravel()
-    w1, b1, w2, b2 = arch.unpack(model.params)
-    h = np.tanh(x @ w1.T + b1)
-    dw2 = ds.T @ h
-    db2 = ds.sum(axis=0)
-    dh = ds @ w2
-    da = (1.0 - h * h) * dh
-    dw1 = da.T @ x
-    db1 = da.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    return (ds.T @ x).ravel()
 
 
 def frozen_mean_grad_a(model, x, y, delta_y):
@@ -223,10 +211,6 @@ def random_labels(rng, n, k):
     return y
 
 
-def make_arch(kind, d, k):
-    return SoftmaxLinear(d, k) if kind == "linear" else Mlp(d, 3, k)
-
-
 classes = st.integers(2, 12)
 rows = st.integers(1, 40)
 # stack heights: one iterate, two, one full pass of the kernel, and two
@@ -270,16 +254,15 @@ def test_linear_class_major_scores_match_transposed_batch_scores(k, n, d, b, log
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["linear", "mlp"]), k=classes,
-       n=st.one_of(rows, st.sampled_from([2000, 4000])), d=st.integers(1, 4), b=stacks,
-       log_scale=log_scales, delta_y=st.floats(0.0, 2.0), seed=seeds)
-def test_stack_matches_per_iterate_eval_scores(kind, k, n, d, b, log_scale, delta_y, seed):
+@given(k=classes, n=st.one_of(rows, st.sampled_from([2000, 4000])), d=st.integers(1, 4),
+       b=stacks, log_scale=log_scales, delta_y=st.floats(0.0, 2.0), seed=seeds)
+def test_stack_matches_per_iterate_eval_scores(k, n, d, b, log_scale, delta_y, seed):
     """The batched kernel on a stack of b iterates gives every iterate its
     own eval_scores values and the frozen formulas' values: loss, corrected
     loss, gradient and gradient norm. The iterates of one stack have
     different scales, so some overflow while others do not."""
     rng = np.random.default_rng(seed)
-    arch = make_arch(kind, d, k)
+    arch = SoftmaxLinear(d, k)
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
     params = scales * rng.standard_normal((b, arch.param_count))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
@@ -299,11 +282,10 @@ def test_stack_matches_per_iterate_eval_scores(kind, k, n, d, b, log_scale, delt
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["linear", "mlp"]), k=classes, n=rows, m=rows,
-       d=st.integers(1, 4), log_scale=log_scales, seed=seeds)
-def test_record_matches_frozen_formulas(kind, k, n, m, d, log_scale, seed):
+@given(k=classes, n=rows, m=rows, d=st.integers(1, 4), log_scale=log_scales, seed=seeds)
+def test_record_matches_frozen_formulas(k, n, m, d, log_scale, seed):
     rng = np.random.default_rng(seed)
-    arch = make_arch(kind, d, k)
+    arch = SoftmaxLinear(d, k)
     model = Predictor(arch, 10.0**log_scale * rng.standard_normal(arch.param_count))
     orig = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
     aug = EvalSet.of(rng.standard_normal((m, d)), random_labels(rng, m, k))
@@ -317,11 +299,10 @@ def test_record_matches_frozen_formulas(kind, k, n, m, d, log_scale, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(["linear", "mlp"]), k=classes, n=rows, d=st.integers(1, 4),
-       log_scale=st.floats(-3.0, 2.0), seed=seeds)
-def test_gradient_and_objectives_match_frozen_formulas(kind, k, n, d, log_scale, seed):
+@given(k=classes, n=rows, d=st.integers(1, 4), log_scale=st.floats(-3.0, 2.0), seed=seeds)
+def test_gradient_and_objectives_match_frozen_formulas(k, n, d, log_scale, seed):
     rng = np.random.default_rng(seed)
-    arch = make_arch(kind, d, k)
+    arch = SoftmaxLinear(d, k)
     w = 10.0**log_scale * rng.standard_normal(arch.param_count)
     model = Predictor(arch, w)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
@@ -336,12 +317,12 @@ def test_gradient_and_objectives_match_frozen_formulas(kind, k, n, d, log_scale,
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["linear", "mlp"]), k=classes, n=rows, d=st.integers(1, 4),
-       log_scale=log_scales, delta_y=st.floats(0.0, 2.0), seed=seeds)
-def test_single_pass_gradients_match_two_pass(kind, k, n, d, log_scale, delta_y, seed):
+@given(k=classes, n=rows, d=st.integers(1, 4), log_scale=log_scales,
+       delta_y=st.floats(0.0, 2.0), seed=seeds)
+def test_single_pass_gradients_match_two_pass(k, n, d, log_scale, delta_y, seed):
     """mean_grad_a and CeObjective.value_and_grad score each batch once."""
     rng = np.random.default_rng(seed)
-    arch = make_arch(kind, d, k)
+    arch = SoftmaxLinear(d, k)
     w = 10.0**log_scale * rng.standard_normal(arch.param_count)
     model = Predictor(arch, w)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
@@ -359,17 +340,16 @@ def _sets(seed, n, m, d, k):
     return orig, aug
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
 @pytest.mark.parametrize("k", [3, 5, 8, 11])
 @pytest.mark.parametrize("eta", [0.5, 3e153, 1e300])
-def test_runs_match_the_frozen_record_step_for_step(kind, k, eta):
+def test_runs_match_the_frozen_record_step_for_step(k, eta):
     """Whole runs, including the step at which a diverging one aborts: a
     large step size drives the iterates through score overflow, at 3e153
     part-way through the run (steps 1 to 14). Training runs ahead of the
     records, past the step where the frozen loop stops; the steps it takes
     there overflow to inf and NaN, which must not escape."""
     orig, aug = _sets(k, 30, 50, 3, k)
-    arch = make_arch(kind, 3, k)
+    arch = SoftmaxLinear(3, k)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     configs = [
         TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), batch=4,
@@ -442,19 +422,18 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
 @pytest.mark.parametrize("chunk", [6, trainers.CHUNK])
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, kind, chunk,
-                                                                threads, fault):
+def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, threads,
+                                                                fault):
     """rows, aborted, final_params, iterations and iterates equal the frozen
     per-step loop's, wherever in a chunk, stage or run the first non-finite
     record, iterate or gradient falls, on one scoring part and on several."""
     monkeypatch.setattr(trainers, "CHUNK", chunk)
     monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
     orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = make_arch(kind, 3, 4)
+    arch = SoftmaxLinear(3, 4)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
@@ -474,7 +453,7 @@ def test_divergence_at_the_first_record(threads, monkeypatch):
     t = 0, although training runs ahead of it."""
     monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
     orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = make_arch("linear", 3, 4)
+    arch = SoftmaxLinear(3, 4)
     model = Predictor(arch, 1e300 * np.random.default_rng(1).standard_normal(arch.param_count))
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), batch=4,
                       seed=2, keep_iterates=True)
@@ -488,7 +467,7 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
     per-step loop's exception too, so it is raised, not turned into an
     abort."""
     orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = make_arch("linear", 3, 4)
+    arch = SoftmaxLinear(3, 4)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), batch=4,
                       seed=2)
@@ -499,12 +478,11 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
             run(model, orig, aug, cfg)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
-def test_one_scoring_part_and_several_give_the_same_run(monkeypatch, kind):
+def test_one_scoring_part_and_several_give_the_same_run(monkeypatch):
     """Several chunks of records, scored on 1, 2 and 5 threads (more parts
     than this host may have CPUs), give the same run to the bit."""
     orig, aug = _sets(6, 200, 300, 4, 6)
-    arch = make_arch(kind, 4, 6)
+    arch = SoftmaxLinear(4, 6)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5,
                                    eta2=0.5), batch=4, seed=4, keep_iterates=True)

@@ -5,7 +5,6 @@ from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng
 from augbias.models import (
     Predictor,
     SoftmaxLinear,
-    Mlp,
     ce_grad,
     ce_loss,
     forward,
@@ -140,38 +139,38 @@ class TestGradA:
         # Gradient of the ball minimum = plain CE gradient taken at the fixed
         # minimizer z*, even though z* sits off the simplex.
         rng = np.random.default_rng(12)
-        for arch in (SoftmaxLinear(3, 4), Mlp(3, 5, 4)):
-            m = init_predictor(arch, Rng(2))
-            for _ in range(10):
-                x = rng.standard_normal(3)
-                y = random_simplex(rng, 4)
-                s = forward(m, x)
-                zstar = loss_a(y, s, 0.25).minimizer_z
-                np.testing.assert_array_equal(
-                    grad_a(m, x, y, 0.25).grad, ce_grad(m, x, zstar).grad
-                )
+        arch = SoftmaxLinear(3, 4)
+        m = init_predictor(arch, Rng(2))
+        for _ in range(10):
+            x = rng.standard_normal(3)
+            y = random_simplex(rng, 4)
+            s = forward(m, x)
+            zstar = loss_a(y, s, 0.25).minimizer_z
+            np.testing.assert_array_equal(
+                grad_a(m, x, y, 0.25).grad, ce_grad(m, x, zstar).grad
+            )
 
-    def test_finite_differences_both_archs(self):
+    def test_finite_differences(self):
         rng = np.random.default_rng(13)
-        for arch in (SoftmaxLinear(4, 3), Mlp(4, 6, 3)):
-            for _ in range(15):
-                w = rng.standard_normal(arch.param_count)
-                x = rng.standard_normal(4)
-                y = random_simplex(rng, 3)
-                delta = float(rng.uniform(0.05, 0.4))
-                analytic = grad_a(Predictor(arch, w), x, y, delta).grad
+        arch = SoftmaxLinear(4, 3)
+        for _ in range(15):
+            w = rng.standard_normal(arch.param_count)
+            x = rng.standard_normal(4)
+            y = random_simplex(rng, 3)
+            delta = float(rng.uniform(0.05, 0.4))
+            analytic = grad_a(Predictor(arch, w), x, y, delta).grad
 
-                def val(wv):
-                    s = forward(Predictor(arch, wv), x)
-                    return loss_a(y, s, delta).value
+            def val(wv):
+                s = forward(Predictor(arch, wv), x)
+                return loss_a(y, s, delta).value
 
-                numeric = fd_grad(val, w)
-                denom = max(np.linalg.norm(numeric), 1e-12)
-                assert np.linalg.norm(analytic - numeric) / denom <= 1e-6
+            numeric = fd_grad(val, w)
+            denom = max(np.linalg.norm(numeric), 1e-12)
+            assert np.linalg.norm(analytic - numeric) / denom <= 1e-6
 
     def test_mean_grad_a_matches_per_example(self):
         rng = np.random.default_rng(14)
-        m = init_predictor(Mlp(3, 4, 3), Rng(3))
+        m = init_predictor(SoftmaxLinear(3, 3), Rng(3))
         x = rng.standard_normal((6, 3))
         y = rng.dirichlet(np.ones(3), size=6)
         per = np.mean([grad_a(m, x[i], y[i], 0.2).grad for i in range(6)], axis=0)
@@ -190,6 +189,9 @@ class TestMixWeights:
             MixWeights(0.5, -0.1, 1)
         with pytest.raises(ValueError):
             MixWeights(0.5, 0.1, 0)
+        for delta_y in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta_y must be nonnegative and finite"):
+                MixWeights(0.5, delta_y, 3)
 
 
 class TestCombinedGrad:
@@ -214,7 +216,7 @@ class TestCombinedGrad:
         np.testing.assert_array_equal(g, label_grad(m, aug[0], aug[1]))
 
     def test_midpoint_of_single_samples(self):
-        m = init_predictor(Mlp(3, 4, 4), Rng(6))
+        m = init_predictor(SoftmaxLinear(3, 4), Rng(6))
         rng = np.random.default_rng(16)
         xo = rng.standard_normal((1, 3))
         yo = rng.dirichlet(np.ones(4), size=1)
@@ -284,7 +286,7 @@ class TestObjectiveValue:
         assert full == objective_value(m, orig, "L")
 
     def test_corrected_below_plain_on_augmented(self):
-        m = init_predictor(Mlp(3, 4, 4), Rng(12))
+        m = init_predictor(SoftmaxLinear(3, 4), Rng(12))
         _, aug = self._sets(22)
         assert objective_value(m, aug, "L_a", delta_y=0.2) <= objective_value(m, aug, "L_tilde")
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from augbias.core import ORIGINAL, LabeledSet, Rng
 from augbias.models import (
-    Mlp,
     Predictor,
     SoftmaxLinear,
+    _screen_pairs,
     batch_scores,
     ce_grad,
     ce_loss,
@@ -65,10 +65,6 @@ class TestForward:
         m = Predictor(SoftmaxLinear(1, 2), np.array([2.0, -1.0]))
         np.testing.assert_array_equal(forward(m, [3.0]), [6.0, -3.0])
 
-    def test_mlp_zero_map(self):
-        m = zeros_predictor(Mlp(2, 3, 2))
-        np.testing.assert_array_equal(forward(m, [1.0, 1.0]), np.zeros(2))
-
     def test_dimension_mismatch(self):
         m = zeros_predictor(SoftmaxLinear(3, 2))
         with pytest.raises(ValueError):
@@ -80,12 +76,12 @@ class TestForward:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(42)
-        for arch in (SoftmaxLinear(4, 3), Mlp(4, 5, 3)):
-            m = Predictor(arch, rng.standard_normal(arch.param_count))
-            x = rng.standard_normal((6, 4))
-            batch = batch_scores(m, x)
-            for i in range(6):
-                np.testing.assert_allclose(batch[i], forward(m, x[i]), atol=1e-14)
+        arch = SoftmaxLinear(4, 3)
+        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        x = rng.standard_normal((6, 4))
+        batch = batch_scores(m, x)
+        for i in range(6):
+            np.testing.assert_allclose(batch[i], forward(m, x[i]), atol=1e-14)
 
 
 class TestPOf:
@@ -151,12 +147,12 @@ class TestCeGrad:
 
     def test_consistent_label_is_stationary(self):
         rng = np.random.default_rng(5)
-        for arch in (SoftmaxLinear(3, 4), Mlp(3, 4, 4)):
-            m = Predictor(arch, rng.standard_normal(arch.param_count))
-            x = rng.standard_normal(3)
-            y = np.exp(-p_from_scores(forward(m, x)))
-            y = y / y.sum()
-            np.testing.assert_allclose(ce_grad(m, x, y).grad, 0.0, atol=1e-12)
+        arch = SoftmaxLinear(3, 4)
+        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        x = rng.standard_normal(3)
+        y = np.exp(-p_from_scores(forward(m, x)))
+        y = y / y.sum()
+        np.testing.assert_allclose(ce_grad(m, x, y).grad, 0.0, atol=1e-12)
 
     def test_linear_grad_closed_form(self):
         rng = np.random.default_rng(6)
@@ -169,48 +165,48 @@ class TestCeGrad:
             expected = np.outer(sig / sig.sum() - y, x).ravel()
             np.testing.assert_allclose(ce_grad(m, x, y).grad, expected, atol=1e-12)
 
-    def test_finite_differences_both_archs(self):
+    def test_finite_differences(self):
         rng = np.random.default_rng(7)
-        for arch in (SoftmaxLinear(3, 4), Mlp(2, 3, 2), Mlp(4, 6, 5)):
-            for _ in range(10):
-                w = 0.5 * rng.standard_normal(arch.param_count)
-                x = rng.standard_normal(arch.d)
-                y = random_simplex(rng, arch.k)
-                analytic = ce_grad(Predictor(arch, w), x, y).grad
-                numeric = fd_grad(lambda v: ce_loss(y, forward(Predictor(arch, v), x)), w)
-                err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-10)
-                assert err <= 1e-6
+        arch = SoftmaxLinear(3, 4)
+        for _ in range(10):
+            w = 0.5 * rng.standard_normal(arch.param_count)
+            x = rng.standard_normal(arch.d)
+            y = random_simplex(rng, arch.k)
+            analytic = ce_grad(Predictor(arch, w), x, y).grad
+            numeric = fd_grad(lambda v: ce_loss(y, forward(Predictor(arch, v), x)), w)
+            err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-10)
+            assert err <= 1e-6
 
     def test_mean_grad_matches_per_example(self):
         rng = np.random.default_rng(8)
-        for arch in (SoftmaxLinear(3, 3), Mlp(3, 4, 3)):
-            m = Predictor(arch, rng.standard_normal(arch.param_count))
-            x = rng.standard_normal((7, 3))
-            y = np.stack([random_simplex(rng, 3) for _ in range(7)])
-            per = np.mean([ce_grad(m, x[i], y[i]).grad for i in range(7)], axis=0)
-            np.testing.assert_allclose(label_grad(m, x, y), per, atol=1e-12)
+        arch = SoftmaxLinear(3, 3)
+        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        x = rng.standard_normal((7, 3))
+        y = np.stack([random_simplex(rng, 3) for _ in range(7)])
+        per = np.mean([ce_grad(m, x[i], y[i]).grad for i in range(7)], axis=0)
+        np.testing.assert_allclose(label_grad(m, x, y), per, atol=1e-12)
 
 
 class TestJacobians:
     def test_score_jacobian_fd(self):
         rng = np.random.default_rng(9)
-        for arch in (SoftmaxLinear(3, 4), Mlp(3, 5, 4)):
-            w = 0.4 * rng.standard_normal(arch.param_count)
-            x = rng.standard_normal(3)
-            jac = score_jacobian(Predictor(arch, w), x)
-            for i in range(arch.k):
-                numeric = fd_grad(lambda v: forward(Predictor(arch, v), x)[i], w)
-                np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
+        arch = SoftmaxLinear(3, 4)
+        w = 0.4 * rng.standard_normal(arch.param_count)
+        x = rng.standard_normal(3)
+        jac = score_jacobian(Predictor(arch, w), x)
+        for i in range(arch.k):
+            numeric = fd_grad(lambda v: forward(Predictor(arch, v), x)[i], w)
+            np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
 
     def test_p_jacobian_fd(self):
         rng = np.random.default_rng(10)
-        for arch in (SoftmaxLinear(2, 3), Mlp(2, 3, 3)):
-            w = 0.4 * rng.standard_normal(arch.param_count)
-            x = rng.standard_normal(2)
-            jac = p_jacobian(Predictor(arch, w), x)
-            for i in range(arch.k):
-                numeric = fd_grad(lambda v: p_of(Predictor(arch, v), x)[i], w)
-                np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
+        arch = SoftmaxLinear(2, 3)
+        w = 0.4 * rng.standard_normal(arch.param_count)
+        x = rng.standard_normal(2)
+        jac = p_jacobian(Predictor(arch, w), x)
+        for i in range(arch.k):
+            numeric = fd_grad(lambda v: p_of(Predictor(arch, v), x)[i], w)
+            np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
 
 
 class TestEstimateG:
@@ -243,13 +239,13 @@ class TestEstimateG:
 
     def test_spectral_norm_matches_power_iteration(self):
         rng = np.random.default_rng(13)
-        for arch in (SoftmaxLinear(3, 4), Mlp(3, 4, 4)):
-            m = Predictor(arch, 0.5 * rng.standard_normal(arch.param_count))
-            x = rng.standard_normal(3)
-            jac = p_jacobian(m, x)
-            assert np.linalg.norm(jac, 2) == pytest.approx(
-                power_spectral_norm(jac), rel=1e-7
-            )
+        arch = SoftmaxLinear(3, 4)
+        m = Predictor(arch, 0.5 * rng.standard_normal(arch.param_count))
+        x = rng.standard_normal(3)
+        jac = p_jacobian(m, x)
+        assert np.linalg.norm(jac, 2) == pytest.approx(
+            power_spectral_norm(jac), rel=1e-7
+        )
 
     def test_rejects_empty_cloud(self):
         m = zeros_predictor(SoftmaxLinear(2, 2))
@@ -285,17 +281,16 @@ class TestEstimateGMatchesFullScan:
     the screen only chooses which pairs get the exact SVD norm."""
 
     @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(["linear", "linear", "mlp"]), k=st.integers(2, 12),
-           d=st.integers(1, 4), n=st.integers(1, 12), c=st.integers(1, 4),
+    @given(k=st.integers(2, 12), d=st.integers(1, 4), n=st.integers(1, 12), c=st.integers(1, 4),
            log_w=st.floats(-3.0, 3.0), log_x=st.floats(-3.0, 200.0),
            dup_points=st.booleans(), zero_rows=st.booleans(), tie_classes=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_frozen_scan(self, kind, k, d, n, c, log_w, log_x, dup_points,
-                                zero_rows, tie_classes, seed):
+    def test_equals_frozen_scan(self, k, d, n, c, log_w, log_x, dup_points, zero_rows,
+                                tie_classes, seed):
         rng = np.random.default_rng(seed)
-        arch = SoftmaxLinear(d, k) if kind == "linear" else Mlp(d, 3, k)
+        arch = SoftmaxLinear(d, k)
         cloud = [10.0**log_w * rng.standard_normal(arch.param_count) for _ in range(c)]
-        if tie_classes and kind == "linear":
+        if tie_classes:
             for w in cloud:  # two classes with equal scores on every input
                 w[d:2 * d] = w[:d]
         if dup_points:
@@ -320,6 +315,21 @@ class TestEstimateGMatchesFullScan:
                 frozen_estimate_G(Predictor(arch, w), ds, [w])
             with pytest.raises(ValueError):
                 estimate_G(Predictor(arch, w), ds, [w])
+
+    def test_unscreened_scan_returns_the_max(self):
+        # |x| @ |w| passes half the float range, so the screen is not finite
+        # and the full scan runs; the scores stay finite, so it returns the
+        # saturated first row's sqrt(3) * 1e308
+        arch = SoftmaxLinear(2, 3)
+        w = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        x = np.array([[1e308, 0.0], [0.0, 1.0]])
+        ds = LabeledSet(x, np.full((2, 3), 1 / 3), ORIGINAL)
+        m = Predictor(arch, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _screen_pairs(arch, [m], x) is None
+            want = frozen_estimate_G(m, ds, [w])
+            assert want == pytest.approx(np.sqrt(3.0) * 1e308, rel=1e-12)
+            assert estimate_G(m, ds, [w]) == want
 
     def test_squared_norm_overflow_keeps_the_max(self):
         # ||x||^2 of the first row is past the float range; the second row,
@@ -370,27 +380,27 @@ class TestGradientLabelLipschitz:
 
     def test_label_lipschitz_and_boundedness(self):
         rng = np.random.default_rng(14)
-        for arch in (SoftmaxLinear(3, 4), Mlp(3, 4, 4)):
-            ws = [0.6 * rng.standard_normal(arch.param_count) for _ in range(4)]
-            xs = rng.standard_normal((6, 3))
-            labels = np.full((6, arch.k), 1.0 / arch.k)
-            ds = LabeledSet(xs, labels, ORIGINAL)
-            g_hat = estimate_G(Predictor(arch, ws[0]), ds, ws)
-            for w in ws:
-                m = Predictor(arch, w)
-                for i in range(6):
-                    y1 = random_simplex(rng, arch.k)
-                    y2 = random_simplex(rng, arch.k)
-                    g1 = ce_grad(m, xs[i], y1).grad
-                    g2 = ce_grad(m, xs[i], y2).grad
-                    lhs = np.linalg.norm(g1 - g2)
-                    assert lhs <= g_hat * np.linalg.norm(y1 - y2) + 1e-9
-                    assert np.linalg.norm(g1) <= g_hat + 1e-9
+        arch = SoftmaxLinear(3, 4)
+        ws = [0.6 * rng.standard_normal(arch.param_count) for _ in range(4)]
+        xs = rng.standard_normal((6, 3))
+        labels = np.full((6, arch.k), 1.0 / arch.k)
+        ds = LabeledSet(xs, labels, ORIGINAL)
+        g_hat = estimate_G(Predictor(arch, ws[0]), ds, ws)
+        for w in ws:
+            m = Predictor(arch, w)
+            for i in range(6):
+                y1 = random_simplex(rng, arch.k)
+                y2 = random_simplex(rng, arch.k)
+                g1 = ce_grad(m, xs[i], y1).grad
+                g2 = ce_grad(m, xs[i], y2).grad
+                lhs = np.linalg.norm(g1 - g2)
+                assert lhs <= g_hat * np.linalg.norm(y1 - y2) + 1e-9
+                assert np.linalg.norm(g1) <= g_hat + 1e-9
 
 
 class TestInit:
     def test_zeros(self):
-        m = zeros_predictor(Mlp(2, 3, 2))
+        m = zeros_predictor(SoftmaxLinear(2, 3))
         assert np.all(m.params == 0)
 
     def test_seeded_init_deterministic(self):

@@ -602,3 +602,13 @@ class TestConfigValidation:
             MixLoss(lam=0.0, delta_y=0.1, m0=1, eta=0.1)
         with pytest.raises(ValueError, match=r"lambda out of \(0,1\]"):
             MixLoss(lam=1.5, delta_y=0.1, m0=1, eta=0.1)
+
+    @pytest.mark.parametrize("delta_y", [math.nan, math.inf, -1.0])
+    def test_scheme_rejects_a_bad_radius(self, delta_y):
+        with pytest.raises(ValueError, match="delta_y must be nonnegative and finite"):
+            trainers.Scheme("a", (Stage("aug", 0.5, 5, 4),), delta_y=delta_y)
+
+    def test_scheme_names_every_bad_field(self):
+        with pytest.raises(ValueError, match="a scheme needs at least one stage; "
+                                             "lam must .*; delta_y must be"):
+            trainers.Scheme("a", (), lam=2.0, delta_y=math.nan)
