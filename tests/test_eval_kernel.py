@@ -333,6 +333,11 @@ def test_single_pass_gradients_match_two_pass(k, n, d, log_scale, delta_y, seed)
         assert same(value, obj.loss(w)) and same(grad, obj.grad(w))
 
 
+# Feature counts of the whole-run tests: three, fewer than most class
+# counts, and seven, more than most, so the weight matrix is wide or tall.
+FEATURES = [3, 7]
+
+
 def _sets(seed, n, m, d, k):
     rng = np.random.default_rng(seed)
     orig = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k), ORIGINAL)
@@ -340,16 +345,17 @@ def _sets(seed, n, m, d, k):
     return orig, aug
 
 
+@pytest.mark.parametrize("d", FEATURES)
 @pytest.mark.parametrize("k", [3, 5, 8, 11])
 @pytest.mark.parametrize("eta", [0.5, 3e153, 1e300])
-def test_runs_match_the_frozen_record_step_for_step(k, eta):
+def test_runs_match_the_frozen_record_step_for_step(k, eta, d):
     """Whole runs, including the step at which a diverging one aborts: a
     large step size drives the iterates through score overflow, at 3e153
     part-way through the run (steps 1 to 14). Training runs ahead of the
     records, past the step where the frozen loop stops; the steps it takes
     there overflow to inf and NaN, which must not escape."""
-    orig, aug = _sets(k, 30, 50, 3, k)
-    arch = SoftmaxLinear(3, k)
+    orig, aug = _sets(k, 30, 50, d, k)
+    arch = SoftmaxLinear(d, k)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     configs = [
         TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), batch=4,
@@ -422,18 +428,19 @@ FAULTS = {
 }
 
 
+@pytest.mark.parametrize("d", FEATURES)
 @pytest.mark.parametrize("chunk", [6, trainers.CHUNK])
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, threads,
-                                                                fault):
+                                                                fault, d):
     """rows, aborted, final_params, iterations and iterates equal the frozen
     per-step loop's, wherever in a chunk, stage or run the first non-finite
     record, iterate or gradient falls, on one scoring part and on several."""
     monkeypatch.setattr(trainers, "CHUNK", chunk)
     monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
-    orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = SoftmaxLinear(3, 4)
+    orig, aug = _sets(4, 30, 50, d, 4)
+    arch = SoftmaxLinear(d, 4)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
@@ -478,11 +485,12 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
             run(model, orig, aug, cfg)
 
 
-def test_one_scoring_part_and_several_give_the_same_run(monkeypatch):
+@pytest.mark.parametrize("d", [4, 7])
+def test_one_scoring_part_and_several_give_the_same_run(monkeypatch, d):
     """Several chunks of records, scored on 1, 2 and 5 threads (more parts
     than this host may have CPUs), give the same run to the bit."""
-    orig, aug = _sets(6, 200, 300, 4, 6)
-    arch = SoftmaxLinear(4, 6)
+    orig, aug = _sets(6, 200, 300, d, 6)
+    arch = SoftmaxLinear(d, 6)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5,
                                    eta2=0.5), batch=4, seed=4, keep_iterates=True)
