@@ -3,10 +3,12 @@
 Plans come from an INI file ([task], [plan], [cell.*] sections) or from a
 named preset; each (cell, seed) pair becomes one training run that writes a
 trace CSV and a summary JSON, and the plan ends with an aggregate CSV of
-per-cell gap statistics. A (task, seed)'s data, floors and theory-mode
-constants are computed once and shared by the cells that run on it; each
-worker recomputes them from the seed, so the pool never ships arrays
-between processes.
+per-cell gap statistics. The unit of work is a group: the consecutive
+cells of the seed-major pair order that run on one (task, seed). A group
+computes that (task, seed)'s data, floors and theory-mode constants once,
+and its cells share them and any first stage they repeat. With --jobs, each
+worker runs whole groups and computes their set-ups from the seed, so the
+pool never ships arrays between processes.
 
 Exit codes: 0 all runs finished finite, 1 some run diverged or failed (or a
 report mismatch), 2 invalid configuration.
@@ -19,6 +21,7 @@ import ctypes
 import dataclasses
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -92,6 +95,8 @@ class ExperimentPlan:
             raise ValueError("mode must be 'practical' or 'theory'")
         if self.eval_n < 0:
             raise ValueError("eval_n must be nonnegative")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, not {min(self.seeds)}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +189,9 @@ def _parse_seeds(raw, errors):
         return ()
     if not seeds:
         errors.append("[plan] seeds must name at least one seed")
+    elif min(seeds) < 0:
+        errors.append(f"[plan] seeds must be nonnegative, not {min(seeds)}")
+        return ()
     return seeds
 
 
@@ -389,8 +397,7 @@ def _cell_task(task: SyntheticTask, cell: Cell) -> SyntheticTask:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What every cell on one (task, seed) shares, including the first stage
-    of the last run that stored one, for a later cell to continue from."""
+    """What every cell on one (task, seed) shares."""
 
     arch: SoftmaxLinear
     orig: LabeledSet
@@ -399,40 +406,13 @@ class _Setup:
     floor: float
     ltilde_floor: float | None    # set when the plan asks for the constraint floor
     consts: ConstantEstimates | None  # set in theory mode
-    first_stage: FirstStageStore = field(default_factory=FirstStageStore)
-
-
-# The last key _setup computed, with its _Setup or the exception (and its
-# traceback) it raised. At most one entry, so one set-up is alive at a time.
-_last_setup: dict = {}
-
-
-def _setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
-           mode: str) -> _Setup:
-    """Data, floors and, in theory mode, estimated constants of one (task, seed).
-
-    None of them depends on the cell, so run_plan walks its pairs seed-major
-    and a one-entry cache serves every cell on the same key. The entry is
-    dropped before the next key is computed, and a set-up that raised raises
-    the same exception again for the other cells on its key.
-    """
-    key = (task, seed, eval_n, constraint_floor, mode)
-    if key not in _last_setup:
-        _last_setup.clear()
-        try:
-            _last_setup[key] = (_build_setup(*key), None)
-        except Exception as exc:
-            _last_setup[key] = (exc, exc.__traceback__)
-    value, tb = _last_setup[key]
-    if tb is not None:
-        raise value.with_traceback(tb)
-    return value
 
 
 def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
                  mode: str) -> _Setup:
-    """_setup without the cache. The layer functions are called through this
-    module's globals, so wrappers installed there see every call.
+    """Data, floors and, in theory mode, estimated constants of one (task, seed).
+    The layer functions are called through this module's globals, so wrappers
+    installed there see every call.
 
     Theory mode runs a short full-batch probe for the iterate cloud; the
     declared generator bias stands in for the estimated one (the generator
@@ -519,11 +499,10 @@ def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
         fh.write("\n")
 
 
-def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
-    t_start = time.perf_counter()
-    task = _cell_task(plan.task, cell)
-    s = _setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
-
+def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
+             s: _Setup, store: FirstStageStore) -> dict:
+    """Train `cell` on its set-up, write its trace CSV and return its summary,
+    without wall_time. The run continues from `store` where it can."""
     resolved: dict = {}
     warnings: list[str] = []
     constants = None
@@ -536,13 +515,12 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
                       ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor,
                       **train)
-    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg,
-                       first_stage=s.first_stage)
+    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg, first_stage=store)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))
 
-    summary = {
+    return {
         "cell": cell.name,
         "seed": seed,
         "scheme": scheme.name,
@@ -555,7 +533,6 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "aborted": trace.aborted,
         "iterations": trace.iterations,
         "reused_steps": trace.reused_steps,
-        "wall_time": time.perf_counter() - t_start,
         "train_s": trace.train_s,
         "score_s": trace.score_s,
         "trace_csv": csv_name,
@@ -563,25 +540,50 @@ def _run_one(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
         "constants": constants,
         "warnings": warnings,
     }
-    _write_summary(plan, summary)
-    return summary
 
 
-def _run_pair(plan: ExperimentPlan, cell: Cell, seed: int) -> dict:
-    """_run_one, or a failed summary when the run or its shared setup raises:
-    the exception text as "error", aborted, and a NaN final_gap."""
+def _failed(cell: Cell, seed: int, exc: Exception) -> dict:
+    """The summary, without wall_time, of a pair whose run or set-up raised
+    `exc` (its traceback goes to stderr): aborted, with a NaN final_gap."""
+    print(f"{cell.name} seed {seed} failed:\n{''.join(traceback.format_exception(exc))}",
+          end="", file=sys.stderr)
+    return {"cell": cell.name, "seed": seed, "scheme": cell.scheme.name,
+            "error": f"{type(exc).__name__}: {exc}", "aborted": True, "final_gap": math.nan}
+
+
+def _groups(plan: ExperimentPlan) -> list[tuple]:
+    """The plan's groups, (task, seed, cells): the runs of consecutive pairs,
+    in seed-major order, whose cells share a task after their overrides."""
+    pairs = ((_cell_task(plan.task, cell), seed, cell)
+             for seed in plan.seeds for cell in plan.cells)
+    return [(task, seed, tuple(cell for *_, cell in run))
+            for (task, seed), run in itertools.groupby(pairs, key=lambda p: p[:2])]
+
+
+def _run_group(plan: ExperimentPlan, task: SyntheticTask, seed: int,
+               cells: tuple) -> typing.Iterator[dict]:
+    """Run `cells` on one (task, seed), writing and yielding each summary as
+    its cell finishes. The cells share one set-up, built once (the first
+    cell's wall_time includes it), and one first-stage store. A run that
+    raises, or a set-up that did, gives its cells failed summaries."""
     t_start = time.perf_counter()
     try:
-        return _run_one(plan, cell, seed)
-    except Exception as exc:  # one bad pair must not stop the plan
-        error = f"{type(exc).__name__}: {exc}"
-        print(f"{cell.name} seed {seed} failed:\n{traceback.format_exc()}",
-              end="", file=sys.stderr)
-        summary = {"cell": cell.name, "seed": seed, "scheme": cell.scheme.name,
-                   "error": error, "aborted": True, "final_gap": math.nan,
-                   "wall_time": time.perf_counter() - t_start}
+        setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
+    except Exception as exc:  # fails this group's cells, not the plan
+        setup, setup_error = None, exc
+    store = FirstStageStore()
+    for cell in cells:
+        if setup is None:
+            summary = _failed(cell, seed, setup_error)
+        else:
+            try:
+                summary = _run_one(plan, cell, task, seed, setup, store)
+            except Exception as exc:  # one bad pair must not stop the plan
+                summary = _failed(cell, seed, exc)
+        summary["wall_time"] = time.perf_counter() - t_start
         _write_summary(plan, summary)
-        return summary
+        yield summary
+        t_start = time.perf_counter()
 
 
 def _init_worker(jobs: int) -> None:
@@ -591,9 +593,8 @@ def _init_worker(jobs: int) -> None:
     share_cpus(jobs)
 
 
-def _worker(args) -> dict:
-    plan_dict, cell, seed = args
-    return _run_pair(ExperimentPlan(**plan_dict), cell, seed)
+def _worker(plan: ExperimentPlan, group: tuple) -> list[dict]:
+    return list(_run_group(plan, *group))
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
@@ -660,7 +661,8 @@ def _announced(summaries) -> list[dict]:
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
-    """Execute every (cell, seed) pair; returns (aggregate rows, exit code).
+    """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
+    groups per worker process; returns (aggregate rows, exit code).
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
@@ -672,20 +674,15 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
         fh.write("ok\n")                            # before any run starts
     os.remove(probe)
 
-    # Seed-major, so the cells that share a (task, seed) setup run back to back.
-    pairs = [(cell, seed) for seed in plan.seeds for cell in plan.cells]
-    _last_setup.clear()
-    try:
-        if jobs > 1:
-            plan_dict = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                     initargs=(jobs,)) as pool:
-                summaries = _announced(pool.map(
-                    _worker, [(plan_dict, cell, seed) for cell, seed in pairs]))
-        else:
-            summaries = _announced(_run_pair(plan, cell, seed) for cell, seed in pairs)
-    finally:
-        _last_setup.clear()
+    groups = _groups(plan)
+    if jobs > 1:
+        workers = min(jobs, len(groups))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(workers,)) as pool:
+            summaries = _announced(itertools.chain.from_iterable(
+                pool.map(_worker, itertools.repeat(plan), groups)))
+    else:
+        summaries = _announced(s for group in groups for s in _run_group(plan, *group))
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))
@@ -829,8 +826,12 @@ def main(argv=None) -> int:
     if args.outdir:
         plan = dataclasses.replace(plan, outdir=args.outdir)
     if args.seed_offset:
-        plan = dataclasses.replace(
-            plan, seeds=tuple(s + args.seed_offset for s in plan.seeds))
+        try:
+            plan = dataclasses.replace(
+                plan, seeds=tuple(s + args.seed_offset for s in plan.seeds))
+        except ValueError as exc:
+            print(f"--seed-offset {args.seed_offset}: {exc}", file=sys.stderr)
+            return 2
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2

@@ -70,8 +70,8 @@ class MixWeights:
 
 def loss_a(y_tilde, scores, delta_y: float) -> CorrectedLossResult:
     """Closed-form minimum of the cross entropy over the label ball."""
-    if delta_y < 0:
-        raise ValueError("delta_y must be nonnegative")
+    if not (delta_y >= 0 and np.isfinite(delta_y)):
+        raise ValueError("delta_y must be nonnegative and finite")
     p = p_from_scores(scores)
     y = as_vec(y_tilde, size=p.shape[0], name="y_tilde")
     _check_simplex_label(y)

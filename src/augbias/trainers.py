@@ -231,9 +231,6 @@ class TrainTrace:
     # leading steps and records taken from a FirstStageStore, not computed
     reused_steps: int = 0
 
-    def final_gap(self, floor: float) -> float:
-        return self.rows[-1].L - floor
-
 
 def write_trace_csv(trace: TrainTrace, path) -> None:
     """One row per record; floats via repr for a lossless, byte-stable file.

@@ -192,6 +192,19 @@ eta = fast
         assert plan is None
         assert any("seeds" in e for e in errors)
 
+    @pytest.mark.parametrize("plan_keys", [
+        "preset = table1-desk", f"outdir = o\n{TINY_TASK}{TINY_CELLS}"],
+        ids=["preset", "inline"])
+    def test_negative_seed_rejected(self, tmp_path, plan_keys, capsys):
+        cfg = write_cfg(tmp_path, f"[plan]\nseeds = 0, -1\n{plan_keys}\n")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[plan] seeds must be nonnegative, not -1"]
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 2
+        assert "not -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_preset_reference_resolves(self, tmp_path):
         cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\nseeds = 3, 4\n"
                         f"outdir = {tmp_path / 'o'}\n")
@@ -604,6 +617,15 @@ class TestMain:
         assert (out / "orig__seed7.json").exists()
         assert (out / "orig__seed8.json").exists()
 
+    def test_seed_offset_below_zero_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tiny_cfg(tmp_path, outdir=str(out))
+        assert main(["run", cfg, "--seed-offset", "-1"]) == 2
+        assert "--seed-offset -1: seeds must be nonnegative, not -1" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="not -3"):
+            dataclasses.replace(presets()["small-bias"], seeds=(0, -3))
+
     def test_run_invalid_config_exit_2(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "", name="empty.ini")
         assert main(["run", bad]) == 2
@@ -710,6 +732,32 @@ class TestSharedSetup:
         continued = ("drop", "wemix") if mode == "practical" else ("drop-again",)
         for name, steps in reused.items():
             assert (steps > 0) == (name.split("__")[0] in continued), name
+
+    def test_workers_continue_first_stages_as_one_process_does(self, tmp_path):
+        """Each worker runs whole (task, seed) groups, so the cells that
+        continue a first stage on one process continue it on two."""
+        for jobs in (1, 2):
+            run_plan(tiny_plan(tmp_path / str(jobs), cells=self.SHARING["practical"],
+                               seeds=(0, 1)), jobs=jobs)
+        assert outputs(tmp_path / "1") == outputs(tmp_path / "2")
+        reused = self._reused(tmp_path / "1")
+        assert self._reused(tmp_path / "2") == reused
+        assert [name for name, steps in reused.items() if steps] == [
+            "drop__seed0.json", "drop__seed1.json", "wemix__seed0.json", "wemix__seed1.json"]
+
+    def test_a_plan_starts_no_more_workers_than_it_has_groups(self, tmp_path, monkeypatch):
+        started = []
+
+        class Pool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append((max_workers, kwargs["initargs"]))
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # two seeds of one task: two groups
+        _, code = run_plan(tiny_plan(tmp_path / "o", seeds=(0, 1)), jobs=5)
+        assert code == 0
+        assert started == [(2, (2,))]
 
     def test_a_shorter_first_stage_does_not_serve_a_longer_one(self, tmp_path):
         cells = self.SHARING["practical"][:2][::-1]  # augdrop before augmented

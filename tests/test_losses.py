@@ -97,9 +97,10 @@ class TestLossA:
             assert np.linalg.norm(res.minimizer_z - y) == pytest.approx(delta, abs=1e-12)
             assert np.linalg.norm(res.minimizer_z - y) <= delta + 1e-12
 
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            loss_a([1.0, 0.0], [0.0, 0.0], -0.1)
+    @pytest.mark.parametrize("delta_y", [-0.1, np.nan, np.inf])
+    def test_rejects_a_bad_radius(self, delta_y):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            loss_a([0.5, 0.5], [0.0, 1.0], delta_y)
 
     def test_rejects_off_simplex_label(self):
         with pytest.raises(ValueError):
