@@ -69,7 +69,7 @@ def measure(calls: int, rounds: int) -> dict:
     from augbias import cli, trainers
     from augbias.augment import gen_synthetic
     from augbias.core import Rng
-    from augbias.losses import MixWeights, combined_grad
+    from augbias.losses import combined_grad
     from augbias.models import SoftmaxLinear, init_predictor, label_grad
     from augbias.trainers import Augmented, MixLoss, TrainConfig
 
@@ -82,12 +82,11 @@ def measure(calls: int, rounds: int) -> dict:
     batches = {rows: trainers._draw_aug(aug, rng, rows) for rows in (64, 4000)}
     xo, yo = orig.inputs[:1], orig.labels[:1]
     xa, ya = trainers._draw_aug(aug, rng, 33)
-    weights = MixWeights(0.6, 0.4, 33)
 
     def train_steps(scheme, batch):
         """A generator of _train steps that never runs out."""
         stage = scheme.stages[0]
-        cfg = TrainConfig(scheme=scheme, batch=batch, seed=0)
+        cfg = TrainConfig(scheme=scheme, seed=0)
         w = np.array(model.params)
         return trainers._train(arch, w, orig, aug, cfg, [(stage, 1, (10**9, batch))])
 
@@ -96,7 +95,7 @@ def measure(calls: int, rounds: int) -> dict:
     for rows in (64, 4000):
         costs[f"draw_aug.{rows}"] = (lambda rows=rows: trainers._draw_aug(aug, rng, rows), rows)
         costs[f"label_grad.{rows}"] = (lambda rows=rows: label_grad(model, *batches[rows]), rows)
-    costs["combined_grad.33"] = (lambda: combined_grad(model, (xo, yo), (xa, ya), weights), 33)
+    costs["combined_grad.33"] = (lambda: combined_grad(model, (xo, yo), (xa, ya), 0.6, 0.4), 33)
     for name, scheme, batch in (("aug64", Augmented(eta=0.5), 64),
                                 ("aug4000", Augmented(eta=0.5), 4000),
                                 ("mixed33", MixLoss(lam=0.6, delta_y=0.4, m0=33, eta=0.5), 33)):

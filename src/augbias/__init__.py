@@ -35,7 +35,6 @@ from .augment import (
 )
 from .losses import (
     CorrectedLossResult,
-    MixWeights,
     combined_grad,
     grad_a,
     loss_a,

@@ -31,7 +31,7 @@ import time
 import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,7 @@ from .trainers import (
     write_trace_csv,
 )
 
-# Cell keys besides the scheme constructor's arguments, with their types.
-_TRAIN_KEYS = (("batch", int), ("epochs", int))
+# Cell keys besides the scheme constructor's arguments.
 _TASK_OVERRIDE_KEYS = ("task_delta_y", "task_delta_p")
 # The [task] keys, SyntheticTask's fields, with their types.
 _TASK_FIELDS = typing.get_type_hints(SyntheticTask)
@@ -73,7 +72,6 @@ _PLAN_KEYS = ("preset", "seeds", "outdir", "mode", "eval_n", "constraint_floor")
 class Cell:
     name: str
     scheme: Scheme
-    train: dict = field(default_factory=dict)
     task_delta_y: float | None = None
     task_delta_p: float | None = None
 
@@ -97,6 +95,13 @@ class ExperimentPlan:
             raise ValueError("eval_n must be nonnegative")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, not {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, {_repeated(self.seeds)} repeats")
+
+
+def _repeated(seeds) -> int:
+    """The first seed that `seeds` holds more than once."""
+    return next(s for s in seeds if seeds.count(s) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +114,7 @@ def _plateau_cells(deltas, key):
     for d in deltas:
         cells.append(Cell(
             name=f"aug-{key}{str(d).replace('.', '')}",
-            scheme=Augmented(eta=1.0),
-            train={"batch": 4000, "epochs": 300},
+            scheme=Augmented(eta=1.0, batch=4000, epochs=300),
             **{f"task_{key}": d},
         ))
     return tuple(cells)
@@ -119,10 +123,10 @@ def _plateau_cells(deltas, key):
 def _table1_cells():
     eta = 0.5
     return (
-        Cell("original", Original(eta=eta), {"batch": 64, "epochs": 64}),
-        Cell("augmented", Augmented(eta=eta), {"batch": 64, "epochs": 32}),
+        Cell("original", Original(eta=eta, batch=64, epochs=64)),
+        Cell("augmented", Augmented(eta=eta, batch=64, epochs=32)),
         Cell("augdrop", AugDrop(t1=1000, m1=64, m2=64, eta1=eta, eta2=eta, t2=1000)),
-        Cell("mixloss", MixLoss(lam=0.6, delta_y=0.4, m0=33, eta=eta), {"epochs": 1}),
+        Cell("mixloss", MixLoss(lam=0.6, delta_y=0.4, m0=33, eta=eta)),
         Cell("wemix", WeMix(lam=0.6, delta_y=0.4, t1=1000, t2=1000, m0=33,
                             eta1=eta, eta2=eta)),
     )
@@ -151,8 +155,8 @@ def presets() -> dict:
             task=SyntheticTask(mode="label_bias", n=100, m=2000, d=10, k=5,
                                delta_y=0.01),
             cells=(
-                Cell("original", Original(eta=0.5), {"batch": 20, "epochs": 400}),
-                Cell("augmented", Augmented(eta=0.5), {"batch": 20, "epochs": 20}),
+                Cell("original", Original(eta=0.5, batch=20, epochs=400)),
+                Cell("augmented", Augmented(eta=0.5, batch=20, epochs=20)),
             ),
             seeds=tuple(range(5)), outdir="runs/small-bias", eval_n=4000,
         ),
@@ -191,6 +195,9 @@ def _parse_seeds(raw, errors):
         errors.append("[plan] seeds must name at least one seed")
     elif min(seeds) < 0:
         errors.append(f"[plan] seeds must be nonnegative, not {min(seeds)}")
+        return ()
+    elif len(set(seeds)) < len(seeds):
+        errors.append(f"[plan] seeds must be distinct, {_repeated(seeds)} repeats")
         return ()
     return seeds
 
@@ -239,7 +246,7 @@ def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     ctor = SCHEMES[scheme_name]
     params = inspect.signature(ctor).parameters
     hints = typing.get_type_hints(ctor)
-    allowed = {"scheme", *params, *(k for k, _ in _TRAIN_KEYS), *_TASK_OVERRIDE_KEYS}
+    allowed = {"scheme", *params, *_TASK_OVERRIDE_KEYS}
     for key in sec:
         if key not in allowed:
             errors.append(f"{prefix} unknown key '{key}'")
@@ -265,21 +272,18 @@ def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     # int-typed constructor arguments (t2 is int | None) parse as int
     kw = parse((k, int if int in (hints[k], *typing.get_args(hints[k])) else float)
                for k in params)
-    train = parse(_TRAIN_KEYS)
     overrides = parse((k, float) for k in _TASK_OVERRIDE_KEYS)
     if len(errors) > n_errors:
         return None
     scheme = _checked(prefix, errors, ctor, **kw)
-    # TrainConfig checks only its own fields, so it also runs after a bad scheme
-    cfg = _checked(prefix, errors, TrainConfig, scheme=scheme, **train)
-    if scheme is None or cfg is None:
+    if scheme is None:
         return None
-    cell = Cell(name=name, scheme=scheme, train=train, **overrides)
+    cell = Cell(name=name, scheme=scheme, **overrides)
     if task is None:
         return cell
     cell_task = _checked(prefix, errors, _cell_task, task, cell)
     sized = mode != "practical" or \
-        _checked(prefix, errors, size_stages, scheme, cfg, task.n, task.m) is not None
+        _checked(prefix, errors, size_stages, scheme, task.n, task.m) is not None
     return cell if cell_task is not None and sized else None
 
 
@@ -430,7 +434,7 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
                                            rng, n_random=1)
     consts = None
     if mode == "theory":
-        probe_cfg = TrainConfig(scheme=Original(eta=0.5), batch=orig.n, epochs=60,
+        probe_cfg = TrainConfig(scheme=Original(eta=0.5, batch=orig.n, epochs=60),
                                 seed=seed, keep_iterates=True)
         probe = run_scheme(zeros_predictor(arch), orig, aug, probe_cfg)
         consts = estimate_constants(
@@ -463,25 +467,22 @@ def _theory_scheme(cell: Cell, task: SyntheticTask, consts: ConstantEstimates,
             "mixloss": "mixloss"}[name]
     sched = theory_stepsizes(consts, mode, n=n_orig, lam=lam)
     v = dict(sched.values)
-    train = dict(cell.train)
     if name == "original":
-        scheme = Original(eta=v["eta"])
-        train.update(batch=1, epochs=max(1, v["iters"] // n_orig))
+        scheme = Original(eta=v["eta"], batch=1, epochs=max(1, v["iters"] // n_orig))
     elif name == "augmented":
         batch = min(int(v["m0"]), n_aug)
         per_epoch = max(1, n_aug // batch)
-        scheme = Augmented(eta=v["eta"])
-        train.update(batch=batch, epochs=max(1, round(v["iters"] / per_epoch)))
+        scheme = Augmented(eta=v["eta"], batch=batch,
+                           epochs=max(1, round(v["iters"] / per_epoch)))
     elif name == "augdrop":
         scheme = AugDrop(t1=int(v["t1"]), m1=min(int(v["m1"]), 4 * n_aug),
                          m2=int(v["m2"]), eta1=v["eta1"], eta2=v["eta2"])
     else:
         scheme = MixLoss(lam=lam, delta_y=cell.scheme.delta_y,
                          m0=int(v["m0"]), eta=v["eta"])
-        train["epochs"] = 1
     resolved = {k: (int(x) if isinstance(x, int) else float(x)) for k, x in v.items()}
     warnings = list(sched.warnings)
-    sizes = size_stages(scheme, TrainConfig(scheme=scheme, **train), n_orig, n_aug)
+    sizes = size_stages(scheme, n_orig, n_aug)
     for key, steps in (("iters", sum(it for it, _ in sizes)), ("t1", sizes[0][0])):
         if key in resolved and steps != resolved[key]:
             warnings.append(f"runs {steps} steps where the resolved {key} is {resolved[key]}")
@@ -489,7 +490,7 @@ def _theory_scheme(cell: Cell, task: SyntheticTask, consts: ConstantEstimates,
         if sizes[i][1] != resolved[key]:
             warnings.append(f"runs batch {sizes[i][1]} where the resolved {key} is "
                             f"{resolved[key]}")
-    return scheme, train, resolved, warnings
+    return scheme, resolved, warnings
 
 
 def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
@@ -506,15 +507,14 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     resolved: dict = {}
     warnings: list[str] = []
     constants = None
-    scheme, train = cell.scheme, dict(cell.train)
+    scheme = cell.scheme
     if plan.mode == "theory":
-        scheme, train, resolved, warnings = _theory_scheme(
+        scheme, resolved, warnings = _theory_scheme(
             cell, task, s.consts, s.orig.n, s.aug.n)
         constants = dataclasses.asdict(s.consts)
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
-                      ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor,
-                      **train)
+                      ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor)
     trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg, first_stage=store)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
@@ -695,10 +695,10 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
 def report(outdir: str) -> int:
     """Re-aggregate a finished directory from its per-run summaries.
 
-    Rewrites aggregate.csv (noting when the stored copy was stale) and keeps
-    the run exit-code convention: 1 when any summarized run diverged. A
-    `*.json` file that is not a run summary is named on stderr, left out of
-    the aggregate, and also makes the exit code 1.
+    Rewrites aggregate.csv (noting when the stored copy was stale or does
+    not parse) and keeps the run exit-code convention: 1 when any summarized
+    run diverged. A `*.json` file that is not a run summary is named on
+    stderr, left out of the aggregate, and also makes the exit code 1.
     """
     names = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
     summaries, skipped = [], 0
@@ -718,8 +718,11 @@ def report(outdir: str) -> int:
 
     agg_path = os.path.join(outdir, "aggregate.csv")
     if os.path.exists(agg_path):
-        with open(agg_path, "r", encoding="utf-8") as fh:
-            stored = _parse_aggregate(fh.read())
+        try:
+            with open(agg_path, "r", encoding="utf-8") as fh:
+                stored = _parse_aggregate(fh.read())
+        except ValueError:  # a table that does not parse reads as empty, so stale
+            stored = []
         by_cell = {r["cell"]: r for r in stored}
         stale = len(stored) != len(rows)
         for fresh in rows:

@@ -47,27 +47,6 @@ class CorrectedLossResult:
     grad: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class MixWeights:
-    """Mixing weight, label-ball radius, and augmented batch count per step.
-
-    lam = 0 is accepted (pure corrected-loss gradient) so that the two-stage
-    scheme's reduction identities can be exercised through the same code path.
-    """
-
-    lam: float
-    delta_y: float
-    m0: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
-        if not (self.delta_y >= 0 and np.isfinite(self.delta_y)):
-            raise ValueError("delta_y must be nonnegative and finite")
-        if self.m0 < 1:
-            raise ValueError("m0 must be at least 1")
-
-
 def loss_a(y_tilde, scores, delta_y: float) -> CorrectedLossResult:
     """Closed-form minimum of the cross entropy over the label ball."""
     if not (delta_y >= 0 and np.isfinite(delta_y)):
@@ -128,8 +107,11 @@ def mean_grad_a(model: Predictor, x: np.ndarray, y: np.ndarray, delta_y: float) 
     return _grad_from_parts(model, x, e_t, tot, z_t, class_sum(z_t))
 
 
-def combined_grad(model: Predictor, orig_batch, aug_batch, weights: MixWeights) -> np.ndarray:
-    """lam * mean CE gradient on originals + (1 - lam) * mean corrected gradient.
+def combined_grad(model: Predictor, orig_batch, aug_batch, lam: float,
+                  delta_y: float) -> np.ndarray:
+    """lam * mean CE gradient on originals + (1 - lam) * mean corrected gradient
+    at radius delta_y, for lam in [0, 1] and a finite delta_y >= 0 as a Scheme
+    holds them.
 
     Batches are (inputs, labels) array pairs. The composition is the exact
     convex combination, so at lam = 1 the result is bitwise the original-data
@@ -141,11 +123,9 @@ def combined_grad(model: Predictor, orig_batch, aug_batch, weights: MixWeights) 
     xa = np.asarray(xa, dtype=np.float64)
     if xo.shape[0] == 0 or xa.shape[0] == 0:
         raise ValueError("empty batch")
-    if xa.shape[0] != weights.m0:
-        raise ValueError(f"augmented batch has {xa.shape[0]} rows, expected m0 = {weights.m0}")
     g_orig = label_grad(model, xo, np.asarray(yo, dtype=np.float64))
-    g_aug = mean_grad_a(model, xa, ya, weights.delta_y)
-    return weights.lam * g_orig + (1.0 - weights.lam) * g_aug
+    g_aug = mean_grad_a(model, xa, ya, delta_y)
+    return lam * g_orig + (1.0 - lam) * g_aug
 
 
 def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,

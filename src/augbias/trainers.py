@@ -61,7 +61,7 @@ from .models import (
     label_grad,
     stack_stats,
 )
-from .losses import MixWeights, combined_grad
+from .losses import combined_grad
 
 STREAM_INIT = 0
 STREAM_ORIG = 1
@@ -82,9 +82,9 @@ class Stage:
 
     mode "orig" steps on a batch of originals, "aug" on a batch of augmented
     examples, "mixed" on one original and `batch` augmented draws weighted
-    by the scheme's lam. `run_scheme` sizes a None `iters` or `batch` from
-    the TrainConfig. eta is positive and finite, iters nonnegative and
-    batch at least 1.
+    by the scheme's lam. A None `iters` or `batch` is sized from the
+    scheme (see size_stages). eta is positive and finite, iters nonnegative
+    and batch at least 1.
     """
 
     mode: str
@@ -100,16 +100,21 @@ class Stage:
 @dataclass(frozen=True)
 class Scheme:
     """Stages run in order. lam and delta_y weight the mixed steps and the
-    L_c trace column, lam * L + (1 - lam) * L_a at radius delta_y."""
+    L_c trace column, lam * L + (1 - lam) * L_a at radius delta_y. A stage
+    without a batch steps on `batch` examples, and one without iters runs
+    `epochs` passes."""
 
     name: str
     stages: tuple[Stage, ...]
     lam: float = 0.0
     delta_y: float = 0.0
+    batch: int = 32
+    epochs: int = 1
 
     def __post_init__(self):
         stages_bad = () if self.stages else ("a scheme needs at least one stage",)
-        _check(*stages_bad, lam=self.lam, delta_y=self.delta_y)
+        _check(*stages_bad, lam=self.lam, delta_y=self.delta_y, batch=self.batch,
+               epochs=self.epochs)
 
 
 # Out-of-range tests by argument family (eta1 is an eta, t2 a t, ...); a
@@ -118,6 +123,7 @@ _OUT_OF_RANGE = {
     "eta": (lambda v: not (v > 0 and math.isfinite(v)), "must be positive and finite"),
     "t": (lambda v: v < 0, "must be nonnegative"),
     "iters": (lambda v: v < 0, "must be nonnegative"),
+    "epochs": (lambda v: v < 0, "must be nonnegative"),
     "m": (lambda v: v < 1, "must be at least 1"),
     "batch": (lambda v: v < 1, "must be at least 1"),
     "lam": (lambda v: not (0.0 <= v <= 1.0), "must lie in [0, 1]"),
@@ -136,16 +142,16 @@ def _check(*found: str, **args) -> None:
         raise ValueError("; ".join(bad))
 
 
-def Original(eta: float) -> Scheme:
-    """Mini-batch SGD on the original objective, cfg.epochs passes."""
-    _check(eta=eta)
-    return Scheme("original", (Stage("orig", eta),), lam=1.0)
+def Original(eta: float, batch: int = 32, epochs: int = 1) -> Scheme:
+    """Mini-batch SGD on the original objective, `epochs` passes."""
+    _check(eta=eta, batch=batch, epochs=epochs)
+    return Scheme("original", (Stage("orig", eta),), lam=1.0, batch=batch, epochs=epochs)
 
 
-def Augmented(eta: float) -> Scheme:
-    """Mini-batch SGD on the augmented objective, cfg.epochs passes."""
-    _check(eta=eta)
-    return Scheme("augmented", (Stage("aug", eta),))
+def Augmented(eta: float, batch: int = 32, epochs: int = 1) -> Scheme:
+    """Mini-batch SGD on the augmented objective, `epochs` passes."""
+    _check(eta=eta, batch=batch, epochs=epochs)
+    return Scheme("augmented", (Stage("aug", eta),), batch=batch, epochs=epochs)
 
 
 def AugDrop(t1: int, m1: int, m2: int, eta1: float, eta2: float,
@@ -156,19 +162,19 @@ def AugDrop(t1: int, m1: int, m2: int, eta1: float, eta2: float,
     return Scheme("augdrop", (Stage("aug", eta1, t1, m1), Stage("orig", eta2, t2, m2)))
 
 
-def MixLoss(lam: float, delta_y: float, m0: int, eta: float) -> Scheme:
-    """One stage on the mixed objective, cfg.epochs passes over the originals."""
+def MixLoss(lam: float, delta_y: float, m0: int, eta: float, epochs: int = 1) -> Scheme:
+    """One stage on the mixed objective, `epochs` passes over the originals."""
     lam_bad = () if 0.0 < lam <= 1.0 else ("lambda out of (0,1]",)
-    _check(*lam_bad, delta_y=delta_y, m0=m0, eta=eta)
-    return Scheme("mixloss", (Stage("mixed", eta, batch=m0),), lam, delta_y)
+    _check(*lam_bad, delta_y=delta_y, m0=m0, eta=eta, epochs=epochs)
+    return Scheme("mixloss", (Stage("mixed", eta, batch=m0),), lam, delta_y, epochs=epochs)
 
 
 def WeMix(lam: float, delta_y: float, t1: int, t2: int, m0: int,
-          eta1: float, eta2: float) -> Scheme:
-    """Mixed-objective stage, then an original-only stage at cfg.batch."""
-    _check(lam=lam, delta_y=delta_y, t1=t1, t2=t2, m0=m0, eta1=eta1, eta2=eta2)
+          eta1: float, eta2: float, batch: int = 32) -> Scheme:
+    """Mixed-objective stage, then an original-only stage at `batch`."""
+    _check(lam=lam, delta_y=delta_y, t1=t1, t2=t2, m0=m0, eta1=eta1, eta2=eta2, batch=batch)
     return Scheme("wemix", (Stage("mixed", eta1, t1, m0), Stage("orig", eta2, t2)),
-                  lam, delta_y)
+                  lam, delta_y, batch=batch)
 
 
 # The scheme constructors by scheme name; their signatures are the INI keys.
@@ -182,8 +188,6 @@ SCHEMES = {ctor.__name__.lower(): ctor for ctor in (Original, Augmented, AugDrop
 @dataclass(frozen=True)
 class TrainConfig:
     scheme: Scheme
-    batch: int = 32
-    epochs: int = 1
     seed: int = 0
     # Evaluation-only sets for schemes that do not train on that side; they
     # fill the L / L_tilde trace columns so plateau and constraint checks can
@@ -192,14 +196,6 @@ class TrainConfig:
     eval_aug: LabeledSet | None = None
     ltilde_ref: float = 0.0
     keep_iterates: bool = False
-
-    def __post_init__(self):
-        bad = [msg for failed, msg in (
-            (self.batch < 1, "batch must be at least 1"),
-            (self.epochs < 0, "epochs must be nonnegative"),
-        ) if failed]
-        if bad:
-            raise ValueError("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +313,28 @@ class EpochSampler:
 # engine
 
 
-def size_stages(scheme: Scheme, cfg: TrainConfig, n_orig: int, n_aug: int) -> list[tuple[int, int]]:
+def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]]:
     """(iters, batch) of each stage of `scheme` on n_orig originals and
     n_aug augmented examples.
 
-    A None batch is cfg.batch; an explicit batch of originals is capped at
-    n_orig. A None iters is cfg.epochs passes in a single-stage scheme and
-    one pass otherwise. A pass is n // batch steps on one side, or n_orig
-    mixed steps (one original each), and must hold at least one batch.
+    A None batch is scheme.batch; an explicit batch of originals is capped
+    at n_orig. A None iters is scheme.epochs passes. A pass is n // batch
+    steps on one side, or n_orig mixed steps (one original each), and must
+    hold at least one batch.
     """
-    passes = cfg.epochs if len(scheme.stages) == 1 else 1
     sizes = []
     for st in scheme.stages:
-        batch = cfg.batch if st.batch is None else st.batch
+        batch = scheme.batch if st.batch is None else st.batch
         if st.mode == "orig" and st.batch is not None:
             batch = min(batch, n_orig)
         iters = st.iters
         if iters is None and st.mode == "mixed":
-            iters = passes * n_orig
+            iters = scheme.epochs * n_orig
         elif iters is None:
             n, side = (n_orig, "original") if st.mode == "orig" else (n_aug, "augmented")
             if batch > n:
                 raise ValueError(f"batch {batch} is larger than the {n} {side} examples")
-            iters = passes * (n // batch)
+            iters = scheme.epochs * (n // batch)
         sizes.append((iters, batch))
     return sizes
 
@@ -441,7 +436,7 @@ def run_scheme(
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
     if (uses_orig and orig is None) or (uses_aug and aug is None):
         raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
-    sizes = size_stages(scheme, cfg, orig.n if orig is not None else 0,
+    sizes = size_stages(scheme, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
     w = np.array(model.params, dtype=np.float64)
     eval_orig = orig if uses_orig else cfg.eval_orig
@@ -548,7 +543,6 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: i
         orig_sampler = EpochSampler(orig.n, Rng(cfg.seed, STREAM_ORIG).gen) \
             if stage.mode != "aug" else None
         rng_aug = Rng(cfg.seed, STREAM_AUG)
-        weights = MixWeights(lam, delta_y, batch) if stage.mode == "mixed" else None
         for _ in range(iters):
             m = _unchecked_predictor(arch, w)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -558,7 +552,7 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: i
                     grad = label_grad(m, *_draw_aug(aug, rng_aug, batch))
                 else:
                     grad = combined_grad(m, _gather(orig, orig_sampler.draw(1)),
-                                         _draw_aug(aug, rng_aug, batch), weights)
+                                         _draw_aug(aug, rng_aug, batch), lam, delta_y)
                 try:
                     # divergence overflows to inf and is caught at the next record
                     w = sgd_step(w, grad, stage.eta)

@@ -25,7 +25,7 @@ from augbias.models import (
     p_from_scores,
     zeros_predictor,
 )
-from augbias.losses import MixWeights, combined_grad, grad_a, loss_a
+from augbias.losses import combined_grad, grad_a, loss_a
 from augbias.augment import (
     SyntheticTask,
     clean_labels,
@@ -142,8 +142,6 @@ def test_gradients_match_finite_differences():
             grad_a(m, x, y, delta).grad,
             fd_grad(lambda wv: loss_a(y, forward(Predictor(arch, wv), x), delta).value, w)))
 
-        weights = MixWeights(lam, delta, 3)
-
         def mixed_val(wv):
             mm = Predictor(arch, wv)
             ce = ce_loss(y, forward(mm, x))
@@ -152,7 +150,7 @@ def test_gradients_match_finite_differences():
             return lam * ce + (1.0 - lam) * corr
 
         worst = max(worst, rel_err(
-            combined_grad(m, (x[None], y[None]), (xa, ya), weights),
+            combined_grad(m, (x[None], y[None]), (xa, ya), lam, delta),
             fd_grad(mixed_val, w)))
     record_verdict(2, "ce/corrected/combined gradients match central differences",
                    worst <= 1e-6, f"max rel err {worst:.2e}")
@@ -360,20 +358,18 @@ def test_scheme_reductions_are_bitwise(tmp_path):
     arch = SoftmaxLinear(3, 3)
     model = zeros_predictor(arch)
 
-    base = dict(batch=8, seed=13)
     tw = run_scheme(model, orig, aug, TrainConfig(
-        scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2),
-        **base))
+        scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2, batch=8),
+        seed=13))
     ta = run_scheme(model, orig, aug, TrainConfig(
-        scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2, t2=5), **base))
+        scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2, t2=5), seed=13))
     pair1 = _csv_bytes(tw, tmp_path / "w1.csv") == _csv_bytes(ta, tmp_path / "a1.csv")
 
     tw2 = run_scheme(model, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6,
-                     eta1=0.25, eta2=0.1), batch=4, seed=23))
+                     eta1=0.25, eta2=0.1, batch=4), seed=23))
     tm = run_scheme(model, orig, aug, TrainConfig(
-        scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25),
-        batch=4, epochs=1, seed=23))
+        scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25, epochs=1), seed=23))
     pair2 = _csv_bytes(tw2, tmp_path / "w2.csv") == _csv_bytes(tm, tmp_path / "m2.csv")
 
     record_verdict(
@@ -390,7 +386,7 @@ def test_repeat_runs_are_byte_identical_and_traces_roundtrip(tmp_path):
 
     task = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
     cells = (
-        Cell("orig", Original(eta=0.3), {"batch": 8, "epochs": 2}),
+        Cell("orig", Original(eta=0.3, batch=8, epochs=2)),
         Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
     )
     dirs = []

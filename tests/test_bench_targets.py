@@ -41,15 +41,15 @@ def _tracing():
 def _plans(tmp_path):
     task = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
     practical = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "practical"), cells=(
-        Cell("original", Original(eta=0.3), {"batch": 8, "epochs": 2}),
-        Cell("augmented", Augmented(eta=0.3), {"batch": 8, "epochs": 1}),
+        Cell("original", Original(eta=0.3, batch=8, epochs=2)),
+        Cell("augmented", Augmented(eta=0.3, batch=8, epochs=1)),
         Cell("augdrop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
-        Cell("mixloss", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3), {"epochs": 1}),
+        Cell("mixloss", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3, epochs=1)),
         Cell("wemix", WeMix(lam=0.6, delta_y=0.2, t1=8, t2=8, m0=3, eta1=0.3, eta2=0.3)),
     ))
     theory = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "theory"),
                             mode="theory", cells=(
-        Cell("augmented", Augmented(eta=0.3), {"batch": 8, "epochs": 1}),
+        Cell("augmented", Augmented(eta=0.3, batch=8, epochs=1)),
         Cell("augdrop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
     ))
     return practical, theory

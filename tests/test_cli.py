@@ -24,7 +24,15 @@ from augbias.cli import (
 )
 from augbias.augment import SyntheticTask
 from augbias.core import DegenerateEstimateError
-from augbias.trainers import AugDrop, Augmented, MixLoss, Original, WeMix, read_trace_csv
+from augbias.trainers import (
+    AugDrop,
+    Augmented,
+    MixLoss,
+    Original,
+    WeMix,
+    read_trace_csv,
+    size_stages,
+)
 
 TINY_TASK = """
 [task]
@@ -205,6 +213,21 @@ eta = fast
         assert "not -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("plan_keys", [
+        "preset = table1-desk", f"outdir = o\n{TINY_TASK}{TINY_CELLS}"],
+        ids=["preset", "inline"])
+    def test_repeated_seed_rejected(self, tmp_path, plan_keys, capsys):
+        cfg = write_cfg(tmp_path, f"[plan]\nseeds = 3, 0, 3\n{plan_keys}\n")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[plan] seeds must be distinct, 3 repeats"]
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 2
+        assert "3 repeats" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match="seeds must be distinct, 0 repeats"):
+            dataclasses.replace(presets()["small-bias"], seeds=(0, 1, 0))
+
     def test_preset_reference_resolves(self, tmp_path):
         cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\nseeds = 3, 4\n"
                         f"outdir = {tmp_path / 'o'}\n")
@@ -272,6 +295,93 @@ eta2 = 0.3
         plan, errors = validate_config(write_cfg(tmp_path, block))
         assert errors == []
         assert [c.name for c in plan.cells] == ["augdrop", "mixloss"]
+
+    def test_readme_library_sketch_runs(self, capsys):
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert out.startswith("final gap ") and math.isfinite(float(out.split()[2]))
+
+    def test_keys_a_scheme_does_not_read_are_unknown(self, tmp_path, capsys):
+        """batch and epochs are keys only of the constructors that read them."""
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
+[cell.drop]
+scheme = augdrop
+t1 = 8
+m1 = 6
+m2 = 6
+eta1 = 0.3
+eta2 = 0.3
+batch = 8
+epochs = 2
+
+[cell.mix]
+scheme = mixloss
+lam = 0.6
+delta_y = 0.2
+m0 = 3
+eta = 0.3
+batch = 8
+
+[cell.we]
+scheme = wemix
+lam = 0.6
+delta_y = 0.2
+t1 = 4
+t2 = 4
+m0 = 3
+eta1 = 0.3
+eta2 = 0.3
+epochs = 2
+""")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[cell.drop] unknown key 'batch'", "[cell.drop] unknown key 'epochs'",
+                          "[cell.mix] unknown key 'batch'", "[cell.we] unknown key 'epochs'"]
+        assert main(["validate", cfg]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_schedule_keys_size_the_stages(self, tmp_path):
+        """Each cell's batch and epochs give the sizes they gave when every
+        cell took them (n = 40 originals, m = 60 augmented draws)."""
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
+[cell.orig]
+scheme = original
+eta = 0.3
+batch = 8
+epochs = 2
+
+[cell.aug]
+scheme = augmented
+eta = 0.3
+batch = 7
+epochs = 3
+
+[cell.mix]
+scheme = mixloss
+lam = 0.6
+delta_y = 0.2
+m0 = 3
+eta = 0.3
+epochs = 2
+
+[cell.we]
+scheme = wemix
+lam = 0.6
+delta_y = 0.2
+t1 = 4
+t2 = 5
+m0 = 3
+eta1 = 0.3
+eta2 = 0.3
+batch = 6
+""")
+        plan, errors = validate_config(cfg)
+        assert errors == []
+        sizes = {c.name: size_stages(c.scheme, plan.task.n, plan.task.m) for c in plan.cells}
+        assert sizes == {"orig": [(10, 8)], "aug": [(24, 7)], "mix": [(80, 3)],
+                         "we": [(4, 3), (5, 6)]}
 
     def test_out_of_range_values_all_named(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + """
@@ -437,7 +547,7 @@ class TestPresets:
 def tiny_plan(outdir, cells=None, seeds=(0,), **kw):
     task = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
     cells = cells or (
-        Cell("orig", Original(eta=0.3), {"batch": 8, "epochs": 2}),
+        Cell("orig", Original(eta=0.3, batch=8, epochs=2)),
         Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
     )
     return ExperimentPlan(task=task, cells=tuple(cells), seeds=tuple(seeds),
@@ -447,7 +557,7 @@ def tiny_plan(outdir, cells=None, seeds=(0,), **kw):
 class TestRunPlan:
     def test_zero_iteration_run_reports_initial_gap(self, tmp_path):
         plan = tiny_plan(tmp_path / "o", cells=(
-            Cell("frozen", Original(eta=0.3), {"batch": 8, "epochs": 0}),))
+            Cell("frozen", Original(eta=0.3, batch=8, epochs=0)),))
         rows, code = run_plan(plan)
         assert code == 0
         s = json.load(open(tmp_path / "o" / "frozen__seed0.json"))
@@ -492,8 +602,8 @@ class TestRunPlan:
 
     def test_divergence_recorded_not_fatal(self, tmp_path):
         plan = tiny_plan(tmp_path / "o", cells=(
-            Cell("boom", Original(eta=3e307), {"batch": 8, "epochs": 2}),
-            Cell("fine", Original(eta=0.3), {"batch": 8, "epochs": 1}),
+            Cell("boom", Original(eta=3e307, batch=8, epochs=2)),
+            Cell("fine", Original(eta=0.3, batch=8, epochs=1)),
         ))
         rows, code = run_plan(plan)
         assert code == 1
@@ -569,6 +679,18 @@ class TestReport:
         agg.write_text("\n".join([lines[0], ",".join(parts)] + lines[2:]) + "\n")
         assert report(str(tmp_path / "o")) == 0
         assert "stale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["cell,seeds\norig,one,two\n", "\xff\xfe\n"],
+                             ids=["fields", "bytes"])
+    def test_report_rewrites_a_table_that_does_not_parse(self, tmp_path, capsys, table):
+        run_plan(tiny_plan(tmp_path / "o"))
+        agg = tmp_path / "o" / "aggregate.csv"
+        before = agg.read_text()
+        agg.write_bytes(table.encode("latin-1"))
+        capsys.readouterr()
+        assert report(str(tmp_path / "o")) == 0
+        assert "stale" in capsys.readouterr().err
+        assert agg.read_text() == before
 
     def test_report_empty_dir(self, tmp_path):
         os.makedirs(tmp_path / "empty")
@@ -679,9 +801,9 @@ class TestSharedSetup:
     def test_shared_plan_matches_one_plan_per_cell(self, tmp_path, mode, eval_n,
                                                    constraint_floor):
         cells = (
-            Cell("orig", Original(eta=0.3), {"batch": 8, "epochs": 2}),
+            Cell("orig", Original(eta=0.3, batch=8, epochs=2)),
             Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
-            Cell("aug", Augmented(eta=0.3), {"batch": 8, "epochs": 1}),
+            Cell("aug", Augmented(eta=0.3, batch=8, epochs=1)),
         )
         kw = dict(seeds=(0, 1), mode=mode, eval_n=eval_n, constraint_floor=constraint_floor)
         run_plan(tiny_plan(tmp_path / "shared", cells=cells, **kw))
@@ -698,9 +820,9 @@ class TestSharedSetup:
     # there the repeat is a second augdrop cell.
     SHARING = {
         "practical": (
-            Cell("aug", Augmented(eta=0.3), {"batch": 6, "epochs": 1}),
+            Cell("aug", Augmented(eta=0.3, batch=6, epochs=1)),
             Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3, t2=8)),
-            Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3), {"epochs": 1}),
+            Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3, epochs=1)),
             Cell("wemix", WeMix(lam=0.6, delta_y=0.2, t1=8, t2=8, m0=3, eta1=0.3, eta2=0.3)),
         ),
         "theory": (
@@ -815,7 +937,7 @@ class TestSharedSetup:
 
         monkeypatch.setattr(cli, "gen_synthetic", gen_synthetic)
         cells = tiny_plan(tmp_path).cells + (
-            Cell("orig-dy01", Original(eta=0.3), {"batch": 8}, task_delta_y=0.1),)
+            Cell("orig-dy01", Original(eta=0.3, batch=8), task_delta_y=0.1),)
         _, code = run_plan(tiny_plan(tmp_path / "o", cells=cells, seeds=(0, 1)))
         assert code == 0
         # four keys: two tasks times two seeds
@@ -931,7 +1053,7 @@ class TestAllocator:
             pytest.skip("the C library has no mallopt")
         task = SyntheticTask(mode="label_bias", n=2000, m=4000, d=10, k=5, delta_y=0.2)
         plan = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "o"), cells=(
-            Cell("aug", Augmented(eta=1.0), {"batch": 4000, "epochs": 100}),))
+            Cell("aug", Augmented(eta=1.0, batch=4000, epochs=100)),))
         run_plan(plan)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         _, code = run_plan(plan)

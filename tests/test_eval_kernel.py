@@ -30,7 +30,7 @@ from augbias.models import (
     scores_t,
     stack_stats,
 )
-from augbias.losses import MixWeights, mean_grad_a, objective_value
+from augbias.losses import mean_grad_a, objective_value
 from augbias.theory import CeObjective
 from augbias.trainers import (
     STREAM_AUG,
@@ -126,7 +126,7 @@ def frozen_run_scheme(model, orig, aug, cfg):
     scheme = cfg.scheme
     modes = {st.mode for st in scheme.stages}
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
-    sizes = size_stages(scheme, cfg, orig.n if orig is not None else 0,
+    sizes = size_stages(scheme, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
     arch = model.arch
     w = np.array(model.params, dtype=np.float64)
@@ -173,7 +173,7 @@ def frozen_run_scheme(model, orig, aug, cfg):
                 idx = orig_sampler.draw(1)
                 xa, ya = trainers._draw_aug(aug, rng_aug, batch)
                 grad = trainers.combined_grad(m, (orig.inputs[idx], orig.labels[idx]),
-                                              (xa, ya), MixWeights(lam, delta_y, batch))
+                                              (xa, ya), lam, delta_y)
             if not np.all(np.isfinite(grad)):
                 aborted = True
                 break
@@ -358,8 +358,8 @@ def test_runs_match_the_frozen_record_step_for_step(k, eta, d):
     arch = SoftmaxLinear(d, k)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     configs = [
-        TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), batch=4,
-                    seed=2, keep_iterates=True),
+        TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), seed=2,
+                    keep_iterates=True),
         TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=eta), seed=3,
                     keep_iterates=True),
     ]
@@ -444,8 +444,8 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
-                   WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5)):
-        cfg = TrainConfig(scheme=scheme, batch=4, seed=2, keep_iterates=True)
+                   WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5, batch=4)):
+        cfg = TrainConfig(scheme=scheme, seed=2, keep_iterates=True)
         new = run_scheme(model, orig, aug, cfg)
         faults.reset()
         old = frozen_run_scheme(model, orig, aug, cfg)
@@ -462,8 +462,8 @@ def test_divergence_at_the_first_record(threads, monkeypatch):
     orig, aug = _sets(4, 30, 50, 3, 4)
     arch = SoftmaxLinear(3, 4)
     model = Predictor(arch, 1e300 * np.random.default_rng(1).standard_normal(arch.param_count))
-    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), batch=4,
-                      seed=2, keep_iterates=True)
+    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
+                      keep_iterates=True)
     new = run_scheme(model, orig, aug, cfg)
     assert_same_run(new, frozen_run_scheme(model, orig, aug, cfg))
     assert new.rows == [] and new.aborted and new.iterations == 0
@@ -476,8 +476,7 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
     orig, aug = _sets(4, 30, 50, 3, 4)
     arch = SoftmaxLinear(3, 4)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
-    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), batch=4,
-                      seed=2)
+    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
     faults = Faults(monkeypatch, raise_at=(8,))
     for run in (run_scheme, frozen_run_scheme):
         faults.reset()
@@ -493,7 +492,7 @@ def test_one_scoring_part_and_several_give_the_same_run(monkeypatch, d):
     arch = SoftmaxLinear(d, 6)
     model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5,
-                                   eta2=0.5), batch=4, seed=4, keep_iterates=True)
+                                   eta2=0.5, batch=4), seed=4, keep_iterates=True)
     runs = []
     for threads in (1, 2, 5):
         monkeypatch.setattr(trainers, "scoring_threads", lambda threads=threads: threads)

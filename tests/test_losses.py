@@ -14,7 +14,6 @@ from augbias.models import (
 )
 from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
 from augbias.losses import (
-    MixWeights,
     combined_grad,
     corrected_label_rows,
     grad_a,
@@ -178,23 +177,6 @@ class TestGradA:
         np.testing.assert_allclose(mean_grad_a(m, x, y, 0.2), per, atol=1e-12)
 
 
-class TestMixWeights:
-    def test_accepts_unit_interval(self):
-        MixWeights(0.0, 0.1, 1)
-        MixWeights(1.0, 0.0, 3)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            MixWeights(1.5, 0.1, 1)
-        with pytest.raises(ValueError):
-            MixWeights(0.5, -0.1, 1)
-        with pytest.raises(ValueError):
-            MixWeights(0.5, 0.1, 0)
-        for delta_y in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="delta_y must be nonnegative and finite"):
-                MixWeights(0.5, delta_y, 3)
-
-
 class TestCombinedGrad:
     def _batches(self, seed=15):
         rng = np.random.default_rng(seed)
@@ -207,13 +189,13 @@ class TestCombinedGrad:
     def test_lam_one_is_original_gradient(self):
         m = init_predictor(SoftmaxLinear(3, 4), Rng(4))
         orig, aug = self._batches()
-        g = combined_grad(m, orig, aug, MixWeights(1.0, 0.3, 2))
+        g = combined_grad(m, orig, aug, 1.0, 0.3)
         np.testing.assert_array_equal(g, label_grad(m, orig[0], orig[1]))
 
     def test_lam_zero_no_radius_is_augmented_ce(self):
         m = init_predictor(SoftmaxLinear(3, 4), Rng(5))
         orig, aug = self._batches()
-        g = combined_grad(m, orig, aug, MixWeights(0.0, 0.0, 2))
+        g = combined_grad(m, orig, aug, 0.0, 0.0)
         np.testing.assert_array_equal(g, label_grad(m, aug[0], aug[1]))
 
     def test_midpoint_of_single_samples(self):
@@ -223,7 +205,7 @@ class TestCombinedGrad:
         yo = rng.dirichlet(np.ones(4), size=1)
         xa = rng.standard_normal((1, 3))
         ya = rng.dirichlet(np.ones(4), size=1)
-        g = combined_grad(m, (xo, yo), (xa, ya), MixWeights(0.5, 0.0, 1))
+        g = combined_grad(m, (xo, yo), (xa, ya), 0.5, 0.0)
         a = ce_grad(m, xo[0], yo[0]).grad
         b = ce_grad(m, xa[0], ya[0]).grad
         np.testing.assert_allclose(g, 0.5 * a + 0.5 * b, atol=1e-15)
@@ -231,10 +213,10 @@ class TestCombinedGrad:
     def test_linear_in_lam(self):
         m = init_predictor(SoftmaxLinear(3, 4), Rng(7))
         orig, aug = self._batches(17)
-        a = combined_grad(m, orig, aug, MixWeights(1.0, 0.2, 2))
-        b = combined_grad(m, orig, aug, MixWeights(0.0, 0.2, 2))
+        a = combined_grad(m, orig, aug, 1.0, 0.2)
+        b = combined_grad(m, orig, aug, 0.0, 0.2)
         for lam in (0.25, 0.5, 0.75):
-            g = combined_grad(m, orig, aug, MixWeights(lam, 0.2, 2))
+            g = combined_grad(m, orig, aug, lam, 0.2)
             np.testing.assert_allclose(g, lam * a + (1 - lam) * b, atol=1e-12)
 
     def test_batch_expectation_matches_full_objective_gradient(self):
@@ -244,24 +226,23 @@ class TestCombinedGrad:
         yo = rng.dirichlet(np.ones(3), size=12)
         xa = rng.standard_normal((20, 3))
         ya = rng.dirichlet(np.ones(3), size=20)
-        w = MixWeights(0.3, 0.15, 4)
         total = np.zeros(m.arch.param_count)
         draws = 4000
         for _ in range(draws):
             i = rng.integers(0, 12, size=3)
             j = rng.integers(0, 20, size=4)
-            total += combined_grad(m, (xo[i], yo[i]), (xa[j], ya[j]), w)
+            total += combined_grad(m, (xo[i], yo[i]), (xa[j], ya[j]), 0.3, 0.15)
         full = 0.3 * label_grad(m, xo, yo) + 0.7 * mean_grad_a(m, xa, ya, 0.15)
         err = np.linalg.norm(total / draws - full) / np.linalg.norm(full)
         assert err < 0.05
 
-    def test_rejects_empty_and_mismatched(self):
+    def test_rejects_an_empty_batch(self):
         m = init_predictor(SoftmaxLinear(3, 4), Rng(9))
         orig, aug = self._batches(19)
-        with pytest.raises(ValueError):
-            combined_grad(m, (orig[0][:0], orig[1][:0]), aug, MixWeights(0.5, 0.1, 2))
-        with pytest.raises(ValueError):
-            combined_grad(m, orig, aug, MixWeights(0.5, 0.1, 3))
+        with pytest.raises(ValueError, match="empty batch"):
+            combined_grad(m, (orig[0][:0], orig[1][:0]), aug, 0.5, 0.1)
+        with pytest.raises(ValueError, match="empty batch"):
+            combined_grad(m, orig, (aug[0][:0], aug[1][:0]), 0.5, 0.1)
 
 
 class TestObjectiveValue:

@@ -423,7 +423,7 @@ class TestBoundReport:
 
     def test_trace_input_uses_final_L_minus_floor(self):
         orig, aug, _, arch = small_ce(23, n=30)
-        cfg = TrainConfig(scheme=Original(eta=0.1), batch=5, seed=0, eval_aug=aug)
+        cfg = TrainConfig(scheme=Original(eta=0.1, batch=5), seed=0, eval_aug=aug)
         trace = run_scheme(init_predictor(arch, Rng(24, 0)), orig, None, cfg)
         c = self.constants(l_floor=0.05)
         rep = bound_report(c, trace, "original", n=orig.n)
@@ -555,7 +555,7 @@ class TestEstimateConstantsPipeline:
     def test_end_to_end_on_small_task(self):
         orig, aug, planted, arch = small_ce(25, n=120)
         model = init_predictor(arch, Rng(26, 0))
-        cfg = TrainConfig(scheme=Original(eta=0.2), batch=10, epochs=3,
+        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=3),
                           seed=3, keep_iterates=True, eval_aug=aug)
         trace = run_scheme(model, orig, None, cfg)
         cloud = trace.iterates[:: max(1, len(trace.iterates) // 12)]
@@ -573,7 +573,7 @@ class TestEstimateConstantsPipeline:
     def test_restricted_cloud_raises_mu(self):
         orig, aug, _, arch = small_ce(28, n=100)
         model = init_predictor(arch, Rng(29, 0))
-        cfg = TrainConfig(scheme=Original(eta=0.2), batch=10, epochs=4,
+        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=4),
                           seed=4, keep_iterates=True, eval_aug=aug)
         trace = run_scheme(model, orig, None, cfg)
         pts = trace.iterates

@@ -97,7 +97,7 @@ class TestTraceCsv:
     def test_round_trip_lossless(self, tmp_path):
         orig, aug, _ = small_task()
         m0 = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, epochs=2, seed=7)
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=5, epochs=2), seed=7)
         trace = run_scheme(m0, orig, None, cfg)
         path = tmp_path / "run.csv"
         write_trace_csv(trace, path)
@@ -121,7 +121,7 @@ class TestTrainOriginal:
     def test_zero_iterations_single_record(self):
         orig, _, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, epochs=0, seed=1)
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=5, epochs=0), seed=1)
         trace = run_scheme(m, orig, None, cfg)
         assert len(trace.rows) == 1
         assert trace.rows[0].t == 0
@@ -132,7 +132,7 @@ class TestTrainOriginal:
         for seed in range(5):
             orig, _, _ = small_task(seed=seed, n=60)
             m = init_predictor(SoftmaxLinear(3, 3), Rng(seed))
-            cfg = TrainConfig(scheme=Original(eta=0.5), batch=6, epochs=3, seed=seed)
+            cfg = TrainConfig(scheme=Original(eta=0.5, batch=6, epochs=3), seed=seed)
             trace = run_scheme(m, orig, None, cfg)
             assert len(trace.rows) == 3 * 10 + 1
             initials.append(trace.rows[0].L)
@@ -142,7 +142,7 @@ class TestTrainOriginal:
     def test_same_seed_bit_identical(self):
         orig, _, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Original(eta=0.4), batch=5, epochs=2, seed=9)
+        cfg = TrainConfig(scheme=Original(eta=0.4, batch=5, epochs=2), seed=9)
         t1 = run_scheme(m, orig, None, cfg)
         t2 = run_scheme(m, orig, None, cfg)
         assert_rows_equal(t1.rows, t2.rows)
@@ -151,7 +151,7 @@ class TestTrainOriginal:
     def test_batch_larger_than_set_rejected(self):
         orig, _, _ = small_task(n=10)
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Original(eta=0.4), batch=11, seed=1)
+        cfg = TrainConfig(scheme=Original(eta=0.4, batch=11), seed=1)
         with pytest.raises(ValueError):
             run_scheme(m, orig, None, cfg)
 
@@ -160,7 +160,7 @@ class TestTrainAugmented:
     def test_records_original_objective_via_eval_set(self):
         orig, aug, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, epochs=1, seed=2, eval_orig=orig)
+        cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6, epochs=1), seed=2, eval_orig=orig)
         trace = run_scheme(m, None, aug, cfg)
         assert len(trace.rows) == (60 // 6) + 1
         assert all(r.stage == 1 for r in trace.rows)
@@ -169,7 +169,7 @@ class TestTrainAugmented:
     def test_without_eval_set_records_zero(self):
         _, aug, _ = small_task()
         m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
-        cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, seed=2)
+        cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6), seed=2)
         trace = run_scheme(m, None, aug, cfg)
         assert all(r.L == 0.0 and r.grad_norm == 0.0 for r in trace.rows)
         assert all(r.L_tilde > 0 for r in trace.rows)
@@ -183,9 +183,10 @@ class TestReductions:
 
     def test_wemix_at_zero_weights_is_augdrop(self):
         orig, aug, model = self._common()
-        base = dict(batch=8, seed=13, ltilde_ref=0.25)
+        base = dict(seed=13, ltilde_ref=0.25)
         cfg_w = TrainConfig(
-            scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2), **base
+            scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2, batch=8),
+            **base
         )
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2), **base
@@ -197,13 +198,13 @@ class TestReductions:
 
     def test_wemix_without_second_stage_is_mixloss(self):
         orig, aug, model = self._common(seed=17)
-        base = dict(batch=4, seed=23)
         cfg_w = TrainConfig(
-            scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6, eta1=0.25, eta2=0.1),
-            **base,
+            scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6, eta1=0.25, eta2=0.1,
+                         batch=4),
+            seed=23,
         )
         cfg_m = TrainConfig(
-            scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25), epochs=1, **base
+            scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25, epochs=1), seed=23
         )
         tw = run_scheme(model, orig, aug, cfg_w)
         tm = run_scheme(model, orig, aug, cfg_m)
@@ -214,11 +215,12 @@ class TestReductions:
         orig, aug, model = self._common(seed=19)
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=0, m1=5, m2=8, eta1=0.3, eta2=0.2),
-            batch=8, seed=29,
+            seed=29,
         )
         cfg_o = TrainConfig(
-            scheme=dataclasses.replace(Original(eta=0.2), lam=0.0, delta_y=0.0),
-            batch=8, epochs=1, seed=29, eval_aug=aug,
+            scheme=dataclasses.replace(Original(eta=0.2, batch=8, epochs=1), lam=0.0,
+                                       delta_y=0.0),
+            seed=29, eval_aug=aug,
         )
         ta = run_scheme(model, orig, aug, cfg_a)
         to = run_scheme(model, orig, None, cfg_o)
@@ -228,10 +230,10 @@ class TestReductions:
     def test_augdrop_without_second_stage_is_train_augmented(self):
         orig, aug, model = self._common(seed=31)
         cfg_a = TrainConfig(
-            scheme=AugDrop(t1=10, m1=6, m2=8, eta1=0.3, eta2=0.2, t2=0), batch=8, seed=37
+            scheme=AugDrop(t1=10, m1=6, m2=8, eta1=0.3, eta2=0.2, t2=0), seed=37
         )
         cfg_g = TrainConfig(
-            scheme=Augmented(eta=0.3), batch=6, epochs=1, seed=37, eval_orig=orig
+            scheme=Augmented(eta=0.3, batch=6, epochs=1), seed=37, eval_orig=orig
         )
         ta = run_scheme(model, orig, aug, cfg_a)
         tg = run_scheme(model, None, aug, cfg_g)
@@ -241,11 +243,12 @@ class TestReductions:
     def test_mixloss_at_full_weight_steps_like_train_original(self):
         orig, aug, model = self._common(seed=41)
         cfg_m = TrainConfig(
-            scheme=MixLoss(lam=1.0, delta_y=0.2, m0=3, eta=0.3), epochs=1, seed=43
+            scheme=MixLoss(lam=1.0, delta_y=0.2, m0=3, eta=0.3, epochs=1), seed=43
         )
         cfg_o = TrainConfig(
-            scheme=dataclasses.replace(Original(eta=0.3), lam=1.0, delta_y=0.2),
-            batch=1, epochs=1, seed=43, eval_aug=aug,
+            scheme=dataclasses.replace(Original(eta=0.3, batch=1, epochs=1), lam=1.0,
+                                       delta_y=0.2),
+            seed=43, eval_aug=aug,
         )
         tm = run_scheme(model, orig, aug, cfg_m)
         to = run_scheme(model, orig, None, cfg_o)
@@ -258,8 +261,9 @@ class TestStagePartition:
         orig, aug, _ = small_task(seed=3)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(3))
         cfg = TrainConfig(
-            scheme=WeMix(lam=0.4, delta_y=0.1, t1=6, t2=4, m0=3, eta1=0.2, eta2=0.1),
-            batch=5, seed=5,
+            scheme=WeMix(lam=0.4, delta_y=0.1, t1=6, t2=4, m0=3, eta1=0.2, eta2=0.1,
+                         batch=5),
+            seed=5,
         )
         trace = run_scheme(model, orig, aug, cfg)
         tags = [r.stage for r in trace.rows]
@@ -283,7 +287,7 @@ class TestEdgeBehaviour:
         orig, aug, _ = small_task(seed=12)
         held, _, _ = small_task(seed=13)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(12))
-        cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=6, seed=4, eval_orig=held)
+        cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6), seed=4, eval_orig=held)
         both = run_scheme(model, orig, aug, cfg)
         alone = run_scheme(model, None, aug, cfg)
         assert_rows_equal(both.rows, alone.rows)
@@ -297,7 +301,7 @@ class TestEdgeBehaviour:
         orig, aug, _ = small_task(seed=14)
         _, held_aug, _ = small_task(seed=15)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(14))
-        cfg = TrainConfig(scheme=Original(eta=0.3), batch=8, seed=4, eval_aug=held_aug)
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=8), seed=4, eval_aug=held_aug)
         both = run_scheme(model, orig, aug, cfg)
         alone = run_scheme(model, orig, None, cfg)
         assert_rows_equal(both.rows, alone.rows)
@@ -307,11 +311,10 @@ class TestEdgeBehaviour:
         assert both.rows[0].L_tilde != pytest.approx(
             CeObjective.over(model.arch, aug).loss(w0), rel=1e-6)
 
-    def test_augdrop_default_t2_is_one_pass_whatever_epochs(self):
+    def test_augdrop_default_t2_is_one_pass(self):
         orig, aug, _ = small_task(seed=16)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(16))
-        cfg = TrainConfig(scheme=AugDrop(t1=4, m1=5, m2=6, eta1=0.2, eta2=0.2),
-                          epochs=3, seed=2)
+        cfg = TrainConfig(scheme=AugDrop(t1=4, m1=5, m2=6, eta1=0.2, eta2=0.2), seed=2)
         tags = [r.stage for r in run_scheme(model, orig, aug, cfg).rows[1:]]
         assert tags.count(1) == 4
         assert tags.count(2) == orig.n // 6
@@ -328,12 +331,13 @@ class TestEdgeBehaviour:
         np.testing.assert_array_equal(runs[0].final_params, runs[1].final_params)
         assert [r.stage for r in runs[2].rows[1:]].count(2) == 1
 
-    def test_wemix_stage_two_batch_is_cfg_batch_not_m0(self):
+    def test_wemix_stage_two_batch_is_its_batch_not_m0(self):
         orig, aug, _ = small_task(seed=18)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(18))
         wemix_cfg = TrainConfig(
-            scheme=WeMix(lam=0.0, delta_y=0.0, t1=0, t2=5, m0=3, eta1=0.2, eta2=0.2),
-            batch=8, seed=6)
+            scheme=WeMix(lam=0.0, delta_y=0.0, t1=0, t2=5, m0=3, eta1=0.2, eta2=0.2,
+                         batch=8),
+            seed=6)
         tw = run_scheme(model, orig, aug, wemix_cfg)
         for m2, same in ((8, True), (3, False)):
             ta = run_scheme(model, orig, aug, TrainConfig(
@@ -345,7 +349,7 @@ class TestAbortOnDivergence:
     def test_partial_trace_and_flag(self):
         orig, _, _ = small_task(seed=5)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(5))
-        cfg = TrainConfig(scheme=Original(eta=3e307), batch=5, epochs=2, seed=7)
+        cfg = TrainConfig(scheme=Original(eta=3e307, batch=5, epochs=2), seed=7)
         trace = run_scheme(model, orig, None, cfg)
         assert trace.aborted
         assert len(trace.rows) < 2 * (orig.n // 5) + 1
@@ -356,7 +360,7 @@ class TestKeepIterates:
     def test_iterate_matrix_shape_and_endpoints(self):
         orig, _, _ = small_task(seed=7)
         model = init_predictor(SoftmaxLinear(3, 3), Rng(7))
-        cfg = TrainConfig(scheme=Original(eta=0.3), batch=8, epochs=1, seed=9,
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=8, epochs=1), seed=9,
                           keep_iterates=True)
         trace = run_scheme(model, orig, None, cfg)
         assert trace.iterates.shape == (len(trace.rows), 9)
@@ -382,7 +386,7 @@ class TestStepChecks:
         counts = []
         for epochs in (1, 10):  # 30 and 300 steps
             calls.clear()
-            cfg = TrainConfig(scheme=Augmented(eta=0.3), batch=10, epochs=epochs, seed=4)
+            cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=10, epochs=epochs), seed=4)
             trace = run_scheme(model, None, aug, cfg)
             assert trace.iterations == 30 * epochs and not trace.aborted
             counts.append(len(calls))
@@ -398,7 +402,7 @@ class TestStepChecks:
             raise ValueError("refused")
 
         monkeypatch.setattr(trainers, "sgd_step", refusing_step)
-        cfg = TrainConfig(scheme=Original(eta=0.3), batch=5, seed=2)
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=5), seed=2)
         with pytest.raises(ValueError, match="refused"):
             run_scheme(model, orig, None, cfg)
 
@@ -436,17 +440,17 @@ class TestFirstStageStore:
     # (first run, second run): the second's first stage is a prefix of the first's
     PAIRS = {
         "augmented-then-augdrop": (
-            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
+            dict(scheme=Augmented(eta=0.3, batch=6, epochs=2)),
             dict(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2, t2=7)),
         ),
         "mixloss-then-wemix": (
             dict(scheme=MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3)),
-            dict(scheme=WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3, eta2=0.2),
-                 batch=8),
+            dict(scheme=WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3, eta2=0.2,
+                              batch=8)),
         ),
         "a-twin": (
-            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
-            dict(scheme=Augmented(eta=0.3), batch=6, epochs=2),
+            dict(scheme=Augmented(eta=0.3, batch=6, epochs=2)),
+            dict(scheme=Augmented(eta=0.3, batch=6, epochs=2)),
         ),
     }
 
@@ -462,7 +466,7 @@ class TestFirstStageStore:
         calls = self._counted_steps(monkeypatch)
         shared = run_scheme(model, orig, aug, second, first_stage=store)
         self._same_run(shared, alone, tmp_path)
-        t1 = trainers.size_stages(second.scheme, second, orig.n, aug.n)[0][0]
+        t1 = trainers.size_stages(second.scheme, orig.n, aug.n)[0][0]
         assert shared.reused_steps == t1 > 0
         assert len(calls) == shared.iterations - t1
         # the stage stays stored for the next run that shares it
@@ -477,13 +481,13 @@ class TestFirstStageStore:
         orig, aug, model = self._sets()
         twin = dataclasses.replace(orig)  # equal arrays, another set
         is_mix = change in ("lam", "delta_y")
-        scheme = (MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3) if is_mix
-                  else Augmented(eta=0.3))
-        base = dict(batch=6, epochs=2, seed=5, eval_orig=orig, ltilde_ref=0.1)
+        scheme = (MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3, epochs=2) if is_mix
+                  else Augmented(eta=0.3, batch=6, epochs=2))
+        base = dict(seed=5, eval_orig=orig, ltilde_ref=0.1)
         second = dict(base, scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2))
         if is_mix:
             second["scheme"] = WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
-                                     eta2=0.2)
+                                     eta2=0.2, batch=6)
         start, sets = model, (orig, aug)
         if change == "eta":
             second["scheme"] = AugDrop(t1=8, m1=6, m2=8, eta1=0.31, eta2=0.2)
@@ -497,10 +501,10 @@ class TestFirstStageStore:
             base["eval_aug"] = aug
         elif change == "lam":
             second["scheme"] = WeMix(lam=0.5, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
-                                     eta2=0.2)
+                                     eta2=0.2, batch=6)
         elif change == "delta_y":
             second["scheme"] = WeMix(lam=0.6, delta_y=0.3, t1=9, t2=5, m0=3, eta1=0.3,
-                                     eta2=0.2)
+                                     eta2=0.2, batch=6)
         elif change in ("seed", "ltilde_ref"):
             second[change] = {"seed": 6, "ltilde_ref": 0.2}[change]
         elif change == "start":
@@ -519,7 +523,7 @@ class TestFirstStageStore:
 
     def test_a_diverging_first_stage_is_cut_where_each_run_alone_is(self, tmp_path):
         orig, aug, model = self._sets()
-        first = TrainConfig(scheme=Augmented(eta=3e307), batch=6, epochs=2, seed=5,
+        first = TrainConfig(scheme=Augmented(eta=3e307, batch=6, epochs=2), seed=5,
                             eval_orig=orig)
         second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=3e307, eta2=0.2),
                              seed=5, eval_orig=orig)
@@ -534,7 +538,7 @@ class TestFirstStageStore:
 
     def test_runs_that_keep_iterates_neither_take_nor_store(self, tmp_path):
         orig, aug, model = self._sets()
-        first = TrainConfig(scheme=Augmented(eta=0.3), batch=6, epochs=2, seed=5,
+        first = TrainConfig(scheme=Augmented(eta=0.3, batch=6, epochs=2), seed=5,
                             eval_orig=orig)
         second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2), seed=5)
         store = FirstStageStore()
@@ -560,9 +564,8 @@ class TestFirstStageStore:
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        sch = Original(eta=0.1)
         with pytest.raises(ValueError):
-            TrainConfig(scheme=sch, batch=0)
+            TrainConfig(scheme=Original(eta=0.1, batch=0))
         with pytest.raises(ValueError):
             TrainConfig(scheme=Original(eta=0.0))
         with pytest.raises(ValueError):
@@ -608,7 +611,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="delta_y must be nonnegative and finite"):
             trainers.Scheme("a", (Stage("aug", 0.5, 5, 4),), delta_y=delta_y)
 
+    @pytest.mark.parametrize("ctor,kw,bad", [
+        (Original, dict(eta=0.1, epochs=-1), "epochs must be nonnegative"),
+        (Augmented, dict(eta=0.1, batch=0, epochs=-2),
+         "batch must be at least 1; epochs must be nonnegative"),
+        (MixLoss, dict(lam=0.5, delta_y=0.1, m0=2, eta=0.1, epochs=-1),
+         "epochs must be nonnegative"),
+        (WeMix, dict(lam=0.5, delta_y=0.1, t1=1, t2=1, m0=2, eta1=0.1, eta2=0.1, batch=0),
+         "batch must be at least 1"),
+    ])
+    def test_constructors_reject_a_bad_batch_or_epochs(self, ctor, kw, bad):
+        with pytest.raises(ValueError, match=bad):
+            ctor(**kw)
+
+    def test_scheme_takes_lam_in_the_unit_interval(self):
+        stages = (Stage("mixed", 0.5, 5, 3),)
+        for lam in (0.0, 1.0):
+            assert trainers.Scheme("a", stages, lam=lam, delta_y=0.1).lam == lam
+        for lam in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                trainers.Scheme("a", stages, lam=lam)
+
+    def test_stages_without_a_size_take_the_schemes_batch_and_epochs(self):
+        scheme = trainers.Scheme("a", (Stage("aug", 0.5), Stage("orig", 0.5, 3),
+                                       Stage("mixed", 0.5, batch=4)), batch=5, epochs=2)
+        assert trainers.size_stages(scheme, 20, 32) == [(12, 5), (3, 5), (40, 4)]
+
     def test_scheme_names_every_bad_field(self):
         with pytest.raises(ValueError, match="a scheme needs at least one stage; "
-                                             "lam must .*; delta_y must be"):
-            trainers.Scheme("a", (), lam=2.0, delta_y=math.nan)
+                                             "lam must .*; delta_y must be .*; batch must be "
+                                             ".*; epochs must be"):
+            trainers.Scheme("a", (), lam=2.0, delta_y=math.nan, batch=0, epochs=-1)
