@@ -1,14 +1,20 @@
 """Batch experiment runner.
 
-Plans come from an INI file ([task], [plan], [cell.*] sections) or from a
-named preset; each (cell, seed) pair becomes one training run that writes a
-trace CSV and a summary JSON, and the plan ends with an aggregate CSV of
-per-cell gap statistics. The unit of work is a group: the consecutive
-cells of the seed-major pair order that run on one (task, seed). A group
-computes that (task, seed)'s data, floors and theory-mode constants once,
-and its cells share them and any first stage they repeat. With --jobs, each
-worker runs whole groups and computes their set-ups from the seed, so the
-pool never ships arrays between processes.
+Plans come from an INI file ([task], [plan], [cell.*] sections). The five
+presets are such files, packaged as presets/<name>.ini, and a copy of one is
+a starting point for a new plan. A file whose only section is [plan] with
+`preset = X` reads as presets/X.ini with that file's other [plan] keys laid
+over the preset's, and `run --preset X` reads presets/X.ini itself; either
+way the plan is parsed and checked like any other. Each (cell, seed) pair
+becomes one training run that writes a trace CSV and a summary JSON, and
+the plan ends with an aggregate CSV of per-cell gap statistics.
+
+The unit of work is a group: the consecutive cells of the seed-major pair
+order that run on one (task, seed). A group computes that (task, seed)'s
+data, floors and theory-mode constants once, and its cells share them and
+any first stage they repeat. With --jobs, each worker runs whole groups and
+computes their set-ups from the seed, so the pool never ships arrays
+between processes.
 
 Exit codes: 0 all runs finished finite, 1 some run diverged or failed (or a
 report mismatch), 2 invalid configuration.
@@ -54,7 +60,6 @@ from .trainers import (
     Original,
     Scheme,
     TrainConfig,
-    WeMix,
     run_scheme,
     share_cpus,
     size_stages,
@@ -105,72 +110,29 @@ def _repeated(seeds) -> int:
 
 
 # ---------------------------------------------------------------------------
-# presets: each maps one study to one command, with constants frozen from
-# the tuning runs recorded alongside the acceptance suite
+# presets: packaged plans, one INI file each, with constants frozen from the
+# tuning runs recorded alongside the acceptance suite
+
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
-def _plateau_cells(deltas, key):
-    cells = []
-    for d in deltas:
-        cells.append(Cell(
-            name=f"aug-{key}{str(d).replace('.', '')}",
-            scheme=Augmented(eta=1.0, batch=4000, epochs=300),
-            **{f"task_{key}": d},
-        ))
-    return tuple(cells)
+def _preset_names() -> list[str]:
+    return sorted(f[:-len(".ini")] for f in os.listdir(_PRESET_DIR) if f.endswith(".ini"))
 
 
-def _table1_cells():
-    eta = 0.5
-    return (
-        Cell("original", Original(eta=eta, batch=64, epochs=64)),
-        Cell("augmented", Augmented(eta=eta, batch=64, epochs=32)),
-        Cell("augdrop", AugDrop(t1=1000, m1=64, m2=64, eta1=eta, eta2=eta, t2=1000)),
-        Cell("mixloss", MixLoss(lam=0.6, delta_y=0.4, m0=33, eta=eta)),
-        Cell("wemix", WeMix(lam=0.6, delta_y=0.4, t1=1000, t2=1000, m0=33,
-                            eta1=eta, eta2=eta)),
-    )
+def _preset_path(name: str) -> str:
+    return os.path.join(_PRESET_DIR, f"{name}.ini")
 
 
 def presets() -> dict:
-    canon = SyntheticTask(mode="label_bias", n=2000, m=4000, d=10, k=5, delta_y=0.4)
-    return {
-        "lemma2-plateau": ExperimentPlan(
-            task=dataclasses.replace(canon, delta_y=0.0),
-            cells=_plateau_cells((0.1, 0.2, 0.4), "delta_y"),
-            seeds=tuple(range(5)), outdir="runs/lemma2-plateau",
-        ),
-        "table1-desk": ExperimentPlan(
-            task=canon, cells=_table1_cells(),
-            seeds=tuple(range(5)), outdir="runs/table1-desk",
-        ),
-        "augdrop-membership": ExperimentPlan(
-            task=canon,
-            cells=(Cell("augdrop", AugDrop(t1=1000, m1=64, m2=64,
-                                           eta1=0.5, eta2=0.5, t2=1000)),),
-            seeds=tuple(range(5)), outdir="runs/augdrop-membership",
-            constraint_floor=True,
-        ),
-        "small-bias": ExperimentPlan(
-            task=SyntheticTask(mode="label_bias", n=100, m=2000, d=10, k=5,
-                               delta_y=0.01),
-            cells=(
-                Cell("original", Original(eta=0.5, batch=20, epochs=400)),
-                Cell("augmented", Augmented(eta=0.5, batch=20, epochs=20)),
-            ),
-            seeds=tuple(range(5)), outdir="runs/small-bias", eval_n=4000,
-        ),
-        "label-preserving": ExperimentPlan(
-            task=SyntheticTask(mode="input_shift", n=2000, m=4000, d=10, k=5,
-                               delta_p=0.2),
-            cells=_plateau_cells((0.05, 0.2), "delta_p") + (
-                Cell("augdrop-p02", AugDrop(t1=1000, m1=64, m2=64,
-                                            eta1=0.5, eta2=0.5, t2=1000),
-                     task_delta_p=0.2),
-            ),
-            seeds=tuple(range(5)), outdir="runs/label-preserving",
-        ),
-    }
+    """Every packaged preset plan, by name, parsed from presets/<name>.ini."""
+    out = {}
+    for name in _preset_names():
+        plan, errors = validate_config(_preset_path(name))
+        if errors:
+            raise ValueError(f"preset {name}: {'; '.join(errors)}")
+        out[name] = plan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +249,42 @@ def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     return cell if cell_task is not None and sized else None
 
 
-def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
-    """Parse a plan, collecting every violation instead of stopping early."""
-    errors: list[str] = []
-    cp = configparser.ConfigParser()
+def _read_into(cp: configparser.ConfigParser, path) -> list[str]:
+    """Read the INI file at `path` into cp; the error, if any, as a list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
     except OSError as exc:
-        return None, [f"cannot read config: {exc}"]
+        return [f"cannot read config: {exc}"]
     except configparser.Error as exc:
-        return None, [f"malformed config: {exc}"]
+        return [f"malformed config: {exc}"]
+    return []
+
+
+def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
+    """Parse a plan, collecting every violation instead of stopping early.
+
+    A file whose [plan] names a preset reads as that preset's file with this
+    file's [plan] keys laid over the preset's; it may hold no [task] or
+    [cell.*] section. Either way the plan takes the same checks.
+    """
+    cp = configparser.ConfigParser()
+    errors = _read_into(cp, path)
+    if errors:
+        return None, errors
+
+    preset = cp.get("plan", "preset", fallback=None)
+    if preset is not None:
+        if preset not in _preset_names():
+            return None, [f"[plan] unknown preset '{preset}' "
+                          f"(one of {', '.join(_preset_names())})"]
+        if cp.has_section("task") or any(s.startswith("cell.") for s in cp.sections()):
+            return None, ["preset plans do not take [task] or [cell.*] sections"]
+        own_keys = dict(cp.items("plan", raw=True))
+        errors = _read_into(cp, _preset_path(preset))
+        if errors:
+            return None, errors
+        cp.read_dict({"plan": own_keys})
 
     known = {"task", "plan"}
     cell_sections = [s for s in cp.sections() if s.startswith("cell.")]
@@ -323,28 +310,6 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         except ValueError:
             errors.append("[plan] constraint_floor must be a boolean")
             constraint_floor = None
-
-    preset_name = plan_sec.get("preset")
-    if preset_name is not None:
-        if preset_name not in presets():
-            errors.append(f"[plan] unknown preset '{preset_name}' "
-                          f"(one of {', '.join(sorted(presets()))})")
-            return None, errors
-        if cp.has_section("task") or cell_sections:
-            errors.append("preset plans do not take [task] or [cell.*] sections")
-        plan = presets()[preset_name]
-        if "seeds" in plan_sec:
-            seeds = _parse_seeds(plan_sec["seeds"], errors)
-            if seeds:
-                plan = dataclasses.replace(plan, seeds=seeds)
-        overrides = {"outdir": plan_sec.get("outdir"), "mode": plan_sec.get("mode"),
-                     "eval_n": eval_n, "constraint_floor": constraint_floor}
-        try:
-            plan = dataclasses.replace(plan, **{k: v for k, v in overrides.items()
-                                                if k in plan_sec and v is not None})
-        except ValueError as exc:
-            errors.append(f"[plan] {exc}")
-        return (plan, errors) if not errors else (None, errors)
 
     if not cp.has_section("task"):
         errors.append(f"missing [task] section (keys: {', '.join(_TASK_FIELDS)})")
@@ -784,7 +749,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a plan from a config or preset")
     run.add_argument("config", nargs="?", help="INI plan file")
-    run.add_argument("--preset", choices=sorted(presets()), help="built-in plan")
+    run.add_argument("--preset", choices=_preset_names(),
+                     help="packaged plan, presets/<name>.ini")
     run.add_argument("--outdir", help="override the plan's output directory")
     run.add_argument("--seed-offset", type=int, default=0,
                      help="added to every seed in the plan")
@@ -802,30 +768,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
+    if args.command == "report":
+        return report(args.outdir)
+
+    preset = getattr(args, "preset", None)  # only run takes --preset
+    if args.command == "run" and (args.config is None) == (preset is None):
+        print("run needs exactly one of: a config path, or --preset", file=sys.stderr)
+        return 2
+    plan, errors = validate_config(args.config if preset is None else _preset_path(preset))
+    for e in errors:
+        print(e, file=sys.stderr)
+    if errors:
+        return 2
     if args.command == "validate":
-        plan, errors = validate_config(args.config)
-        if errors:
-            for e in errors:
-                print(e, file=sys.stderr)
-            return 2
         print(f"ok: {len(plan.cells)} cell(s), {len(plan.seeds)} seed(s), "
               f"outdir {plan.outdir}")
         return 0
 
-    if args.command == "report":
-        return report(args.outdir)
-
-    if (args.config is None) == (args.preset is None):
-        print("run needs exactly one of: a config path, or --preset", file=sys.stderr)
-        return 2
-    if args.preset is not None:
-        plan = presets()[args.preset]
-    else:
-        plan, errors = validate_config(args.config)
-        if errors:
-            for e in errors:
-                print(e, file=sys.stderr)
-            return 2
     if args.outdir:
         plan = dataclasses.replace(plan, outdir=args.outdir)
     if args.seed_offset:

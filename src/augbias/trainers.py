@@ -320,7 +320,8 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
     A None batch is scheme.batch; an explicit batch of originals is capped
     at n_orig. A None iters is scheme.epochs passes. A pass is n // batch
     steps on one side, or n_orig mixed steps (one original each), and must
-    hold at least one batch.
+    hold at least one batch. A batch of originals must hold too, whatever
+    the iters, so scheme.batch above n_orig is an error on every orig stage.
     """
     sizes = []
     for st in scheme.stages:
@@ -330,11 +331,12 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
         iters = st.iters
         if iters is None and st.mode == "mixed":
             iters = scheme.epochs * n_orig
-        elif iters is None:
+        elif iters is None or st.mode == "orig":
             n, side = (n_orig, "original") if st.mode == "orig" else (n_aug, "augmented")
             if batch > n:
                 raise ValueError(f"batch {batch} is larger than the {n} {side} examples")
-            iters = scheme.epochs * (n // batch)
+            if iters is None:
+                iters = scheme.epochs * (n // batch)
         sizes.append((iters, batch))
     return sizes
 

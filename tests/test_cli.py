@@ -33,6 +33,7 @@ from augbias.trainers import (
     read_trace_csv,
     size_stages,
 )
+from frozen_presets import frozen_presets
 
 TINY_TASK = """
 [task]
@@ -239,7 +240,7 @@ eta = fast
         assert plan.task.delta_y == 0.4
 
     def test_preset_takes_every_plan_key(self, tmp_path):
-        cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\neval_n = 100\n"
+        cfg = write_cfg(tmp_path, "[plan]\npreset = augdrop-membership\neval_n = 100\n"
                         "constraint_floor = yes\nmode = theory\n")
         plan, errors = validate_config(cfg)
         assert errors == []
@@ -257,6 +258,17 @@ eta = fast
         assert plan is None and errors == ["[plan] eval_n must be nonnegative"]
         with pytest.raises(ValueError, match="eval_n must be nonnegative"):
             tiny_plan(tmp_path, eval_n=-5)
+
+    def test_theory_preset_with_wemix_rejected(self, tmp_path, capsys):
+        """A preset's cells take the checks an inline cell takes."""
+        cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\nmode = theory\n")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[cell.wemix] theory mode does not resolve wemix schedules"]
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 2
+        assert "[cell.wemix] theory mode" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_preset_rejects_extra_sections(self, tmp_path):
         cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\n" + TINY_TASK)
@@ -500,8 +512,36 @@ batch = 41
 """)
         plan, errors = validate_config(cfg)
         assert plan is None
-        assert [e.split()[0] for e in errors] == ["[cell.orig]", "[cell.aug]"]
-        assert "batch 41" in errors[0] and "batch 61" in errors[1]
+        assert [e.split()[0] for e in errors] == ["[cell.orig]", "[cell.aug]", "[cell.wemix]"]
+        assert "batch 41" in errors[0] and "batch 61" in errors[1] and "batch 41" in errors[2]
+
+    @pytest.mark.parametrize("t1, t2", [(4, 4), (0, 5), (4, 0)])
+    def test_wemix_batch_above_n_rejected_whatever_its_steps(self, tmp_path, t1, t2, capsys):
+        """WeMix's second stage draws `batch` of the 40 originals per step,
+        as AugDrop's draws m2, so it may not ask for more than there are."""
+        def cfg(batch):
+            return write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + f"""
+[cell.w]
+scheme = wemix
+lam = 0.5
+delta_y = 0.2
+t1 = {t1}
+t2 = {t2}
+m0 = 3
+eta1 = 0.3
+eta2 = 0.3
+batch = {batch}
+""", name=f"b{batch}.ini")
+        plan, errors = validate_config(cfg(40))
+        assert errors == [] and size_stages(plan.cells[0].scheme, 40, 60)[1] == (t2, 40)
+        plan, errors = validate_config(cfg(41))
+        assert plan is None
+        assert errors == ["[cell.w] batch 41 is larger than the 40 original examples"]
+        assert main(["validate", cfg(41)]) == 2
+        assert "[cell.w] batch 41" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="batch 41 is larger than the 40 original"):
+            size_stages(WeMix(lam=0.5, delta_y=0.2, t1=t1, t2=t2, m0=3, eta1=0.3,
+                              eta2=0.3, batch=41), 40, 60)
 
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
@@ -525,11 +565,65 @@ class TestBenchmarkWorkloads:
         assert plan.mode == want.mode == "practical"
 
 
+PRESET_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "augbias", "presets")
+
+
+def preset_choices() -> list:
+    """The names `run --preset` accepts."""
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices["run"]._actions if a.dest == "preset").choices
+
+
 class TestPresets:
     def test_expected_names(self):
         assert set(presets()) == {
             "lemma2-plateau", "table1-desk", "augdrop-membership",
             "small-bias", "label-preserving"}
+
+    def test_names_files_and_choices_agree(self):
+        files = {f[:-len(".ini")] for f in os.listdir(PRESET_DIR) if f.endswith(".ini")}
+        assert set(presets()) == files == set(preset_choices())
+
+    @pytest.mark.parametrize("name", sorted(frozen_presets()))
+    def test_packaged_preset_parses_to_its_frozen_plan(self, name):
+        plan, errors = validate_config(os.path.join(PRESET_DIR, f"{name}.ini"))
+        assert errors == []
+        assert plan == frozen_presets()[name] == presets()[name]  # cell order included
+
+    def test_run_preset_and_preset_config_run_the_same_plan(self, tmp_path, monkeypatch):
+        """`run --preset X` and a file holding only `[plan] preset = X` take
+        one path: equal plans, and the same outputs on one seed."""
+        ran = []
+
+        def run_first_seed(plan, jobs=1):
+            ran.append(plan)
+            return run_plan(dataclasses.replace(plan, seeds=plan.seeds[:1]), jobs)
+
+        monkeypatch.setattr(cli, "run_plan", run_first_seed)
+        cfg = write_cfg(tmp_path, "[plan]\npreset = small-bias\n")
+        assert main(["run", "--preset", "small-bias", "--outdir", str(tmp_path / "a")]) == 0
+        assert main(["run", cfg, "--outdir", str(tmp_path / "b")]) == 0
+        a, b = ran
+        assert a == dataclasses.replace(b, outdir=a.outdir)
+        assert a == dataclasses.replace(presets()["small-bias"], outdir=str(tmp_path / "a"))
+        assert sorted(os.listdir(tmp_path / "a")) == sorted(os.listdir(tmp_path / "b"))
+        assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
+        assert (tmp_path / "a" / "aggregate.csv").read_bytes() == \
+            (tmp_path / "b" / "aggregate.csv").read_bytes()
+
+    def test_run_preset_takes_the_checks_of_a_config(self, tmp_path, monkeypatch, capsys):
+        """A packaged preset file in theory mode with a wemix cell fails at
+        `run --preset`, as the same preset named from a config does."""
+        with open(os.path.join(PRESET_DIR, "table1-desk.ini"), encoding="utf-8") as fh:
+            text = fh.read().replace("mode = practical", "mode = theory")
+        (tmp_path / "presets").mkdir()
+        (tmp_path / "presets" / "theory-desk.ini").write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_PRESET_DIR", str(tmp_path / "presets"))
+        cfg = write_cfg(tmp_path, "[plan]\npreset = theory-desk\n")
+        for argv in (["run", "--preset", "theory-desk"], ["run", cfg]):
+            assert main(argv + ["--outdir", str(tmp_path / "o")]) == 2
+            assert "[cell.wemix] theory mode" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_all_presets_well_formed(self):
         for name, plan in presets().items():
