@@ -16,15 +16,11 @@ from .core import (
     softmax,
 )
 from .models import (
-    GradSample,
     Predictor,
     SoftmaxLinear,
-    ce_grad,
-    ce_loss,
     estimate_G,
     forward,
     init_predictor,
-    p_of,
     zeros_predictor,
 )
 from .augment import (
@@ -33,13 +29,7 @@ from .augment import (
     estimate_delta_y,
     gen_synthetic,
 )
-from .losses import (
-    CorrectedLossResult,
-    combined_grad,
-    grad_a,
-    loss_a,
-    objective_value,
-)
+from .losses import combined_grad
 from .trainers import (
     SCHEMES,
     AugDrop,

@@ -135,11 +135,6 @@ def sample_original(planted: PlantedParams, rng: Rng, count: int) -> LabeledSet:
     return LabeledSet(x, _teacher_labels(planted.w_star, x), ORIGINAL)
 
 
-def clean_labels(planted: PlantedParams, inputs: np.ndarray) -> np.ndarray:
-    """Teacher labels for given inputs; pairs with perturbed labels in tests."""
-    return _teacher_labels(planted.w_star, np.asarray(inputs, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # Bias estimators
 

@@ -268,7 +268,7 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
     file's [plan] keys laid over the preset's; it may hold no [task] or
     [cell.*] section. Either way the plan takes the same checks.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     errors = _read_into(cp, path)
     if errors:
         return None, errors
@@ -280,7 +280,7 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
                           f"(one of {', '.join(_preset_names())})"]
         if cp.has_section("task") or any(s.startswith("cell.") for s in cp.sections()):
             return None, ["preset plans do not take [task] or [cell.*] sections"]
-        own_keys = dict(cp.items("plan", raw=True))
+        own_keys = dict(cp["plan"])
         errors = _read_into(cp, _preset_path(preset))
         if errors:
             return None, errors
@@ -318,6 +318,9 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         task = _parse_task(cp, errors)
 
     mode = plan_sec.get("mode", "practical")
+    if mode not in ("practical", "theory"):
+        errors.append(f"[plan] mode must be 'practical' or 'theory', not {mode!r}")
+        mode = "practical"  # so the cells still take the practical-mode checks
     if not cp.has_section("plan"):
         errors.append("missing [plan] section (required keys: seeds, outdir)")
         seeds, outdir = (), None

@@ -45,12 +45,6 @@ def as_mat(a, shape: tuple[int, int] | None = None, name: str = "a") -> np.ndarr
     return m
 
 
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def softmax(scores) -> np.ndarray:
     """Softmax of a score vector, computed with max-subtraction.
 

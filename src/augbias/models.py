@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     LabeledSet,
     as_vec,
-    check_finite,
     class_sum,
     softmax,
     softmax_parts,
@@ -67,12 +66,6 @@ def _unchecked_predictor(arch: SoftmaxLinear, w: np.ndarray) -> Predictor:
     return model
 
 
-@dataclass(frozen=True)
-class GradSample:
-    loss: float
-    grad: np.ndarray
-
-
 def zeros_predictor(arch: SoftmaxLinear) -> Predictor:
     return Predictor(arch, np.zeros(arch.param_count))
 
@@ -96,35 +89,6 @@ def forward(model: Predictor, x) -> np.ndarray:
     """Score vector f(x; w) for a single input."""
     xv = as_vec(x, size=model.arch.d, name="x")
     return batch_scores(model, xv[None, :])[0]
-
-
-def p_from_scores(scores) -> np.ndarray:
-    """Negative log-softmax of a score vector: p_i = logsumexp(s) - s_i."""
-    s = as_vec(scores, name="scores")
-    if s.shape[0] < 2:
-        raise ValueError("need at least 2 classes")
-    m = np.max(s)
-    lse = m + np.log(np.sum(np.exp(s - m)))
-    return lse - s
-
-
-def p_of(model: Predictor, x) -> np.ndarray:
-    return p_from_scores(forward(model, x))
-
-
-def _check_simplex_label(y: np.ndarray) -> None:
-    # ce_loss accepts labels on the simplex within 1e-6; anything further off
-    # is a caller bug rather than rounding.
-    if abs(float(np.sum(y)) - 1.0) > 1e-6 or float(np.min(y)) < -1e-6:
-        raise ValueError("label must lie on the probability simplex (tolerance 1e-6)")
-
-
-def ce_loss(y, scores) -> float:
-    """Cross entropy <y, p(scores)> for a simplex label y."""
-    p = p_from_scores(scores)
-    yv = as_vec(y, size=p.shape[0], name="y")
-    _check_simplex_label(yv)
-    return float(yv @ p)
 
 
 def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
@@ -308,21 +272,6 @@ def eval_scores(model: Predictor, ev: EvalSet, delta_y: float | None = None,
     return ScoreStats(float(st.loss[0]),
                       None if st.corrected is None else float(st.corrected[0]),
                       None if st.grad is None else st.grad[0])
-
-
-def ce_grad(model: Predictor, x, y) -> GradSample:
-    """Loss and exact parameter gradient of the cross entropy at one example.
-
-    The label may be any finite vector, not just a simplex point: the gradient
-    <y, grad p> is linear in y, and the corrected-loss envelope evaluates it at
-    ball minimizers that sit strictly off the simplex.
-    """
-    xv = as_vec(x, size=model.arch.d, name="x")
-    yv = as_vec(y, name="y")
-    scores = forward(model, xv)
-    loss = float(yv @ p_from_scores(scores))
-    grad = label_grad(model, xv[None, :], yv[None, :])
-    return GradSample(loss=loss, grad=check_finite(grad, "grad"))
 
 
 def score_jacobian(model: Predictor, x) -> np.ndarray:

@@ -18,17 +18,13 @@ from augbias.core import AUGMENTED, LabeledSet, Rng
 from augbias.models import (
     Predictor,
     SoftmaxLinear,
-    ce_grad,
-    ce_loss,
     estimate_G,
     forward,
-    p_from_scores,
     zeros_predictor,
 )
-from augbias.losses import combined_grad, grad_a, loss_a
+from augbias.losses import combined_grad
 from augbias.augment import (
     SyntheticTask,
-    clean_labels,
     estimate_delta_P,
     estimate_delta_y,
     gen_synthetic,
@@ -52,31 +48,19 @@ from augbias.theory import (
     in_constraint_set,
 )
 from augbias.cli import presets, run_plan
+from reference import (
+    ball_min_oracle,
+    ce_grad,
+    ce_loss,
+    clean_labels,
+    fd_grad,
+    grad_a,
+    loss_a,
+    p_from_scores,
+)
 
 
 # --- helpers -----------------------------------------------------------------
-
-
-def ball_min_oracle(y, p, delta, steps=3000, lr=0.02):
-    """Projected-gradient minimizer of <z, p> over the ball ||z - y|| <= delta."""
-    z = np.array(y, dtype=np.float64)
-    for _ in range(steps):
-        z = z - lr * p
-        diff = z - y
-        nrm = np.linalg.norm(diff)
-        if nrm > delta:
-            z = y + diff * (delta / nrm)
-    return float(z @ p)
-
-
-def fd_grad(fn, w, step=1e-5):
-    g = np.empty_like(w)
-    for i in range(w.size):
-        up, dn = w.copy(), w.copy()
-        up[i] += step
-        dn[i] -= step
-        g[i] = (fn(up) - fn(dn)) / (2 * step)
-    return g
 
 
 def rel_err(analytic, numeric):

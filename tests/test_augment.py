@@ -4,13 +4,13 @@ import pytest
 from augbias.core import AUGMENTED, ORIGINAL, DegenerateEstimateError, Rng
 from augbias.augment import (
     SyntheticTask,
-    clean_labels,
     estimate_delta_P,
     estimate_delta_y,
     gen_synthetic,
     perturb_labels,
     sample_original,
 )
+from reference import clean_labels
 
 
 class TestPerturbLabels:

@@ -515,6 +515,34 @@ batch = 41
         assert [e.split()[0] for e in errors] == ["[cell.orig]", "[cell.aug]", "[cell.wemix]"]
         assert "batch 41" in errors[0] and "batch 61" in errors[1] and "batch 41" in errors[2]
 
+    def test_bad_mode_named_beside_the_cell_errors(self, tmp_path, capsys):
+        """An unknown mode is a [plan] error; the cells still take the
+        practical-mode checks, so their errors are named too."""
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\nmode = bogus\n" + """
+[cell.orig]
+scheme = original
+eta = 0.3
+batch = 41
+""")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[plan] mode must be 'practical' or 'theory', not 'bogus'",
+                          "[cell.orig] batch 41 is larger than the 40 original examples"]
+        assert main(["validate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "not 'bogus'" in err and "[cell.orig] batch 41" in err
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        preset = write_cfg(tmp_path, "[plan]\npreset = small-bias\noutdir = runs/50%\n",
+                           name="preset.ini")
+        inline = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = runs/50%\n"
+                           + TINY_CELLS)
+        for cfg in (preset, inline):
+            plan, errors = validate_config(cfg)
+            assert errors == [], cfg
+            assert plan.outdir == "runs/50%"
+            assert main(["validate", cfg]) == 0
+
     @pytest.mark.parametrize("t1, t2", [(4, 4), (0, 5), (4, 0)])
     def test_wemix_batch_above_n_rejected_whatever_its_steps(self, tmp_path, t1, t2, capsys):
         """WeMix's second stage draws `batch` of the 40 originals per step,

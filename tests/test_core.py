@@ -8,11 +8,11 @@ from augbias.core import (
     Rng,
     as_mat,
     as_vec,
-    check_finite,
     class_sum,
     softmax,
     softmax_rows,
 )
+from reference import check_finite
 
 
 class TestSoftmax:

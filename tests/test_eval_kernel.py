@@ -30,7 +30,7 @@ from augbias.models import (
     scores_t,
     stack_stats,
 )
-from augbias.losses import mean_grad_a, objective_value
+from augbias.losses import mean_grad_a
 from augbias.theory import CeObjective
 from augbias.trainers import (
     STREAM_AUG,
@@ -45,6 +45,7 @@ from augbias.trainers import (
     run_scheme,
     size_stages,
 )
+from reference import objective_value
 
 
 def frozen_softmax_rows(s):

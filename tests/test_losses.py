@@ -2,48 +2,20 @@ import numpy as np
 import pytest
 
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng
-from augbias.models import (
-    Predictor,
-    SoftmaxLinear,
+from augbias.models import Predictor, SoftmaxLinear, forward, init_predictor, label_grad
+from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
+from augbias.losses import combined_grad, mean_grad_a
+from reference import (
+    ball_min_oracle,
     ce_grad,
     ce_loss,
-    forward,
-    init_predictor,
-    label_grad,
-    p_from_scores,
-)
-from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
-from augbias.losses import (
-    combined_grad,
     corrected_label_rows,
+    fd_grad,
     grad_a,
     loss_a,
-    mean_grad_a,
     objective_value,
+    p_from_scores,
 )
-
-
-def ball_min_oracle(y, p, delta, steps=3000, lr=0.02):
-    """Iterative projected-gradient minimizer of <z, p> over ||z - y|| <= delta."""
-    z = np.array(y, dtype=np.float64)
-    for _ in range(steps):
-        z = z - lr * p
-        diff = z - y
-        nrm = np.linalg.norm(diff)
-        if nrm > delta:
-            z = y + diff * (delta / nrm)
-    return float(z @ p)
-
-
-def fd_grad(fn, w, step=1e-5):
-    g = np.empty_like(w)
-    for i in range(w.size):
-        up = w.copy()
-        dn = w.copy()
-        up[i] += step
-        dn[i] -= step
-        g[i] = (fn(up) - fn(dn)) / (2 * step)
-    return g
 
 
 def random_simplex(rng, k):

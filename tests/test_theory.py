@@ -91,7 +91,7 @@ def small_ce(seed, n=80, d=3, k=3, delta_y=0.2):
 
 class TestCeObjective:
     def test_loss_matches_objective_value(self):
-        from augbias.losses import objective_value
+        from reference import objective_value
 
         orig, _, _, arch = small_ce(0)
         w = init_predictor(arch, Rng(1, 0)).params
