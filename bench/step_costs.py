@@ -3,7 +3,9 @@
     python3 bench/step_costs.py --root CHECKOUT [--label NAME] [--out BENCH_step.json]
 
 Imports augbias from CHECKOUT/src, so one copy of this script times any
-checkout that has the same private step functions, and times, in
+checkout whose step functions take the flat weight vector with these
+signatures: label_grad(w, x, z), combined_grad(w, orig_batch, aug_batch,
+lam, delta_y) and trainers._train(w, orig, aug, cfg, stages). It times, in
 microseconds per call:
 
   draw_aug.64, draw_aug.4000        trainers._draw_aug at 64 and 4,000 rows
@@ -15,7 +17,8 @@ microseconds per call:
 
 The task is table1-desk's canonical one (n = 2,000 originals, m = 4,000
 augmented, d = 10, k = 5, delta_y = 0.4), at seed 0, with BLAS on one
-thread and the allocator thresholds run_plan sets (cli._keep_freed_memory).
+thread and the allocator thresholds run_plan sets (cli._keep_freed_memory),
+from the start 0.1 * Rng(0, STREAM_INIT).gen.standard_normal(k * d).
 Each cost is the mean of --calls calls (a twentieth of that for 4,000-row
 calls), and the median and the min of that mean over --rounds rounds are
 kept; on a shared host the min is the steadier of the two. The result is
@@ -64,20 +67,17 @@ def _per_call_us(fn, calls: int, rounds: int) -> tuple[float, float]:
 
 def measure(calls: int, rounds: int) -> dict:
     """{layer: (median, min) microseconds per call}."""
-    import numpy as np
-
     from augbias import cli, trainers
     from augbias.augment import gen_synthetic
     from augbias.core import Rng
     from augbias.losses import combined_grad
-    from augbias.models import SoftmaxLinear, init_predictor, label_grad
+    from augbias.models import label_grad
     from augbias.trainers import Augmented, MixLoss, TrainConfig
 
     cli._keep_freed_memory()  # as run_plan does, so fresh batches reuse heap pages
     task = cli.presets()["table1-desk"].task
     orig, aug, _ = gen_synthetic(task, Rng(0, 0))
-    arch = SoftmaxLinear(d=task.d, k=task.k)
-    model = init_predictor(arch, Rng(0, trainers.STREAM_INIT))
+    w0 = 0.1 * Rng(0, trainers.STREAM_INIT).gen.standard_normal(task.k * task.d)
     rng = Rng(0, trainers.STREAM_AUG)
     batches = {rows: trainers._draw_aug(aug, rng, rows) for rows in (64, 4000)}
     xo, yo = orig.inputs[:1], orig.labels[:1]
@@ -87,15 +87,14 @@ def measure(calls: int, rounds: int) -> dict:
         """A generator of _train steps that never runs out."""
         stage = scheme.stages[0]
         cfg = TrainConfig(scheme=scheme, seed=0)
-        w = np.array(model.params)
-        return trainers._train(arch, w, orig, aug, cfg, [(stage, 1, (10**9, batch))])
+        return trainers._train(w0, orig, aug, cfg, [(stage, 1, (10**9, batch))])
 
     # name: (one call, rows per call)
     costs = {}
     for rows in (64, 4000):
         costs[f"draw_aug.{rows}"] = (lambda rows=rows: trainers._draw_aug(aug, rng, rows), rows)
-        costs[f"label_grad.{rows}"] = (lambda rows=rows: label_grad(model, *batches[rows]), rows)
-    costs["combined_grad.33"] = (lambda: combined_grad(model, (xo, yo), (xa, ya), 0.6, 0.4), 33)
+        costs[f"label_grad.{rows}"] = (lambda rows=rows: label_grad(w0, *batches[rows]), rows)
+    costs["combined_grad.33"] = (lambda: combined_grad(w0, (xo, yo), (xa, ya), 0.6, 0.4), 33)
     for name, scheme, batch in (("aug64", Augmented(eta=0.5), 64),
                                 ("aug4000", Augmented(eta=0.5), 4000),
                                 ("mixed33", MixLoss(lam=0.6, delta_y=0.4, m0=33, eta=0.5), 33)):

@@ -15,14 +15,7 @@ from .core import (
     Rng,
     softmax,
 )
-from .models import (
-    Predictor,
-    SoftmaxLinear,
-    estimate_G,
-    forward,
-    init_predictor,
-    zeros_predictor,
-)
+from .models import estimate_G, forward
 from .augment import (
     SyntheticTask,
     estimate_delta_P,

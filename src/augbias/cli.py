@@ -43,7 +43,6 @@ import numpy as np
 
 from .augment import SyntheticTask, gen_synthetic, sample_original
 from .core import LabeledSet, Rng
-from .models import SoftmaxLinear, zeros_predictor
 from .theory import (
     CeObjective,
     ConstantEstimates,
@@ -371,7 +370,6 @@ def _cell_task(task: SyntheticTask, cell: Cell) -> SyntheticTask:
 class _Setup:
     """What every cell on one (task, seed) shares."""
 
-    arch: SoftmaxLinear
     orig: LabeledSet
     aug: LabeledSet
     eval_set: LabeledSet
@@ -391,27 +389,26 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
     plants it exactly, and its estimators are validated separately).
     """
     orig, aug, planted = gen_synthetic(task, Rng(seed, 0))
-    arch = SoftmaxLinear(d=task.d, k=task.k)
+    size = task.k * task.d
     rng = np.random.default_rng(seed)
     eval_set = sample_original(planted, Rng(seed, 7), eval_n) if eval_n > 0 else orig
-    floor, _ = best_found_floor(CeObjective.over(arch, eval_set), arch.param_count, rng,
+    floor, _ = best_found_floor(CeObjective.over(eval_set), size, rng,
                                 extra_starts=[planted.w_star.ravel()], n_random=1)
     ltilde_floor = None
     if constraint_floor:  # drawn from rng right after the gap floor
-        ltilde_floor, _ = best_found_floor(CeObjective.over(arch, aug), arch.param_count,
-                                           rng, n_random=1)
+        ltilde_floor, _ = best_found_floor(CeObjective.over(aug), size, rng, n_random=1)
     consts = None
     if mode == "theory":
         probe_cfg = TrainConfig(scheme=Original(eta=0.5, batch=orig.n, epochs=60),
                                 seed=seed, keep_iterates=True)
-        probe = run_scheme(zeros_predictor(arch), orig, aug, probe_cfg)
+        probe = run_scheme(np.zeros(size), orig, aug, probe_cfg)
         consts = estimate_constants(
-            arch, orig, aug, probe.iterates[0], probe.iterates[::6],
+            orig, aug, probe.iterates[0], probe.iterates[::6],
             delta_y=task.delta_y,
             delta_p=task.delta_p if task.mode == "input_shift" else None,
             rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
         )
-    return _Setup(arch, orig, aug, eval_set, floor, ltilde_floor, consts)
+    return _Setup(orig, aug, eval_set, floor, ltilde_floor, consts)
 
 
 # The resolved batches that _theory_scheme caps, as (resolved key, stage index).
@@ -483,7 +480,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
                       ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor)
-    trace = run_scheme(zeros_predictor(s.arch), s.orig, s.aug, cfg, first_stage=store)
+    trace = run_scheme(np.zeros(task.k * task.d), s.orig, s.aug, cfg, first_stage=store)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import class_sum, softmax_parts
-from .models import Predictor, _grad_from_parts, batch_scores, label_grad
+from .models import _grad_from_parts, batch_scores, label_grad
 
 # Below this p-norm the corrected minimizer direction is numerically
 # undefined; fall back to the plain CE gradient at the augmented label.
@@ -40,7 +40,7 @@ def _corrected_labels_t(y_t: np.ndarray, p_t: np.ndarray, delta_y: float) -> np.
     return y_t - scale * p_t
 
 
-def mean_grad_a(model: Predictor, x: np.ndarray, y: np.ndarray, delta_y: float) -> np.ndarray:
+def mean_grad_a(w: np.ndarray, x: np.ndarray, y: np.ndarray, delta_y: float) -> np.ndarray:
     """Mean corrected-loss gradient over a batch (hot path, no simplex check).
 
     One scores pass: the softmax parts give both p, for the minimizers z*,
@@ -49,13 +49,13 @@ def mean_grad_a(model: Predictor, x: np.ndarray, y: np.ndarray, delta_y: float) 
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    s_t, m, e_t, tot = softmax_parts(batch_scores(model, x))
+    s_t, m, e_t, tot = softmax_parts(batch_scores(w, x))
     y_t = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
     z_t = _corrected_labels_t(y_t, (m + np.log(tot)) - s_t, delta_y)
-    return _grad_from_parts(model, x, e_t, tot, z_t, class_sum(z_t))
+    return _grad_from_parts(x, e_t, tot, z_t, class_sum(z_t))
 
 
-def combined_grad(model: Predictor, orig_batch, aug_batch, lam: float,
+def combined_grad(w: np.ndarray, orig_batch, aug_batch, lam: float,
                   delta_y: float) -> np.ndarray:
     """lam * mean CE gradient on originals + (1 - lam) * mean corrected gradient
     at radius delta_y, for lam in [0, 1] and a finite delta_y >= 0 as a Scheme
@@ -71,6 +71,6 @@ def combined_grad(model: Predictor, orig_batch, aug_batch, lam: float,
     xa = np.asarray(xa, dtype=np.float64)
     if xo.shape[0] == 0 or xa.shape[0] == 0:
         raise ValueError("empty batch")
-    g_orig = label_grad(model, xo, np.asarray(yo, dtype=np.float64))
-    g_aug = mean_grad_a(model, xa, ya, delta_y)
+    g_orig = label_grad(w, xo, np.asarray(yo, dtype=np.float64))
+    g_aug = mean_grad_a(w, xa, ya, delta_y)
     return lam * g_orig + (1.0 - lam) * g_aug

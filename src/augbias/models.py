@@ -1,10 +1,12 @@
 """A linear softmax classifier with exact cross-entropy gradients.
 
 The classifier is the convex instance of the analysis, with sharp constant
-estimates. The cross-entropy loss is written as the inner product
-of the label with the negative-log-softmax vector p, so its gradient in the
-parameters is linear in the label; several estimators downstream rely on
-exactly that structure.
+estimates. A model is its flat float64 weight vector w, the row-major
+entries of a (k, d) matrix W with scores f(x; w) = W x; every function takes
+d from its inputs and k from its labels or from w.size // d. The
+cross-entropy loss is written as the inner product of the label with the
+negative-log-softmax vector p, so its gradient in the parameters is linear
+in the label; several estimators downstream rely on exactly that structure.
 """
 from __future__ import annotations
 
@@ -22,76 +24,21 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SoftmaxLinear:
-    """Scores f(x; w) = W x with W of shape (k, d), parameters flattened row-major."""
-
-    d: int
-    k: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.k < 2:
-            raise ValueError("SoftmaxLinear needs d >= 1 and k >= 2")
-
-    @property
-    def param_count(self) -> int:
-        return self.k * self.d
-
-
-@dataclass(frozen=True)
-class Predictor:
-    """A model shape plus one flat parameter vector."""
-
-    arch: SoftmaxLinear
-    params: np.ndarray
-
-    def __post_init__(self):
-        w = as_vec(self.params, size=self.arch.param_count, name="params")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "params", w)
-
-    def with_params(self, w: np.ndarray) -> "Predictor":
-        return Predictor(self.arch, w)
-
-
-def _unchecked_predictor(arch: SoftmaxLinear, w: np.ndarray) -> Predictor:
-    """A Predictor on `w` itself, for a caller that already knows it is a
-    finite float64 vector of arch.param_count entries: no checks and no copy.
-    `w` is made read-only, as Predictor's own copy is."""
-    w.setflags(write=False)
-    model = object.__new__(Predictor)
-    object.__setattr__(model, "arch", arch)
-    object.__setattr__(model, "params", w)
-    return model
-
-
-def zeros_predictor(arch: SoftmaxLinear) -> Predictor:
-    return Predictor(arch, np.zeros(arch.param_count))
-
-
-def init_predictor(arch: SoftmaxLinear, rng, scale: float = 0.1) -> Predictor:
-    """Gaussian init of the flat parameters."""
-    return Predictor(arch, scale * rng.gen.standard_normal(arch.param_count))
-
-
-def batch_scores(model: Predictor, x: np.ndarray) -> np.ndarray:
-    """Scores for an (n, d) batch; returns (n, k)."""
-    arch = model.arch
+def batch_scores(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scores for an (n, d) batch at the flat weights of a (k, d) matrix;
+    returns (n, k)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.d:
-        raise ValueError(f"batch must have shape (n, {arch.d})")
-    w = model.params.reshape(arch.k, arch.d)
-    return x @ w.T
+    if x.ndim != 2:
+        raise ValueError(f"batch must be 2-d, got shape {x.shape}")
+    return x @ w.reshape(-1, x.shape[1]).T
 
 
-def forward(model: Predictor, x) -> np.ndarray:
+def forward(w: np.ndarray, x) -> np.ndarray:
     """Score vector f(x; w) for a single input."""
-    xv = as_vec(x, size=model.arch.d, name="x")
-    return batch_scores(model, xv[None, :])[0]
+    return batch_scores(w, as_vec(x, name="x")[None, :])[0]
 
 
-def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
+def _grad_from_parts(x: np.ndarray, e_t, tot, z_t, z_sums) -> np.ndarray:
     """Mean parameter gradient of <z_i, p(x_i; w)> from class-major softmax
     parts (see core.softmax_parts), labels z_t (k, n) and their row sums."""
     # score-space gradient ((sum z) * softmax - z) / n, in place (a product
@@ -105,7 +52,7 @@ def _grad_from_parts(model: Predictor, x: np.ndarray, e_t, tot, z_t, z_sums) -> 
     return (ds.T @ x).ravel()
 
 
-def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def label_grad(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Mean over the batch of the parameter gradient of <z_i, p(x_i; w)>.
 
     Valid for arbitrary label rows z, on or off the simplex: the score-space
@@ -117,8 +64,8 @@ def label_grad(model: Predictor, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     z_t = np.ascontiguousarray(np.asarray(z, dtype=np.float64).T)
-    _, _, e_t, tot = softmax_parts(batch_scores(model, x))
-    return _grad_from_parts(model, x, e_t, tot, z_t, class_sum(z_t))
+    _, _, e_t, tot = softmax_parts(batch_scores(w, x))
+    return _grad_from_parts(x, e_t, tot, z_t, class_sum(z_t))
 
 
 @dataclass(frozen=True)
@@ -176,14 +123,14 @@ class Workspace:
         return v
 
 
-def scores_t(arch: SoftmaxLinear, params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
+def scores_t(params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
     """Class-major (B, k, n) scores of a (B, P) stack of parameter vectors
     over an evaluation set, into the C-ordered `out`.
 
     This is W @ inputs_t for every W in the stack, which equals
     batch_scores(...).T bit for bit and needs no transposed copy.
     """
-    return np.matmul(params.reshape(len(params), arch.k, arch.d), ev.inputs_t, out=out)
+    return np.matmul(params.reshape(len(params), -1, len(ev.inputs_t)), ev.inputs_t, out=out)
 
 
 class StackStats(NamedTuple):
@@ -192,7 +139,7 @@ class StackStats(NamedTuple):
     grad: np.ndarray | None  # (B, P) gradients of `loss` in the parameters
 
 
-def stack_stats(arch: SoftmaxLinear, params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
+def stack_stats(params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
                 grad: bool = False, ws: Workspace | None = None) -> StackStats:
     """Mean cross entropy over an evaluation set at each of a (B, P) stack of
     parameter vectors: the evaluation kernel.
@@ -208,19 +155,19 @@ def stack_stats(arch: SoftmaxLinear, params: np.ndarray, ev: EvalSet, delta_y: f
     total = len(params)
     if ws is None:
         batch = min(total, STACK_BATCH)
-        ws = Workspace(batch, arch.k, ev.n, ev.n if grad else 0)
+        ws = Workspace(batch, len(ev.labels_t), ev.n, ev.n if grad else 0)
     loss = np.empty(total)
     corrected = np.empty(total) if delta_y is not None else None
     grads = np.empty(params.shape) if grad else None
     for lo in range(0, total, ws.batch):
         hi = min(lo + ws.batch, total)
-        _stack_pass(arch, params[lo:hi], ev, delta_y, ws, loss[lo:hi],
+        _stack_pass(params[lo:hi], ev, delta_y, ws, loss[lo:hi],
                     None if corrected is None else corrected[lo:hi],
                     None if grads is None else grads[lo:hi])
     return StackStats(loss, corrected, grads)
 
 
-def _stack_pass(arch, params, ev, delta_y, ws, loss, corrected, grads) -> None:
+def _stack_pass(params, ev, delta_y, ws, loss, corrected, grads) -> None:
     """stack_stats for at most ws.batch iterates, into loss, corrected and grads.
 
     The means are sums over the examples divided by n, which is what np.mean
@@ -228,7 +175,7 @@ def _stack_pass(arch, params, ev, delta_y, ws, loss, corrected, grads) -> None:
     """
     n = ev.n
     p_t, e_t, ds, m, tot, lse, ce, norms = ws.views(len(params), n)
-    scores_t(arch, params, ev, out=p_t)
+    scores_t(params, ev, out=p_t)
     np.maximum.reduce(p_t, axis=1, out=m)
     np.subtract(p_t, m[:, None, :], out=e_t)
     np.exp(e_t, out=e_t)
@@ -245,7 +192,7 @@ def _stack_pass(arch, params, ev, delta_y, ws, loss, corrected, grads) -> None:
         e_t -= ev.labels_t
         np.divide(e_t.transpose(0, 2, 1), n, out=ds)
         np.matmul(ds.transpose(0, 2, 1), ev.inputs,
-                  out=grads.reshape(len(params), arch.k, arch.d))
+                  out=grads.reshape(p_t.shape[:2] + (-1,)))
     class_sum(np.multiply(ev.labels_t, p_t, out=e_t), out=ce)
     np.add.reduce(ce, axis=1, out=loss)
     loss /= n
@@ -264,28 +211,27 @@ class ScoreStats(NamedTuple):
     grad: np.ndarray | None  # gradient of `loss` in the parameters
 
 
-def eval_scores(model: Predictor, ev: EvalSet, delta_y: float | None = None,
+def eval_scores(w: np.ndarray, ev: EvalSet, delta_y: float | None = None,
                 grad: bool = False) -> ScoreStats:
-    """Mean cross entropy over an evaluation set at one model: stack_stats
-    on a stack of one."""
-    st = stack_stats(model.arch, model.params[None, :], ev, delta_y, grad)
+    """Mean cross entropy over an evaluation set at one weight vector:
+    stack_stats on a stack of one."""
+    st = stack_stats(w[None, :], ev, delta_y, grad)
     return ScoreStats(float(st.loss[0]),
                       None if st.corrected is None else float(st.corrected[0]),
                       None if st.grad is None else st.grad[0])
 
 
-def score_jacobian(model: Predictor, x) -> np.ndarray:
+def score_jacobian(w: np.ndarray, x) -> np.ndarray:
     """Jacobian of the score vector in the flat parameters, shape (k, D)."""
-    arch = model.arch
-    xv = as_vec(x, size=arch.d, name="x")
-    return np.kron(np.eye(arch.k), xv)
+    xv = as_vec(x, name="x")
+    return np.kron(np.eye(w.size // xv.size), xv)
 
 
-def p_jacobian(model: Predictor, x) -> np.ndarray:
+def p_jacobian(w: np.ndarray, x) -> np.ndarray:
     """Jacobian of p(x; w) in the flat parameters, shape (k, D)."""
-    scores = forward(model, x)
+    scores = forward(w, x)
     sig = softmax(scores)
-    j = score_jacobian(model, x)
+    j = score_jacobian(w, x)
     return (np.outer(np.ones(len(sig)), sig) - np.eye(len(sig))) @ j
 
 
@@ -294,7 +240,7 @@ def p_jacobian(model: Predictor, x) -> np.ndarray:
 _SCREEN_RTOL = 1e-9
 
 
-def _screen_pairs(arch: SoftmaxLinear, cloud: list, x: np.ndarray) -> np.ndarray | None:
+def _screen_pairs(cloud: list, x: np.ndarray) -> np.ndarray | None:
     """(cloud index, input index) pairs that can hold the largest p-Jacobian
     norm, or None when the screen is not finite.
 
@@ -307,8 +253,9 @@ def _screen_pairs(arch: SoftmaxLinear, cloud: list, x: np.ndarray) -> np.ndarray
     within exp(+-2 slack). So a pair is kept when its screen, widened by that
     factor and by _SCREEN_RTOL, reaches the largest narrowed screen.
     """
-    k, d = arch.k, arch.d
-    w = np.stack([m.params for m in cloud]).reshape(len(cloud) * k, d)
+    d = x.shape[1]
+    w = np.stack(cloud).reshape(-1, d)
+    k = len(w) // len(cloud)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         s = (x @ w.T).reshape(len(x), len(cloud), k)
         e = np.exp(s - s.max(axis=2, keepdims=True))
@@ -331,7 +278,7 @@ def _screen_pairs(arch: SoftmaxLinear, cloud: list, x: np.ndarray) -> np.ndarray
     return np.stack([cols, rows], axis=1)
 
 
-def estimate_G(model: Predictor, dataset: LabeledSet, params_cloud) -> float:
+def estimate_G(dataset: LabeledSet, params_cloud) -> float:
     """Largest spectral norm of the p-Jacobian over (input, parameter) pairs.
 
     An empirical stand-in for the uniform gradient bound: the max never
@@ -342,10 +289,10 @@ def estimate_G(model: Predictor, dataset: LabeledSet, params_cloud) -> float:
     scan's bit for bit. A plain closed form is not: it differs from the SVD
     by an ulp or two. A screen that is not finite scans every pair.
     """
-    cloud = [model.with_params(np.asarray(w, dtype=np.float64)) for w in params_cloud]
+    cloud = [as_vec(w, size=dataset.k * dataset.d, name="cloud point") for w in params_cloud]
     if dataset.n == 0 or len(cloud) == 0:
         raise ValueError("need a nonempty dataset and parameter cloud")
-    pairs = _screen_pairs(model.arch, cloud, dataset.inputs)
+    pairs = _screen_pairs(cloud, dataset.inputs)
     if pairs is None:
         pairs = [(c, i) for c in range(len(cloud)) for i in range(dataset.n)]
     best = 0.0

@@ -51,16 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSet, Rng
-from .models import (
-    STACK_BATCH,
-    EvalSet,
-    Predictor,
-    Workspace,
-    _unchecked_predictor,
-    label_grad,
-    stack_stats,
-)
+from .core import LabeledSet, Rng, as_vec
+from .models import STACK_BATCH, EvalSet, Workspace, label_grad, stack_stats
 from .losses import combined_grad
 
 STREAM_INIT = 0
@@ -370,11 +362,11 @@ class FirstStageStore:
 
     A run may take the stored stage when its own first stage is at least one
     step long, no longer than the stored one, and keyed the same: the start
-    iterate's bytes and architecture, the stage's mode, step size and
-    resolved batch, the scheme's lam and delta_y, the seed, ltilde_ref, and
-    the very sets (by identity) it trains on and scores. A longer first stage
-    runs from scratch, since continuing the stored one would need its
-    generators' state. The stored records are all finite: a run stores the
+    iterate's bytes, the stage's mode, step size and resolved batch, the
+    scheme's lam and delta_y, the seed, ltilde_ref, and the very sets (by
+    identity) it trains on and scores, which fix the iterate's shape. A
+    longer first stage runs from scratch, since continuing the stored one
+    would need its generators' state. The stored records are all finite: a run stores the
     records its first stage reached before any abort.
     """
 
@@ -400,24 +392,24 @@ class FirstStageStore:
         return self._rows[:steps + 1], self._iterates[steps].copy()
 
 
-def _stage_key(arch, w: np.ndarray, scheme: Scheme, cfg: TrainConfig, batch: int) -> tuple:
+def _stage_key(w: np.ndarray, scheme: Scheme, cfg: TrainConfig, batch: int) -> tuple:
     """What decides a run's first-stage steps and records, besides the sets;
     floats by their bits, so a key never matches a different value."""
     stage = scheme.stages[0]
     floats = struct.pack("<4d", stage.eta, scheme.lam, scheme.delta_y, cfg.ltilde_ref)
-    return (arch, w.tobytes(), stage.mode, batch, cfg.seed, floats)
+    return (w.tobytes(), stage.mode, batch, cfg.seed, floats)
 
 
 def run_scheme(
-    model: Predictor,
+    w0: np.ndarray,
     orig: LabeledSet | None,
     aug: LabeledSet | None,
     cfg: TrainConfig,
     *,
     first_stage: FirstStageStore | None = None,
 ) -> TrainTrace:
-    """Run cfg.scheme's stages from `model`, with one trace record at the
-    start and one after every step.
+    """Run cfg.scheme's stages from the flat weights `w0`, with one trace
+    record at the start and one after every step.
 
     Training and scoring alternate: training runs up to CHUNK steps ahead,
     then that chunk's records are scored together, split across
@@ -440,7 +432,8 @@ def run_scheme(
         raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
     sizes = size_stages(scheme, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
-    w = np.array(model.params, dtype=np.float64)
+    data = orig if uses_orig else aug
+    w = as_vec(w0, size=data.k * data.d, name="w0").copy()
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     sets = (orig, aug, eval_orig, eval_aug)
@@ -452,25 +445,25 @@ def run_scheme(
     stages = list(zip(scheme.stages, tags, sizes))
     first = sizes[0][0]
     store = None if cfg.keep_iterates else first_stage
-    key = _stage_key(model.arch, w, scheme, cfg, sizes[0][1]) if store is not None else None
+    key = _stage_key(w, scheme, cfg, sizes[0][1]) if store is not None else None
     taken = store.take(key, sets, first) if store is not None else None
     if taken is not None:
         # the first stage's records are known; training resumes after it
         (rows, w), reused = taken, first
         chunk, end = [], (first, tags[0], w)
-        steps = _train(model.arch, w, orig, aug, cfg, stages[1:], first)
+        steps = _train(w, orig, aug, cfg, stages[1:], first)
     else:
         rows, reused = [], 0
         chunk = [(0, first_tag, w)]
         end = chunk[0]  # the (t, tag, w) the run ends on
-        steps = _train(model.arch, w, orig, aug, cfg, stages)
+        steps = _train(w, orig, aug, cfg, stages)
         if store is not None:
             store.clear()  # released before this run fills its own stage
     storing = store is not None and taken is None
     stage_iterates = np.empty((first + 1, w.size)) if storing else None
     iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
-    scorer = _RecordScorer(model.arch, eval_orig, eval_aug, scheme.lam, scheme.delta_y,
-                           cfg.ltilde_ref, scoring_threads())
+    scorer = _RecordScorer(eval_orig, eval_aug, scheme.lam, scheme.delta_y, cfg.ltilde_ref,
+                           scoring_threads())
     trained, error = False, None
     train_s = score_s = 0.0
     with scorer:
@@ -523,7 +516,7 @@ def run_scheme(
     )
 
 
-def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0):
+def _train(w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0):
     """SGD from w, the iterate at step global_t, over (stage, tag, (iters,
     batch)) in order; yields (t, tag, w) after every step and stops at a
     non-finite gradient.
@@ -531,8 +524,7 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: i
     Each value is checked for finiteness once. A gradient is checked by
     sgd_step, whose ValueError ends the run when the gradient is the cause.
     An iterate is checked by the caller, which resumes the generator only
-    after a finite one, so a step wraps w in a Predictor without checking or
-    copying it again.
+    after a finite one, so a step uses w without checking or copying it again.
 
     Steps run ahead of their records, so a step can follow an iterate whose
     record overflows; its arithmetic may then give inf and NaN, without
@@ -546,14 +538,13 @@ def _train(arch, w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: i
             if stage.mode != "aug" else None
         rng_aug = Rng(cfg.seed, STREAM_AUG)
         for _ in range(iters):
-            m = _unchecked_predictor(arch, w)
             with np.errstate(over="ignore", invalid="ignore"):
                 if stage.mode == "orig":
-                    grad = label_grad(m, *_gather(orig, orig_sampler.draw(batch)))
+                    grad = label_grad(w, *_gather(orig, orig_sampler.draw(batch)))
                 elif stage.mode == "aug":
-                    grad = label_grad(m, *_draw_aug(aug, rng_aug, batch))
+                    grad = label_grad(w, *_draw_aug(aug, rng_aug, batch))
                 else:
-                    grad = combined_grad(m, _gather(orig, orig_sampler.draw(1)),
+                    grad = combined_grad(w, _gather(orig, orig_sampler.draw(1)),
                                          _draw_aug(aug, rng_aug, batch), lam, delta_y)
                 try:
                     # divergence overflows to inf and is caught at the next record
@@ -575,14 +566,14 @@ class _RecordScorer:
     numpy), never a layer function that a tracer may have wrapped.
     """
 
-    def __init__(self, arch, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
+    def __init__(self, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
                  lam: float, delta_y: float, ltilde_ref: float, threads: int):
-        self._arch = arch
         self._sets = (eval_orig, eval_aug)
         self._lam, self._delta_y, self._ltilde_ref = lam, delta_y, ltilde_ref
+        k = max((len(ev.labels_t) for ev in self._sets if ev is not None), default=0)
         n = max((ev.n for ev in self._sets if ev is not None), default=0)
         n_grad = eval_orig.n if eval_orig is not None else 0
-        self._workspaces = [Workspace(STACK_BATCH, arch.k, n, n_grad) for _ in range(threads)]
+        self._workspaces = [Workspace(STACK_BATCH, k, n, n_grad) for _ in range(threads)]
         self._pool = None
 
     def __enter__(self):
@@ -632,11 +623,11 @@ class _RecordScorer:
         # check on the values turns that into an abort rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if eval_orig is not None:
-                st = stack_stats(self._arch, params, eval_orig, grad=True, ws=ws)
+                st = stack_stats(params, eval_orig, grad=True, ws=ws)
                 out[:, 0] = st.loss
                 out[:, 1] = [np.linalg.norm(g) for g in st.grad]
             if eval_aug is not None:
-                st = stack_stats(self._arch, params, eval_aug, delta_y=self._delta_y, ws=ws)
+                st = stack_stats(params, eval_aug, delta_y=self._delta_y, ws=ws)
                 out[:, 2] = st.loss
                 out[:, 3] = st.corrected
                 out[:, 4] = st.loss - self._ltilde_ref

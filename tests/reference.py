@@ -19,7 +19,7 @@ import numpy as np
 from augbias.augment import PlantedParams
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, as_vec, softmax_rows
 from augbias.losses import _P_NORM_FLOOR, _corrected_labels_t
-from augbias.models import EvalSet, Predictor, batch_scores, eval_scores, forward, label_grad
+from augbias.models import EvalSet, batch_scores, eval_scores, forward, label_grad
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +75,8 @@ def p_from_scores(scores) -> np.ndarray:
     return lse - s
 
 
-def p_of(model: Predictor, x) -> np.ndarray:
-    return p_from_scores(forward(model, x))
+def p_of(w: np.ndarray, x) -> np.ndarray:
+    return p_from_scores(forward(w, x))
 
 
 def _check_simplex_label(y: np.ndarray) -> None:
@@ -94,18 +94,18 @@ def ce_loss(y, scores) -> float:
     return float(yv @ p)
 
 
-def ce_grad(model: Predictor, x, y) -> GradSample:
+def ce_grad(w: np.ndarray, x, y) -> GradSample:
     """Loss and exact parameter gradient of the cross entropy at one example.
 
     The label may be any finite vector, not just a simplex point: the gradient
     <y, grad p> is linear in y, and the corrected-loss envelope evaluates it at
     ball minimizers that sit strictly off the simplex.
     """
-    xv = as_vec(x, size=model.arch.d, name="x")
     yv = as_vec(y, name="y")
-    scores = forward(model, xv)
+    xv = as_vec(x, size=w.size // yv.size, name="x")
+    scores = forward(w, xv)
     loss = float(yv @ p_from_scores(scores))
-    grad = label_grad(model, xv[None, :], yv[None, :])
+    grad = label_grad(w, xv[None, :], yv[None, :])
     return GradSample(loss=loss, grad=check_finite(grad, "grad"))
 
 
@@ -139,17 +139,17 @@ def corrected_label_rows(y: np.ndarray, p: np.ndarray, delta_y: float) -> np.nda
     return _corrected_labels_t(np.asarray(y, dtype=np.float64).T, np.asarray(p).T, delta_y).T
 
 
-def grad_a(model: Predictor, x_tilde, y_tilde, delta_y: float) -> GradSample:
+def grad_a(w: np.ndarray, x_tilde, y_tilde, delta_y: float) -> GradSample:
     """Envelope-rule gradient of the corrected loss at one example.
 
     The minimizer over the ball is unique whenever ||p|| > 0; the gradient of
     the minimum is then the label-linear gradient evaluated at that fixed
     minimizer.
     """
-    xv = as_vec(x_tilde, size=model.arch.d, name="x_tilde")
-    scores = batch_scores(model, xv[None, :])[0]
+    xv = as_vec(x_tilde, size=w.size // np.size(y_tilde), name="x_tilde")
+    scores = batch_scores(w, xv[None, :])[0]
     res = loss_a(y_tilde, scores, delta_y)
-    grad = label_grad(model, xv[None, :], res.minimizer_z[None, :])
+    grad = label_grad(w, xv[None, :], res.minimizer_z[None, :])
     return GradSample(loss=res.value, grad=grad)
 
 
@@ -157,7 +157,7 @@ def grad_a(model: Predictor, x_tilde, y_tilde, delta_y: float) -> GradSample:
 # dataset means and teacher labels
 
 
-def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,
+def objective_value(w: np.ndarray, dataset: LabeledSet, kind: str, *,
                     delta_y: float = 0.0, lam: float | None = None,
                     aug: LabeledSet | None = None) -> float:
     """Empirical mean of a per-example loss over a dataset.
@@ -176,7 +176,7 @@ def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,
         if kind == "L_a" and delta_y < 0:
             raise ValueError("delta_y must be nonnegative")
         ev = EvalSet.of(dataset.inputs, dataset.labels)
-        st = eval_scores(model, ev, delta_y=delta_y if kind == "L_a" else None)
+        st = eval_scores(w, ev, delta_y=delta_y if kind == "L_a" else None)
         return st.corrected if kind == "L_a" else st.loss
     if kind == "L_c":
         if lam is None or not (0.0 <= lam <= 1.0):
@@ -185,8 +185,8 @@ def objective_value(model: Predictor, dataset: LabeledSet, kind: str, *,
             raise ValueError("kind 'L_c' takes the original set as `dataset`")
         if aug is None or aug.provenance != AUGMENTED:
             raise ValueError("kind 'L_c' needs the augmented set via `aug`")
-        l_orig = objective_value(model, dataset, "L")
-        l_corr = objective_value(model, aug, "L_a", delta_y=delta_y)
+        l_orig = objective_value(w, dataset, "L")
+        l_corr = objective_value(w, aug, "L_a", delta_y=delta_y)
         return lam * l_orig + (1.0 - lam) * l_corr
     raise ValueError(f"unknown objective kind {kind!r}")
 

@@ -15,13 +15,7 @@ import pytest
 
 from conftest import record_verdict
 from augbias.core import AUGMENTED, LabeledSet, Rng
-from augbias.models import (
-    Predictor,
-    SoftmaxLinear,
-    estimate_G,
-    forward,
-    zeros_predictor,
-)
+from augbias.models import estimate_G, forward
 from augbias.losses import combined_grad
 from augbias.augment import (
     SyntheticTask,
@@ -108,10 +102,8 @@ def test_corrected_loss_matches_ball_oracle():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(307)
     worst = 0.0
-    arch = SoftmaxLinear(5, 4)
     for _ in range(100):
-        w = 0.7 * rng.standard_normal(arch.param_count)
-        m = Predictor(arch, w)
+        w = 0.7 * rng.standard_normal(4 * 5)
         x = rng.standard_normal(5)
         y = rng.dirichlet(np.ones(4))
         delta = float(rng.uniform(0.05, 0.5))
@@ -120,21 +112,20 @@ def test_gradients_match_finite_differences():
         ya = rng.dirichlet(np.ones(4), size=3)
 
         worst = max(worst, rel_err(
-            ce_grad(m, x, y).grad,
-            fd_grad(lambda wv: ce_loss(y, forward(Predictor(arch, wv), x)), w)))
+            ce_grad(w, x, y).grad,
+            fd_grad(lambda wv: ce_loss(y, forward(wv, x)), w)))
         worst = max(worst, rel_err(
-            grad_a(m, x, y, delta).grad,
-            fd_grad(lambda wv: loss_a(y, forward(Predictor(arch, wv), x), delta).value, w)))
+            grad_a(w, x, y, delta).grad,
+            fd_grad(lambda wv: loss_a(y, forward(wv, x), delta).value, w)))
 
         def mixed_val(wv):
-            mm = Predictor(arch, wv)
-            ce = ce_loss(y, forward(mm, x))
-            corr = np.mean([loss_a(ya[i], forward(mm, xa[i]), delta).value
+            ce = ce_loss(y, forward(wv, x))
+            corr = np.mean([loss_a(ya[i], forward(wv, xa[i]), delta).value
                             for i in range(3)])
             return lam * ce + (1.0 - lam) * corr
 
         worst = max(worst, rel_err(
-            combined_grad(m, (x[None], y[None]), (xa, ya), lam, delta),
+            combined_grad(w, (x[None], y[None]), (xa, ya), lam, delta),
             fd_grad(mixed_val, w)))
     record_verdict(2, "ce/corrected/combined gradients match central differences",
                    worst <= 1e-6, f"max rel err {worst:.2e}")
@@ -214,14 +205,14 @@ def membership_runs():
     best-found floors for both objectives, and the estimated constants
     feeding the constraint radius.
     """
-    arch = SoftmaxLinear(CANON.d, CANON.k)
+    size = CANON.k * CANON.d
     out = []
     for seed in range(5):
         orig, aug, planted = gen_synthetic(CANON, Rng(seed, 0))
         cfg = TrainConfig(
             scheme=AugDrop(t1=1000, m1=64, m2=64, eta1=0.5, eta2=0.5, t2=1000),
             seed=seed, keep_iterates=True)
-        trace = run_scheme(zeros_predictor(arch), orig, aug, cfg)
+        trace = run_scheme(np.zeros(size), orig, aug, cfg)
         assert not trace.aborted
 
         stage2_all = [w for w, r in zip(trace.iterates, trace.rows) if r.stage == 2]
@@ -229,20 +220,19 @@ def membership_runs():
         s2 = stage2_all[::STRIDE]
         union = s1 + s2
 
-        orig_obj = CeObjective.over(arch, orig)
-        aug_obj = CeObjective.over(arch, aug)
+        orig_obj = CeObjective.over(orig)
+        aug_obj = CeObjective.over(aug)
         hint = planted.w_star.ravel()
         l_floor, _ = best_found_floor(
-            orig_obj, arch.param_count, Rng(seed, 11).gen,
+            orig_obj, size, Rng(seed, 11).gen,
             extra_starts=(hint, trace.final_params), n_random=1)
         lt_floor, _ = best_found_floor(
-            aug_obj, arch.param_count, Rng(seed, 12).gen,
+            aug_obj, size, Rng(seed, 12).gen,
             extra_starts=(hint, s1[-1]), n_random=1)
 
         dy = estimate_delta_y(zip(clean_labels(planted, aug.inputs[:500]),
                                   aug.labels[:500]))
         g_hat = estimate_G(
-            zeros_predictor(arch),
             LabeledSet(aug.inputs[:64], aug.labels[:64], AUGMENTED),
             np.asarray(union)[::5])
         mu_union = estimate_mu(orig_obj, union, l_floor)
@@ -339,20 +329,19 @@ def _csv_bytes(trace, path):
 def test_scheme_reductions_are_bitwise(tmp_path):
     task = SyntheticTask(mode="label_bias", n=24, m=30, d=3, k=3, delta_y=0.2)
     orig, aug, _ = gen_synthetic(task, Rng(41, 0))
-    arch = SoftmaxLinear(3, 3)
-    model = zeros_predictor(arch)
+    w0 = np.zeros(3 * 3)
 
-    tw = run_scheme(model, orig, aug, TrainConfig(
+    tw = run_scheme(w0, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2, batch=8),
         seed=13))
-    ta = run_scheme(model, orig, aug, TrainConfig(
+    ta = run_scheme(w0, orig, aug, TrainConfig(
         scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2, t2=5), seed=13))
     pair1 = _csv_bytes(tw, tmp_path / "w1.csv") == _csv_bytes(ta, tmp_path / "a1.csv")
 
-    tw2 = run_scheme(model, orig, aug, TrainConfig(
+    tw2 = run_scheme(w0, orig, aug, TrainConfig(
         scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6,
                      eta1=0.25, eta2=0.1, batch=4), seed=23))
-    tm = run_scheme(model, orig, aug, TrainConfig(
+    tm = run_scheme(w0, orig, aug, TrainConfig(
         scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25, epochs=1), seed=23))
     pair2 = _csv_bytes(tw2, tmp_path / "w2.csv") == _csv_bytes(tm, tmp_path / "m2.csv")
 

@@ -110,6 +110,17 @@ def test_every_training_step_goes_through_the_traced_sgd_step(traced):
     assert metrics["losses.combined_grad.calls"] > 0
 
 
+def test_the_theory_plan_counts_the_jacobian_pairs(traced):
+    """The theory plan's one set-up estimates G once, and the tracer counts
+    its (cloud point, input) pairs from the call's `dataset` and
+    `params_cloud` arguments."""
+    tracing, after_practical, both, _ = traced
+    assert tracing.layer_metrics(after_practical)["models.estimate_G.calls"] == 0
+    metrics = tracing.layer_metrics(both)
+    assert metrics["models.estimate_G.calls"] == 1
+    assert metrics["models.estimate_G.pairs"] > 0
+
+
 def test_the_step_bench_times_every_layer(tmp_path):
     out = tmp_path / "BENCH_step.json"
     subprocess.run([sys.executable, os.path.join(ROOT, "bench", "step_costs.py"),

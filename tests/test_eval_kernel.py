@@ -18,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import augbias.trainers as trainers
-from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng, softmax_rows
+from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng, as_vec, softmax_rows
 from augbias.models import (
     STACK_BATCH,
     EvalSet,
-    Predictor,
-    SoftmaxLinear,
     batch_scores,
     eval_scores,
     label_grad,
@@ -60,30 +58,30 @@ def frozen_p_rows(s):
     return lse - s
 
 
-def frozen_label_grad(model, x, z):
+def frozen_label_grad(w, x, z):
     n = x.shape[0]
-    sig = frozen_softmax_rows(batch_scores(model, x))
+    sig = frozen_softmax_rows(batch_scores(w, x))
     ds = (z.sum(axis=1, keepdims=True) * sig - z) / n
     return (ds.T @ x).ravel()
 
 
-def frozen_mean_grad_a(model, x, y, delta_y):
+def frozen_mean_grad_a(w, x, y, delta_y):
     """The corrected-loss batch gradient as two scores passes: one for p and
     the minimizers z*, one more inside the gradient."""
-    p = frozen_p_rows(batch_scores(model, x))
+    p = frozen_p_rows(batch_scores(w, x))
     norms = np.linalg.norm(p, axis=1, keepdims=True)
     safe = np.where(norms < 1e-12, 1.0, norms)
     scale = np.where(norms < 1e-12, 0.0, delta_y / safe)
-    return frozen_label_grad(model, x, y - scale * p)
+    return frozen_label_grad(w, x, y - scale * p)
 
 
-def frozen_mean_ce(model, ds):
-    p = frozen_p_rows(batch_scores(model, ds.inputs))
+def frozen_mean_ce(w, ds):
+    p = frozen_p_rows(batch_scores(w, ds.inputs))
     return float(np.mean(np.sum(ds.labels * p, axis=1)))
 
 
-def frozen_mean_corrected(model, ds, delta_y):
-    p = frozen_p_rows(batch_scores(model, ds.inputs))
+def frozen_mean_corrected(w, ds, delta_y):
+    p = frozen_p_rows(batch_scores(w, ds.inputs))
     vals = np.sum(ds.labels * p, axis=1) - delta_y * np.linalg.norm(p, axis=1)
     return float(np.mean(vals))
 
@@ -93,18 +91,18 @@ def as_labeled(ev, provenance):
     return LabeledSet(ev.inputs, np.ascontiguousarray(ev.labels_t.T), provenance)
 
 
-def frozen_record(model, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
+def frozen_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values, one formula per value, as before the kernel."""
     if eval_orig is not None:
         eval_orig = as_labeled(eval_orig, ORIGINAL)
-        l_val = frozen_mean_ce(model, eval_orig)
-        gnorm = float(np.linalg.norm(frozen_label_grad(model, eval_orig.inputs, eval_orig.labels)))
+        l_val = frozen_mean_ce(w, eval_orig)
+        gnorm = float(np.linalg.norm(frozen_label_grad(w, eval_orig.inputs, eval_orig.labels)))
     else:
         l_val, gnorm = 0.0, 0.0
     if eval_aug is not None:
         eval_aug = as_labeled(eval_aug, AUGMENTED)
-        lt_val = frozen_mean_ce(model, eval_aug)
-        la_val = frozen_mean_corrected(model, eval_aug, delta_y)
+        lt_val = frozen_mean_ce(w, eval_aug)
+        la_val = frozen_mean_corrected(w, eval_aug, delta_y)
         cons = lt_val - ltilde_ref
     else:
         lt_val, la_val, cons = 0.0, 0.0, 0.0
@@ -112,14 +110,14 @@ def frozen_record(model, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     return (l_val, lt_val, lc_val, gnorm, cons)
 
 
-def kernel_record(model, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
+def kernel_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values at one iterate, from the trainer's scorer."""
-    with trainers._RecordScorer(model.arch, eval_orig, eval_aug, lam, delta_y, ltilde_ref,
+    with trainers._RecordScorer(eval_orig, eval_aug, lam, delta_y, ltilde_ref,
                                 threads=1) as scorer:
-        return scorer.values(model.params[None, :])[0]
+        return scorer.values(w[None, :])[0]
 
 
-def frozen_run_scheme(model, orig, aug, cfg):
+def frozen_run_scheme(w0, orig, aug, cfg):
     """run_scheme as it stood before chunked scoring: a record after every
     step, scored by frozen_record, ending at the first non-finite iterate,
     record or gradient. The layer functions are looked up on the trainers
@@ -129,8 +127,8 @@ def frozen_run_scheme(model, orig, aug, cfg):
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
     sizes = size_stages(scheme, orig.n if orig is not None else 0,
                         aug.n if aug is not None else 0)
-    arch = model.arch
-    w = np.array(model.params, dtype=np.float64)
+    data = orig if uses_orig else aug
+    w = as_vec(w0, size=data.k * data.d, name="w0").copy()
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
@@ -142,8 +140,7 @@ def frozen_run_scheme(model, orig, aug, cfg):
         if not np.all(np.isfinite(w)):
             return False
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = frozen_record(Predictor(arch, w), eval_orig, eval_aug,
-                                 lam, delta_y, cfg.ltilde_ref)
+            vals = frozen_record(w, eval_orig, eval_aug, lam, delta_y, cfg.ltilde_ref)
         if not all(np.isfinite(v) for v in vals):
             return False
         rows.append(TraceRow(t, tag, *vals))
@@ -163,17 +160,16 @@ def frozen_run_scheme(model, orig, aug, cfg):
             if stage.mode != "aug" else None
         rng_aug = Rng(cfg.seed, STREAM_AUG)
         for _ in range(iters):
-            m = Predictor(arch, w)
             if stage.mode == "orig":
                 idx = orig_sampler.draw(batch)
-                grad = trainers.label_grad(m, orig.inputs[idx], orig.labels[idx])
+                grad = trainers.label_grad(w, orig.inputs[idx], orig.labels[idx])
             elif stage.mode == "aug":
                 xa, ya = trainers._draw_aug(aug, rng_aug, batch)
-                grad = trainers.label_grad(m, xa, ya)
+                grad = trainers.label_grad(w, xa, ya)
             else:
                 idx = orig_sampler.draw(1)
                 xa, ya = trainers._draw_aug(aug, rng_aug, batch)
-                grad = trainers.combined_grad(m, (orig.inputs[idx], orig.labels[idx]),
+                grad = trainers.combined_grad(w, (orig.inputs[idx], orig.labels[idx]),
                                               (xa, ya), lam, delta_y)
             if not np.all(np.isfinite(grad)):
                 aborted = True
@@ -243,15 +239,14 @@ def test_linear_class_major_scores_match_transposed_batch_scores(k, n, d, b, log
     x @ W.T, yet it must round the same: the kernel takes the first in place
     of the second."""
     rng = np.random.default_rng(seed)
-    arch = SoftmaxLinear(d, k)
-    params = 10.0**log_scale * rng.standard_normal((b, arch.param_count))
+    params = 10.0**log_scale * rng.standard_normal((b, k * d))
     ev = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
     out = np.empty((b, k, n))  # C-ordered, as the class-major reductions need
     with np.errstate(over="ignore", invalid="ignore"):
-        got = scores_t(arch, params, ev, out=out)
+        got = scores_t(params, ev, out=out)
         assert got is out
         for i, w in enumerate(params):
-            assert same(got[i], batch_scores(Predictor(arch, w), ev.inputs).T)
+            assert same(got[i], batch_scores(w, ev.inputs).T)
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,38 +258,35 @@ def test_stack_matches_per_iterate_eval_scores(k, n, d, b, log_scale, delta_y, s
     loss, gradient and gradient norm. The iterates of one stack have
     different scales, so some overflow while others do not."""
     rng = np.random.default_rng(seed)
-    arch = SoftmaxLinear(d, k)
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
-    params = scales * rng.standard_normal((b, arch.param_count))
+    params = scales * rng.standard_normal((b, k * d))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
     ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = stack_stats(arch, params, ev, delta_y=delta_y, grad=True)
+        got = stack_stats(params, ev, delta_y=delta_y, grad=True)
         for i, w in enumerate(params):
-            model = Predictor(arch, w)
-            one = eval_scores(model, ev, delta_y=delta_y, grad=True)
+            one = eval_scores(w, ev, delta_y=delta_y, grad=True)
             assert same(got.loss[i], one.loss)
             assert same(got.corrected[i], one.corrected)
             assert same(got.grad[i], one.grad)
             assert same(np.linalg.norm(got.grad[i]), np.linalg.norm(one.grad))
-            assert same(got.loss[i], frozen_mean_ce(model, ds))
-            assert same(got.corrected[i], frozen_mean_corrected(model, ds, delta_y))
-            assert same(got.grad[i], frozen_label_grad(model, x, y))
+            assert same(got.loss[i], frozen_mean_ce(w, ds))
+            assert same(got.corrected[i], frozen_mean_corrected(w, ds, delta_y))
+            assert same(got.grad[i], frozen_label_grad(w, x, y))
 
 
 @settings(max_examples=200, deadline=None)
 @given(k=classes, n=rows, m=rows, d=st.integers(1, 4), log_scale=log_scales, seed=seeds)
 def test_record_matches_frozen_formulas(k, n, m, d, log_scale, seed):
     rng = np.random.default_rng(seed)
-    arch = SoftmaxLinear(d, k)
-    model = Predictor(arch, 10.0**log_scale * rng.standard_normal(arch.param_count))
+    w = 10.0**log_scale * rng.standard_normal(k * d)
     orig = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
     aug = EvalSet.of(rng.standard_normal((m, d)), random_labels(rng, m, k))
     lam, delta_y, ref = float(rng.random()), float(rng.random()), float(rng.random())
     for eo, ea in ((orig, aug), (orig, None), (None, aug)):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = kernel_record(model, eo, ea, lam, delta_y, ref)
-            want = frozen_record(model, eo, ea, lam, delta_y, ref)
+            got = kernel_record(w, eo, ea, lam, delta_y, ref)
+            want = frozen_record(w, eo, ea, lam, delta_y, ref)
         assert same(got, want)
         assert all(np.isfinite(got)) == all(np.isfinite(want))
 
@@ -303,18 +295,16 @@ def test_record_matches_frozen_formulas(k, n, m, d, log_scale, seed):
 @given(k=classes, n=rows, d=st.integers(1, 4), log_scale=st.floats(-3.0, 2.0), seed=seeds)
 def test_gradient_and_objectives_match_frozen_formulas(k, n, d, log_scale, seed):
     rng = np.random.default_rng(seed)
-    arch = SoftmaxLinear(d, k)
-    w = 10.0**log_scale * rng.standard_normal(arch.param_count)
-    model = Predictor(arch, w)
+    w = 10.0**log_scale * rng.standard_normal(k * d)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
     # off-simplex rows, as the corrected loss feeds its minimizers
     z = y - 0.3 * rng.random((n, k))
-    assert same(label_grad(model, x, z), frozen_label_grad(model, x, z))
+    assert same(label_grad(w, x, z), frozen_label_grad(w, x, z))
     orig, aug = LabeledSet(x, y, ORIGINAL), LabeledSet(x, y, AUGMENTED)
-    assert CeObjective.over(arch, orig).loss(w) == frozen_mean_ce(model, orig)
-    assert objective_value(model, orig, "L") == frozen_mean_ce(model, orig)
-    assert objective_value(model, aug, "L_tilde") == frozen_mean_ce(model, aug)
-    assert objective_value(model, aug, "L_a", delta_y=0.3) == frozen_mean_corrected(model, aug, 0.3)
+    assert CeObjective.over(orig).loss(w) == frozen_mean_ce(w, orig)
+    assert objective_value(w, orig, "L") == frozen_mean_ce(w, orig)
+    assert objective_value(w, aug, "L_tilde") == frozen_mean_ce(w, aug)
+    assert objective_value(w, aug, "L_a", delta_y=0.3) == frozen_mean_corrected(w, aug, 0.3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,13 +313,11 @@ def test_gradient_and_objectives_match_frozen_formulas(k, n, d, log_scale, seed)
 def test_single_pass_gradients_match_two_pass(k, n, d, log_scale, delta_y, seed):
     """mean_grad_a and CeObjective.value_and_grad score each batch once."""
     rng = np.random.default_rng(seed)
-    arch = SoftmaxLinear(d, k)
-    w = 10.0**log_scale * rng.standard_normal(arch.param_count)
-    model = Predictor(arch, w)
+    w = 10.0**log_scale * rng.standard_normal(k * d)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same(mean_grad_a(model, x, y, delta_y), frozen_mean_grad_a(model, x, y, delta_y))
-        obj = CeObjective.over(arch, LabeledSet(x, y, ORIGINAL))
+        assert same(mean_grad_a(w, x, y, delta_y), frozen_mean_grad_a(w, x, y, delta_y))
+        obj = CeObjective.over(LabeledSet(x, y, ORIGINAL))
         value, grad = obj.value_and_grad(w)
         assert same(value, obj.loss(w)) and same(grad, obj.grad(w))
 
@@ -356,8 +344,7 @@ def test_runs_match_the_frozen_record_step_for_step(k, eta, d):
     records, past the step where the frozen loop stops; the steps it takes
     there overflow to inf and NaN, which must not escape."""
     orig, aug = _sets(k, 30, 50, d, k)
-    arch = SoftmaxLinear(d, k)
-    model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(k * d)
     configs = [
         TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), seed=2,
                     keep_iterates=True),
@@ -365,8 +352,8 @@ def test_runs_match_the_frozen_record_step_for_step(k, eta, d):
                     keep_iterates=True),
     ]
     for cfg in configs:
-        new = run_scheme(model, orig, aug, cfg)
-        old = frozen_run_scheme(model, orig, aug, cfg)
+        new = run_scheme(w0, orig, aug, cfg)
+        old = frozen_run_scheme(w0, orig, aug, cfg)
         assert_same_run(new, old)
         assert new.aborted == (eta > 1.0)
 
@@ -441,15 +428,14 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
     monkeypatch.setattr(trainers, "CHUNK", chunk)
     monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
     orig, aug = _sets(4, 30, 50, d, 4)
-    arch = SoftmaxLinear(d, 4)
-    model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * d)
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
                    WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5, batch=4)):
         cfg = TrainConfig(scheme=scheme, seed=2, keep_iterates=True)
-        new = run_scheme(model, orig, aug, cfg)
+        new = run_scheme(w0, orig, aug, cfg)
         faults.reset()
-        old = frozen_run_scheme(model, orig, aug, cfg)
+        old = frozen_run_scheme(w0, orig, aug, cfg)
         faults.reset()
         assert_same_run(new, old)
         assert new.aborted == (fault != "none")
@@ -461,12 +447,11 @@ def test_divergence_at_the_first_record(threads, monkeypatch):
     t = 0, although training runs ahead of it."""
     monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
     orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = SoftmaxLinear(3, 4)
-    model = Predictor(arch, 1e300 * np.random.default_rng(1).standard_normal(arch.param_count))
+    w0 = 1e300 * np.random.default_rng(1).standard_normal(4 * 3)
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
                       keep_iterates=True)
-    new = run_scheme(model, orig, aug, cfg)
-    assert_same_run(new, frozen_run_scheme(model, orig, aug, cfg))
+    new = run_scheme(w0, orig, aug, cfg)
+    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
     assert new.rows == [] and new.aborted and new.iterations == 0
 
 
@@ -475,14 +460,13 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
     per-step loop's exception too, so it is raised, not turned into an
     abort."""
     orig, aug = _sets(4, 30, 50, 3, 4)
-    arch = SoftmaxLinear(3, 4)
-    model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * 3)
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
     faults = Faults(monkeypatch, raise_at=(8,))
     for run in (run_scheme, frozen_run_scheme):
         faults.reset()
         with pytest.raises(RuntimeError, match="step 8"):
-            run(model, orig, aug, cfg)
+            run(w0, orig, aug, cfg)
 
 
 @pytest.mark.parametrize("d", [4, 7])
@@ -490,14 +474,13 @@ def test_one_scoring_part_and_several_give_the_same_run(monkeypatch, d):
     """Several chunks of records, scored on 1, 2 and 5 threads (more parts
     than this host may have CPUs), give the same run to the bit."""
     orig, aug = _sets(6, 200, 300, d, 6)
-    arch = SoftmaxLinear(d, 6)
-    model = Predictor(arch, 0.1 * np.random.default_rng(1).standard_normal(arch.param_count))
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * d)
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5,
                                    eta2=0.5, batch=4), seed=4, keep_iterates=True)
     runs = []
     for threads in (1, 2, 5):
         monkeypatch.setattr(trainers, "scoring_threads", lambda threads=threads: threads)
-        runs.append(run_scheme(model, orig, aug, cfg))
+        runs.append(run_scheme(w0, orig, aug, cfg))
     assert len(runs[0].rows) == 301 > 2 * trainers.CHUNK
     for run in runs[1:]:
         assert_same_run(run, runs[0])

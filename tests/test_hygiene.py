@@ -161,3 +161,41 @@ def test_every_public_definition_is_reached():
     assert unreached == set(UNREACHED_PUBLIC), (
         f"unreached and not allowed: {sorted(unreached - set(UNREACHED_PUBLIC))}; "
         f"allowed but now reached: {sorted(set(UNREACHED_PUBLIC) - unreached)}")
+
+
+# Methods whose signature a protocol fixes, so a parameter may go unread.
+PROTOCOL_METHODS = {"__exit__"}
+
+
+def unread_parameters(tree: ast.Module) -> set[str]:
+    """`function(parameter)` for every parameter of every function or method
+    in the tree that the function's body never reads, nested functions
+    included; protocol methods are exempt."""
+    unread = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in PROTOCOL_METHODS:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread |= {f"{node.name}({p.arg})" for p in params if p.arg not in read}
+    return unread
+
+
+def test_unread_parameter_scan_sees_its_cases():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + g(*c)\n"
+                     "def g(x):\n    def h():\n        return x\n    return h\n"
+                     "class C:\n    def m(self, y):\n        y = 1\n        return self\n"
+                     "    def __exit__(self, *exc):\n        pass\n")
+    assert unread_parameters(tree) == {"f(b)", "f(d)", "f(e)", "m(y)"}
+
+
+def test_every_parameter_is_read():
+    unread = {f"{os.path.basename(tree_path)}: {name}"
+              for tree_path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+              for name in unread_parameters(parse(tree_path))}
+    assert not unread, f"parameters their function never reads: {sorted(unread)}"

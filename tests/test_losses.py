@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng
-from augbias.models import Predictor, SoftmaxLinear, forward, init_predictor, label_grad
+from augbias.models import forward, label_grad
 from augbias.augment import SyntheticTask, gen_synthetic, perturb_labels
 from augbias.losses import combined_grad, mean_grad_a
 from reference import (
@@ -98,12 +98,12 @@ class TestCorrectedLabelRows:
 class TestGradA:
     def test_zero_radius_equals_ce_grad(self):
         rng = np.random.default_rng(11)
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(1))
+        w = 0.1 * Rng(1).gen.standard_normal(4 * 3)
         for _ in range(10):
             x = rng.standard_normal(3)
             y = random_simplex(rng, 4)
-            ga = grad_a(m, x, y, 0.0)
-            gc = ce_grad(m, x, y)
+            ga = grad_a(w, x, y, 0.0)
+            gc = ce_grad(w, x, y)
             np.testing.assert_array_equal(ga.grad, gc.grad)
             assert ga.loss == gc.loss
 
@@ -111,29 +111,27 @@ class TestGradA:
         # Gradient of the ball minimum = plain CE gradient taken at the fixed
         # minimizer z*, even though z* sits off the simplex.
         rng = np.random.default_rng(12)
-        arch = SoftmaxLinear(3, 4)
-        m = init_predictor(arch, Rng(2))
+        w = 0.1 * Rng(2).gen.standard_normal(4 * 3)
         for _ in range(10):
             x = rng.standard_normal(3)
             y = random_simplex(rng, 4)
-            s = forward(m, x)
+            s = forward(w, x)
             zstar = loss_a(y, s, 0.25).minimizer_z
             np.testing.assert_array_equal(
-                grad_a(m, x, y, 0.25).grad, ce_grad(m, x, zstar).grad
+                grad_a(w, x, y, 0.25).grad, ce_grad(w, x, zstar).grad
             )
 
     def test_finite_differences(self):
         rng = np.random.default_rng(13)
-        arch = SoftmaxLinear(4, 3)
         for _ in range(15):
-            w = rng.standard_normal(arch.param_count)
+            w = rng.standard_normal(3 * 4)
             x = rng.standard_normal(4)
             y = random_simplex(rng, 3)
             delta = float(rng.uniform(0.05, 0.4))
-            analytic = grad_a(Predictor(arch, w), x, y, delta).grad
+            analytic = grad_a(w, x, y, delta).grad
 
             def val(wv):
-                s = forward(Predictor(arch, wv), x)
+                s = forward(wv, x)
                 return loss_a(y, s, delta).value
 
             numeric = fd_grad(val, w)
@@ -142,11 +140,11 @@ class TestGradA:
 
     def test_mean_grad_a_matches_per_example(self):
         rng = np.random.default_rng(14)
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(3))
+        w = 0.1 * Rng(3).gen.standard_normal(3 * 3)
         x = rng.standard_normal((6, 3))
         y = rng.dirichlet(np.ones(3), size=6)
-        per = np.mean([grad_a(m, x[i], y[i], 0.2).grad for i in range(6)], axis=0)
-        np.testing.assert_allclose(mean_grad_a(m, x, y, 0.2), per, atol=1e-12)
+        per = np.mean([grad_a(w, x[i], y[i], 0.2).grad for i in range(6)], axis=0)
+        np.testing.assert_allclose(mean_grad_a(w, x, y, 0.2), per, atol=1e-12)
 
 
 class TestCombinedGrad:
@@ -159,62 +157,62 @@ class TestCombinedGrad:
         return (xo, yo), (xa, ya)
 
     def test_lam_one_is_original_gradient(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(4))
+        w = 0.1 * Rng(4).gen.standard_normal(4 * 3)
         orig, aug = self._batches()
-        g = combined_grad(m, orig, aug, 1.0, 0.3)
-        np.testing.assert_array_equal(g, label_grad(m, orig[0], orig[1]))
+        g = combined_grad(w, orig, aug, 1.0, 0.3)
+        np.testing.assert_array_equal(g, label_grad(w, orig[0], orig[1]))
 
     def test_lam_zero_no_radius_is_augmented_ce(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(5))
+        w = 0.1 * Rng(5).gen.standard_normal(4 * 3)
         orig, aug = self._batches()
-        g = combined_grad(m, orig, aug, 0.0, 0.0)
-        np.testing.assert_array_equal(g, label_grad(m, aug[0], aug[1]))
+        g = combined_grad(w, orig, aug, 0.0, 0.0)
+        np.testing.assert_array_equal(g, label_grad(w, aug[0], aug[1]))
 
     def test_midpoint_of_single_samples(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(6))
+        w = 0.1 * Rng(6).gen.standard_normal(4 * 3)
         rng = np.random.default_rng(16)
         xo = rng.standard_normal((1, 3))
         yo = rng.dirichlet(np.ones(4), size=1)
         xa = rng.standard_normal((1, 3))
         ya = rng.dirichlet(np.ones(4), size=1)
-        g = combined_grad(m, (xo, yo), (xa, ya), 0.5, 0.0)
-        a = ce_grad(m, xo[0], yo[0]).grad
-        b = ce_grad(m, xa[0], ya[0]).grad
+        g = combined_grad(w, (xo, yo), (xa, ya), 0.5, 0.0)
+        a = ce_grad(w, xo[0], yo[0]).grad
+        b = ce_grad(w, xa[0], ya[0]).grad
         np.testing.assert_allclose(g, 0.5 * a + 0.5 * b, atol=1e-15)
 
     def test_linear_in_lam(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(7))
+        w = 0.1 * Rng(7).gen.standard_normal(4 * 3)
         orig, aug = self._batches(17)
-        a = combined_grad(m, orig, aug, 1.0, 0.2)
-        b = combined_grad(m, orig, aug, 0.0, 0.2)
+        a = combined_grad(w, orig, aug, 1.0, 0.2)
+        b = combined_grad(w, orig, aug, 0.0, 0.2)
         for lam in (0.25, 0.5, 0.75):
-            g = combined_grad(m, orig, aug, lam, 0.2)
+            g = combined_grad(w, orig, aug, lam, 0.2)
             np.testing.assert_allclose(g, lam * a + (1 - lam) * b, atol=1e-12)
 
     def test_batch_expectation_matches_full_objective_gradient(self):
         rng = np.random.default_rng(18)
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(8))
+        w = 0.1 * Rng(8).gen.standard_normal(3 * 3)
         xo = rng.standard_normal((12, 3))
         yo = rng.dirichlet(np.ones(3), size=12)
         xa = rng.standard_normal((20, 3))
         ya = rng.dirichlet(np.ones(3), size=20)
-        total = np.zeros(m.arch.param_count)
+        total = np.zeros(w.size)
         draws = 4000
         for _ in range(draws):
             i = rng.integers(0, 12, size=3)
             j = rng.integers(0, 20, size=4)
-            total += combined_grad(m, (xo[i], yo[i]), (xa[j], ya[j]), 0.3, 0.15)
-        full = 0.3 * label_grad(m, xo, yo) + 0.7 * mean_grad_a(m, xa, ya, 0.15)
+            total += combined_grad(w, (xo[i], yo[i]), (xa[j], ya[j]), 0.3, 0.15)
+        full = 0.3 * label_grad(w, xo, yo) + 0.7 * mean_grad_a(w, xa, ya, 0.15)
         err = np.linalg.norm(total / draws - full) / np.linalg.norm(full)
         assert err < 0.05
 
     def test_rejects_an_empty_batch(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(9))
+        w = 0.1 * Rng(9).gen.standard_normal(4 * 3)
         orig, aug = self._batches(19)
         with pytest.raises(ValueError, match="empty batch"):
-            combined_grad(m, (orig[0][:0], orig[1][:0]), aug, 0.5, 0.1)
+            combined_grad(w, (orig[0][:0], orig[1][:0]), aug, 0.5, 0.1)
         with pytest.raises(ValueError, match="empty batch"):
-            combined_grad(m, orig, (aug[0][:0], aug[1][:0]), 0.5, 0.1)
+            combined_grad(w, orig, (aug[0][:0], aug[1][:0]), 0.5, 0.1)
 
 
 class TestObjectiveValue:
@@ -226,39 +224,39 @@ class TestObjectiveValue:
 
     def test_singleton_mean_is_the_loss(self):
         rng = np.random.default_rng(21)
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(10))
+        w = 0.1 * Rng(10).gen.standard_normal(4 * 3)
         x = rng.standard_normal((1, 3))
         y = rng.dirichlet(np.ones(4), size=1)
         ds = LabeledSet(x, y, ORIGINAL)
-        expect = ce_loss(y[0], forward(m, x[0]))
-        assert objective_value(m, ds, "L") == pytest.approx(expect, abs=1e-14)
+        expect = ce_loss(y[0], forward(w, x[0]))
+        assert objective_value(w, ds, "L") == pytest.approx(expect, abs=1e-14)
 
     def test_mixed_at_lam_one_is_plain(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(11))
+        w = 0.1 * Rng(11).gen.standard_normal(4 * 3)
         orig, aug = self._sets()
-        full = objective_value(m, orig, "L_c", lam=1.0, delta_y=0.3, aug=aug)
-        assert full == objective_value(m, orig, "L")
+        full = objective_value(w, orig, "L_c", lam=1.0, delta_y=0.3, aug=aug)
+        assert full == objective_value(w, orig, "L")
 
     def test_corrected_below_plain_on_augmented(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(12))
+        w = 0.1 * Rng(12).gen.standard_normal(4 * 3)
         _, aug = self._sets(22)
-        assert objective_value(m, aug, "L_a", delta_y=0.2) <= objective_value(m, aug, "L_tilde")
+        assert objective_value(w, aug, "L_a", delta_y=0.2) <= objective_value(w, aug, "L_tilde")
 
     def test_provenance_errors(self):
-        m = init_predictor(SoftmaxLinear(3, 4), Rng(13))
+        w = 0.1 * Rng(13).gen.standard_normal(4 * 3)
         orig, aug = self._sets(23)
         with pytest.raises(ValueError):
-            objective_value(m, aug, "L")
+            objective_value(w, aug, "L")
         with pytest.raises(ValueError):
-            objective_value(m, orig, "L_tilde")
+            objective_value(w, orig, "L_tilde")
         with pytest.raises(ValueError):
-            objective_value(m, orig, "L_a")
+            objective_value(w, orig, "L_a")
         with pytest.raises(ValueError):
-            objective_value(m, aug, "L_c", lam=0.5, aug=aug)
+            objective_value(w, aug, "L_c", lam=0.5, aug=aug)
         with pytest.raises(ValueError):
-            objective_value(m, orig, "L_c", lam=0.5, aug=orig)
+            objective_value(w, orig, "L_c", lam=0.5, aug=orig)
         with pytest.raises(ValueError):
-            objective_value(m, orig, "nope")
+            objective_value(w, orig, "nope")
 
 
 class TestCorrectionCompensatesBias:
@@ -273,17 +271,17 @@ class TestCorrectionCompensatesBias:
         orig = LabeledSet(x, y, ORIGINAL)
         aug = LabeledSet(x, perturb_labels(y, 0.15), AUGMENTED)
         for seed in range(5):
-            m = init_predictor(SoftmaxLinear(4, 3), Rng(seed))
-            la = objective_value(m, aug, "L_a", delta_y=0.15)
-            l = objective_value(m, orig, "L")
+            w = 0.1 * Rng(seed).gen.standard_normal(3 * 4)
+            la = objective_value(w, aug, "L_a", delta_y=0.15)
+            l = objective_value(w, orig, "L")
             assert la <= l + 1e-12
 
     def test_corrected_at_planted_optimum_below_clean(self):
         task = SyntheticTask(mode="label_bias", n=2000, m=2000, d=6, k=4, delta_y=0.2)
         orig, aug, planted = gen_synthetic(task, Rng(25))
-        m = Predictor(SoftmaxLinear(6, 4), planted.w_star.ravel())
-        la = objective_value(m, aug, "L_a", delta_y=0.2)
-        l = objective_value(m, orig, "L")
+        w = planted.w_star.ravel()
+        la = objective_value(w, aug, "L_a", delta_y=0.2)
+        l = objective_value(w, orig, "L")
         assert la <= l
 
     def test_grid_argmin_coincides_on_two_parameter_toy(self):
@@ -300,8 +298,8 @@ class TestCorrectionCompensatesBias:
         lam = 0.5
 
         def landscapes(w1, w2):
-            m = Predictor(SoftmaxLinear(1, 2), np.array([w1, w2]))
-            p = np.array([p_from_scores(forward(m, xi)) for xi in x])
+            w = np.array([w1, w2])
+            p = np.array([p_from_scores(forward(w, xi)) for xi in x])
             l_clean = float(np.mean(np.sum(y * p, axis=1)))
             l_tilde = float(np.mean(np.sum(y_t * p, axis=1)))
             l_a = float(np.mean(np.sum(y_t * p, axis=1) - delta * np.linalg.norm(p, axis=1)))

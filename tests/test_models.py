@@ -3,19 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbias.core import ORIGINAL, LabeledSet, Rng
+from augbias.core import ORIGINAL, LabeledSet, as_vec
 from augbias.models import (
-    Predictor,
-    SoftmaxLinear,
     _screen_pairs,
     batch_scores,
     estimate_G,
     forward,
-    init_predictor,
     label_grad,
     p_jacobian,
     score_jacobian,
-    zeros_predictor,
 )
 from reference import ce_grad, ce_loss, fd_grad, p_from_scores, p_of
 
@@ -43,30 +39,24 @@ def random_simplex(rng, k):
 
 class TestForward:
     def test_linear_zero_map(self):
-        m = zeros_predictor(SoftmaxLinear(3, 4))
-        np.testing.assert_array_equal(forward(m, [1.0, -2.0, 0.5]), np.zeros(4))
+        w = np.zeros(4 * 3)
+        np.testing.assert_array_equal(forward(w, [1.0, -2.0, 0.5]), np.zeros(4))
 
     def test_linear_matrix_product(self):
-        m = Predictor(SoftmaxLinear(1, 2), np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(forward(m, [3.0]), [6.0, -3.0])
+        np.testing.assert_array_equal(forward(np.array([2.0, -1.0]), [3.0]), [6.0, -3.0])
 
     def test_dimension_mismatch(self):
-        m = zeros_predictor(SoftmaxLinear(3, 2))
+        # six weights are a (2, 3) or a (3, 2) matrix, never one with 4 columns
         with pytest.raises(ValueError):
-            forward(m, [1.0, 2.0])
-
-    def test_param_count_checked(self):
-        with pytest.raises(ValueError):
-            Predictor(SoftmaxLinear(3, 2), np.zeros(5))
+            forward(np.zeros(2 * 3), [1.0, 2.0, 3.0, 4.0])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(42)
-        arch = SoftmaxLinear(4, 3)
-        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        w = rng.standard_normal(3 * 4)
         x = rng.standard_normal((6, 4))
-        batch = batch_scores(m, x)
+        batch = batch_scores(w, x)
         for i in range(6):
-            np.testing.assert_allclose(batch[i], forward(m, x[i]), atol=1e-14)
+            np.testing.assert_allclose(batch[i], forward(w, x[i]), atol=1e-14)
 
 
 class TestPOf:
@@ -92,8 +82,7 @@ class TestPOf:
             assert abs(np.exp(-p).sum() - 1.0) <= 1e-12
 
     def test_p_of_uses_model(self):
-        m = zeros_predictor(SoftmaxLinear(2, 2))
-        np.testing.assert_allclose(p_of(m, [1.0, 2.0]), [LN2, LN2])
+        np.testing.assert_allclose(p_of(np.zeros(2 * 2), [1.0, 2.0]), [LN2, LN2])
 
 
 class TestCeLoss:
@@ -125,72 +114,68 @@ class TestCeLoss:
 
 class TestCeGrad:
     def test_linear_closed_form_tiny(self):
-        m = zeros_predictor(SoftmaxLinear(1, 2))
-        g = ce_grad(m, [1.0], [1.0, 0.0])
+        g = ce_grad(np.zeros(2 * 1), [1.0], [1.0, 0.0])
         np.testing.assert_allclose(g.grad, [-0.5, 0.5], atol=1e-15)
         assert g.loss == pytest.approx(LN2)
 
     def test_consistent_label_is_stationary(self):
         rng = np.random.default_rng(5)
-        arch = SoftmaxLinear(3, 4)
-        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        w = rng.standard_normal(4 * 3)
         x = rng.standard_normal(3)
-        y = np.exp(-p_from_scores(forward(m, x)))
+        y = np.exp(-p_from_scores(forward(w, x)))
         y = y / y.sum()
-        np.testing.assert_allclose(ce_grad(m, x, y).grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(ce_grad(w, x, y).grad, 0.0, atol=1e-12)
 
     def test_linear_grad_closed_form(self):
         rng = np.random.default_rng(6)
-        arch = SoftmaxLinear(4, 3)
         for _ in range(20):
-            m = Predictor(arch, rng.standard_normal(arch.param_count))
+            w = rng.standard_normal(3 * 4)
             x = rng.standard_normal(4)
             y = random_simplex(rng, 3)
-            sig = np.exp(-p_from_scores(forward(m, x)))
+            sig = np.exp(-p_from_scores(forward(w, x)))
             expected = np.outer(sig / sig.sum() - y, x).ravel()
-            np.testing.assert_allclose(ce_grad(m, x, y).grad, expected, atol=1e-12)
+            np.testing.assert_allclose(ce_grad(w, x, y).grad, expected, atol=1e-12)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
-        arch = SoftmaxLinear(3, 4)
+        d, k = 3, 4
         for _ in range(10):
-            w = 0.5 * rng.standard_normal(arch.param_count)
-            x = rng.standard_normal(arch.d)
-            y = random_simplex(rng, arch.k)
-            analytic = ce_grad(Predictor(arch, w), x, y).grad
-            numeric = fd_grad(lambda v: ce_loss(y, forward(Predictor(arch, v), x)), w)
+            w = 0.5 * rng.standard_normal(k * d)
+            x = rng.standard_normal(d)
+            y = random_simplex(rng, k)
+            analytic = ce_grad(w, x, y).grad
+            numeric = fd_grad(lambda v: ce_loss(y, forward(v, x)), w)
             err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-10)
             assert err <= 1e-6
 
     def test_mean_grad_matches_per_example(self):
         rng = np.random.default_rng(8)
-        arch = SoftmaxLinear(3, 3)
-        m = Predictor(arch, rng.standard_normal(arch.param_count))
+        w = rng.standard_normal(3 * 3)
         x = rng.standard_normal((7, 3))
         y = np.stack([random_simplex(rng, 3) for _ in range(7)])
-        per = np.mean([ce_grad(m, x[i], y[i]).grad for i in range(7)], axis=0)
-        np.testing.assert_allclose(label_grad(m, x, y), per, atol=1e-12)
+        per = np.mean([ce_grad(w, x[i], y[i]).grad for i in range(7)], axis=0)
+        np.testing.assert_allclose(label_grad(w, x, y), per, atol=1e-12)
 
 
 class TestJacobians:
     def test_score_jacobian_fd(self):
         rng = np.random.default_rng(9)
-        arch = SoftmaxLinear(3, 4)
-        w = 0.4 * rng.standard_normal(arch.param_count)
+        k = 4
+        w = 0.4 * rng.standard_normal(k * 3)
         x = rng.standard_normal(3)
-        jac = score_jacobian(Predictor(arch, w), x)
-        for i in range(arch.k):
-            numeric = fd_grad(lambda v: forward(Predictor(arch, v), x)[i], w)
+        jac = score_jacobian(w, x)
+        for i in range(k):
+            numeric = fd_grad(lambda v: forward(v, x)[i], w)
             np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
 
     def test_p_jacobian_fd(self):
         rng = np.random.default_rng(10)
-        arch = SoftmaxLinear(2, 3)
-        w = 0.4 * rng.standard_normal(arch.param_count)
+        k = 3
+        w = 0.4 * rng.standard_normal(k * 2)
         x = rng.standard_normal(2)
-        jac = p_jacobian(Predictor(arch, w), x)
-        for i in range(arch.k):
-            numeric = fd_grad(lambda v: p_of(Predictor(arch, v), x)[i], w)
+        jac = p_jacobian(w, x)
+        for i in range(k):
+            numeric = fd_grad(lambda v: p_of(v, x)[i], w)
             np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
 
 
@@ -200,63 +185,63 @@ class TestEstimateG:
         return LabeledSet(np.asarray(x_rows, dtype=float), labels, ORIGINAL)
 
     def test_zero_input_gives_zero(self):
-        m = zeros_predictor(SoftmaxLinear(2, 2))
-        assert estimate_G(m, self._set([[0.0, 0.0]], 2), [m.params]) == 0.0
+        assert estimate_G(self._set([[0.0, 0.0]], 2), [np.zeros(2 * 2)]) == 0.0
 
     def test_hand_assembled_two_by_two(self):
         # At w = 0 and x = 1 the p-Jacobian is [[-0.5, 0.5], [0.5, -0.5]].
-        m = zeros_predictor(SoftmaxLinear(1, 2))
-        jac = p_jacobian(m, [1.0])
+        w = np.zeros(2 * 1)
+        jac = p_jacobian(w, [1.0])
         np.testing.assert_allclose(jac, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
-        g = estimate_G(m, self._set([[1.0]], 2), [m.params])
+        g = estimate_G(self._set([[1.0]], 2), [w])
         assert g == pytest.approx(power_spectral_norm(jac), abs=1e-9)
         assert g == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_cloud(self):
         rng = np.random.default_rng(12)
-        arch = SoftmaxLinear(3, 3)
-        m = zeros_predictor(arch)
         ds = self._set(rng.standard_normal((5, 3)), 3)
-        cloud = [rng.standard_normal(arch.param_count) for _ in range(3)]
-        g1 = estimate_G(m, ds, cloud)
-        g2 = estimate_G(m, ds, cloud + [rng.standard_normal(arch.param_count)])
+        cloud = [rng.standard_normal(3 * 3) for _ in range(3)]
+        g1 = estimate_G(ds, cloud)
+        g2 = estimate_G(ds, cloud + [rng.standard_normal(3 * 3)])
         assert g2 >= g1
 
     def test_spectral_norm_matches_power_iteration(self):
         rng = np.random.default_rng(13)
-        arch = SoftmaxLinear(3, 4)
-        m = Predictor(arch, 0.5 * rng.standard_normal(arch.param_count))
+        w = 0.5 * rng.standard_normal(4 * 3)
         x = rng.standard_normal(3)
-        jac = p_jacobian(m, x)
+        jac = p_jacobian(w, x)
         assert np.linalg.norm(jac, 2) == pytest.approx(
             power_spectral_norm(jac), rel=1e-7
         )
 
     def test_rejects_empty_cloud(self):
-        m = zeros_predictor(SoftmaxLinear(2, 2))
         with pytest.raises(ValueError):
-            estimate_G(m, self._set([[1.0, 0.0]], 2), [])
+            estimate_G(self._set([[1.0, 0.0]], 2), [])
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_rejects_a_cloud_point_of_the_wrong_length(self, size):
+        with pytest.raises(ValueError, match="cloud point must have length 6"):
+            estimate_G(self._set([[1.0, 0.0]], 3), [np.zeros(6), np.zeros(size)])
 
 
-def frozen_estimate_G(model, dataset, params_cloud):
+def frozen_estimate_G(dataset, params_cloud):
     """The per-pair SVD scan as it stood before the closed-form screen."""
     cloud = list(params_cloud)
     if dataset.n == 0 or len(cloud) == 0:
         raise ValueError("need a nonempty dataset and parameter cloud")
     best = 0.0
     for w in cloud:
-        m = model.with_params(np.asarray(w, dtype=np.float64))
+        w = as_vec(w, size=dataset.k * dataset.d, name="params")
         for i in range(dataset.n):
-            jac = p_jacobian(m, dataset.inputs[i])
+            jac = p_jacobian(w, dataset.inputs[i])
             best = max(best, float(np.linalg.norm(jac, 2)))
     return best
 
 
-def g_outcome(fn, model, dataset, cloud):
+def g_outcome(fn, dataset, cloud):
     """The value, or the exception type, so raising cases compare too."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return fn(model, dataset, cloud)
+            return fn(dataset, cloud)
     except Exception as exc:  # the type is what is compared
         return type(exc)
 
@@ -273,8 +258,7 @@ class TestEstimateGMatchesFullScan:
     def test_equals_frozen_scan(self, k, d, n, c, log_w, log_x, dup_points, zero_rows,
                                 tie_classes, seed):
         rng = np.random.default_rng(seed)
-        arch = SoftmaxLinear(d, k)
-        cloud = [10.0**log_w * rng.standard_normal(arch.param_count) for _ in range(c)]
+        cloud = [10.0**log_w * rng.standard_normal(k * d) for _ in range(c)]
         if tie_classes:
             for w in cloud:  # two classes with equal scores on every input
                 w[d:2 * d] = w[:d]
@@ -285,47 +269,42 @@ class TestEstimateGMatchesFullScan:
         if zero_rows:
             x[rng.random(n) < 0.4] = 0.0
         ds = LabeledSet(x, np.full((n, k), 1.0 / k), ORIGINAL)
-        model = Predictor(arch, cloud[0])
-        got = g_outcome(estimate_G, model, ds, cloud)
-        assert got == g_outcome(frozen_estimate_G, model, ds, cloud)
+        got = g_outcome(estimate_G, ds, cloud)
+        assert got == g_outcome(frozen_estimate_G, ds, cloud)
 
     def test_score_overflow_raises(self):
         # the scores of x overflow, so the screen is not finite and the full
         # scan raises where the softmax meets them
-        arch = SoftmaxLinear(2, 2)
         w = np.array([1e11, 0.0, -1e11, 0.0])
         ds = LabeledSet(np.array([[1e300, 1.0]]), np.full((1, 2), 0.5), ORIGINAL)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
-                frozen_estimate_G(Predictor(arch, w), ds, [w])
+                frozen_estimate_G(ds, [w])
             with pytest.raises(ValueError):
-                estimate_G(Predictor(arch, w), ds, [w])
+                estimate_G(ds, [w])
 
     def test_unscreened_scan_returns_the_max(self):
         # |x| @ |w| passes half the float range, so the screen is not finite
         # and the full scan runs; the scores stay finite, so it returns the
         # saturated first row's sqrt(3) * 1e308
-        arch = SoftmaxLinear(2, 3)
         w = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         x = np.array([[1e308, 0.0], [0.0, 1.0]])
         ds = LabeledSet(x, np.full((2, 3), 1 / 3), ORIGINAL)
-        m = Predictor(arch, w)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _screen_pairs(arch, [m], x) is None
-            want = frozen_estimate_G(m, ds, [w])
+            assert _screen_pairs([w], x) is None
+            want = frozen_estimate_G(ds, [w])
             assert want == pytest.approx(np.sqrt(3.0) * 1e308, rel=1e-12)
-            assert estimate_G(m, ds, [w]) == want
+            assert estimate_G(ds, [w]) == want
 
     def test_squared_norm_overflow_keeps_the_max(self):
         # ||x||^2 of the first row is past the float range; the second row,
         # saturated, holds the max sqrt(5) * 1e154
-        arch = SoftmaxLinear(2, 5)
         w = np.zeros(10)
         w[1] = 1.0
         ds = LabeledSet(np.array([[1.5e154, 0.0], [0.0, 1e154]]), np.full((2, 5), 0.2), ORIGINAL)
-        want = frozen_estimate_G(Predictor(arch, w), ds, [w])
+        want = frozen_estimate_G(ds, [w])
         assert want == pytest.approx(np.sqrt(5.0) * 1e154, rel=1e-12)
-        assert estimate_G(Predictor(arch, w), ds, [w]) == want
+        assert estimate_G(ds, [w]) == want
 
     def test_near_tied_large_scores(self):
         # Two classes whose weights are the same entries in another order tie
@@ -336,7 +315,6 @@ class TestEstimateGMatchesFullScan:
         # tied input, whose exact norm beats the saturated second input.
         rng = np.random.default_rng(1)
         d = 10
-        arch = SoftmaxLinear(d, 2)
         for _ in range(60):
             w0 = rng.standard_normal(d)
             w1 = np.roll(w0, 1 + int(rng.integers(d - 1)))
@@ -345,17 +323,14 @@ class TestEstimateGMatchesFullScan:
             xb = 0.85 * np.linalg.norm(xa) * u
             ds = LabeledSet(np.stack([xa, xb]), np.full((2, 2), 0.5), ORIGINAL)
             w = np.concatenate([w0, w1])
-            m = Predictor(arch, w)
-            assert estimate_G(m, ds, [w]) == frozen_estimate_G(m, ds, [w])
+            assert estimate_G(ds, [w]) == frozen_estimate_G(ds, [w])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cloud_point_raises(self, bad):
-        arch = SoftmaxLinear(2, 3)
-        m = zeros_predictor(arch)
-        w = np.ones(arch.param_count)
+        w = np.ones(3 * 2)
         w[2] = bad
         with pytest.raises(ValueError):
-            estimate_G(m, LabeledSet(np.ones((1, 2)), np.full((1, 3), 1 / 3), ORIGINAL),
+            estimate_G(LabeledSet(np.ones((1, 2)), np.full((1, 3), 1 / 3), ORIGINAL),
                        [np.zeros(6), w])
 
 
@@ -365,35 +340,19 @@ class TestGradientLabelLipschitz:
 
     def test_label_lipschitz_and_boundedness(self):
         rng = np.random.default_rng(14)
-        arch = SoftmaxLinear(3, 4)
-        ws = [0.6 * rng.standard_normal(arch.param_count) for _ in range(4)]
+        k = 4
+        ws = [0.6 * rng.standard_normal(k * 3) for _ in range(4)]
         xs = rng.standard_normal((6, 3))
-        labels = np.full((6, arch.k), 1.0 / arch.k)
+        labels = np.full((6, k), 1.0 / k)
         ds = LabeledSet(xs, labels, ORIGINAL)
-        g_hat = estimate_G(Predictor(arch, ws[0]), ds, ws)
+        g_hat = estimate_G(ds, ws)
         for w in ws:
-            m = Predictor(arch, w)
             for i in range(6):
-                y1 = random_simplex(rng, arch.k)
-                y2 = random_simplex(rng, arch.k)
-                g1 = ce_grad(m, xs[i], y1).grad
-                g2 = ce_grad(m, xs[i], y2).grad
+                y1 = random_simplex(rng, k)
+                y2 = random_simplex(rng, k)
+                g1 = ce_grad(w, xs[i], y1).grad
+                g2 = ce_grad(w, xs[i], y2).grad
                 lhs = np.linalg.norm(g1 - g2)
                 assert lhs <= g_hat * np.linalg.norm(y1 - y2) + 1e-9
                 assert np.linalg.norm(g1) <= g_hat + 1e-9
 
-
-class TestInit:
-    def test_zeros(self):
-        m = zeros_predictor(SoftmaxLinear(2, 3))
-        assert np.all(m.params == 0)
-
-    def test_seeded_init_deterministic(self):
-        a = init_predictor(SoftmaxLinear(3, 3), Rng(5, 0)).params
-        b = init_predictor(SoftmaxLinear(3, 3), Rng(5, 0)).params
-        assert np.array_equal(a, b)
-
-    def test_params_immutable(self):
-        m = zeros_predictor(SoftmaxLinear(2, 2))
-        with pytest.raises(ValueError):
-            m.params[0] = 1.0

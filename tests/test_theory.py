@@ -15,7 +15,6 @@ import pytest
 
 from augbias.augment import SyntheticTask, gen_synthetic
 from augbias.core import DegenerateEstimateError, Rng
-from augbias.models import SoftmaxLinear, Predictor, init_predictor
 from augbias.theory import (
     BoundReport,
     CeObjective,
@@ -86,24 +85,24 @@ def planted_quad(seed, d=5, s_lo=1.0, s_hi=1.2):
 def small_ce(seed, n=80, d=3, k=3, delta_y=0.2):
     task = SyntheticTask(mode="label_bias", n=n, m=n, d=d, k=k, delta_y=delta_y)
     orig, aug, planted = gen_synthetic(task, Rng(seed, 0))
-    return orig, aug, planted, SoftmaxLinear(d=d, k=k)
+    return orig, aug, planted, k * d
 
 
 class TestCeObjective:
     def test_loss_matches_objective_value(self):
         from reference import objective_value
 
-        orig, _, _, arch = small_ce(0)
-        w = init_predictor(arch, Rng(1, 0)).params
-        obj = CeObjective.over(arch, orig)
+        orig, _, _, size = small_ce(0)
+        w = 0.1 * Rng(1, 0).gen.standard_normal(size)
+        obj = CeObjective.over(orig)
         assert obj.loss(w) == pytest.approx(
-            objective_value(Predictor(arch, w), orig, "L"), abs=1e-14
+            objective_value(w, orig, "L"), abs=1e-14
         )
 
     def test_grad_finite_difference(self):
-        orig, _, _, arch = small_ce(1, n=12)
-        w = init_predictor(arch, Rng(2, 0)).params
-        obj = CeObjective.over(arch, orig)
+        orig, _, _, size = small_ce(1, n=12)
+        w = 0.1 * Rng(2, 0).gen.standard_normal(size)
+        obj = CeObjective.over(orig)
         g = obj.grad(w)
         h = 1e-6
         fd = np.array([
@@ -111,6 +110,20 @@ class TestCeObjective:
             for e in np.eye(w.size)
         ])
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["loss", "grad", "value_and_grad"])
+    @pytest.mark.parametrize("w, message", [
+        (np.zeros(8), "w must have length 9, got 8"),
+        (np.zeros(10), "w must have length 9, got 10"),
+        (np.zeros((3, 3)), "w must be 1-d"),
+        (np.r_[np.zeros(8), np.nan], "w contains non-finite entries"),
+        (np.r_[np.zeros(8), np.inf], "w contains non-finite entries"),
+    ], ids=["short", "long", "matrix", "nan", "inf"])
+    def test_rejects_a_bad_weight_vector(self, method, w, message):
+        orig, _, _, size = small_ce(0)
+        assert size == 9
+        with pytest.raises(ValueError, match=message):
+            getattr(CeObjective.over(orig), method)(w)
 
 
 class Counting:
@@ -166,8 +179,8 @@ def repeating_pairs(center, rng, count=12):
 
 
 def ce_objective(seed):
-    orig, _, _, arch = small_ce(seed)
-    return CeObjective.over(arch, orig), init_predictor(arch, Rng(seed, 1)).params
+    orig, _, _, size = small_ce(seed)
+    return CeObjective.over(orig), 0.1 * Rng(seed, 1).gen.standard_normal(size)
 
 
 class TestEstimateMu:
@@ -274,25 +287,25 @@ class TestRadii:
 
 class TestConstraintCheck:
     def test_floor_point_is_member_at_zero_radius(self):
-        orig, aug, _, arch = small_ce(12)
-        obj = CeObjective.over(arch, aug)
-        w0 = init_predictor(arch, Rng(13, 0)).params
+        orig, aug, _, size = small_ce(12)
+        obj = CeObjective.over(aug)
+        w0 = 0.1 * Rng(13, 0).gen.standard_normal(size)
         floor = obj.loss(w0)
         chk = in_constraint_set(w0, 0.0, floor, obj)
         assert chk.member
         assert chk.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_radius_always_member(self):
-        orig, aug, _, arch = small_ce(14)
-        obj = CeObjective.over(arch, aug)
-        w = 100.0 * np.ones(arch.param_count)
+        orig, aug, _, size = small_ce(14)
+        obj = CeObjective.over(aug)
+        w = 100.0 * np.ones(size)
         chk = in_constraint_set(w, math.inf, 0.0, obj)
         assert chk.member and chk.margin == math.inf
 
     def test_nonmember_margin_is_negative_deficit(self):
-        orig, aug, _, arch = small_ce(15)
-        obj = CeObjective.over(arch, aug)
-        w = np.zeros(arch.param_count)
+        orig, aug, _, size = small_ce(15)
+        obj = CeObjective.over(aug)
+        w = np.zeros(size)
         value = obj.loss(w)
         chk = in_constraint_set(w, value - 0.1, 0.0, obj)
         assert not chk.member
@@ -308,22 +321,22 @@ class TestBestFoundFloor:
         np.testing.assert_allclose(arg, w_star, atol=1e-4)
 
     def test_realizable_ce_reaches_planted_floor(self):
-        orig, _, planted, arch = small_ce(18, n=400)
-        obj = CeObjective.over(arch, orig)
+        orig, _, planted, size = small_ce(18, n=400)
+        obj = CeObjective.over(orig)
         val, _ = best_found_floor(
-            obj, arch.param_count, np.random.default_rng(19),
+            obj, size, np.random.default_rng(19),
             extra_starts=[planted.w_star.ravel()],
         )
         assert val <= planted.l_floor_planted + 1e-7
         assert val >= planted.l_floor_planted - 0.1
 
     def test_floor_lower_bounds_random_points(self):
-        orig, _, _, arch = small_ce(20)
-        obj = CeObjective.over(arch, orig)
-        val, _ = best_found_floor(obj, arch.param_count, np.random.default_rng(21))
+        orig, _, _, size = small_ce(20)
+        obj = CeObjective.over(orig)
+        val, _ = best_found_floor(obj, size, np.random.default_rng(21))
         r = np.random.default_rng(22)
         for _ in range(5):
-            assert val <= obj.loss(r.standard_normal(arch.param_count)) + 1e-12
+            assert val <= obj.loss(r.standard_normal(size)) + 1e-12
 
 
 class TestConstantEstimates:
@@ -422,9 +435,9 @@ class TestBoundReport:
         assert not bound_report(c, bound + 1e-9, "augmented", n=10).satisfied["plateau_label"]
 
     def test_trace_input_uses_final_L_minus_floor(self):
-        orig, aug, _, arch = small_ce(23, n=30)
+        orig, aug, _, size = small_ce(23, n=30)
         cfg = TrainConfig(scheme=Original(eta=0.1, batch=5), seed=0, eval_aug=aug)
-        trace = run_scheme(init_predictor(arch, Rng(24, 0)), orig, None, cfg)
+        trace = run_scheme(0.1 * Rng(24, 0).gen.standard_normal(size), orig, None, cfg)
         c = self.constants(l_floor=0.05)
         rep = bound_report(c, trace, "original", n=orig.n)
         assert rep.measured_gap == pytest.approx(trace.rows[-1].L - 0.05, abs=1e-15)
@@ -553,14 +566,14 @@ class TestTheoryStepsizes:
 
 class TestEstimateConstantsPipeline:
     def test_end_to_end_on_small_task(self):
-        orig, aug, planted, arch = small_ce(25, n=120)
-        model = init_predictor(arch, Rng(26, 0))
+        orig, aug, planted, size = small_ce(25, n=120)
+        w0 = 0.1 * Rng(26, 0).gen.standard_normal(size)
         cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=3),
                           seed=3, keep_iterates=True, eval_aug=aug)
-        trace = run_scheme(model, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         cloud = trace.iterates[:: max(1, len(trace.iterates) // 12)]
         c = estimate_constants(
-            arch, orig, aug, model.params, cloud,
+            orig, aug, w0, cloud,
             delta_y=0.2, rng=np.random.default_rng(27),
             floor_hints=[planted.w_star.ravel()],
         )
@@ -571,14 +584,14 @@ class TestEstimateConstantsPipeline:
         assert c.delta_y == 0.2 and c.delta_p is None
 
     def test_restricted_cloud_raises_mu(self):
-        orig, aug, _, arch = small_ce(28, n=100)
-        model = init_predictor(arch, Rng(29, 0))
+        orig, aug, _, size = small_ce(28, n=100)
+        w0 = 0.1 * Rng(29, 0).gen.standard_normal(size)
         cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=4),
                           seed=4, keep_iterates=True, eval_aug=aug)
-        trace = run_scheme(model, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         pts = trace.iterates
         c = estimate_constants(
-            arch, orig, aug, model.params, pts[::4],
+            orig, aug, w0, pts[::4],
             delta_y=0.2, rng=np.random.default_rng(30),
             restricted_cloud=pts[-3:],
         )

@@ -6,7 +6,6 @@ import pytest
 
 from augbias import models, trainers
 from augbias.core import Rng
-from augbias.models import SoftmaxLinear, init_predictor
 from augbias.augment import SyntheticTask, gen_synthetic
 from augbias.theory import CeObjective
 from augbias.trainers import (
@@ -29,6 +28,19 @@ from augbias.trainers import (
 def small_task(seed=0, n=40, m=60, d=3, k=3, delta_y=0.2):
     task = SyntheticTask(mode="label_bias", n=n, m=m, d=d, k=k, delta_y=delta_y)
     return gen_synthetic(task, Rng(seed))
+
+
+def counted_steps(monkeypatch):
+    """A list that gains one entry per trainers.sgd_step call."""
+    calls = []
+    real = trainers.sgd_step
+
+    def counted(w, grad, eta):
+        calls.append(1)
+        return real(w, grad, eta)
+
+    monkeypatch.setattr(trainers, "sgd_step", counted)
+    return calls
 
 
 def assert_rows_equal(a, b, skip_stage=False):
@@ -96,9 +108,9 @@ class TestEpochSampler:
 class TestTraceCsv:
     def test_round_trip_lossless(self, tmp_path):
         orig, aug, _ = small_task()
-        m0 = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.3, batch=5, epochs=2), seed=7)
-        trace = run_scheme(m0, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         path = tmp_path / "run.csv"
         write_trace_csv(trace, path)
         parsed = read_trace_csv(path)
@@ -120,20 +132,21 @@ class TestTraceCsv:
 class TestTrainOriginal:
     def test_zero_iterations_single_record(self):
         orig, _, _ = small_task()
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.3, batch=5, epochs=0), seed=1)
-        trace = run_scheme(m, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         assert len(trace.rows) == 1
         assert trace.rows[0].t == 0
-        np.testing.assert_array_equal(trace.final_params, m.params)
+        np.testing.assert_array_equal(trace.final_params, w0)
+        assert not np.shares_memory(trace.final_params, w0)  # the run holds its own copy
 
     def test_record_count_and_loss_decreases(self):
         finals, initials = [], []
         for seed in range(5):
             orig, _, _ = small_task(seed=seed, n=60)
-            m = init_predictor(SoftmaxLinear(3, 3), Rng(seed))
+            w0 = 0.1 * Rng(seed).gen.standard_normal(3 * 3)
             cfg = TrainConfig(scheme=Original(eta=0.5, batch=6, epochs=3), seed=seed)
-            trace = run_scheme(m, orig, None, cfg)
+            trace = run_scheme(w0, orig, None, cfg)
             assert len(trace.rows) == 3 * 10 + 1
             initials.append(trace.rows[0].L)
             finals.append(trace.rows[-1].L)
@@ -141,36 +154,36 @@ class TestTrainOriginal:
 
     def test_same_seed_bit_identical(self):
         orig, _, _ = small_task()
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.4, batch=5, epochs=2), seed=9)
-        t1 = run_scheme(m, orig, None, cfg)
-        t2 = run_scheme(m, orig, None, cfg)
+        t1 = run_scheme(w0, orig, None, cfg)
+        t2 = run_scheme(w0, orig, None, cfg)
         assert_rows_equal(t1.rows, t2.rows)
         np.testing.assert_array_equal(t1.final_params, t2.final_params)
 
     def test_batch_larger_than_set_rejected(self):
         orig, _, _ = small_task(n=10)
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.4, batch=11), seed=1)
         with pytest.raises(ValueError):
-            run_scheme(m, orig, None, cfg)
+            run_scheme(w0, orig, None, cfg)
 
 
 class TestTrainAugmented:
     def test_records_original_objective_via_eval_set(self):
         orig, aug, _ = small_task()
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6, epochs=1), seed=2, eval_orig=orig)
-        trace = run_scheme(m, None, aug, cfg)
+        trace = run_scheme(w0, None, aug, cfg)
         assert len(trace.rows) == (60 // 6) + 1
         assert all(r.stage == 1 for r in trace.rows)
         assert all(np.isfinite(r.L) and r.L > 0 for r in trace.rows)
 
     def test_without_eval_set_records_zero(self):
         _, aug, _ = small_task()
-        m = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6), seed=2)
-        trace = run_scheme(m, None, aug, cfg)
+        trace = run_scheme(w0, None, aug, cfg)
         assert all(r.L == 0.0 and r.grad_norm == 0.0 for r in trace.rows)
         assert all(r.L_tilde > 0 for r in trace.rows)
 
@@ -178,11 +191,11 @@ class TestTrainAugmented:
 class TestReductions:
     def _common(self, seed=11):
         orig, aug, _ = small_task(seed=seed)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(seed))
-        return orig, aug, model
+        w0 = 0.1 * Rng(seed).gen.standard_normal(3 * 3)
+        return orig, aug, w0
 
     def test_wemix_at_zero_weights_is_augdrop(self):
-        orig, aug, model = self._common()
+        orig, aug, w0 = self._common()
         base = dict(seed=13, ltilde_ref=0.25)
         cfg_w = TrainConfig(
             scheme=WeMix(lam=0.0, delta_y=0.0, t1=7, t2=5, m0=5, eta1=0.3, eta2=0.2, batch=8),
@@ -191,13 +204,13 @@ class TestReductions:
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=7, m1=5, m2=8, eta1=0.3, eta2=0.2), **base
         )
-        tw = run_scheme(model, orig, aug, cfg_w)
-        ta = run_scheme(model, orig, aug, cfg_a)
+        tw = run_scheme(w0, orig, aug, cfg_w)
+        ta = run_scheme(w0, orig, aug, cfg_a)
         assert_rows_equal(tw.rows, ta.rows)
         np.testing.assert_array_equal(tw.final_params, ta.final_params)
 
     def test_wemix_without_second_stage_is_mixloss(self):
-        orig, aug, model = self._common(seed=17)
+        orig, aug, w0 = self._common(seed=17)
         cfg_w = TrainConfig(
             scheme=WeMix(lam=0.35, delta_y=0.15, t1=orig.n, t2=0, m0=6, eta1=0.25, eta2=0.1,
                          batch=4),
@@ -206,13 +219,13 @@ class TestReductions:
         cfg_m = TrainConfig(
             scheme=MixLoss(lam=0.35, delta_y=0.15, m0=6, eta=0.25, epochs=1), seed=23
         )
-        tw = run_scheme(model, orig, aug, cfg_w)
-        tm = run_scheme(model, orig, aug, cfg_m)
+        tw = run_scheme(w0, orig, aug, cfg_w)
+        tm = run_scheme(w0, orig, aug, cfg_m)
         assert_rows_equal(tw.rows, tm.rows)
         np.testing.assert_array_equal(tw.final_params, tm.final_params)
 
     def test_augdrop_without_first_stage_is_train_original(self):
-        orig, aug, model = self._common(seed=19)
+        orig, aug, w0 = self._common(seed=19)
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=0, m1=5, m2=8, eta1=0.3, eta2=0.2),
             seed=29,
@@ -222,26 +235,26 @@ class TestReductions:
                                        delta_y=0.0),
             seed=29, eval_aug=aug,
         )
-        ta = run_scheme(model, orig, aug, cfg_a)
-        to = run_scheme(model, orig, None, cfg_o)
+        ta = run_scheme(w0, orig, aug, cfg_a)
+        to = run_scheme(w0, orig, None, cfg_o)
         assert_rows_equal(ta.rows, to.rows)
         np.testing.assert_array_equal(ta.final_params, to.final_params)
 
     def test_augdrop_without_second_stage_is_train_augmented(self):
-        orig, aug, model = self._common(seed=31)
+        orig, aug, w0 = self._common(seed=31)
         cfg_a = TrainConfig(
             scheme=AugDrop(t1=10, m1=6, m2=8, eta1=0.3, eta2=0.2, t2=0), seed=37
         )
         cfg_g = TrainConfig(
             scheme=Augmented(eta=0.3, batch=6, epochs=1), seed=37, eval_orig=orig
         )
-        ta = run_scheme(model, orig, aug, cfg_a)
-        tg = run_scheme(model, None, aug, cfg_g)
+        ta = run_scheme(w0, orig, aug, cfg_a)
+        tg = run_scheme(w0, None, aug, cfg_g)
         assert_rows_equal(ta.rows, tg.rows)
         np.testing.assert_array_equal(ta.final_params, tg.final_params)
 
     def test_mixloss_at_full_weight_steps_like_train_original(self):
-        orig, aug, model = self._common(seed=41)
+        orig, aug, w0 = self._common(seed=41)
         cfg_m = TrainConfig(
             scheme=MixLoss(lam=1.0, delta_y=0.2, m0=3, eta=0.3, epochs=1), seed=43
         )
@@ -250,8 +263,8 @@ class TestReductions:
                                        delta_y=0.2),
             seed=43, eval_aug=aug,
         )
-        tm = run_scheme(model, orig, aug, cfg_m)
-        to = run_scheme(model, orig, None, cfg_o)
+        tm = run_scheme(w0, orig, aug, cfg_m)
+        to = run_scheme(w0, orig, None, cfg_o)
         assert_rows_equal(tm.rows, to.rows, skip_stage=True)
         np.testing.assert_array_equal(tm.final_params, to.final_params)
 
@@ -259,13 +272,13 @@ class TestReductions:
 class TestStagePartition:
     def test_tags_partition_into_configured_counts(self):
         orig, aug, _ = small_task(seed=3)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(3))
+        w0 = 0.1 * Rng(3).gen.standard_normal(3 * 3)
         cfg = TrainConfig(
             scheme=WeMix(lam=0.4, delta_y=0.1, t1=6, t2=4, m0=3, eta1=0.2, eta2=0.1,
                          batch=5),
             seed=5,
         )
-        trace = run_scheme(model, orig, aug, cfg)
+        trace = run_scheme(w0, orig, aug, cfg)
         tags = [r.stage for r in trace.rows]
         assert tags[0] == 1
         assert tags[1:].count(1) == 6
@@ -274,9 +287,9 @@ class TestStagePartition:
 
     def test_initial_tag_follows_first_nonempty_stage(self):
         orig, aug, _ = small_task(seed=4)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(4))
+        w0 = 0.1 * Rng(4).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=AugDrop(t1=0, m1=5, m2=10, eta1=0.2, eta2=0.2), seed=6)
-        trace = run_scheme(model, orig, aug, cfg)
+        trace = run_scheme(w0, orig, aug, cfg)
         assert trace.rows[0].stage == 2
 
 
@@ -286,44 +299,42 @@ class TestEdgeBehaviour:
     def test_augmented_scores_L_on_eval_orig_even_given_originals(self):
         orig, aug, _ = small_task(seed=12)
         held, _, _ = small_task(seed=13)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(12))
+        w0 = 0.1 * Rng(12).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=6), seed=4, eval_orig=held)
-        both = run_scheme(model, orig, aug, cfg)
-        alone = run_scheme(model, None, aug, cfg)
+        both = run_scheme(w0, orig, aug, cfg)
+        alone = run_scheme(w0, None, aug, cfg)
         assert_rows_equal(both.rows, alone.rows)
-        w0 = model.params
-        assert both.rows[0].L == pytest.approx(CeObjective.over(model.arch, held).loss(w0),
+        assert both.rows[0].L == pytest.approx(CeObjective.over(held).loss(w0),
                                                rel=1e-12)
-        assert both.rows[0].L != pytest.approx(CeObjective.over(model.arch, orig).loss(w0),
+        assert both.rows[0].L != pytest.approx(CeObjective.over(orig).loss(w0),
                                                rel=1e-6)
 
     def test_original_scores_L_tilde_on_eval_aug_even_given_augmented(self):
         orig, aug, _ = small_task(seed=14)
         _, held_aug, _ = small_task(seed=15)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(14))
+        w0 = 0.1 * Rng(14).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.3, batch=8), seed=4, eval_aug=held_aug)
-        both = run_scheme(model, orig, aug, cfg)
-        alone = run_scheme(model, orig, None, cfg)
+        both = run_scheme(w0, orig, aug, cfg)
+        alone = run_scheme(w0, orig, None, cfg)
         assert_rows_equal(both.rows, alone.rows)
-        w0 = model.params
         assert both.rows[0].L_tilde == pytest.approx(
-            CeObjective.over(model.arch, held_aug).loss(w0), rel=1e-12)
+            CeObjective.over(held_aug).loss(w0), rel=1e-12)
         assert both.rows[0].L_tilde != pytest.approx(
-            CeObjective.over(model.arch, aug).loss(w0), rel=1e-6)
+            CeObjective.over(aug).loss(w0), rel=1e-6)
 
     def test_augdrop_default_t2_is_one_pass(self):
         orig, aug, _ = small_task(seed=16)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(16))
+        w0 = 0.1 * Rng(16).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=AugDrop(t1=4, m1=5, m2=6, eta1=0.2, eta2=0.2), seed=2)
-        tags = [r.stage for r in run_scheme(model, orig, aug, cfg).rows[1:]]
+        tags = [r.stage for r in run_scheme(w0, orig, aug, cfg).rows[1:]]
         assert tags.count(1) == 4
         assert tags.count(2) == orig.n // 6
 
     def test_augdrop_m2_above_n_runs_stage_two_at_batch_n(self):
         orig, aug, _ = small_task(seed=17)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(17))
+        w0 = 0.1 * Rng(17).gen.standard_normal(3 * 3)
         runs = [
-            run_scheme(model, orig, aug, TrainConfig(
+            run_scheme(w0, orig, aug, TrainConfig(
                 scheme=AugDrop(t1=3, m1=5, m2=m2, eta1=0.2, eta2=0.2, t2=t2), seed=3))
             for m2, t2 in ((orig.n, 4), (orig.n + 7, 4), (orig.n + 7, None))
         ]
@@ -333,14 +344,14 @@ class TestEdgeBehaviour:
 
     def test_wemix_stage_two_batch_is_its_batch_not_m0(self):
         orig, aug, _ = small_task(seed=18)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(18))
+        w0 = 0.1 * Rng(18).gen.standard_normal(3 * 3)
         wemix_cfg = TrainConfig(
             scheme=WeMix(lam=0.0, delta_y=0.0, t1=0, t2=5, m0=3, eta1=0.2, eta2=0.2,
                          batch=8),
             seed=6)
-        tw = run_scheme(model, orig, aug, wemix_cfg)
+        tw = run_scheme(w0, orig, aug, wemix_cfg)
         for m2, same in ((8, True), (3, False)):
-            ta = run_scheme(model, orig, aug, TrainConfig(
+            ta = run_scheme(w0, orig, aug, TrainConfig(
                 scheme=AugDrop(t1=0, m1=3, m2=m2, eta1=0.2, eta2=0.2, t2=5), seed=6))
             assert np.array_equal(tw.final_params, ta.final_params) == same
 
@@ -348,9 +359,9 @@ class TestEdgeBehaviour:
 class TestAbortOnDivergence:
     def test_partial_trace_and_flag(self):
         orig, _, _ = small_task(seed=5)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(5))
+        w0 = 0.1 * Rng(5).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=3e307, batch=5, epochs=2), seed=7)
-        trace = run_scheme(model, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         assert trace.aborted
         assert len(trace.rows) < 2 * (orig.n // 5) + 1
         assert all(np.isfinite(r.L) for r in trace.rows)
@@ -359,44 +370,64 @@ class TestAbortOnDivergence:
 class TestKeepIterates:
     def test_iterate_matrix_shape_and_endpoints(self):
         orig, _, _ = small_task(seed=7)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(7))
+        w0 = 0.1 * Rng(7).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=Original(eta=0.3, batch=8, epochs=1), seed=9,
                           keep_iterates=True)
-        trace = run_scheme(model, orig, None, cfg)
+        trace = run_scheme(w0, orig, None, cfg)
         assert trace.iterates.shape == (len(trace.rows), 9)
-        np.testing.assert_array_equal(trace.iterates[0], model.params)
+        np.testing.assert_array_equal(trace.iterates[0], w0)
         np.testing.assert_array_equal(trace.iterates[-1], trace.final_params)
 
 
 class TestStepChecks:
-    """No step builds a validated Predictor, and only a non-finite gradient
-    ends a run quietly."""
+    """run_scheme checks its start vector once, before any step; no step
+    checks the weights again, and only a non-finite gradient ends a run
+    quietly."""
 
-    def test_predictor_validation_does_not_grow_with_the_step_count(self, monkeypatch):
+    def test_weight_validation_does_not_grow_with_the_step_count(self, monkeypatch):
         _, aug, _ = small_task(seed=3, m=300)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(3))
-        post_init = models.Predictor.__post_init__
+        w0 = 0.1 * Rng(3).gen.standard_normal(3 * 3)
         calls = []
 
-        def counting(self):
-            calls.append(1)
-            post_init(self)
+        def counting(module):
+            as_vec = module.as_vec
 
-        monkeypatch.setattr(models.Predictor, "__post_init__", counting)
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return as_vec(*args, **kwargs)
+            monkeypatch.setattr(module, "as_vec", counted)
+
+        counting(trainers)
+        counting(models)
         counts = []
         for epochs in (1, 10):  # 30 and 300 steps
             calls.clear()
             cfg = TrainConfig(scheme=Augmented(eta=0.3, batch=10, epochs=epochs), seed=4)
-            trace = run_scheme(model, None, aug, cfg)
+            trace = run_scheme(w0, None, aug, cfg)
             assert trace.iterations == 30 * epochs and not trace.aborted
             counts.append(len(calls))
         assert counts[0] == counts[1] < 30
+
+    @pytest.mark.parametrize("w0, message", [
+        (np.zeros(8), "w0 must have length 9, got 8"),
+        (np.zeros(10), "w0 must have length 9, got 10"),
+        (np.r_[np.zeros(8), np.nan], "w0 contains non-finite entries"),
+    ], ids=["short", "long", "nan"])
+    def test_a_bad_start_vector_is_rejected_before_any_step(self, monkeypatch, w0, message):
+        orig, aug, _ = small_task(seed=1)
+        calls = counted_steps(monkeypatch)
+        cfg = TrainConfig(scheme=WeMix(lam=0.5, delta_y=0.1, t1=3, t2=3, m0=2, eta1=0.3,
+                                       eta2=0.3, batch=5), seed=2)
+        with pytest.raises(ValueError, match=message):
+            run_scheme(w0, orig, aug, cfg)
+        assert calls == []
+        assert run_scheme(np.zeros(9), orig, aug, cfg).iterations == len(calls) == 6
 
     def test_a_step_error_with_a_finite_gradient_is_raised(self, monkeypatch):
         """sgd_step's ValueError ends the run quietly only when the gradient
         is not finite; any other ValueError is the caller's to see."""
         orig, _, _ = small_task(seed=1)
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(1))
+        w0 = 0.1 * Rng(1).gen.standard_normal(3 * 3)
 
         def refusing_step(w, grad, eta):
             raise ValueError("refused")
@@ -404,7 +435,7 @@ class TestStepChecks:
         monkeypatch.setattr(trainers, "sgd_step", refusing_step)
         cfg = TrainConfig(scheme=Original(eta=0.3, batch=5), seed=2)
         with pytest.raises(ValueError, match="refused"):
-            run_scheme(model, orig, None, cfg)
+            run_scheme(w0, orig, None, cfg)
 
 
 class TestFirstStageStore:
@@ -414,7 +445,7 @@ class TestFirstStageStore:
 
     def _sets(self):
         orig, aug, _ = small_task(seed=21)
-        return orig, aug, init_predictor(SoftmaxLinear(3, 3), Rng(21))
+        return orig, aug, 0.1 * Rng(21).gen.standard_normal(3 * 3)
 
     @staticmethod
     def _same_run(a, b, tmp_path):
@@ -424,18 +455,6 @@ class TestFirstStageStore:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         np.testing.assert_array_equal(a.final_params, b.final_params)
         assert (a.aborted, a.iterations) == (b.aborted, b.iterations)
-
-    @staticmethod
-    def _counted_steps(monkeypatch):
-        calls = []
-        real = trainers.sgd_step
-
-        def counted(w, grad, eta):
-            calls.append(1)
-            return real(w, grad, eta)
-
-        monkeypatch.setattr(trainers, "sgd_step", counted)
-        return calls
 
     # (first run, second run): the second's first stage is a prefix of the first's
     PAIRS = {
@@ -456,21 +475,21 @@ class TestFirstStageStore:
 
     @pytest.mark.parametrize("pair", sorted(PAIRS))
     def test_continued_run_is_the_run_from_scratch(self, pair, tmp_path, monkeypatch):
-        orig, aug, model = self._sets()
+        orig, aug, w0 = self._sets()
         first, second = (TrainConfig(seed=5, eval_orig=orig, ltilde_ref=0.1, **kw)
                          for kw in self.PAIRS[pair])
-        alone = run_scheme(model, orig, aug, second)
+        alone = run_scheme(w0, orig, aug, second)
         store = FirstStageStore()
-        stored = run_scheme(model, orig, aug, first, first_stage=store)
+        stored = run_scheme(w0, orig, aug, first, first_stage=store)
         assert stored.reused_steps == 0
-        calls = self._counted_steps(monkeypatch)
-        shared = run_scheme(model, orig, aug, second, first_stage=store)
+        calls = counted_steps(monkeypatch)
+        shared = run_scheme(w0, orig, aug, second, first_stage=store)
         self._same_run(shared, alone, tmp_path)
         t1 = trainers.size_stages(second.scheme, orig.n, aug.n)[0][0]
         assert shared.reused_steps == t1 > 0
         assert len(calls) == shared.iterations - t1
         # the stage stays stored for the next run that shares it
-        again = run_scheme(model, orig, aug, second, first_stage=store)
+        again = run_scheme(w0, orig, aug, second, first_stage=store)
         assert again.reused_steps == t1
         self._same_run(again, alone, tmp_path)
 
@@ -478,7 +497,7 @@ class TestFirstStageStore:
         "eta", "batch", "seed", "ltilde_ref", "start", "eval_set", "orig", "lam",
         "delta_y", "longer", "mode"])
     def test_any_other_input_runs_from_scratch(self, change, tmp_path):
-        orig, aug, model = self._sets()
+        orig, aug, w0 = self._sets()
         twin = dataclasses.replace(orig)  # equal arrays, another set
         is_mix = change in ("lam", "delta_y")
         scheme = (MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3, epochs=2) if is_mix
@@ -488,7 +507,7 @@ class TestFirstStageStore:
         if is_mix:
             second["scheme"] = WeMix(lam=0.6, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
                                      eta2=0.2, batch=6)
-        start, sets = model, (orig, aug)
+        start, sets = w0, (orig, aug)
         if change == "eta":
             second["scheme"] = AugDrop(t1=8, m1=6, m2=8, eta1=0.31, eta2=0.2)
         elif change == "batch":
@@ -508,57 +527,57 @@ class TestFirstStageStore:
         elif change in ("seed", "ltilde_ref"):
             second[change] = {"seed": 6, "ltilde_ref": 0.2}[change]
         elif change == "start":
-            start = init_predictor(SoftmaxLinear(3, 3), Rng(22))
+            start = 0.1 * Rng(22).gen.standard_normal(3 * 3)
         elif change == "eval_set":
             # Augmented scores L on eval_orig, AugDrop on the originals it trains on
             base["eval_orig"] = twin
         else:
             sets = (twin, aug)
         store = FirstStageStore()
-        run_scheme(model, orig, aug, TrainConfig(scheme=scheme, **base), first_stage=store)
+        run_scheme(w0, orig, aug, TrainConfig(scheme=scheme, **base), first_stage=store)
         cfg = TrainConfig(**second)
         shared = run_scheme(start, *sets, cfg, first_stage=store)
         assert shared.reused_steps == 0
         self._same_run(shared, run_scheme(start, *sets, cfg), tmp_path)
 
     def test_a_diverging_first_stage_is_cut_where_each_run_alone_is(self, tmp_path):
-        orig, aug, model = self._sets()
+        orig, aug, w0 = self._sets()
         first = TrainConfig(scheme=Augmented(eta=3e307, batch=6, epochs=2), seed=5,
                             eval_orig=orig)
         second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=3e307, eta2=0.2),
                              seed=5, eval_orig=orig)
         store = FirstStageStore()
-        stored = run_scheme(model, orig, aug, first, first_stage=store)
+        stored = run_scheme(w0, orig, aug, first, first_stage=store)
         assert stored.aborted and len(stored.rows) <= 8
-        shared = run_scheme(model, orig, aug, second, first_stage=store)
-        alone = run_scheme(model, orig, aug, second)
+        shared = run_scheme(w0, orig, aug, second, first_stage=store)
+        alone = run_scheme(w0, orig, aug, second)
         assert alone.aborted and shared.reused_steps == 0
         self._same_run(shared, alone, tmp_path)
-        self._same_run(stored, run_scheme(model, orig, aug, first), tmp_path)
+        self._same_run(stored, run_scheme(w0, orig, aug, first), tmp_path)
 
     def test_runs_that_keep_iterates_neither_take_nor_store(self, tmp_path):
-        orig, aug, model = self._sets()
+        orig, aug, w0 = self._sets()
         first = TrainConfig(scheme=Augmented(eta=0.3, batch=6, epochs=2), seed=5,
                             eval_orig=orig)
         second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2), seed=5)
         store = FirstStageStore()
         kept = dataclasses.replace(first, keep_iterates=True)
-        run_scheme(model, orig, aug, kept, first_stage=store)
-        assert run_scheme(model, orig, aug, second, first_stage=store).reused_steps == 0
-        run_scheme(model, orig, aug, first, first_stage=store)
-        keeping = run_scheme(model, orig, aug, dataclasses.replace(second, keep_iterates=True),
+        run_scheme(w0, orig, aug, kept, first_stage=store)
+        assert run_scheme(w0, orig, aug, second, first_stage=store).reused_steps == 0
+        run_scheme(w0, orig, aug, first, first_stage=store)
+        keeping = run_scheme(w0, orig, aug, dataclasses.replace(second, keep_iterates=True),
                              first_stage=store)
         assert keeping.reused_steps == 0 and len(keeping.iterates) == len(keeping.rows)
-        shared = run_scheme(model, orig, aug, second, first_stage=store)
+        shared = run_scheme(w0, orig, aug, second, first_stage=store)
         assert shared.reused_steps == 8
         self._same_run(shared, keeping, tmp_path)
 
     def test_without_a_store_every_step_is_computed(self, monkeypatch):
-        orig, aug, model = self._sets()
-        calls = self._counted_steps(monkeypatch)
+        orig, aug, w0 = self._sets()
+        calls = counted_steps(monkeypatch)
         for kw in self.PAIRS["augmented-then-augdrop"]:
             calls.clear()
-            trace = run_scheme(model, orig, aug, TrainConfig(seed=5, eval_orig=orig, **kw))
+            trace = run_scheme(w0, orig, aug, TrainConfig(seed=5, eval_orig=orig, **kw))
             assert trace.reused_steps == 0 and len(calls) == trace.iterations > 0
 
 
@@ -578,11 +597,11 @@ class TestConfigValidation:
 
     def test_run_needs_the_sets_it_trains_on(self):
         orig, aug, _ = small_task()
-        model = init_predictor(SoftmaxLinear(3, 3), Rng(0))
+        w0 = 0.1 * Rng(0).gen.standard_normal(3 * 3)
         cfg = TrainConfig(scheme=MixLoss(lam=0.5, delta_y=0.1, m0=2, eta=0.1))
         for o, a in ((None, aug), (orig, None)):
             with pytest.raises(ValueError, match="needs the set it trains on"):
-                run_scheme(model, o, a, cfg)
+                run_scheme(w0, o, a, cfg)
 
     @pytest.mark.parametrize("eta,iters,batch,bad", [
         (math.nan, 5, 10, "eta must be positive and finite"),
