@@ -30,6 +30,7 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import sys
@@ -58,9 +59,9 @@ from .trainers import (
     MixLoss,
     Original,
     Scheme,
+    ScoringWorkers,
     TrainConfig,
     run_scheme,
-    share_cpus,
     size_stages,
     write_trace_csv,
 )
@@ -376,27 +377,31 @@ class _Setup:
     floor: float
     ltilde_floor: float | None    # set when the plan asks for the constraint floor
     consts: ConstantEstimates | None  # set in theory mode
+    phases: dict  # wall seconds of each set-up phase: data_s, floor_s, constants_s
 
 
 def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
                  mode: str) -> _Setup:
-    """Data, floors and, in theory mode, estimated constants of one (task, seed).
-    The layer functions are called through this module's globals, so wrappers
-    installed there see every call.
+    """Data, floors and, in theory mode, estimated constants of one (task, seed),
+    with the wall seconds of each phase. The layer functions are called
+    through this module's globals, so wrappers installed there see every call.
 
     Theory mode runs a short full-batch probe for the iterate cloud; the
     declared generator bias stands in for the estimated one (the generator
     plants it exactly, and its estimators are validated separately).
     """
+    t_data = time.perf_counter()
     orig, aug, planted = gen_synthetic(task, Rng(seed, 0))
     size = task.k * task.d
     rng = np.random.default_rng(seed)
     eval_set = sample_original(planted, Rng(seed, 7), eval_n) if eval_n > 0 else orig
+    t_floor = time.perf_counter()
     floor, _ = best_found_floor(CeObjective.over(eval_set), size, rng,
                                 extra_starts=[planted.w_star.ravel()], n_random=1)
     ltilde_floor = None
     if constraint_floor:  # drawn from rng right after the gap floor
         ltilde_floor, _ = best_found_floor(CeObjective.over(aug), size, rng, n_random=1)
+    t_consts = time.perf_counter()
     consts = None
     if mode == "theory":
         probe_cfg = TrainConfig(scheme=Original(eta=0.5, batch=orig.n, epochs=60),
@@ -408,7 +413,9 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
             delta_p=task.delta_p if task.mode == "input_shift" else None,
             rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
         )
-    return _Setup(orig, aug, eval_set, floor, ltilde_floor, consts)
+    phases = {"data_s": t_floor - t_data, "floor_s": t_consts - t_floor,
+              "constants_s": time.perf_counter() - t_consts}
+    return _Setup(orig, aug, eval_set, floor, ltilde_floor, consts, phases)
 
 
 # The resolved batches that _theory_scheme caps, as (resolved key, stage index).
@@ -466,9 +473,10 @@ def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
 
 
 def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
-             s: _Setup, store: FirstStageStore) -> dict:
+             s: _Setup, store: FirstStageStore, workers: ScoringWorkers) -> dict:
     """Train `cell` on its set-up, write its trace CSV and return its summary,
-    without wall_time. The run continues from `store` where it can."""
+    without wall_time or set-up phases. The run continues from `store` where
+    it can, and scores its records with `workers`."""
     resolved: dict = {}
     warnings: list[str] = []
     constants = None
@@ -480,10 +488,13 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
                       ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor)
-    trace = run_scheme(np.zeros(task.k * task.d), s.orig, s.aug, cfg, first_stage=store)
+    trace = run_scheme(np.zeros(task.k * task.d), s.orig, s.aug, cfg, first_stage=store,
+                       workers=workers)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
+    t_csv = time.perf_counter()
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))
+    csv_s = time.perf_counter() - t_csv
 
     return {
         "cell": cell.name,
@@ -500,6 +511,8 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "reused_steps": trace.reused_steps,
         "train_s": trace.train_s,
         "score_s": trace.score_s,
+        "score_wait_s": trace.score_wait_s,
+        "csv_s": csv_s,
         "trace_csv": csv_name,
         "resolved": resolved,
         "constants": constants,
@@ -526,40 +539,51 @@ def _groups(plan: ExperimentPlan) -> list[tuple]:
 
 
 def _run_group(plan: ExperimentPlan, task: SyntheticTask, seed: int,
-               cells: tuple) -> typing.Iterator[dict]:
+               cells: tuple, workers: int) -> typing.Iterator[dict]:
     """Run `cells` on one (task, seed), writing and yielding each summary as
-    its cell finishes. The cells share one set-up, built once (the first
-    cell's wall_time includes it), and one first-stage store. A run that
-    raises, or a set-up that did, gives its cells failed summaries."""
+    its cell finishes. The cells share one set-up, built once, one
+    first-stage store and up to `workers` record-scoring worker processes,
+    which end with the group. The first cell's wall_time includes the
+    set-up, and its summary gives the set-up phases' seconds; the later
+    cells give 0.0 for them. A run that raises, or a set-up that did, gives
+    its cells failed summaries, which give no phases."""
     t_start = time.perf_counter()
     try:
         setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
     except Exception as exc:  # fails this group's cells, not the plan
         setup, setup_error = None, exc
+    phases = setup.phases if setup is not None else {}
     store = FirstStageStore()
-    for cell in cells:
-        if setup is None:
-            summary = _failed(cell, seed, setup_error)
-        else:
-            try:
-                summary = _run_one(plan, cell, task, seed, setup, store)
-            except Exception as exc:  # one bad pair must not stop the plan
-                summary = _failed(cell, seed, exc)
-        summary["wall_time"] = time.perf_counter() - t_start
-        _write_summary(plan, summary)
-        yield summary
-        t_start = time.perf_counter()
+    with ScoringWorkers(workers) as scorers:
+        for cell in cells:
+            if setup is None:
+                summary = _failed(cell, seed, setup_error)
+            else:
+                try:
+                    summary = _run_one(plan, cell, task, seed, setup, store, scorers)
+                    summary.update(phases)
+                except Exception as exc:  # one bad pair must not stop the plan
+                    summary = _failed(cell, seed, exc)
+            phases = dict.fromkeys(phases, 0.0)
+            summary["wall_time"] = time.perf_counter() - t_start
+            _write_summary(plan, summary)
+            yield summary
+            t_start = time.perf_counter()
 
 
-def _init_worker(jobs: int) -> None:
-    """Set up one of `jobs` worker processes: keep freed memory, and score
-    trace records on this worker's share of the CPUs."""
-    _keep_freed_memory()
-    share_cpus(jobs)
+def _scoring_workers(processes: int) -> int:
+    """Record-scoring workers for each of `processes` plan processes: its
+    share of the CPUs this process may run on, less the one it trains on. A
+    daemonic process, such as a multiprocessing.Pool worker, may not start
+    processes, so it scores on its training thread."""
+    if multiprocessing.current_process().daemon:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(0, (cpus or 1) // processes - 1)
 
 
-def _worker(plan: ExperimentPlan, group: tuple) -> list[dict]:
-    return list(_run_group(plan, *group))
+def _worker(plan: ExperimentPlan, group: tuple, workers: int) -> list[dict]:
+    return list(_run_group(plan, *group, workers))
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
@@ -627,7 +651,9 @@ def _announced(summaries) -> list[dict]:
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
-    groups per worker process; returns (aggregate rows, exit code).
+    groups per worker process; returns (aggregate rows, exit code). Each of
+    those processes scores trace records with its share of the CPUs it may
+    run on, less one: that many forked workers per group (_scoring_workers).
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
@@ -640,14 +666,15 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     os.remove(probe)
 
     groups = _groups(plan)
+    processes = min(jobs, len(groups)) if jobs > 1 else 1
+    workers = _scoring_workers(processes)
     if jobs > 1:
-        workers = min(jobs, len(groups))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(workers,)) as pool:
+        with ProcessPoolExecutor(max_workers=processes, initializer=_keep_freed_memory) as pool:
             summaries = _announced(itertools.chain.from_iterable(
-                pool.map(_worker, itertools.repeat(plan), groups)))
+                pool.map(_worker, itertools.repeat(plan), groups, itertools.repeat(workers))))
     else:
-        summaries = _announced(s for group in groups for s in _run_group(plan, *group))
+        summaries = _announced(s for group in groups
+                               for s in _run_group(plan, *group, workers))
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))

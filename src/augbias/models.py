@@ -10,6 +10,7 @@ in the label; several estimators downstream rely on exactly that structure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,6 +134,12 @@ def scores_t(params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
     return np.matmul(params.reshape(len(params), -1, len(ev.inputs_t)), ev.inputs_t, out=out)
 
 
+# k entries of p below _P_FINITE_NORM / sqrt(k) have a finite squared norm:
+# each square is below half the float range over k, so no rounding of their
+# sum reaches inf. p is nonnegative, and NaN fails the comparison.
+_P_FINITE_NORM = math.sqrt(np.finfo(np.float64).max / 2.0)
+
+
 class StackStats(NamedTuple):
     loss: np.ndarray  # (B,) mean <y_i, p_i>
     corrected: np.ndarray | None  # (B,) mean <y_i, p_i> - delta_y * ||p_i||
@@ -171,7 +178,9 @@ def _stack_pass(params, ev, delta_y, ws, loss, corrected, grads) -> None:
     """stack_stats for at most ws.batch iterates, into loss, corrected and grads.
 
     The means are sums over the examples divided by n, which is what np.mean
-    computes, without its Python wrapper.
+    computes, without its Python wrapper. At delta_y = 0 the corrected loss
+    is the loss, ce - 0 * ||p|| = ce, whenever every ||p|| is finite; the
+    largest entry of p tells that without the norms (_P_FINITE_NORM).
     """
     n = ev.n
     p_t, e_t, ds, m, tot, lse, ce, norms = ws.views(len(params), n)
@@ -196,7 +205,10 @@ def _stack_pass(params, ev, delta_y, ws, loss, corrected, grads) -> None:
     class_sum(np.multiply(ev.labels_t, p_t, out=e_t), out=ce)
     np.add.reduce(ce, axis=1, out=loss)
     loss /= n
-    if corrected is not None:
+    if corrected is not None and delta_y == 0.0 and \
+            np.maximum.reduce(p_t, axis=None) < _P_FINITE_NORM / math.sqrt(p_t.shape[1]):
+        corrected[:] = loss
+    elif corrected is not None:
         class_sum(np.multiply(p_t, p_t, out=e_t), out=norms)
         np.sqrt(norms, out=norms)
         norms *= delta_y

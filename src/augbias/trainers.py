@@ -27,8 +27,9 @@ instead of raising, so sweeps never die on divergence.
 The trace has one record at the start and one after every step, but records
 are not scored step by step. Training runs up to CHUNK steps ahead, keeping
 each iterate, and the chunk's records are then scored together by the
-batched evaluation kernel (models.stack_stats), split across threads.
-Training never reads a record, so the trace is the one a per-step loop
+batched evaluation kernel (models.stack_stats), in part by ScoringWorkers
+processes while the calling thread trains the next chunk. Training never
+reads a record, so the trace is the one a per-step loop
 records, cut at the same step when the run diverges.
 
 A caller may own a FirstStageStore and pass it to every run_scheme call of a
@@ -43,10 +44,10 @@ from scratch, bit for bit.
 from __future__ import annotations
 
 import math
-import os
+import multiprocessing
+import signal
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,9 +214,11 @@ class TrainTrace:
     iterations: int = 0
     iterates: np.ndarray | None = None
     # wall seconds run_scheme spent training (the steps and the check of
-    # each iterate) and scoring the records
+    # each iterate) and scoring the records on the calling thread; the
+    # scoring seconds include score_wait_s, the time it waited on workers
     train_s: float = 0.0
     score_s: float = 0.0
+    score_wait_s: float = 0.0
     # leading steps and records taken from a FirstStageStore, not computed
     reused_steps: int = 0
 
@@ -334,25 +337,98 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
 
 
 # Steps trained ahead of their trace records, so the records of one chunk are
-# scored together; chosen by measurement on the table1 benchmark workload.
+# scored together; chosen by measurement on the table1 benchmark workload. A
+# run's first chunk holds FIRST_CHUNK records and each later one twice as
+# many as the one before, up to CHUNK, so that scoring starts to overlap
+# training early in a run (measured on the plateau workload).
 CHUNK = 128
-
-# Processes that share this one's CPUs, such as run_plan's --jobs workers.
-_cpu_sharers = 1
+FIRST_CHUNK = 16
 
 
-def share_cpus(processes: int) -> None:
-    """Score this process's trace records on 1/processes of its CPUs, because
-    that many processes run schemes on them at once."""
-    global _cpu_sharers
-    _cpu_sharers = processes
+class ScoringWorkers:
+    """Up to `count` worker processes that score trace records while the
+    calling thread trains; run_scheme takes them as `workers`, and close()
+    ends them.
+
+    They are forked when a run that scores at least CHUNK records first asks
+    for them. A shorter run shares fewer records than that, which saves less
+    than forking, the copy-on-write faults that follow it and reaping cost,
+    so a plan of short runs forks none. A forked worker starts with numpy
+    and this package imported, and scores with the same code and BLAS as the
+    calling thread; fork is safe because the calling process runs one Python
+    thread. A worker that dies is dropped: the run using it raises, and
+    later runs go on with the workers left.
+    """
+
+    def __init__(self, count: int):
+        self._unforked = count
+        self._live: list = []  # (process, connection)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """End every worker and reap it."""
+        for _, conn in self._live:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+        for proc, conn in self._live:
+            _reap(proc, conn, 5.0)
+        self._live = []
+
+    def connections(self, fork: bool) -> list:
+        """Connections to the live workers, forked first when `fork` is set
+        and they have not been."""
+        if fork and self._unforked:
+            count, self._unforked = self._unforked, 0
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(count):
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+                proc.start()
+                theirs.close()  # before the next fork, so a worker's death reads as EOF
+                self._live.append((proc, ours))
+        return [conn for _, conn in self._live]
+
+    def lost(self, conn) -> RuntimeError:
+        """Drop the worker behind `conn`, which failed to send or receive,
+        and return the error that the run using it raises."""
+        proc = next(p for p, c in self._live if c is conn)
+        self._live.remove((proc, conn))
+        _reap(proc, conn, 1.0)
+        return RuntimeError(f"record-scoring worker {proc.pid} exited with code "
+                            f"{proc.exitcode}")
 
 
-def scoring_threads() -> int:
-    """Threads that score a chunk of records: the CPUs this process may run
-    on, divided among the processes sharing them, at least 1."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, (cpus or 1) // _cpu_sharers)
+def _reap(proc, conn, timeout: float) -> None:
+    """Wait up to `timeout` seconds for a worker to exit, end it if it has
+    not, and close its connection."""
+    proc.join(timeout)
+    if proc.exitcode is None:
+        proc.terminate()
+        proc.join()
+    conn.close()
+
+
+def _serve(conn) -> None:
+    """A scoring worker's loop: a _Scorer sets up a run, and each (B, P)
+    stack of iterates is then answered with (values, seconds spent); None
+    ends the loop. Interrupts are left to the calling process, which ends
+    its workers itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    scorer = ws = None
+    while (msg := conn.recv()) is not None:
+        if isinstance(msg, _Scorer):
+            scorer, ws = msg, msg.workspace()
+        else:
+            t0 = time.perf_counter()
+            values = scorer.score(msg, ws)
+            conn.send((values, time.perf_counter() - t0))
 
 
 class FirstStageStore:
@@ -407,13 +483,17 @@ def run_scheme(
     cfg: TrainConfig,
     *,
     first_stage: FirstStageStore | None = None,
+    workers: ScoringWorkers | None = None,
 ) -> TrainTrace:
     """Run cfg.scheme's stages from the flat weights `w0`, with one trace
     record at the start and one after every step.
 
-    Training and scoring alternate: training runs up to CHUNK steps ahead,
-    then that chunk's records are scored together, split across
-    scoring_threads() threads. Training never reads a record, so the trace is
+    Training runs up to CHUNK steps ahead, and each chunk's records are
+    scored together. Without `workers` the calling thread scores a chunk and
+    then trains the next one. With them, the workers score a share of the
+    chunk while the calling thread scores the rest and trains the next
+    chunk; the share is sized from the last chunk's measured costs, so both
+    sides finish together. Training never reads a record, so the trace is
     the same as recording after every step; the first non-finite iterate,
     record or gradient ends it where a per-step loop would.
 
@@ -437,8 +517,9 @@ def run_scheme(
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     sets = (orig, aug, eval_orig, eval_aug)
-    eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
-    eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
+    scorer = _Scorer(*(EvalSet.of(ds.inputs, ds.labels) if ds is not None else None
+                       for ds in (eval_orig, eval_aug)),
+                     scheme.lam, scheme.delta_y, cfg.ltilde_ref)
 
     tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
     first_tag = next((tag for tag, (iters, _) in zip(tags, sizes) if iters > 0), tags[-1])
@@ -462,26 +543,43 @@ def run_scheme(
     storing = store is not None and taken is None
     stage_iterates = np.empty((first + 1, w.size)) if storing else None
     iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
-    scorer = _RecordScorer(eval_orig, eval_aug, scheme.lam, scheme.delta_y, cfg.ltilde_ref,
-                           scoring_threads())
-    trained, error = False, None
-    train_s = score_s = 0.0
-    with scorer:
+
+    def fill(chunk: list, size: int) -> tuple[bool, Exception | None, float]:
+        """Train into `chunk` until it holds `size` records or training stops:
+        (stopped, the exception that stopped it, seconds per step)."""
+        nonlocal train_s
+        t0, start = time.perf_counter(), len(chunk)
+        stopped, error = True, None
+        try:
+            for step in steps:
+                chunk.append(step)
+                if not np.isfinite(step[2]).all():
+                    break  # training never resumes after a non-finite iterate
+                if len(chunk) == size:
+                    stopped = False
+                    break
+        except Exception as exc:  # raised once the chunk's records are known
+            error = exc
+        seconds = time.perf_counter() - t0
+        train_s += seconds
+        return stopped, error, seconds / max(1, len(chunk) - start)
+
+    train_s = 0.0
+    size = min(FIRST_CHUNK, CHUNK)
+    stopped, error, step_s = fill(chunk, size)
+    steps_total = sum(iters for iters, _ in sizes)
+    # the start's record and one per step, less those taken from the store
+    to_score = steps_total - first if taken is not None else steps_total + 1
+    with _RecordScorer(scorer, workers, to_score) as records:
         while True:
-            t0 = time.perf_counter()
-            try:
-                for step in steps:
-                    chunk.append(step)
-                    if len(chunk) == CHUNK or not np.isfinite(step[2]).all():
-                        break
-                else:
-                    trained = True
-            except Exception as exc:  # raised once the chunk's records are known
-                trained, error = True, exc
-            t1 = time.perf_counter()
-            good = scorer.rows(chunk)
-            train_s += t1 - t0
-            score_s += time.perf_counter() - t1
+            # the workers score their share while this thread trains ahead
+            size = min(2 * size, CHUNK)
+            records.start(chunk, 0.0 if stopped
+                          else step_s * min(size, steps_total - chunk[-1][0]))
+            ahead = []
+            if not stopped:
+                ahead_stopped, ahead_error, step_s = fill(ahead, size)
+            good = records.finish()
             rows.extend(good)
             if iterates is not None:
                 iterates.extend(w for _, _, w in chunk[:len(good)])
@@ -495,15 +593,15 @@ def run_scheme(
                 break  # what training met after a non-finite record does not count
             if error is not None:
                 raise error
-            if trained:
+            if stopped:
                 break
-            chunk = []
+            chunk, stopped, error = ahead, ahead_stopped, ahead_error
     global_t, _, w = end
     if storing:
         stored = min(len(rows), first + 1)
         store.put(key, sets, rows[:stored], stage_iterates[:stored])
     # a run stops short at a non-finite iterate, record or gradient
-    aborted = len(rows) == 0 or rows[-1].t < sum(iters for iters, _ in sizes)
+    aborted = len(rows) == 0 or rows[-1].t < steps_total
     return TrainTrace(
         rows=rows,
         final_params=w,
@@ -511,7 +609,8 @@ def run_scheme(
         iterations=global_t,
         iterates=np.array(iterates) if iterates is not None else None,
         train_s=train_s,
-        score_s=score_s,
+        score_s=records.score_s,
+        score_wait_s=records.wait_s,
         reused_steps=reused,
     )
 
@@ -557,81 +656,150 @@ def _train(w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0
             yield global_t, tag, w
 
 
-class _RecordScorer:
-    """Scores trace records, split into `threads` contiguous parts: one on the
-    calling thread, the rest on a thread pool that lives as long as the
-    `with` block, so no forked process inherits it.
+@dataclass(frozen=True)
+class _Scorer:
+    """What scores one run's records: its evaluation sets (None for a side
+    it does not score), lam, delta_y and ltilde_ref. Each worker receives a
+    copy."""
 
-    The pool threads run only augbias.models code (the evaluation kernel and
-    numpy), never a layer function that a tracer may have wrapped.
+    eval_orig: EvalSet | None
+    eval_aug: EvalSet | None
+    lam: float
+    delta_y: float
+    ltilde_ref: float
+
+    def workspace(self) -> Workspace:
+        sets = [ev for ev in (self.eval_orig, self.eval_aug) if ev is not None]
+        return Workspace(STACK_BATCH, max((len(ev.labels_t) for ev in sets), default=0),
+                         max((ev.n for ev in sets), default=0),
+                         self.eval_orig.n if self.eval_orig is not None else 0)
+
+    def score(self, params: np.ndarray, ws: Workspace) -> np.ndarray:
+        """(L, L_tilde, L_c, grad_norm, constraint) at each of a (B, P) stack
+        of finite iterates, one row each; a missing evaluation set reads as
+        zeros."""
+        out = np.zeros((len(params), 5))
+        l_a = 0.0
+        # huge-but-finite iterates overflow during evaluation; the finite
+        # check on the values turns that into an abort rather than a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.eval_orig is not None:
+                st = stack_stats(params, self.eval_orig, grad=True, ws=ws)
+                out[:, 0] = st.loss
+                out[:, 3] = [np.linalg.norm(g) for g in st.grad]
+            if self.eval_aug is not None:
+                st = stack_stats(params, self.eval_aug, delta_y=self.delta_y, ws=ws)
+                out[:, 1] = st.loss
+                out[:, 4] = st.loss - self.ltilde_ref
+                l_a = st.corrected
+            out[:, 2] = self.lam * out[:, 0] + (1.0 - self.lam) * l_a
+        return out
+
+
+class _RecordScorer:
+    """Scores one run's trace records, a chunk at a time: start() hands each
+    live worker a contiguous part of the chunk and scores the first part on
+    the calling thread; finish() collects the parts.
+
+    The workers' parts are sized so that they finish when the calling thread
+    has scored its own part and trained for the seconds start() is told,
+    from the seconds per record that each side took on the last chunk it
+    scored. The calling thread scores a run's first chunk alone, which
+    measures its own cost, and any chunk too small to share.
     """
 
-    def __init__(self, eval_orig: EvalSet | None, eval_aug: EvalSet | None,
-                 lam: float, delta_y: float, ltilde_ref: float, threads: int):
-        self._sets = (eval_orig, eval_aug)
-        self._lam, self._delta_y, self._ltilde_ref = lam, delta_y, ltilde_ref
-        k = max((len(ev.labels_t) for ev in self._sets if ev is not None), default=0)
-        n = max((ev.n for ev in self._sets if ev is not None), default=0)
-        n_grad = eval_orig.n if eval_orig is not None else 0
-        self._workspaces = [Workspace(STACK_BATCH, k, n, n_grad) for _ in range(threads)]
-        self._pool = None
+    def __init__(self, scorer: _Scorer, workers: ScoringWorkers | None, records: int):
+        self._scorer = scorer
+        self._ws = scorer.workspace()
+        self._workers = workers
+        self._conns = workers.connections(fork=records >= CHUNK) if workers is not None else []
+        self._pending: list = []  # connections owing a part of the chunk
+        self._chunk: list = []
+        self._own: np.ndarray | None = None
+        self._own_s = 0.0
+        # seconds per record on the calling thread and on a worker
+        self._own_rec: float | None = None
+        self._worker_rec: float | None = None
+        self.score_s = self.wait_s = 0.0
 
     def __enter__(self):
-        if len(self._workspaces) > 1:
-            self._pool = ThreadPoolExecutor(max_workers=len(self._workspaces) - 1)
+        for conn in self._conns:
+            self._send(conn, self._scorer)
         return self
 
     def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        # a run that raised may leave parts in flight; they are read and
+        # dropped, so a worker starts the next run with nothing queued
+        while self._pending:
+            self._recv(self._pending.pop())
 
-    def rows(self, chunk) -> list[TraceRow]:
-        """TraceRows of a chunk of (t, tag, w) records, up to its first
-        non-finite iterate or value."""
+    def _send(self, conn, msg) -> None:
+        try:
+            conn.send(msg)
+        except OSError:
+            raise self._workers.lost(conn) from None
+
+    def _recv(self, conn):
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            raise self._workers.lost(conn) from None
+
+    def start(self, chunk: list, overlap_s: float) -> None:
+        """Start scoring a chunk of (t, tag, w) records, up to its first
+        non-finite iterate, while this thread then works `overlap_s` more
+        seconds before finish()."""
+        t0 = time.perf_counter()
         finite = len(chunk)
         if chunk and not np.isfinite(chunk[-1][2]).all():
             finite -= 1  # training stops at a non-finite iterate, so only the last can be
-        values = self.values(np.array([w for _, _, w in chunk[:finite]]))
+        params = np.array([w for _, _, w in chunk[:finite]])
+        workers = len(self._conns)
+        if self._own_rec is None or not workers:
+            share = 0  # this thread measures a run's first chunk
+        else:
+            # (finite - workers * share) * own_rec + overlap_s == share * worker_rec,
+            # with a worker taken to be as fast as this thread until measured
+            worker_rec = self._worker_rec or self._own_rec
+            share = min(round((finite * self._own_rec + overlap_s)
+                              / (worker_rec + workers * self._own_rec)), finite // workers)
+        own = finite - workers * share
+        if share:
+            for i, conn in enumerate(self._conns):
+                self._send(conn, params[own + i * share:own + (i + 1) * share])
+                self._pending.append(conn)
+        self._chunk = chunk
+        t1 = time.perf_counter()
+        self._own = self._scorer.score(params[:own], self._ws)
+        t2 = time.perf_counter()
+        self._own_s = t2 - t1
+        self.score_s += t2 - t0
+
+    def finish(self) -> list[TraceRow]:
+        """TraceRows of the started chunk, up to its first non-finite iterate
+        or value."""
+        scored, worker_s = [self._own], 0.0
+        if self._pending:
+            t0 = time.perf_counter()
+            while self._pending:
+                values, seconds = self._recv(self._pending.pop(0))
+                scored.append(values)
+                worker_s += seconds
+            wait = time.perf_counter() - t0
+            self.wait_s += wait
+            self.score_s += wait
+        values = np.concatenate(scored)
+        own = len(self._own)
+        if own:
+            self._own_rec = self._own_s / own
+        if len(values) > own:
+            self._worker_rec = worker_s / (len(values) - own)
         rows = []
-        for (t, tag, _), vals in zip(chunk, values):
+        for (t, tag, _), vals in zip(self._chunk, values.tolist()):
             if not all(math.isfinite(v) for v in vals):
                 break
             rows.append(TraceRow(t, tag, *vals))
         return rows
-
-    def values(self, params: np.ndarray) -> list[tuple[float, ...]]:
-        """(L, L_tilde, L_c, grad_norm, constraint) at each of a (B, P) stack
-        of finite iterates; a missing evaluation set reads as zeros."""
-        if len(params) == 0:
-            return []
-        parts = min(len(self._workspaces), len(params))
-        bounds = [len(params) * i // parts for i in range(parts + 1)]
-        futures = [self._pool.submit(self._score, params[lo:hi], ws)
-                   for lo, hi, ws in zip(bounds[1:-1], bounds[2:], self._workspaces[1:])]
-        scored = [self._score(params[:bounds[1]], self._workspaces[0])]
-        scored += [f.result() for f in futures]
-        lam = self._lam
-        return [(l_val, lt_val, lam * l_val + (1.0 - lam) * la_val, gnorm, cons)
-                for l_val, gnorm, lt_val, la_val, cons in np.concatenate(scored).tolist()]
-
-    def _score(self, params: np.ndarray, ws: Workspace) -> np.ndarray:
-        """(L, grad_norm, L_tilde, L_a, constraint) per iterate, one row each."""
-        eval_orig, eval_aug = self._sets
-        out = np.zeros((len(params), 5))
-        # huge-but-finite iterates overflow during evaluation; the finite
-        # check on the values turns that into an abort rather than a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if eval_orig is not None:
-                st = stack_stats(params, eval_orig, grad=True, ws=ws)
-                out[:, 0] = st.loss
-                out[:, 1] = [np.linalg.norm(g) for g in st.grad]
-            if eval_aug is not None:
-                st = stack_stats(params, eval_aug, delta_y=self._delta_y, ws=ws)
-                out[:, 2] = st.loss
-                out[:, 3] = st.corrected
-                out[:, 4] = st.loss - self._ltilde_ref
-        return out
 
 
 def _gather(ds: LabeledSet, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

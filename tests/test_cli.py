@@ -689,10 +689,18 @@ class TestRunPlan:
 
     def test_summary_says_where_the_run_time_went(self, tmp_path):
         run_plan(tiny_plan(tmp_path / "o"))
+        phases = ("data_s", "floor_s", "constants_s")
         for cell in ("orig", "drop"):
             s = json.load(open(tmp_path / "o" / f"{cell}__seed0.json"))
-            assert 0 < s["train_s"] and 0 < s["score_s"]
-            assert s["train_s"] + s["score_s"] < s["wall_time"]
+            assert 0 < s["train_s"] and 0 < s["score_s"] and 0 < s["csv_s"]
+            assert 0 <= s["score_wait_s"] <= s["score_s"]
+            assert sum(s[key] for key in ("train_s", "score_s", "csv_s", *phases)) \
+                < s["wall_time"]
+        # the set-up is timed once, on the group's first cell, whose wall_time has it
+        first = json.load(open(tmp_path / "o" / "orig__seed0.json"))
+        later = json.load(open(tmp_path / "o" / "drop__seed0.json"))
+        assert first["data_s"] > 0 and first["floor_s"] > 0 and first["constants_s"] >= 0
+        assert [later[key] for key in phases] == [0.0, 0.0, 0.0]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         for d in ("a", "b"):
@@ -904,7 +912,8 @@ def outputs(outdir) -> dict:
             out[name] = open(path, "rb").read()
         elif name.endswith(".json"):
             summary = json.load(open(path))
-            for key in ("wall_time", "train_s", "score_s", "reused_steps"):
+            for key in ("wall_time", "train_s", "score_s", "score_wait_s", "csv_s",
+                        "data_s", "floor_s", "constants_s", "reused_steps"):
                 summary.pop(key)
             out[name] = summary
     return out
@@ -994,14 +1003,14 @@ class TestSharedSetup:
 
         class Pool(cli.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
-                started.append((max_workers, kwargs["initargs"]))
+                started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         # two seeds of one task: two groups
         _, code = run_plan(tiny_plan(tmp_path / "o", seeds=(0, 1)), jobs=5)
         assert code == 0
-        assert started == [(2, (2,))]
+        assert started == [2]
 
     def test_a_shorter_first_stage_does_not_serve_a_longer_one(self, tmp_path):
         cells = self.SHARING["practical"][:2][::-1]  # augdrop before augmented
@@ -1167,12 +1176,16 @@ class TestFailureIsolation:
 
 
 class TestAllocator:
-    def test_repeated_plan_takes_no_new_page_faults(self, tmp_path):
+    def test_repeated_plan_takes_no_new_page_faults(self, tmp_path, monkeypatch):
         """Freed temporaries stay in the process: a plan that has run once
-        runs again without faulting its working memory back in."""
+        runs again without faulting its working memory back in. The plan
+        scores on the calling thread: a forked scoring worker shares the
+        process's pages copy-on-write, so the process's first write to each
+        of them faults, whatever the allocator keeps."""
         resource = pytest.importorskip("resource")
         if not cli._keep_freed_memory():
             pytest.skip("the C library has no mallopt")
+        monkeypatch.setattr(cli, "_scoring_workers", lambda processes: 0)
         task = SyntheticTask(mode="label_bias", n=2000, m=4000, d=10, k=5, delta_y=0.2)
         plan = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "o"), cells=(
             Cell("aug", Augmented(eta=1.0, batch=4000, epochs=100)),))
@@ -1187,12 +1200,12 @@ class TestAllocator:
 class TestScoringPool:
     def test_worker_plan_after_a_serial_plan_in_one_process(self, tmp_path):
         """A --jobs 2 plan that follows a jobs=1 plan in the same process
-        finishes, with the same aggregate.csv. On Linux the workers fork from
-        that process, so they would inherit a scoring pool the first plan
-        left behind, without its threads. The process is told it has four
-        CPUs, so each worker scores on a pool of its own on any host; it runs
-        in a child with a timeout, so a hang fails the test instead of
-        stopping the suite."""
+        finishes, with the same aggregate.csv. On Linux the --jobs workers
+        fork from that process, so they would inherit any scoring worker the
+        first plan left behind. The process is told it has four CPUs, so the
+        first plan forks three scoring workers per group and each --jobs
+        worker forks one of its own, on any host; it runs in a child with a
+        timeout, so a hang fails the test instead of stopping the suite."""
         long_cell = "\n[cell.long]\nscheme = original\neta = 0.3\nbatch = 4\nepochs = 20\n"
         ini = tiny_cfg(tmp_path, extra=long_cell)
         serial, workers = tmp_path / "serial", tmp_path / "workers"
@@ -1221,3 +1234,41 @@ class TestScoringPool:
         assert (serial / "aggregate.csv").read_bytes() == \
             (workers / "aggregate.csv").read_bytes()
         assert len(read_trace_csv(workers / "long__seed1.csv")) == 201
+
+    def test_a_plan_in_a_daemonic_pool_worker_scores_without_workers(self, tmp_path):
+        """A multiprocessing.Pool worker is daemonic and may not start
+        processes, so a plan run there forks no scoring worker and still
+        finishes, with the bytes of a plan run in the main process. The
+        process is told it has four CPUs, so the main process's plan forks
+        three; it runs in a child with a timeout, so a hang fails the test."""
+        long_cell = "\n[cell.long]\nscheme = original\neta = 0.3\nbatch = 4\nepochs = 20\n"
+        ini = tiny_cfg(tmp_path, extra=long_cell)
+        main_dir, pool_dir = tmp_path / "main", tmp_path / "pool"
+        script = textwrap.dedent(f"""
+            import multiprocessing, os, sys
+            os.sched_getaffinity = lambda pid: set(range(4))
+            from augbias.cli import main
+
+            if __name__ == "__main__":
+                with multiprocessing.get_context("fork").Pool(1) as pool:
+                    codes = [main(["run", {ini!r}, "--outdir", {str(main_dir)!r}]),
+                             pool.apply(main, (["run", {ini!r}, "--outdir", {str(pool_dir)!r}],))]
+                sys.exit(max(codes))
+        """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        script_path = tmp_path / "pool_plan.py"
+        script_path.write_text(script)
+        proc = subprocess.Popen([sys.executable, str(script_path)], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the plans did not finish within 120 s")
+        assert proc.returncode == 0, err
+        for name in ("long__seed1.csv", "aggregate.csv"):
+            assert (main_dir / name).read_bytes() == (pool_dir / name).read_bytes()

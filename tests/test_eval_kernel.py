@@ -10,8 +10,17 @@ by another BLAS call, which is checked the same way. k runs from 2 to 12 to
 cross numpy's 8-item pairwise block, and parameter scales reach the range
 where scores overflow. The batched kernel is checked on stacks of iterates
 against the same formulas, and whole runs are checked against a frozen copy
-of the per-step training loop that recorded after every step.
+of the per-step training loop that recorded after every step, with records
+scored on the calling thread and by forked scoring workers.
 """
+import dataclasses
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +44,9 @@ from augbias.trainers import (
     STREAM_ORIG,
     AugDrop,
     EpochSampler,
+    FirstStageStore,
     MixLoss,
+    ScoringWorkers,
     TrainConfig,
     TrainTrace,
     TraceRow,
@@ -112,9 +123,8 @@ def frozen_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
 
 def kernel_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values at one iterate, from the trainer's scorer."""
-    with trainers._RecordScorer(eval_orig, eval_aug, lam, delta_y, ltilde_ref,
-                                threads=1) as scorer:
-        return scorer.values(w[None, :])[0]
+    scorer = trainers._Scorer(eval_orig, eval_aug, lam, delta_y, ltilde_ref)
+    return tuple(scorer.score(w[None, :], scorer.workspace())[0])
 
 
 def frozen_run_scheme(w0, orig, aug, cfg):
@@ -276,6 +286,41 @@ def test_stack_matches_per_iterate_eval_scores(k, n, d, b, log_scale, delta_y, s
 
 
 @settings(max_examples=200, deadline=None)
+@given(k=classes, n=st.one_of(rows, st.sampled_from([2000, 4000])), d=st.integers(1, 4),
+       b=stacks, log_scale=log_scales, seed=seeds)
+def test_corrected_loss_at_delta_y_zero_matches_the_full_pass(k, n, d, b, log_scale, seed):
+    """At delta_y = 0 the kernel takes the loss as the corrected loss when
+    no squared p-norm can overflow. It must equal the full pass, including
+    at weights whose p is finite and p squared is not, where the full pass
+    gives NaN (0 * inf) and so cuts the trace."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
+    params = scales * rng.standard_normal((b, k * d))
+    x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
+    ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = stack_stats(params, ev, delta_y=0.0)
+        for i, w in enumerate(params):
+            assert same(got.corrected[i], frozen_mean_corrected(w, ds, 0.0))
+
+
+def test_corrected_loss_at_delta_y_zero_where_p_squared_overflows():
+    """Scores near 1e160 give p near 1e160, finite, and p squared inf: the
+    corrected loss is NaN, as in the full pass, while the loss is finite.
+    At 1e150 both are finite and equal."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((40, 3)), random_labels(rng, 40, 4)
+    ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
+    params = np.stack([1e160 * rng.standard_normal(12), 1e150 * rng.standard_normal(12)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = stack_stats(params, ev, delta_y=0.0)
+        want = [frozen_mean_corrected(w, ds, 0.0) for w in params]
+    assert np.isfinite(got.loss).all()
+    assert np.isnan(got.corrected[0]) and np.isnan(want[0])
+    assert got.corrected[1] == got.loss[1] == want[1]
+
+
+@settings(max_examples=200, deadline=None)
 @given(k=classes, n=rows, m=rows, d=st.integers(1, 4), log_scale=log_scales, seed=seeds)
 def test_record_matches_frozen_formulas(k, n, m, d, log_scale, seed):
     rng = np.random.default_rng(seed)
@@ -416,24 +461,31 @@ FAULTS = {
 }
 
 
+# Scoring workers of the whole-run tests: none, so the calling thread scores
+# every record, one, and two, which split a chunk three ways.
+WORKERS = [0, 1, 2]
+
+
 @pytest.mark.parametrize("d", FEATURES)
 @pytest.mark.parametrize("chunk", [6, trainers.CHUNK])
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, threads,
+def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, workers,
                                                                 fault, d):
     """rows, aborted, final_params, iterations and iterates equal the frozen
     per-step loop's, wherever in a chunk, stage or run the first non-finite
-    record, iterate or gradient falls, on one scoring part and on several."""
+    record, iterate or gradient falls, with records scored on the calling
+    thread alone and with workers. The runs score 19 records, so at chunks
+    of CHUNK they fork no workers and only the chunks of 6 share records."""
     monkeypatch.setattr(trainers, "CHUNK", chunk)
-    monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
     orig, aug = _sets(4, 30, 50, d, 4)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * d)
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
                    WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5, batch=4)):
         cfg = TrainConfig(scheme=scheme, seed=2, keep_iterates=True)
-        new = run_scheme(w0, orig, aug, cfg)
+        with ScoringWorkers(workers) as pool:
+            new = run_scheme(w0, orig, aug, cfg, workers=pool)
         faults.reset()
         old = frozen_run_scheme(w0, orig, aug, cfg)
         faults.reset()
@@ -441,46 +493,218 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
         assert new.aborted == (fault != "none")
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_divergence_at_the_first_record(threads, monkeypatch):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_divergence_at_the_first_record(workers, monkeypatch):
     """An initial iterate whose record overflows gives an empty trace at
-    t = 0, although training runs ahead of it."""
-    monkeypatch.setattr(trainers, "scoring_threads", lambda: threads)
+    t = 0, although training runs ahead of it. Chunks of 6 make the run
+    long enough to fork its workers."""
+    monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 1e300 * np.random.default_rng(1).standard_normal(4 * 3)
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
                       keep_iterates=True)
-    new = run_scheme(w0, orig, aug, cfg)
+    with ScoringWorkers(workers) as pool:
+        new = run_scheme(w0, orig, aug, cfg, workers=pool)
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
     assert new.rows == [] and new.aborted and new.iterations == 0
 
 
-def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_step_that_raises_after_finite_records_raises(monkeypatch, workers):
     """An exception from a step whose earlier records are all finite is the
     per-step loop's exception too, so it is raised, not turned into an
-    abort."""
+    abort. The workers take the next run with nothing left over from it.
+    Chunks of 6 make the runs long enough to share their records."""
+    monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * 3)
-    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
+    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
+                      keep_iterates=True)
     faults = Faults(monkeypatch, raise_at=(8,))
-    for run in (run_scheme, frozen_run_scheme):
+    with ScoringWorkers(workers) as pool:
+        with pytest.raises(RuntimeError, match="step 8"):
+            run_scheme(w0, orig, aug, cfg, workers=pool)
         faults.reset()
         with pytest.raises(RuntimeError, match="step 8"):
-            run(w0, orig, aug, cfg)
+            frozen_run_scheme(w0, orig, aug, cfg)
+        faults.raise_at = ()
+        faults.reset()
+        new = run_scheme(w0, orig, aug, cfg, workers=pool)
+    faults.reset()
+    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
+    assert (new.score_wait_s > 0) == (workers > 0)
 
 
 @pytest.mark.parametrize("d", [4, 7])
-def test_one_scoring_part_and_several_give_the_same_run(monkeypatch, d):
-    """Several chunks of records, scored on 1, 2 and 5 threads (more parts
-    than this host may have CPUs), give the same run to the bit."""
+@pytest.mark.parametrize("workers", WORKERS)
+def test_calling_thread_and_workers_give_the_per_step_run(d, workers):
+    """Several chunks of records, a first stage taken from the store and
+    runs without one, scored with 0, 1 and 2 workers (more processes than
+    this host may have CPUs), give the per-step loop's runs to the bit."""
     orig, aug = _sets(6, 200, 300, d, 6)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * d)
-    cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5,
-                                   eta2=0.5, batch=4), seed=4, keep_iterates=True)
-    runs = []
-    for threads in (1, 2, 5):
-        monkeypatch.setattr(trainers, "scoring_threads", lambda threads=threads: threads)
-        runs.append(run_scheme(w0, orig, aug, cfg))
-    assert len(runs[0].rows) == 301 > 2 * trainers.CHUNK
-    for run in runs[1:]:
-        assert_same_run(run, runs[0])
+    configs = [TrainConfig(scheme=scheme, seed=4) for scheme in (
+        MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5),
+        WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5, eta2=0.5, batch=4))]
+    configs.append(dataclasses.replace(configs[1], keep_iterates=True))
+    store = FirstStageStore()
+    with ScoringWorkers(workers) as pool:
+        runs = [run_scheme(w0, orig, aug, cfg, first_stage=store, workers=pool)
+                for cfg in configs]
+    assert [run.reused_steps for run in runs] == [0, 150, 0]
+    assert len(runs[2].rows) == 301 > 2 * trainers.CHUNK
+    # a worker scored a part of some chunk, and the calling thread waited on it
+    assert all((run.score_wait_s > 0) == (workers > 0) for run in runs)
+    for cfg, run in zip(configs, runs):
+        assert_same_run(run, frozen_run_scheme(w0, orig, aug, cfg))
+
+
+def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
+    """The calling thread raises while a worker holds a part of the chunk
+    (here, from scoring its own part of the third chunk). The run fails with
+    that error, the worker's part is read and dropped, and the next run on
+    the same worker is the per-step loop's run."""
+    orig, aug = _sets(6, 200, 300, 4, 6)
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
+    cfg = TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5), seed=4)
+    score, calling, calls = trainers._Scorer.score, os.getpid(), []
+
+    def failing(self, params, ws):
+        if os.getpid() == calling:
+            calls.append(len(params))
+            if len(calls) == 3:
+                raise MemoryError("planted")
+        return score(self, params, ws)
+
+    monkeypatch.setattr(trainers._Scorer, "score", failing)
+    with ScoringWorkers(1) as pool:
+        with pytest.raises(MemoryError, match="planted"):
+            run_scheme(w0, orig, aug, cfg, workers=pool)
+        new = run_scheme(w0, orig, aug, cfg, workers=pool)
+    assert calls[1] + calls[2] < 32 + 64  # the worker held parts of both chunks
+    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
+
+
+def run_script(script: str, timeout: float = 120.0) -> str:
+    """Run `script` in a fresh interpreter, in a session of its own, and
+    return its stdout; a hang past `timeout` ends the session and fails."""
+    src = os.path.dirname(os.path.dirname(trainers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                            text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the script did not finish within {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+# A plan on a small task, run by the scripts below; `cells` names Original
+# cells as (name, eta, epochs). Each pass over the 200 originals is 50 steps.
+PLAN_SCRIPT = """
+    import json, multiprocessing, os, sys
+    from augbias import cli, trainers
+    from augbias.augment import SyntheticTask
+
+    def plan(outdir, cells, seeds=(0,)):
+        task = SyntheticTask(mode="label_bias", n=200, m=300, d=3, k=3, delta_y=0.2)
+        return cli.ExperimentPlan(task=task, seeds=seeds, outdir=outdir, cells=tuple(
+            cli.Cell(name, trainers.Original(eta=eta, batch=4, epochs=epochs))
+            for name, eta, epochs in cells))
+
+    def summary(outdir, cell, seed=0):
+        with open(os.path.join(outdir, f"{cell}__seed{seed}.json")) as fh:
+            return json.load(fh)
+"""
+
+
+def test_no_process_outlives_a_plan(tmp_path):
+    """After a plan with a pair that finishes, one whose training raises and
+    one that diverges, on one process and on two --jobs workers, no scoring
+    worker is left: none among the plan process's children, and no other
+    process in its session. The host is said to have four CPUs, so the
+    plan forks three scoring workers per group, and each --jobs worker one,
+    for runs of 151 records."""
+    out = run_script(PLAN_SCRIPT + f"""
+    os.sched_getaffinity = lambda pid: set(range(4))
+    step, calls = trainers.sgd_step, [0]
+
+    def sgd_step(w, grad, eta):
+        if eta == 0.25:  # the raising cell, at the 50th step of each of its runs
+            calls[0] += 1
+            if calls[0] % 50 == 0:
+                raise RuntimeError("planted")
+        return step(w, grad, eta)
+
+    trainers.sgd_step = sgd_step
+
+    def session_others():
+        sid, found = os.getsid(0), []
+        for pid in os.listdir("/proc"):
+            if pid.isdigit() and int(pid) != os.getpid():
+                try:
+                    with open(f"/proc/{{pid}}/stat") as fh:
+                        stat = fh.read()
+                except OSError:
+                    continue
+                if int(stat[stat.rindex(")") + 2:].split()[3]) == sid:
+                    found.append(pid)
+        return found
+
+    cells = (("ok", 0.3, 3), ("raises", 0.25, 3), ("diverges", 1e300, 3))
+    for jobs in (1, 2):
+        outdir = os.path.join({str(tmp_path)!r}, f"jobs{{jobs}}")
+        _, code = cli.run_plan(plan(outdir, cells, seeds=(0, 1)), jobs=jobs)
+        states = [(s.get("error"), s["aborted"], s.get("score_wait_s", 0.0) > 0) for s in
+                  (summary(outdir, cell, seed) for seed in (0, 1) for cell, _, _ in cells)]
+        print(json.dumps([code, states, len(multiprocessing.active_children()),
+                          session_others()]))
+    """)
+    for line in out.splitlines():
+        code, states, children, others = json.loads(line)
+        assert code == 1
+        # the finishing run waited on a worker, so the workers were forked
+        assert states == 2 * [[None, False, True], ["RuntimeError: planted", True, False],
+                              [None, True, False]]
+        assert children == 0 and others == []
+
+
+def test_a_worker_that_dies_fails_its_run_and_the_plan_goes_on(tmp_path):
+    """The scoring worker is terminated in the middle of the first run. That
+    run fails, naming the worker and its exit code, and the plan goes on:
+    the next run scores on the calling thread, to the same bytes as a plan
+    without workers, and nothing is left running."""
+    out = run_script(PLAN_SCRIPT + f"""
+    os.sched_getaffinity = lambda pid: {{0, 1}}
+    step, calls = trainers.sgd_step, [0]
+
+    def sgd_step(w, grad, eta):
+        calls[0] += 1
+        if calls[0] == 300:  # mid-way through the first run's 1000 steps
+            for child in multiprocessing.active_children():
+                child.terminate()
+        return step(w, grad, eta)
+
+    trainers.sgd_step = sgd_step
+    cells = (("first", 0.3, 20), ("second", 0.2, 20))
+    with_worker = os.path.join({str(tmp_path)!r}, "with_worker")
+    _, code = cli.run_plan(plan(with_worker, cells))
+    children = len(multiprocessing.active_children())
+    cli._scoring_workers = lambda processes: 0
+    alone = os.path.join({str(tmp_path)!r}, "alone")
+    cli.run_plan(plan(alone, cells))
+    same = (open(os.path.join(with_worker, "second__seed0.csv"), "rb").read()
+            == open(os.path.join(alone, "second__seed0.csv"), "rb").read())
+    print(json.dumps([code, summary(with_worker, "first").get("error"),
+                      summary(with_worker, "second")["aborted"], same, children]))
+    """)
+    code, error, second_aborted, same, children = json.loads(out)
+    assert code == 1
+    assert error.startswith("RuntimeError: record-scoring worker ")
+    assert error.endswith(f"exited with code {-signal.SIGTERM}")
+    assert not second_aborted and same and children == 0
