@@ -337,10 +337,11 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
 
 
 # Steps trained ahead of their trace records, so the records of one chunk are
-# scored together; chosen by measurement on the table1 benchmark workload. A
-# run's first chunk holds FIRST_CHUNK records and each later one twice as
-# many as the one before, up to CHUNK, so that scoring starts to overlap
-# training early in a run (measured on the plateau workload).
+# scored together; chosen by measurement on the table1 benchmark workload.
+# In a run that scoring workers share, the first chunk holds FIRST_CHUNK
+# records and each later one twice as many as the one before, up to CHUNK:
+# the calling thread scores the first chunk alone, so a small one lets the
+# workers start early (measured on the plateau benchmark workload).
 CHUNK = 128
 FIRST_CHUNK = 16
 
@@ -565,12 +566,12 @@ def run_scheme(
         return stopped, error, seconds / max(1, len(chunk) - start)
 
     train_s = 0.0
-    size = min(FIRST_CHUNK, CHUNK)
-    stopped, error, step_s = fill(chunk, size)
     steps_total = sum(iters for iters, _ in sizes)
     # the start's record and one per step, less those taken from the store
     to_score = steps_total - first if taken is not None else steps_total + 1
     with _RecordScorer(scorer, workers, to_score) as records:
+        size = min(FIRST_CHUNK, CHUNK) if records.shared else CHUNK
+        stopped, error, step_s = fill(chunk, size)
         while True:
             # the workers score their share while this thread trains ahead
             size = min(2 * size, CHUNK)
@@ -721,6 +722,7 @@ class _RecordScorer:
         self._own_rec: float | None = None
         self._worker_rec: float | None = None
         self.score_s = self.wait_s = 0.0
+        self.shared = bool(self._conns)  # whether workers score parts of chunks
 
     def __enter__(self):
         for conn in self._conns:
@@ -728,10 +730,15 @@ class _RecordScorer:
         return self
 
     def __exit__(self, *exc):
-        # a run that raised may leave parts in flight; they are read and
-        # dropped, so a worker starts the next run with nothing queued
+        # only a run that raised leaves parts in flight; they are read and
+        # dropped, so a worker starts the next run with nothing queued, and a
+        # worker found dead here is dropped without hiding the run's error
         while self._pending:
-            self._recv(self._pending.pop())
+            conn = self._pending.pop()
+            try:
+                conn.recv()
+            except (EOFError, OSError):
+                self._workers.lost(conn)
 
     def _send(self, conn, msg) -> None:
         try:

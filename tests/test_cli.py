@@ -1176,16 +1176,12 @@ class TestFailureIsolation:
 
 
 class TestAllocator:
-    def test_repeated_plan_takes_no_new_page_faults(self, tmp_path, monkeypatch):
+    def test_repeated_plan_takes_no_new_page_faults(self, tmp_path):
         """Freed temporaries stay in the process: a plan that has run once
-        runs again without faulting its working memory back in. The plan
-        scores on the calling thread: a forked scoring worker shares the
-        process's pages copy-on-write, so the process's first write to each
-        of them faults, whatever the allocator keeps."""
+        runs again without faulting its working memory back in."""
         resource = pytest.importorskip("resource")
         if not cli._keep_freed_memory():
             pytest.skip("the C library has no mallopt")
-        monkeypatch.setattr(cli, "_scoring_workers", lambda processes: 0)
         task = SyntheticTask(mode="label_bias", n=2000, m=4000, d=10, k=5, delta_y=0.2)
         plan = ExperimentPlan(task=task, seeds=(0,), outdir=str(tmp_path / "o"), cells=(
             Cell("aug", Augmented(eta=1.0, batch=4000, epochs=100)),))

@@ -15,11 +15,13 @@ scored on the calling thread and by forked scoring workers.
 """
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -559,6 +561,28 @@ def test_calling_thread_and_workers_give_the_per_step_run(d, workers):
         assert_same_run(run, frozen_run_scheme(w0, orig, aug, cfg))
 
 
+@pytest.mark.parametrize("workers, sizes", [(0, [128, 128, 45]),
+                                            (1, [16, 32, 64, 128, 61])])
+def test_only_a_run_that_workers_share_starts_with_small_chunks(monkeypatch, workers, sizes):
+    """The calling thread scores a run's first chunk alone, so a run that
+    workers share starts with FIRST_CHUNK records and doubles up to CHUNK;
+    a run scored on the calling thread alone has nothing to overlap and
+    scores CHUNK-record chunks from the start."""
+    orig, aug = _sets(6, 200, 300, 4, 6)
+    cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5,
+                                   eta1=0.5, eta2=0.5, batch=4), seed=4)
+    start, started = trainers._RecordScorer.start, []
+
+    def counted(self, chunk, overlap_s):
+        started.append(len(chunk))
+        return start(self, chunk, overlap_s)
+
+    monkeypatch.setattr(trainers._RecordScorer, "start", counted)
+    with ScoringWorkers(workers) as pool:
+        run = run_scheme(np.zeros(6 * 4), orig, aug, cfg, workers=pool)
+    assert len(run.rows) == 301 and started == sizes
+
+
 def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
     """The calling thread raises while a worker holds a part of the chunk
     (here, from scoring its own part of the third chunk). The run fails with
@@ -582,6 +606,40 @@ def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
             run_scheme(w0, orig, aug, cfg, workers=pool)
         new = run_scheme(w0, orig, aug, cfg, workers=pool)
     assert calls[1] + calls[2] < 32 + 64  # the worker held parts of both chunks
+    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
+
+
+def test_a_worker_that_dies_under_a_failing_run_does_not_hide_its_error(monkeypatch):
+    """The worker is killed while it holds a part of the third chunk, and the
+    calling thread then raises. The run fails with the calling thread's
+    error, not with the lost worker's, and the next run on the same
+    ScoringWorkers scores on the calling thread alone."""
+    orig, aug = _sets(6, 200, 300, 4, 6)
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
+    cfg = TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5), seed=4)
+    score, calling, calls, worker_calls = trainers._Scorer.score, os.getpid(), [], []
+
+    def failing(self, params, ws):
+        if os.getpid() != calling:
+            worker_calls.append(len(params))
+            if len(worker_calls) == 2:
+                time.sleep(60)  # never answers the third chunk's part
+        else:
+            calls.append(len(params))
+            if len(calls) == 3:
+                [worker] = multiprocessing.active_children()
+                worker.kill()
+                worker.join()
+                raise MemoryError("planted")
+        return score(self, params, ws)
+
+    monkeypatch.setattr(trainers._Scorer, "score", failing)
+    with ScoringWorkers(1) as pool:
+        with pytest.raises(MemoryError, match="planted"):
+            run_scheme(w0, orig, aug, cfg, workers=pool)
+        assert multiprocessing.active_children() == []
+        new = run_scheme(w0, orig, aug, cfg, workers=pool)
+    assert new.score_wait_s == 0.0
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
 
 
