@@ -8,8 +8,6 @@ schemes come with.
 """
 
 from .core import (
-    AUGMENTED,
-    ORIGINAL,
     DegenerateEstimateError,
     LabeledSet,
     Rng,
@@ -39,6 +37,7 @@ from .trainers import (
     read_trace_csv,
     run_scheme,
     sgd_step,
+    train,
     write_trace_csv,
 )
 from .theory import (

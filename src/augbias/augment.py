@@ -16,8 +16,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .core import (
-    AUGMENTED,
-    ORIGINAL,
     DegenerateEstimateError,
     LabeledSet,
     Rng,
@@ -110,19 +108,19 @@ def gen_synthetic(task: SyntheticTask, rng: Rng) -> tuple[LabeledSet, LabeledSet
     w_star = task.teacher_scale * rng.gen.standard_normal((task.k, task.d)) / math.sqrt(task.d)
     x = rng.gen.standard_normal((task.n, task.d))
     y = _teacher_labels(w_star, x)
-    original = LabeledSet(x, y, ORIGINAL)
+    original = LabeledSet(x, y)
 
     if task.mode == "label_bias":
         shift = None
         xa = rng.gen.standard_normal((task.m, task.d))
         ya = perturb_labels(_teacher_labels(w_star, xa), task.delta_y)
-        augmented = LabeledSet(xa, ya, AUGMENTED)
+        augmented = LabeledSet(xa, ya)
     else:
         direction = rng.gen.standard_normal(task.d)
         direction /= np.linalg.norm(direction)
         shift = math.sqrt(2.0 * task.delta_p) * direction
         src = rng.gen.standard_normal((task.m, task.d))
-        augmented = LabeledSet(src + shift, _teacher_labels(w_star, src), AUGMENTED)
+        augmented = LabeledSet(src + shift, _teacher_labels(w_star, src))
 
     p = y  # labels at the teacher equal its softmax outputs
     floor = float(np.mean(np.sum(-p * np.log(p), axis=1)))
@@ -132,7 +130,7 @@ def gen_synthetic(task: SyntheticTask, rng: Rng) -> tuple[LabeledSet, LabeledSet
 def sample_original(planted: PlantedParams, rng: Rng, count: int) -> LabeledSet:
     """Fresh examples from the original law; used for held-out evaluation."""
     x = rng.gen.standard_normal((count, planted.w_star.shape[1]))
-    return LabeledSet(x, _teacher_labels(planted.w_star, x), ORIGINAL)
+    return LabeledSet(x, _teacher_labels(planted.w_star, x))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ computes their set-ups from the seed, so the pool never ships arrays
 between processes.
 
 Exit codes: 0 all runs finished finite, 1 some run diverged or failed (or a
-report mismatch), 2 invalid configuration.
+report mismatch), 2 invalid configuration or no readable run summaries.
 """
 from __future__ import annotations
 
@@ -63,6 +63,7 @@ from .trainers import (
     TrainConfig,
     run_scheme,
     size_stages,
+    train,
     write_trace_csv,
 )
 
@@ -339,9 +340,6 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
         cell = _parse_cell(s[len("cell."):], dict(cp[s]), mode, task, errors)
         if cell is not None:
             cells.append(cell)
-    names = [c.name for c in cells]
-    for dup in {n for n in names if names.count(n) > 1}:
-        errors.append(f"duplicate cell name '{dup}'")
 
     if errors or task is None or outdir is None:
         return None, errors
@@ -404,11 +402,15 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
     t_consts = time.perf_counter()
     consts = None
     if mode == "theory":
-        probe_cfg = TrainConfig(scheme=Original(eta=0.5, batch=orig.n, epochs=60),
-                                seed=seed, keep_iterates=True)
-        probe = run_scheme(np.zeros(size), orig, aug, probe_cfg)
+        # A softmax-linear cross-entropy gradient has norm at most
+        # sqrt(2) * max ||x_i||, so 60 steps at eta 0.5 from 0 keep every
+        # iterate and every score finite: no probe record could cut the
+        # cloud, and the probe needs none scored.
+        w0 = np.zeros(size)
+        probe_cfg = TrainConfig(scheme=Original(eta=0.5, batch=orig.n, epochs=60), seed=seed)
+        cloud = [w0, *(w for _, _, w in train(w0, orig, aug, probe_cfg))]
         consts = estimate_constants(
-            orig, aug, probe.iterates[0], probe.iterates[::6],
+            orig, aug, w0, cloud[::6],
             delta_y=task.delta_y,
             delta_p=task.delta_p if task.mode == "input_shift" else None,
             rng=np.random.default_rng(seed), floor_hints=[planted.w_star.ravel()],
@@ -690,9 +692,14 @@ def report(outdir: str) -> int:
     Rewrites aggregate.csv (noting when the stored copy was stale or does
     not parse) and keeps the run exit-code convention: 1 when any summarized
     run diverged. A `*.json` file that is not a run summary is named on
-    stderr, left out of the aggregate, and also makes the exit code 1.
+    stderr, left out of the aggregate, and also makes the exit code 1. A
+    directory that cannot be read exits 2, as one with no summaries does.
     """
-    names = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
+    try:
+        names = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
+    except OSError as exc:
+        print(f"cannot read {outdir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     summaries, skipped = [], 0
     for name in names:
         try:

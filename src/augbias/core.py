@@ -13,9 +13,6 @@ import numpy as np
 # Label rows must sum to 1 within this tolerance to count as simplex points.
 SIMPLEX_ATOL = 1e-9
 
-ORIGINAL = "original"
-AUGMENTED = "augmented"
-
 
 class DegenerateEstimateError(RuntimeError):
     """An estimator was asked for a value its inputs cannot support."""
@@ -33,13 +30,11 @@ def as_vec(x, size: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
-def as_mat(a, shape: tuple[int, int] | None = None, name: str = "a") -> np.ndarray:
-    """Coerce to a finite float64 2-d array, optionally checking its shape."""
+def as_mat(a, name: str = "a") -> np.ndarray:
+    """Coerce to a finite float64 2-d array."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {m.shape}")
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -133,11 +128,10 @@ def _validate_labels(labels: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Inputs paired with simplex label rows, tagged original or augmented."""
+    """Inputs paired with simplex label rows."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         x = as_mat(self.inputs, name="inputs")
@@ -148,8 +142,6 @@ class LabeledSet:
             raise ValueError("need at least one example")
         if y.shape[1] < 2:
             raise ValueError("need at least 2 classes")
-        if self.provenance not in (ORIGINAL, AUGMENTED):
-            raise ValueError(f"provenance must be '{ORIGINAL}' or '{AUGMENTED}'")
         _validate_labels(y)
         x = x.copy()
         y = y.copy()

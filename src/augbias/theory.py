@@ -28,6 +28,11 @@ from .core import DegenerateEstimateError, LabeledSet, as_vec
 from .models import EvalSet, eval_scores, label_grad
 
 _E = math.e
+_START_SCALE = 0.5  # standard deviation of best_found_floor's random starts
+_JITTER_COPIES = 2  # jittered copies of each point in perturbed_cloud,
+_JITTER_SCALE = 0.1  # and their standard deviation
+_G_INPUTS = 128  # originals that estimate_constants' Jacobian scan subsamples
+_CONFIDENCE = 0.05  # failure probability the AugDrop batch sizes are sized for
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def in_constraint_set(w, gamma: float, ltilde_floor: float, aug_obj: CeObjective
     return ConstraintCheck(member=bool(value <= gamma), margin=float(margin))
 
 
-def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3, scale: float = 0.5):
+def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3):
     """Multi-start quasi-Newton floor for a full-batch objective.
 
     `obj` provides value_and_grad(w). Returns (value, argmin). Best-found,
@@ -197,7 +202,7 @@ def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3, sca
     """
     starts = [np.zeros(dim)]
     starts += [np.asarray(s, dtype=np.float64) for s in extra_starts]
-    starts += [scale * rng.standard_normal(dim) for _ in range(n_random)]
+    starts += [_START_SCALE * rng.standard_normal(dim) for _ in range(n_random)]
     best_val, best_w = math.inf, None
     for s in starts:
         res = optimize.minimize(
@@ -212,12 +217,12 @@ def best_found_floor(obj, dim: int, rng, extra_starts=(), n_random: int = 3, sca
     return best_val, best_w
 
 
-def perturbed_cloud(points, rng, per_point: int = 2, scale: float = 0.1) -> list[np.ndarray]:
+def perturbed_cloud(points, rng) -> list[np.ndarray]:
     """The points plus Gaussian jitter around each, for curvature probing."""
     out = [np.asarray(p, dtype=np.float64) for p in points]
     for p in list(out):
-        for _ in range(per_point):
-            out.append(p + scale * rng.standard_normal(p.shape))
+        for _ in range(_JITTER_COPIES):
+            out.append(p + _JITTER_SCALE * rng.standard_normal(p.shape))
     return out
 
 
@@ -231,7 +236,6 @@ def estimate_constants(
     delta_p: float | None = None,
     restricted_cloud=None,
     floor_hints=(),
-    g_inputs: int = 128,
 ) -> ConstantEstimates:
     """One-stop estimation pipeline over a cloud of visited iterates."""
     from .models import estimate_G
@@ -248,9 +252,9 @@ def estimate_constants(
     l_smooth = estimate_L_smooth(obj, pairs)
     # The Jacobian scan is quadratic in (inputs x cloud); a subsample of the
     # inputs loses little because the max is over smooth per-example maps.
-    if orig.n > g_inputs:
-        pick = rng.choice(orig.n, size=g_inputs, replace=False)
-        g_set = LabeledSet(orig.inputs[pick], orig.labels[pick], orig.provenance)
+    if orig.n > _G_INPUTS:
+        pick = rng.choice(orig.n, size=_G_INPUTS, replace=False)
+        g_set = LabeledSet(orig.inputs[pick], orig.labels[pick])
     else:
         g_set = orig
     # by keyword: perfbench/tracing.py counts the Jacobian pairs from these names
@@ -415,7 +419,6 @@ def theory_stepsizes(
     scheme: str,
     n: int,
     lam: float | None = None,
-    confidence: float = 0.05,
 ) -> ResolvedSchedule:
     """Step sizes, batch sizes, and iteration counts from estimated constants.
 
@@ -462,8 +465,8 @@ def theory_stepsizes(
             * logged(2.0 * c.initial_gap_tilde * c.mu / (c.delta_y**2 * g2), "t1")
         )
         v["t1"] = t1
-        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / confidence) * 8.0 / c.delta_y**2)
-        v["m2"] = _iceil(highprob_inflation(2.0 * n / confidence) * 4.0 / c.delta_y**2)
+        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / _CONFIDENCE) * 8.0 / c.delta_y**2)
+        v["m2"] = _iceil(highprob_inflation(2.0 * n / _CONFIDENCE) * 4.0 / c.delta_y**2)
         if v["m2"] > n:
             v["m2"] = n
             w.append("m2 capped at n")
@@ -501,8 +504,8 @@ def theory_stepsizes(
             * logged(2.0 * c.initial_gap_tilde * c.mu / (c.delta_p * g2), "t1")
         )
         v["t1"] = t1
-        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / confidence) * 8.0 / c.delta_p)
-        v["m2"] = _iceil(highprob_inflation(2.0 * n / confidence) * 8.0 / c.delta_p)
+        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / _CONFIDENCE) * 8.0 / c.delta_p)
+        v["m2"] = _iceil(highprob_inflation(2.0 * n / _CONFIDENCE) * 8.0 / c.delta_p)
         if v["m2"] > n:
             v["m2"] = n
             w.append("m2 capped at n")

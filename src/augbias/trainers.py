@@ -29,8 +29,9 @@ are not scored step by step. Training runs up to CHUNK steps ahead, keeping
 each iterate, and the chunk's records are then scored together by the
 batched evaluation kernel (models.stack_stats), in part by ScoringWorkers
 processes while the calling thread trains the next chunk. Training never
-reads a record, so the trace is the one a per-step loop
-records, cut at the same step when the run diverges.
+reads a record, so the trace is the one a per-step loop records, cut at
+the same step when the run diverges. `train` yields the same iterates and
+scores no record, for callers that read only the iterates.
 
 A caller may own a FirstStageStore and pass it to every run_scheme call of a
 plan. A run stores its first stage there (records and iterates), and a later
@@ -43,11 +44,13 @@ from scratch, bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import signal
 import struct
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +191,6 @@ class TrainConfig:
     eval_orig: LabeledSet | None = None
     eval_aug: LabeledSet | None = None
     ltilde_ref: float = 0.0
-    keep_iterates: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,6 @@ class TrainTrace:
     final_params: np.ndarray
     aborted: bool = False
     iterations: int = 0
-    iterates: np.ndarray | None = None
     # wall seconds run_scheme spent training (the steps and the check of
     # each iterate) and scoring the records on the calling thread; the
     # scoring seconds include score_wait_s, the time it waited on workers
@@ -477,6 +478,34 @@ def _stage_key(w: np.ndarray, scheme: Scheme, cfg: TrainConfig, batch: int) -> t
     return (w.tobytes(), stage.mode, batch, cfg.seed, floats)
 
 
+def _start(w0: np.ndarray, orig, aug, cfg: TrainConfig) -> tuple[np.ndarray, list, bool, bool]:
+    """The checked copy of `w0`, the stages as (stage, tag, (iters, batch))
+    with tag 2 on original-only steps and 1 on the others, and whether the
+    scheme trains on the originals and on the augmented set."""
+    scheme = cfg.scheme
+    modes = {st.mode for st in scheme.stages}
+    uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
+    if (uses_orig and orig is None) or (uses_aug and aug is None):
+        raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
+    sizes = size_stages(scheme, orig.n if orig is not None else 0,
+                        aug.n if aug is not None else 0)
+    data = orig if uses_orig else aug
+    w = as_vec(w0, size=data.k * data.d, name="w0").copy()
+    tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
+    return w, list(zip(scheme.stages, tags, sizes)), uses_orig, uses_aug
+
+
+def train(w0: np.ndarray, orig: LabeledSet | None, aug: LabeledSet | None,
+          cfg: TrainConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(t, tag, w) after every step of cfg.scheme from the flat weights `w0`,
+    as run_scheme trains them, with no record scored. The arguments are
+    checked at the call. It ends at a non-finite gradient and before a
+    non-finite iterate, but goes on past a record that would overflow."""
+    w, stages, _, _ = _start(w0, orig, aug, cfg)
+    return itertools.takewhile(lambda step: np.isfinite(step[2]).all(),
+                               _train(w, orig, aug, cfg, stages))
+
+
 def run_scheme(
     w0: np.ndarray,
     orig: LabeledSet | None,
@@ -504,17 +533,10 @@ def run_scheme(
 
     With `first_stage`, the run takes its first stage from that store when
     the store holds the same one (see FirstStageStore), and otherwise stores
-    its own there. Runs that keep iterates neither take nor store.
+    its own there.
     """
     scheme = cfg.scheme
-    modes = {st.mode for st in scheme.stages}
-    uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
-    if (uses_orig and orig is None) or (uses_aug and aug is None):
-        raise ValueError(f"scheme {scheme.name!r} needs the set it trains on")
-    sizes = size_stages(scheme, orig.n if orig is not None else 0,
-                        aug.n if aug is not None else 0)
-    data = orig if uses_orig else aug
-    w = as_vec(w0, size=data.k * data.d, name="w0").copy()
+    w, stages, uses_orig, uses_aug = _start(w0, orig, aug, cfg)
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     sets = (orig, aug, eval_orig, eval_aug)
@@ -522,28 +544,24 @@ def run_scheme(
                        for ds in (eval_orig, eval_aug)),
                      scheme.lam, scheme.delta_y, cfg.ltilde_ref)
 
-    tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
-    first_tag = next((tag for tag, (iters, _) in zip(tags, sizes) if iters > 0), tags[-1])
-    stages = list(zip(scheme.stages, tags, sizes))
-    first = sizes[0][0]
-    store = None if cfg.keep_iterates else first_stage
-    key = _stage_key(w, scheme, cfg, sizes[0][1]) if store is not None else None
-    taken = store.take(key, sets, first) if store is not None else None
+    first_tag = next((tag for _, tag, (iters, _) in stages if iters > 0), stages[-1][1])
+    _, tag0, (first, batch0) = stages[0]
+    key = _stage_key(w, scheme, cfg, batch0) if first_stage is not None else None
+    taken = first_stage.take(key, sets, first) if first_stage is not None else None
     if taken is not None:
         # the first stage's records are known; training resumes after it
         (rows, w), reused = taken, first
-        chunk, end = [], (first, tags[0], w)
+        chunk, end = [], (first, tag0, w)
         steps = _train(w, orig, aug, cfg, stages[1:], first)
     else:
         rows, reused = [], 0
         chunk = [(0, first_tag, w)]
         end = chunk[0]  # the (t, tag, w) the run ends on
         steps = _train(w, orig, aug, cfg, stages)
-        if store is not None:
-            store.clear()  # released before this run fills its own stage
-    storing = store is not None and taken is None
+        if first_stage is not None:
+            first_stage.clear()  # released before this run fills its own stage
+    storing = first_stage is not None and taken is None
     stage_iterates = np.empty((first + 1, w.size)) if storing else None
-    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
 
     def fill(chunk: list, size: int) -> tuple[bool, Exception | None, float]:
         """Train into `chunk` until it holds `size` records or training stops:
@@ -566,7 +584,7 @@ def run_scheme(
         return stopped, error, seconds / max(1, len(chunk) - start)
 
     train_s = 0.0
-    steps_total = sum(iters for iters, _ in sizes)
+    steps_total = sum(iters for _, _, (iters, _) in stages)
     # the start's record and one per step, less those taken from the store
     to_score = steps_total - first if taken is not None else steps_total + 1
     with _RecordScorer(scorer, workers, to_score) as records:
@@ -582,8 +600,6 @@ def run_scheme(
                 ahead_stopped, ahead_error, step_s = fill(ahead, size)
             good = records.finish()
             rows.extend(good)
-            if iterates is not None:
-                iterates.extend(w for _, _, w in chunk[:len(good)])
             if storing:
                 for t, _, w_t in chunk[:len(good)]:
                     if t <= first:
@@ -600,7 +616,7 @@ def run_scheme(
     global_t, _, w = end
     if storing:
         stored = min(len(rows), first + 1)
-        store.put(key, sets, rows[:stored], stage_iterates[:stored])
+        first_stage.put(key, sets, rows[:stored], stage_iterates[:stored])
     # a run stops short at a non-finite iterate, record or gradient
     aborted = len(rows) == 0 or rows[-1].t < steps_total
     return TrainTrace(
@@ -608,7 +624,6 @@ def run_scheme(
         final_params=w,
         aborted=aborted,
         iterations=global_t,
-        iterates=np.array(iterates) if iterates is not None else None,
         train_s=train_s,
         score_s=records.score_s,
         score_wait_s=records.wait_s,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from augbias.augment import PlantedParams
-from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, as_vec, softmax_rows
+from augbias.core import LabeledSet, as_vec, softmax_rows
 from augbias.losses import _P_NORM_FLOOR, _corrected_labels_t
 from augbias.models import EvalSet, batch_scores, eval_scores, forward, label_grad
 
@@ -162,17 +162,14 @@ def objective_value(w: np.ndarray, dataset: LabeledSet, kind: str, *,
                     aug: LabeledSet | None = None) -> float:
     """Empirical mean of a per-example loss over a dataset.
 
-    kind "L": plain CE over an original-provenance set. "L_tilde": plain CE
-    over an augmented set. "L_a": corrected loss at radius delta_y over an
-    augmented set. "L_c": lam * L(dataset) + (1 - lam) * L_a(aug), with the
+    kind "L": plain CE over an original set. "L_tilde": plain CE over an
+    augmented set. "L_a": corrected loss at radius delta_y over an augmented
+    set. "L_c": lam * L(dataset) + (1 - lam) * L_a(aug), with the
     original set as `dataset` and the augmented one passed as `aug`.
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
     if kind in ("L", "L_tilde", "L_a"):
-        want = ORIGINAL if kind == "L" else AUGMENTED
-        if dataset.provenance != want:
-            raise ValueError(f"kind {kind!r} needs an {want}-provenance dataset")
         if kind == "L_a" and delta_y < 0:
             raise ValueError("delta_y must be nonnegative")
         ev = EvalSet.of(dataset.inputs, dataset.labels)
@@ -181,9 +178,7 @@ def objective_value(w: np.ndarray, dataset: LabeledSet, kind: str, *,
     if kind == "L_c":
         if lam is None or not (0.0 <= lam <= 1.0):
             raise ValueError("kind 'L_c' needs lam in [0, 1]")
-        if dataset.provenance != ORIGINAL:
-            raise ValueError("kind 'L_c' takes the original set as `dataset`")
-        if aug is None or aug.provenance != AUGMENTED:
+        if aug is None:
             raise ValueError("kind 'L_c' needs the augmented set via `aug`")
         l_orig = objective_value(w, dataset, "L")
         l_corr = objective_value(w, aug, "L_a", delta_y=delta_y)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import record_verdict
-from augbias.core import AUGMENTED, LabeledSet, Rng
+from augbias.core import LabeledSet, Rng
 from augbias.models import estimate_G, forward
 from augbias.losses import combined_grad
 from augbias.augment import (
@@ -31,6 +31,7 @@ from augbias.trainers import (
     WeMix,
     read_trace_csv,
     run_scheme,
+    train,
     write_trace_csv,
 )
 from augbias.theory import (
@@ -211,12 +212,14 @@ def membership_runs():
         orig, aug, planted = gen_synthetic(CANON, Rng(seed, 0))
         cfg = TrainConfig(
             scheme=AugDrop(t1=1000, m1=64, m2=64, eta1=0.5, eta2=0.5, t2=1000),
-            seed=seed, keep_iterates=True)
-        trace = run_scheme(np.zeros(size), orig, aug, cfg)
-        assert not trace.aborted
+            seed=seed)
+        w0 = np.zeros(size)
+        steps = list(train(w0, orig, aug, cfg))
+        assert len(steps) == 2000
 
-        stage2_all = [w for w, r in zip(trace.iterates, trace.rows) if r.stage == 2]
-        s1 = [w for w, r in zip(trace.iterates, trace.rows) if r.stage == 1][::STRIDE]
+        # the start iterate counts as stage 1, as its trace record does
+        stage2_all = [w for _, tag, w in steps if tag == 2]
+        s1 = [w0, *(w for _, tag, w in steps if tag == 1)][::STRIDE]
         s2 = stage2_all[::STRIDE]
         union = s1 + s2
 
@@ -225,7 +228,7 @@ def membership_runs():
         hint = planted.w_star.ravel()
         l_floor, _ = best_found_floor(
             orig_obj, size, Rng(seed, 11).gen,
-            extra_starts=(hint, trace.final_params), n_random=1)
+            extra_starts=(hint, steps[-1][2]), n_random=1)
         lt_floor, _ = best_found_floor(
             aug_obj, size, Rng(seed, 12).gen,
             extra_starts=(hint, s1[-1]), n_random=1)
@@ -233,7 +236,7 @@ def membership_runs():
         dy = estimate_delta_y(zip(clean_labels(planted, aug.inputs[:500]),
                                   aug.labels[:500]))
         g_hat = estimate_G(
-            LabeledSet(aug.inputs[:64], aug.labels[:64], AUGMENTED),
+            LabeledSet(aug.inputs[:64], aug.labels[:64]),
             np.asarray(union)[::5])
         mu_union = estimate_mu(orig_obj, union, l_floor)
         mu_s2 = estimate_mu(orig_obj, s2, l_floor)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from augbias.core import AUGMENTED, ORIGINAL, DegenerateEstimateError, Rng
+from augbias.core import DegenerateEstimateError, Rng
 from augbias.augment import (
     SyntheticTask,
     estimate_delta_P,
@@ -104,10 +104,6 @@ class TestGenSynthetic:
         _, aug, planted = gen_synthetic(task, Rng(6))
         sources = aug.inputs - planted.shift
         np.testing.assert_allclose(aug.labels, clean_labels(planted, sources), atol=1e-12)
-
-    def test_provenance_tags(self):
-        orig, aug, _ = gen_synthetic(SyntheticTask(n=5, m=5, d=2, k=2), Rng(7))
-        assert orig.provenance == ORIGINAL and aug.provenance == AUGMENTED
 
     def test_rejects_infeasible_delta(self):
         with pytest.raises(ValueError):

@@ -194,12 +194,20 @@ eta = fast
         assert "unknown scheme 'adam'" in text
         assert "not a valid float" in text
 
-    def test_duplicate_cells_and_bad_seeds(self, tmp_path):
+    def test_duplicate_cells_and_bad_seeds(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_TASK
                         + "\n[plan]\nseeds = 0, x\noutdir = o\n" + TINY_CELLS)
         plan, errors = validate_config(cfg)
         assert plan is None
         assert any("seeds" in e for e in errors)
+        cell = "\n[cell.a]\nscheme = original\neta = 0.3\n"
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + 2 * cell)
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert len(errors) == 1
+        assert errors[0].startswith("malformed config: ")
+        assert errors[0].endswith("section 'cell.a' already exists")
+        assert main(["validate", cfg]) == 2
 
     @pytest.mark.parametrize("plan_keys", [
         "preset = table1-desk", f"outdir = o\n{TINY_TASK}{TINY_CELLS}"],
@@ -826,6 +834,13 @@ class TestReport:
         os.makedirs(tmp_path / "empty")
         assert report(str(tmp_path / "empty")) == 2
 
+    def test_report_missing_dir(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert report(missing) == 2
+        assert main(["report", missing]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"cannot read {missing}: No such file or directory"] * 2
+
     def test_report_skips_corrupt_and_foreign_json(self, tmp_path, capsys):
         plan = tiny_plan(tmp_path / "o", seeds=(0, 1))
         run_plan(plan)
@@ -1054,6 +1069,20 @@ class TestSharedSetup:
         assert calls == {"gen_synthetic": 4, "best_found_floor": 4, "estimate_constants": 4}
 
 
+    def test_theory_setup_runs_no_scheme(self, monkeypatch):
+        """The theory-mode probe takes its iterates from train, so a set-up
+        scores no trace record."""
+        calls, run_scheme = [], cli.run_scheme
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_scheme(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scheme", counted)
+        task = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
+        setup = cli._build_setup(task, 0, 0, False, "theory")
+        assert setup.consts is not None and calls == []
+
     def test_previous_setup_is_dropped_before_the_next(self, tmp_path, monkeypatch):
         """Two set-ups are never alive at once: the cached one is released
         before the data of the next (task, seed) is generated."""
@@ -1153,23 +1182,23 @@ class TestFailureIsolation:
     def test_failing_setup_is_computed_once(self, tmp_path, monkeypatch):
         """A set-up that raises raises again for the other cells on its
         (task, seed) without being computed again."""
-        real = cli.run_scheme
-        runs = []
+        real = cli.train
+        probes = []
 
-        def run_scheme(model, orig, aug, cfg, **kwargs):
-            runs.append(cfg.scheme.name)
-            return real(model, orig, aug, cfg, **kwargs)
+        def train(w0, orig, aug, cfg):
+            probes.append(cfg.scheme.name)
+            return real(w0, orig, aug, cfg)
 
         def estimate_constants(*args, **kwargs):
             raise DegenerateEstimateError("flat probe")
 
-        monkeypatch.setattr(cli, "run_scheme", run_scheme)
+        monkeypatch.setattr(cli, "train", train)
         monkeypatch.setattr(cli, "estimate_constants", estimate_constants)
         cells = tiny_plan(tmp_path).cells + (Cell("aug", Augmented(eta=0.3)),)
         out = tmp_path / "o"
         rows, code = run_plan(tiny_plan(out, cells=cells, mode="theory"))
         assert code == 1
-        assert runs == ["original"]  # the set-up's 60-step probe, once
+        assert probes == ["original"]  # the set-up's 60-step probe, once
         for cell in ("orig", "drop", "aug"):
             s = json.load(open(out / f"{cell}__seed0.json"))
             assert s["error"] == "DegenerateEstimateError: flat probe"

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from augbias.core import (
-    AUGMENTED,
-    ORIGINAL,
     LabeledSet,
     Rng,
     as_mat,
@@ -85,12 +83,12 @@ class TestArrays:
         with pytest.raises(ValueError, match="non-finite"):
             as_vec([0.0, np.nan])
 
-    def test_as_mat_checks_shape(self):
-        assert as_mat([[1, 2]], shape=(1, 2)).dtype == np.float64
-        with pytest.raises(ValueError, match="shape"):
-            as_mat(np.zeros((2, 3)), shape=(3, 2))
+    def test_as_mat_rejects_vector_and_non_finite(self):
+        assert as_mat([[1, 2]]).dtype == np.float64
         with pytest.raises(ValueError, match="2-d"):
             as_mat(np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            as_mat([[0.0, np.inf]])
 
     def test_check_finite(self):
         a = np.array([1.0, -2.0])
@@ -119,42 +117,38 @@ class TestClassSum:
 
 class TestLabeledSet:
     def test_basic(self):
-        ds = LabeledSet(np.zeros((3, 2)), np.full((3, 4), 0.25), ORIGINAL)
+        ds = LabeledSet(np.zeros((3, 2)), np.full((3, 4), 0.25))
         assert (ds.n, ds.d, ds.k) == (3, 2, 4)
 
     def test_rejects_off_simplex(self):
         with pytest.raises(ValueError):
-            LabeledSet(np.zeros((2, 2)), np.full((2, 3), 0.5), ORIGINAL)
+            LabeledSet(np.zeros((2, 2)), np.full((2, 3), 0.5))
 
     def test_rejects_negative_labels(self):
         labels = np.array([[1.5, -0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
-            LabeledSet(np.zeros((2, 2)), labels, AUGMENTED)
-
-    def test_rejects_bad_provenance(self):
-        with pytest.raises(ValueError):
-            LabeledSet(np.zeros((2, 2)), np.full((2, 2), 0.5), "mystery")
+            LabeledSet(np.zeros((2, 2)), labels)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
-            LabeledSet(np.zeros((2, 2)), np.ones((2, 1)), ORIGINAL)
+            LabeledSet(np.zeros((2, 2)), np.ones((2, 1)))
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="same number of rows"):
-            LabeledSet(np.zeros((3, 2)), np.full((2, 2), 0.5), ORIGINAL)
+            LabeledSet(np.zeros((3, 2)), np.full((2, 2), 0.5))
 
     def test_rejects_non_finite_inputs(self):
         with pytest.raises(ValueError, match="non-finite"):
-            LabeledSet(np.array([[np.nan, 0.0]]), np.full((1, 2), 0.5), ORIGINAL)
+            LabeledSet(np.array([[np.nan, 0.0]]), np.full((1, 2), 0.5))
 
     def test_holds_its_own_copy(self):
         x, y = np.zeros((2, 2)), np.full((2, 2), 0.5)
-        ds = LabeledSet(x, y, ORIGINAL)
+        ds = LabeledSet(x, y)
         x[0, 0], y[0] = 7.0, [1.0, 0.0]
         assert ds.inputs[0, 0] == 0.0
         np.testing.assert_array_equal(ds.labels[0], [0.5, 0.5])
 
     def test_immutable(self):
-        ds = LabeledSet(np.zeros((2, 2)), np.full((2, 2), 0.5), ORIGINAL)
+        ds = LabeledSet(np.zeros((2, 2)), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             ds.inputs[0, 0] = 1.0

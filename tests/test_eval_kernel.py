@@ -11,9 +11,9 @@ cross numpy's 8-item pairwise block, and parameter scales reach the range
 where scores overflow. The batched kernel is checked on stacks of iterates
 against the same formulas, and whole runs are checked against a frozen copy
 of the per-step training loop that recorded after every step, with records
-scored on the calling thread and by forked scoring workers.
+scored on the calling thread and by forked scoring workers; the steps of
+trainers.train are checked against the same loop run without records.
 """
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import augbias.trainers as trainers
-from augbias.core import AUGMENTED, ORIGINAL, LabeledSet, Rng, as_vec, softmax_rows
+from augbias.core import LabeledSet, Rng, as_vec, softmax_rows
 from augbias.models import (
     STACK_BATCH,
     EvalSet,
@@ -45,9 +45,11 @@ from augbias.trainers import (
     STREAM_AUG,
     STREAM_ORIG,
     AugDrop,
+    Augmented,
     EpochSampler,
     FirstStageStore,
     MixLoss,
+    Original,
     ScoringWorkers,
     TrainConfig,
     TrainTrace,
@@ -55,6 +57,7 @@ from augbias.trainers import (
     WeMix,
     run_scheme,
     size_stages,
+    train,
 )
 from reference import objective_value
 
@@ -99,21 +102,21 @@ def frozen_mean_corrected(w, ds, delta_y):
     return float(np.mean(vals))
 
 
-def as_labeled(ev, provenance):
+def as_labeled(ev):
     """The LabeledSet an EvalSet was built from (row-major labels)."""
-    return LabeledSet(ev.inputs, np.ascontiguousarray(ev.labels_t.T), provenance)
+    return LabeledSet(ev.inputs, np.ascontiguousarray(ev.labels_t.T))
 
 
 def frozen_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values, one formula per value, as before the kernel."""
     if eval_orig is not None:
-        eval_orig = as_labeled(eval_orig, ORIGINAL)
+        eval_orig = as_labeled(eval_orig)
         l_val = frozen_mean_ce(w, eval_orig)
         gnorm = float(np.linalg.norm(frozen_label_grad(w, eval_orig.inputs, eval_orig.labels)))
     else:
         l_val, gnorm = 0.0, 0.0
     if eval_aug is not None:
-        eval_aug = as_labeled(eval_aug, AUGMENTED)
+        eval_aug = as_labeled(eval_aug)
         lt_val = frozen_mean_ce(w, eval_aug)
         la_val = frozen_mean_corrected(w, eval_aug, delta_y)
         cons = lt_val - ltilde_ref
@@ -129,11 +132,14 @@ def kernel_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     return tuple(scorer.score(w[None, :], scorer.workspace())[0])
 
 
-def frozen_run_scheme(w0, orig, aug, cfg):
+def frozen_run_scheme(w0, orig, aug, cfg, steps=None):
     """run_scheme as it stood before chunked scoring: a record after every
     step, scored by frozen_record, ending at the first non-finite iterate,
-    record or gradient. The layer functions are looked up on the trainers
-    module at each call, so wrappers installed there reach this loop too."""
+    record or gradient. Given a `steps` list, it scores no record: it
+    appends each step's (t, tag, w) to the list and ends at the first
+    non-finite iterate or gradient, as trainers.train should. The layer
+    functions are looked up on the trainers module at each call, so
+    wrappers installed there reach this loop too."""
     scheme = cfg.scheme
     modes = {st.mode for st in scheme.stages}
     uses_orig, uses_aug = bool(modes & {"orig", "mixed"}), bool(modes & {"aug", "mixed"})
@@ -146,18 +152,20 @@ def frozen_run_scheme(w0, orig, aug, cfg):
     eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
     eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
     lam, delta_y = scheme.lam, scheme.delta_y
-    rows, iterates, aborted = [], [] if cfg.keep_iterates else None, False
+    rows, aborted = [], False
 
     def record(t, tag):
         if not np.all(np.isfinite(w)):
             return False
+        if steps is not None:
+            if t > 0:
+                steps.append((t, tag, w))
+            return True
         with np.errstate(over="ignore", invalid="ignore"):
             vals = frozen_record(w, eval_orig, eval_aug, lam, delta_y, cfg.ltilde_ref)
         if not all(np.isfinite(v) for v in vals):
             return False
         rows.append(TraceRow(t, tag, *vals))
-        if iterates is not None:
-            iterates.append(w.copy())
         return True
 
     tags = [2 if st.mode == "orig" else 1 for st in scheme.stages]
@@ -192,8 +200,7 @@ def frozen_run_scheme(w0, orig, aug, cfg):
             if not record(global_t, tag):
                 aborted = True
                 break
-    return TrainTrace(rows=rows, final_params=w, aborted=aborted, iterations=global_t,
-                      iterates=np.array(iterates) if iterates is not None else None)
+    return TrainTrace(rows=rows, final_params=w, aborted=aborted, iterations=global_t)
 
 
 def assert_same_run(new, old):
@@ -201,9 +208,6 @@ def assert_same_run(new, old):
     assert new.aborted == old.aborted
     assert new.iterations == old.iterations
     assert same(new.final_params, old.final_params)
-    assert (new.iterates is None) == (old.iterates is None)
-    if new.iterates is not None:
-        assert same(new.iterates, old.iterates)
 
 
 def same(a, b):
@@ -273,7 +277,7 @@ def test_stack_matches_per_iterate_eval_scores(k, n, d, b, log_scale, delta_y, s
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
     params = scales * rng.standard_normal((b, k * d))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
+    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
         got = stack_stats(params, ev, delta_y=delta_y, grad=True)
         for i, w in enumerate(params):
@@ -299,7 +303,7 @@ def test_corrected_loss_at_delta_y_zero_matches_the_full_pass(k, n, d, b, log_sc
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
     params = scales * rng.standard_normal((b, k * d))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
+    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
         got = stack_stats(params, ev, delta_y=0.0)
         for i, w in enumerate(params):
@@ -312,7 +316,7 @@ def test_corrected_loss_at_delta_y_zero_where_p_squared_overflows():
     At 1e150 both are finite and equal."""
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((40, 3)), random_labels(rng, 40, 4)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y, AUGMENTED)
+    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
     params = np.stack([1e160 * rng.standard_normal(12), 1e150 * rng.standard_normal(12)])
     with np.errstate(over="ignore", invalid="ignore"):
         got = stack_stats(params, ev, delta_y=0.0)
@@ -347,7 +351,7 @@ def test_gradient_and_objectives_match_frozen_formulas(k, n, d, log_scale, seed)
     # off-simplex rows, as the corrected loss feeds its minimizers
     z = y - 0.3 * rng.random((n, k))
     assert same(label_grad(w, x, z), frozen_label_grad(w, x, z))
-    orig, aug = LabeledSet(x, y, ORIGINAL), LabeledSet(x, y, AUGMENTED)
+    orig, aug = LabeledSet(x, y), LabeledSet(x, y)
     assert CeObjective.over(orig).loss(w) == frozen_mean_ce(w, orig)
     assert objective_value(w, orig, "L") == frozen_mean_ce(w, orig)
     assert objective_value(w, aug, "L_tilde") == frozen_mean_ce(w, aug)
@@ -364,7 +368,7 @@ def test_single_pass_gradients_match_two_pass(k, n, d, log_scale, delta_y, seed)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
     with np.errstate(over="ignore", invalid="ignore"):
         assert same(mean_grad_a(w, x, y, delta_y), frozen_mean_grad_a(w, x, y, delta_y))
-        obj = CeObjective.over(LabeledSet(x, y, ORIGINAL))
+        obj = CeObjective.over(LabeledSet(x, y))
         value, grad = obj.value_and_grad(w)
         assert same(value, obj.loss(w)) and same(grad, obj.grad(w))
 
@@ -376,8 +380,8 @@ FEATURES = [3, 7]
 
 def _sets(seed, n, m, d, k):
     rng = np.random.default_rng(seed)
-    orig = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k), ORIGINAL)
-    aug = LabeledSet(rng.standard_normal((m, d)), random_labels(rng, m, k), AUGMENTED)
+    orig = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k))
+    aug = LabeledSet(rng.standard_normal((m, d)), random_labels(rng, m, k))
     return orig, aug
 
 
@@ -393,10 +397,8 @@ def test_runs_match_the_frozen_record_step_for_step(k, eta, d):
     orig, aug = _sets(k, 30, 50, d, k)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(k * d)
     configs = [
-        TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), seed=2,
-                    keep_iterates=True),
-        TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=eta), seed=3,
-                    keep_iterates=True),
+        TrainConfig(scheme=AugDrop(t1=15, m1=4, m2=4, eta1=eta, eta2=eta, t2=15), seed=2),
+        TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=eta), seed=3),
     ]
     for cfg in configs:
         new = run_scheme(w0, orig, aug, cfg)
@@ -474,7 +476,7 @@ WORKERS = [0, 1, 2]
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, workers,
                                                                 fault, d):
-    """rows, aborted, final_params, iterations and iterates equal the frozen
+    """rows, aborted, final_params and iterations equal the frozen
     per-step loop's, wherever in a chunk, stage or run the first non-finite
     record, iterate or gradient falls, with records scored on the calling
     thread alone and with workers. The runs score 19 records, so at chunks
@@ -485,7 +487,7 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
     faults = Faults(monkeypatch, **FAULTS[fault])
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
                    WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5, batch=4)):
-        cfg = TrainConfig(scheme=scheme, seed=2, keep_iterates=True)
+        cfg = TrainConfig(scheme=scheme, seed=2)
         with ScoringWorkers(workers) as pool:
             new = run_scheme(w0, orig, aug, cfg, workers=pool)
         faults.reset()
@@ -493,6 +495,52 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
         faults.reset()
         assert_same_run(new, old)
         assert new.aborted == (fault != "none")
+
+
+# Runs for train, which scores no record, as (faults, eta): after an
+# overflowing record it goes on; it stops before a non-finite iterate and at
+# a non-finite gradient; at eta 1e308 the iterates overflow by themselves.
+TRAIN_RUNS = {
+    "finite": ({}, 0.5),
+    "overflowing record": ({"huge": (5,)}, 0.5),
+    "non-finite iterate": ({"inf": (8,)}, 0.5),
+    "non-finite gradient": ({"nan_grad": (8,)}, 0.5),
+    "diverging": ({}, 1e308),
+}
+
+
+@pytest.mark.parametrize("run", list(TRAIN_RUNS))
+@pytest.mark.parametrize("name", ["original", "augmented", "augdrop", "mixloss", "wemix"])
+def test_train_yields_the_steps_of_the_per_step_loop(monkeypatch, name, run):
+    """train gives the frozen loop's (t, tag, w) after every step, equal
+    under ==, for each of the five schemes, and ends where that loop ends
+    when it scores no record."""
+    faults, eta = TRAIN_RUNS[run]
+    orig, aug = _sets(4, 30, 50, 3, 4)
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * 3)
+    scheme = {
+        "original": Original(eta=eta, batch=1, epochs=1),
+        "augmented": Augmented(eta=eta, batch=4, epochs=2),
+        "augdrop": AugDrop(t1=9, m1=4, m2=4, eta1=eta, eta2=eta, t2=9),
+        "mixloss": MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=eta),
+        "wemix": WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=eta, eta2=eta, batch=4),
+    }[name]
+    cfg = TrainConfig(scheme=scheme, seed=2)
+    planted = Faults(monkeypatch, **faults)
+    got = list(train(w0, orig, aug, cfg))
+    planted.reset()
+    want = []
+    with np.errstate(over="ignore", invalid="ignore"):  # its steps after an overflow
+        frozen_run_scheme(w0, orig, aug, cfg, steps=want)
+    assert [(t, tag) for t, tag, _ in got] == [(t, tag) for t, tag, _ in want]
+    assert all((w == w_old).all() for (_, _, w), (_, _, w_old) in zip(got, want))
+    total = sum(iters for iters, _ in size_stages(scheme, orig.n, aug.n))
+    if run in ("finite", "overflowing record"):
+        assert len(got) == total
+    elif run == "diverging":
+        assert 0 < len(got) < total
+    else:
+        assert len(got) == 7  # the fault is at step 8
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -503,8 +551,7 @@ def test_divergence_at_the_first_record(workers, monkeypatch):
     monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 1e300 * np.random.default_rng(1).standard_normal(4 * 3)
-    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
-                      keep_iterates=True)
+    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
     with ScoringWorkers(workers) as pool:
         new = run_scheme(w0, orig, aug, cfg, workers=pool)
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
@@ -520,8 +567,7 @@ def test_a_step_that_raises_after_finite_records_raises(monkeypatch, workers):
     monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * 3)
-    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2,
-                      keep_iterates=True)
+    cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
     faults = Faults(monkeypatch, raise_at=(8,))
     with ScoringWorkers(workers) as pool:
         with pytest.raises(RuntimeError, match="step 8"):
@@ -548,11 +594,12 @@ def test_calling_thread_and_workers_give_the_per_step_run(d, workers):
     configs = [TrainConfig(scheme=scheme, seed=4) for scheme in (
         MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5),
         WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5, eta2=0.5, batch=4))]
-    configs.append(dataclasses.replace(configs[1], keep_iterates=True))
     store = FirstStageStore()
     with ScoringWorkers(workers) as pool:
         runs = [run_scheme(w0, orig, aug, cfg, first_stage=store, workers=pool)
                 for cfg in configs]
+        runs.append(run_scheme(w0, orig, aug, configs[1], workers=pool))  # without the store
+    configs.append(configs[1])
     assert [run.reused_steps for run in runs] == [0, 150, 0]
     assert len(runs[2].rows) == 301 > 2 * trainers.CHUNK
     # a worker scored a part of some chunk, and the calling thread waited on it

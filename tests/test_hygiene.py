@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never reads, no private
-helper of the package goes unread, and every public function and class of
-the package is reached from outside its own definition."""
+helper of the package goes unread, every public function and class of the
+package is reached from outside its own definition, and every parameter
+default of the package is overridden by some call."""
 import ast
 import glob
 import os
@@ -199,3 +200,72 @@ def test_every_parameter_is_read():
               for tree_path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
               for name in unread_parameters(parse(tree_path))}
     assert not unread, f"parameters their function never reads: {sorted(unread)}"
+
+
+def defaulted_parameters(tree: ast.Module) -> set[tuple[str, str, int | None]]:
+    """(callee, parameter, position) for every parameter with a default of
+    every function and method in the tree, nested ones included. The
+    callee is the function's name, or the class's for an __init__; the
+    position counts the positional parameters after a method's self or cls,
+    and is None for a keyword-only one."""
+    found = set()
+
+    def add(fn, cls):
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args][1 if bound else 0:]
+        name = cls if cls is not None and fn.name == "__init__" else fn.name
+        first = len(positional) - len(args.defaults)
+        found.update((name, arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+        found.update((name, arg.arg, None)
+                     for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default)
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(child, cls)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree)
+    return found
+
+
+def unpassed_parameters(trees, callers) -> set[str]:
+    """`function(parameter)` for every defaulted parameter of `trees` that no
+    call in `callers` passes. A call passes a parameter by keyword, or by
+    position past the required ones; a call with * or ** unpacking passes
+    every parameter. Calls match by name, bare or as an attribute, and a
+    call of a class by its name is a call of its __init__."""
+    unpacked, keywords, positional = set(), set(), {}
+    for node in (n for tree in callers for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            unpacked.add(name)
+        keywords |= {(name, k.arg) for k in node.keywords}
+        positional[name] = max(positional.get(name, 0), len(node.args))
+    return {f"{name}({param})" for tree in trees
+            for name, param, i in defaulted_parameters(tree)
+            if name not in unpacked and (name, param) not in keywords
+            and (i is None or i >= positional.get(name, 0))}
+
+
+def test_unpassed_parameter_scan_sees_its_cases():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                     "def g(x=1):\n    pass\n"
+                     "class C:\n    def __init__(self, y=1, z=2):\n        pass\n"
+                     "    def m(self, u=1, v=2):\n        pass\n"
+                     "    @staticmethod\n    def s(p=1):\n        pass\n")
+    caller = ast.parse("f(0, 1, e=5)\ng(*[])\nC(z=1)\nC().m(0)\nC.s(0)\n")
+    assert unpassed_parameters([tree], [caller]) == {"f(c)", "f(d)", "C(y)", "m(v)"}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call overrides is a constant in disguise."""
+    tests = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py")))
+    callers = [parse(path) for path in [*glob.glob(os.path.join(PACKAGE, "*.py")), *tests,
+                                        *CALLERS]]
+    unpassed = unpassed_parameters(package_trees(), callers)
+    assert not unpassed, f"defaulted parameters that no call passes: {sorted(unpassed)}"

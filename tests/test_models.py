@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbias.core import ORIGINAL, LabeledSet, as_vec
+from augbias.core import LabeledSet, as_vec
 from augbias.models import (
     _screen_pairs,
     batch_scores,
@@ -182,7 +182,7 @@ class TestJacobians:
 class TestEstimateG:
     def _set(self, x_rows, k):
         labels = np.full((len(x_rows), k), 1.0 / k)
-        return LabeledSet(np.asarray(x_rows, dtype=float), labels, ORIGINAL)
+        return LabeledSet(np.asarray(x_rows, dtype=float), labels)
 
     def test_zero_input_gives_zero(self):
         assert estimate_G(self._set([[0.0, 0.0]], 2), [np.zeros(2 * 2)]) == 0.0
@@ -268,7 +268,7 @@ class TestEstimateGMatchesFullScan:
         x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, log_x, size=(n, 1))
         if zero_rows:
             x[rng.random(n) < 0.4] = 0.0
-        ds = LabeledSet(x, np.full((n, k), 1.0 / k), ORIGINAL)
+        ds = LabeledSet(x, np.full((n, k), 1.0 / k))
         got = g_outcome(estimate_G, ds, cloud)
         assert got == g_outcome(frozen_estimate_G, ds, cloud)
 
@@ -276,7 +276,7 @@ class TestEstimateGMatchesFullScan:
         # the scores of x overflow, so the screen is not finite and the full
         # scan raises where the softmax meets them
         w = np.array([1e11, 0.0, -1e11, 0.0])
-        ds = LabeledSet(np.array([[1e300, 1.0]]), np.full((1, 2), 0.5), ORIGINAL)
+        ds = LabeledSet(np.array([[1e300, 1.0]]), np.full((1, 2), 0.5))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 frozen_estimate_G(ds, [w])
@@ -289,7 +289,7 @@ class TestEstimateGMatchesFullScan:
         # saturated first row's sqrt(3) * 1e308
         w = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         x = np.array([[1e308, 0.0], [0.0, 1.0]])
-        ds = LabeledSet(x, np.full((2, 3), 1 / 3), ORIGINAL)
+        ds = LabeledSet(x, np.full((2, 3), 1 / 3))
         with np.errstate(over="ignore", invalid="ignore"):
             assert _screen_pairs([w], x) is None
             want = frozen_estimate_G(ds, [w])
@@ -301,7 +301,7 @@ class TestEstimateGMatchesFullScan:
         # saturated, holds the max sqrt(5) * 1e154
         w = np.zeros(10)
         w[1] = 1.0
-        ds = LabeledSet(np.array([[1.5e154, 0.0], [0.0, 1e154]]), np.full((2, 5), 0.2), ORIGINAL)
+        ds = LabeledSet(np.array([[1.5e154, 0.0], [0.0, 1e154]]), np.full((2, 5), 0.2))
         want = frozen_estimate_G(ds, [w])
         assert want == pytest.approx(np.sqrt(5.0) * 1e154, rel=1e-12)
         assert estimate_G(ds, [w]) == want
@@ -321,7 +321,7 @@ class TestEstimateGMatchesFullScan:
             xa = np.full(d, 10.0 ** rng.uniform(14, 17))
             u = (w0 - w1) / np.linalg.norm(w0 - w1)
             xb = 0.85 * np.linalg.norm(xa) * u
-            ds = LabeledSet(np.stack([xa, xb]), np.full((2, 2), 0.5), ORIGINAL)
+            ds = LabeledSet(np.stack([xa, xb]), np.full((2, 2), 0.5))
             w = np.concatenate([w0, w1])
             assert estimate_G(ds, [w]) == frozen_estimate_G(ds, [w])
 
@@ -330,7 +330,7 @@ class TestEstimateGMatchesFullScan:
         w = np.ones(3 * 2)
         w[2] = bad
         with pytest.raises(ValueError):
-            estimate_G(LabeledSet(np.ones((1, 2)), np.full((1, 3), 1 / 3), ORIGINAL),
+            estimate_G(LabeledSet(np.ones((1, 2)), np.full((1, 3), 1 / 3)),
                        [np.zeros(6), w])
 
 
@@ -344,7 +344,7 @@ class TestGradientLabelLipschitz:
         ws = [0.6 * rng.standard_normal(k * 3) for _ in range(4)]
         xs = rng.standard_normal((6, 3))
         labels = np.full((6, k), 1.0 / k)
-        ds = LabeledSet(xs, labels, ORIGINAL)
+        ds = LabeledSet(xs, labels)
         g_hat = estimate_G(ds, ws)
         for w in ws:
             for i in range(6):

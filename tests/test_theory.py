@@ -37,7 +37,7 @@ from augbias.theory import (
     shift_radius,
     theory_stepsizes,
 )
-from augbias.trainers import Original, TrainConfig, run_scheme
+from augbias.trainers import Original, TrainConfig, run_scheme, train
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ class TestTheoryStepsizes:
 
     def test_stage1_batch_consistent_with_own_t1(self):
         c = self.constants()
-        sched = theory_stepsizes(c, "augdrop", n=1000, confidence=0.05)
+        sched = theory_stepsizes(c, "augdrop", n=1000)
         t1 = sched.values["t1"]
         expect = highprob_inflation(2 * t1 / 0.05) * 8.0 / c.delta_y**2
         assert sched.values["m1"] == math.ceil(round(expect, 9))
@@ -568,10 +568,9 @@ class TestEstimateConstantsPipeline:
     def test_end_to_end_on_small_task(self):
         orig, aug, planted, size = small_ce(25, n=120)
         w0 = 0.1 * Rng(26, 0).gen.standard_normal(size)
-        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=3),
-                          seed=3, keep_iterates=True, eval_aug=aug)
-        trace = run_scheme(w0, orig, None, cfg)
-        cloud = trace.iterates[:: max(1, len(trace.iterates) // 12)]
+        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=3), seed=3)
+        iterates = [w0, *(w for _, _, w in train(w0, orig, None, cfg))]
+        cloud = iterates[:: max(1, len(iterates) // 12)]
         c = estimate_constants(
             orig, aug, w0, cloud,
             delta_y=0.2, rng=np.random.default_rng(27),
@@ -586,10 +585,8 @@ class TestEstimateConstantsPipeline:
     def test_restricted_cloud_raises_mu(self):
         orig, aug, _, size = small_ce(28, n=100)
         w0 = 0.1 * Rng(29, 0).gen.standard_normal(size)
-        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=4),
-                          seed=4, keep_iterates=True, eval_aug=aug)
-        trace = run_scheme(w0, orig, None, cfg)
-        pts = trace.iterates
+        cfg = TrainConfig(scheme=Original(eta=0.2, batch=10, epochs=4), seed=4)
+        pts = [w0, *(w for _, _, w in train(w0, orig, None, cfg))]
         c = estimate_constants(
             orig, aug, w0, pts[::4],
             delta_y=0.2, rng=np.random.default_rng(30),
@@ -599,7 +596,7 @@ class TestEstimateConstantsPipeline:
 
     def test_perturbed_cloud_contains_originals(self):
         pts = [np.zeros(3), np.ones(3)]
-        out = perturbed_cloud(pts, np.random.default_rng(31), per_point=2, scale=0.1)
+        out = perturbed_cloud(pts, np.random.default_rng(31))
         assert len(out) == 6
         np.testing.assert_array_equal(out[0], pts[0])
         np.testing.assert_array_equal(out[1], pts[1])

@@ -21,6 +21,7 @@ from augbias.trainers import (
     read_trace_csv,
     run_scheme,
     sgd_step,
+    train,
     write_trace_csv,
 )
 
@@ -367,16 +368,25 @@ class TestAbortOnDivergence:
         assert all(np.isfinite(r.L) for r in trace.rows)
 
 
-class TestKeepIterates:
-    def test_iterate_matrix_shape_and_endpoints(self):
+class TestTrain:
+    def test_steps_end_on_the_final_iterate_of_the_run(self):
         orig, _, _ = small_task(seed=7)
         w0 = 0.1 * Rng(7).gen.standard_normal(3 * 3)
-        cfg = TrainConfig(scheme=Original(eta=0.3, batch=8, epochs=1), seed=9,
-                          keep_iterates=True)
+        cfg = TrainConfig(scheme=Original(eta=0.3, batch=8, epochs=1), seed=9)
+        steps = list(train(w0, orig, None, cfg))
         trace = run_scheme(w0, orig, None, cfg)
-        assert trace.iterates.shape == (len(trace.rows), 9)
-        np.testing.assert_array_equal(trace.iterates[0], w0)
-        np.testing.assert_array_equal(trace.iterates[-1], trace.final_params)
+        assert [(t, tag) for t, tag, _ in steps] == [(r.t, r.stage) for r in trace.rows[1:]]
+        np.testing.assert_array_equal(steps[-1][2], trace.final_params)
+        assert all(w.shape == (9,) for _, _, w in steps)
+
+    def test_a_bad_set_or_start_vector_is_rejected_at_the_call(self, monkeypatch):
+        orig, _, _ = small_task(seed=7)
+        calls = counted_steps(monkeypatch)
+        with pytest.raises(ValueError, match="needs the set it trains on"):
+            train(np.zeros(9), orig, None, TrainConfig(scheme=Augmented(eta=0.3)))
+        with pytest.raises(ValueError, match="w0 must have length 9"):
+            train(np.zeros(8), orig, None, TrainConfig(scheme=Original(eta=0.3)))
+        assert calls == []
 
 
 class TestStepChecks:
@@ -554,23 +564,6 @@ class TestFirstStageStore:
         assert alone.aborted and shared.reused_steps == 0
         self._same_run(shared, alone, tmp_path)
         self._same_run(stored, run_scheme(w0, orig, aug, first), tmp_path)
-
-    def test_runs_that_keep_iterates_neither_take_nor_store(self, tmp_path):
-        orig, aug, w0 = self._sets()
-        first = TrainConfig(scheme=Augmented(eta=0.3, batch=6, epochs=2), seed=5,
-                            eval_orig=orig)
-        second = TrainConfig(scheme=AugDrop(t1=8, m1=6, m2=8, eta1=0.3, eta2=0.2), seed=5)
-        store = FirstStageStore()
-        kept = dataclasses.replace(first, keep_iterates=True)
-        run_scheme(w0, orig, aug, kept, first_stage=store)
-        assert run_scheme(w0, orig, aug, second, first_stage=store).reused_steps == 0
-        run_scheme(w0, orig, aug, first, first_stage=store)
-        keeping = run_scheme(w0, orig, aug, dataclasses.replace(second, keep_iterates=True),
-                             first_stage=store)
-        assert keeping.reused_steps == 0 and len(keeping.iterates) == len(keeping.rows)
-        shared = run_scheme(w0, orig, aug, second, first_stage=store)
-        assert shared.reused_steps == 8
-        self._same_run(shared, keeping, tmp_path)
 
     def test_without_a_store_every_step_is_computed(self, monkeypatch):
         orig, aug, w0 = self._sets()
