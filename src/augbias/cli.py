@@ -67,11 +67,13 @@ from .trainers import (
     write_trace_csv,
 )
 
-# Cell keys besides the scheme constructor's arguments.
-_TASK_OVERRIDE_KEYS = ("task_delta_y", "task_delta_p")
+# Cell keys besides the scheme constructor's arguments: the task_* overrides,
+# each with the task mode whose runs it changes (gen_synthetic reads delta_y
+# only for label_bias tasks and delta_p only for input_shift ones).
+_OVERRIDES = {"task_delta_y": "label_bias", "task_delta_p": "input_shift"}
 # The [task] keys, SyntheticTask's fields, with their types.
 _TASK_FIELDS = typing.get_type_hints(SyntheticTask)
-_PLAN_KEYS = ("preset", "seeds", "outdir", "mode", "eval_n", "constraint_floor")
+_CELL_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,10 @@ class Cell:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A plan that breaks any rule raises one ValueError naming every rule
+    it breaks, as validate_config names them, whether it was read from a
+    file, built in code or changed with dataclasses.replace."""
+
     task: SyntheticTask
     cells: tuple
     seeds: tuple
@@ -93,16 +99,50 @@ class ExperimentPlan:
     constraint_floor: bool = False
 
     def __post_init__(self):
-        if len(self.cells) < 1 or len(self.seeds) < 1:
-            raise ValueError("a plan needs at least one cell and one seed")
-        if self.mode not in ("practical", "theory"):
-            raise ValueError("mode must be 'practical' or 'theory'")
-        if self.eval_n < 0:
-            raise ValueError("eval_n must be nonnegative")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be nonnegative, not {min(self.seeds)}")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError(f"seeds must be distinct, {_repeated(self.seeds)} repeats")
+        errors = _plan_errors(self.task, self.cells, self.seeds, self.outdir,
+                              self.mode, self.eval_n)
+        if errors:
+            raise ValueError("; ".join(errors))
+
+
+def _plan_errors(task, cells, seeds, outdir, mode, eval_n) -> list[str]:
+    """Every plan rule that these values break. A task, cells, seeds or
+    outdir of None did not read from a config file, which names that error
+    itself, so the rules on it are skipped."""
+    errors = []
+    if seeds is not None:
+        if not seeds:
+            errors.append("[plan] seeds must name at least one seed")
+        elif min(seeds) < 0:
+            errors.append(f"[plan] seeds must be nonnegative, not {min(seeds)}")
+        elif len(set(seeds)) < len(seeds):
+            errors.append(f"[plan] seeds must be distinct, {_repeated(seeds)} repeats")
+    if outdir == "":
+        errors.append("[plan] outdir must not be empty")
+    if mode not in ("practical", "theory"):
+        errors.append(f"[plan] mode must be 'practical' or 'theory', not {mode!r}")
+    if eval_n < 0:
+        errors.append("[plan] eval_n must be nonnegative")
+    if cells is not None and not cells:
+        errors.append("no [cell.*] sections (at least one training cell required)")
+    names = [cell.name for cell in cells or ()]
+    for i, cell in enumerate(cells or ()):
+        prefix = f"[cell.{cell.name}]"
+        if not _CELL_NAME.fullmatch(cell.name):
+            errors.append(f"{prefix} cell names must be alphanumeric with - or _")
+        if names.count(cell.name) > 1 and names.index(cell.name) == i:
+            errors.append(f"{prefix} cell names must be distinct")
+        if mode == "theory" and cell.scheme.name == "wemix":
+            errors.append(f"{prefix} theory mode does not resolve wemix schedules")
+        if task is None:
+            continue
+        for key, reads in _OVERRIDES.items():
+            if getattr(cell, key) is not None and task.mode != reads:
+                errors.append(f"{prefix} {key} changes no run in {task.mode} mode")
+        _checked(prefix, errors, _cell_task, task, cell)
+        if mode != "theory":  # theory mode resolves the stages from its constants
+            _checked(prefix, errors, size_stages, cell.scheme, task.n, task.m)
+    return errors
 
 
 def _repeated(seeds) -> int:
@@ -140,47 +180,42 @@ def presets() -> dict:
 # config parsing
 
 
-def _parse_num(section, key, raw, kind, errors):
+def _seed_list(raw: str) -> tuple:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _boolean(raw: str) -> bool:
     try:
-        return kind(raw)
-    except ValueError:
-        errors.append(f"[{section}] key '{key}' is not a valid {kind.__name__}: {raw!r}")
-        return None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
-def _parse_seeds(raw, errors):
-    try:
-        seeds = tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        errors.append(f"[plan] seeds must be a list of integers: {raw!r}")
-        return ()
-    if not seeds:
-        errors.append("[plan] seeds must name at least one seed")
-    elif min(seeds) < 0:
-        errors.append(f"[plan] seeds must be nonnegative, not {min(seeds)}")
-        return ()
-    elif len(set(seeds)) < len(seeds):
-        errors.append(f"[plan] seeds must be distinct, {_repeated(seeds)} repeats")
-        return ()
-    return seeds
+# How a key of each type reads from its INI string, and the type's name in
+# the error for a value that does not read. A key typed X | None reads as X.
+_READERS = {str: (str, "str"), int: (int, "int"), float: (float, "float"),
+            bool: (_boolean, "boolean"), tuple: (_seed_list, "list of integers")}
+# The [plan] keys with their types.
+_PLAN_KINDS = {"preset": str, "seeds": tuple, "outdir": str, "mode": str,
+               "eval_n": int, "constraint_floor": bool}
 
 
-def _parse_task(cp, errors) -> SyntheticTask | None:
-    sec = dict(cp["task"])
-    for key in sec:
-        if key not in _TASK_FIELDS:
-            errors.append(f"[task] unknown key '{key}'")
-    kw = {}
-    for key, kind in _TASK_FIELDS.items():
-        if key in sec:
-            val = sec[key] if kind is str else _parse_num("task", key, sec[key], kind, errors)
-            if val is not None:
-                kw[key] = val
-    try:
-        return SyntheticTask(**kw)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"[task] {exc}")
-        return None
+def _read(section: str, sec, kinds: dict, errors) -> dict:
+    """The keys of one INI section that read as their types in `kinds`,
+    after adding an error for each unknown key and each value that does
+    not read."""
+    out = {}
+    for key, raw in sec.items():
+        if key not in kinds:
+            errors.append(f"[{section}] unknown key '{key}'")
+            continue
+        kind = next(t for t in (kinds[key], *typing.get_args(kinds[key])) if t in _READERS)
+        parse, noun = _READERS[kind]
+        try:
+            out[key] = parse(raw)
+        except ValueError:
+            errors.append(f"[{section}] key '{key}' is not a valid {noun}: {raw!r}")
+    return out
 
 
 def _checked(prefix, errors, fn, /, *args, **kwargs):
@@ -193,11 +228,11 @@ def _checked(prefix, errors, fn, /, *args, **kwargs):
         return None
 
 
-def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
+def _read_cell(name: str, sec, errors) -> Cell | None:
+    """The cell that one [cell.NAME] section reads as, or None after adding
+    the errors that keep it from reading. The keys are the scheme
+    constructor's arguments and the task_* overrides."""
     prefix = f"[cell.{name}]"
-    if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
-        errors.append(f"{prefix} cell names must be alphanumeric with - or _")
-        return None
     scheme_name = sec.get("scheme")
     if scheme_name is None:
         errors.append(f"{prefix} missing required key 'scheme'")
@@ -209,45 +244,17 @@ def _parse_cell(name, sec, mode, task, errors) -> Cell | None:
     ctor = SCHEMES[scheme_name]
     params = inspect.signature(ctor).parameters
     hints = typing.get_type_hints(ctor)
-    allowed = {"scheme", *params, *_TASK_OVERRIDE_KEYS}
-    for key in sec:
-        if key not in allowed:
-            errors.append(f"{prefix} unknown key '{key}'")
+    kinds = {"scheme": str, **{k: hints[k] for k in params}, **dict.fromkeys(_OVERRIDES, float)}
+    kw = _read(f"cell.{name}", sec, kinds, errors)
     missing = [k for k, p in params.items() if p.default is p.empty and k not in sec]
     if missing:
         errors.append(f"{prefix} missing required keys: {', '.join(missing)}")
+    if missing or any(k in kinds and k not in kw for k in sec):
         return None
-    if mode == "theory" and scheme_name == "wemix":
-        errors.append(f"{prefix} theory mode does not resolve wemix schedules")
-        return None
-
-    n_errors = len(errors)
-
-    def parse(keys_kinds) -> dict:
-        out = {}
-        for key, kind in keys_kinds:
-            if key in sec:
-                val = _parse_num(f"cell.{name}", key, sec[key], kind, errors)
-                if val is not None:
-                    out[key] = val
-        return out
-
-    # int-typed constructor arguments (t2 is int | None) parse as int
-    kw = parse((k, int if int in (hints[k], *typing.get_args(hints[k])) else float)
-               for k in params)
-    overrides = parse((k, float) for k in _TASK_OVERRIDE_KEYS)
-    if len(errors) > n_errors:
-        return None
+    del kw["scheme"]
+    overrides = {k: kw.pop(k) for k in _OVERRIDES if k in kw}
     scheme = _checked(prefix, errors, ctor, **kw)
-    if scheme is None:
-        return None
-    cell = Cell(name=name, scheme=scheme, **overrides)
-    if task is None:
-        return cell
-    cell_task = _checked(prefix, errors, _cell_task, task, cell)
-    sized = mode != "practical" or \
-        _checked(prefix, errors, size_stages, scheme, task.n, task.m) is not None
-    return cell if cell_task is not None and sized else None
+    return None if scheme is None else Cell(name, scheme, **overrides)
 
 
 def _read_into(cp: configparser.ConfigParser, path) -> list[str]:
@@ -263,7 +270,10 @@ def _read_into(cp: configparser.ConfigParser, path) -> list[str]:
 
 
 def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
-    """Parse a plan, collecting every violation instead of stopping early.
+    """Parse a plan, collecting every violation instead of stopping early:
+    each section, key and value that does not read, then each plan rule
+    that the values that did read break (_plan_errors, the rules
+    ExperimentPlan raises for).
 
     A file whose [plan] names a preset reads as that preset's file with this
     file's [plan] keys laid over the preset's; it may hold no [task] or
@@ -287,69 +297,35 @@ def validate_config(path) -> tuple[ExperimentPlan | None, list[str]]:
             return None, errors
         cp.read_dict({"plan": own_keys})
 
-    known = {"task", "plan"}
-    cell_sections = [s for s in cp.sections() if s.startswith("cell.")]
     for s in cp.sections():
-        if s not in known and not s.startswith("cell."):
+        if s not in ("task", "plan") and not s.startswith("cell."):
             errors.append(f"unknown section [{s}]")
-
-    plan_sec = dict(cp["plan"]) if cp.has_section("plan") else {}
-    for key in plan_sec:
-        if key not in _PLAN_KEYS:
-            errors.append(f"[plan] unknown key '{key}'")
-
-    eval_n = 0  # None when invalid, as is constraint_floor
-    if "eval_n" in plan_sec:
-        eval_n = _parse_num("plan", "eval_n", plan_sec["eval_n"], int, errors)
-        if eval_n is not None and eval_n < 0:
-            errors.append("[plan] eval_n must be nonnegative")
-            eval_n = None
-    constraint_floor = False
-    if "constraint_floor" in plan_sec:
-        try:
-            constraint_floor = cp.getboolean("plan", "constraint_floor")
-        except ValueError:
-            errors.append("[plan] constraint_floor must be a boolean")
-            constraint_floor = None
-
-    if not cp.has_section("task"):
-        errors.append(f"missing [task] section (keys: {', '.join(_TASK_FIELDS)})")
+    if cp.has_section("task"):
+        task = _checked("[task]", errors, SyntheticTask,
+                        **_read("task", cp["task"], _TASK_FIELDS, errors))
+    else:
         task = None
+        errors.append(f"missing [task] section (keys: {', '.join(_TASK_FIELDS)})")
+    if cp.has_section("plan"):
+        plan_keys = _read("plan", cp["plan"], _PLAN_KINDS, errors)
+        errors.extend(f"[plan] missing required key '{k}'"
+                      for k in ("seeds", "outdir") if k not in cp["plan"])
     else:
-        task = _parse_task(cp, errors)
-
-    mode = plan_sec.get("mode", "practical")
-    if mode not in ("practical", "theory"):
-        errors.append(f"[plan] mode must be 'practical' or 'theory', not {mode!r}")
-        mode = "practical"  # so the cells still take the practical-mode checks
-    if not cp.has_section("plan"):
+        plan_keys = {}
         errors.append("missing [plan] section (required keys: seeds, outdir)")
-        seeds, outdir = (), None
-    else:
-        seeds = _parse_seeds(plan_sec["seeds"], errors) if "seeds" in plan_sec else ()
-        if "seeds" not in plan_sec:
-            errors.append("[plan] missing required key 'seeds'")
-        outdir = plan_sec.get("outdir")
-        if outdir is None:
-            errors.append("[plan] missing required key 'outdir'")
+    cell_sections = [s for s in cp.sections() if s.startswith("cell.")]
+    cells = [_read_cell(s[len("cell."):], cp[s], errors) for s in cell_sections]
+    cells = tuple(cell for cell in cells if cell is not None)
 
-    if not cell_sections:
-        errors.append("no [cell.*] sections (at least one training cell required)")
-    cells = []
-    for s in cell_sections:
-        cell = _parse_cell(s[len("cell."):], dict(cp[s]), mode, task, errors)
-        if cell is not None:
-            cells.append(cell)
-
-    if errors or task is None or outdir is None:
+    # A value that did not read is None, so the plan rules skip it; with
+    # cell sections of which none read, "no cells" is not the error.
+    values = dict(task=task, cells=cells if cells or not cell_sections else None,
+                  seeds=plan_keys.get("seeds"), outdir=plan_keys.get("outdir"),
+                  mode=plan_keys.get("mode", "practical"), eval_n=plan_keys.get("eval_n", 0))
+    errors += _plan_errors(**values)
+    if errors:
         return None, errors
-    try:
-        plan = ExperimentPlan(task=task, cells=tuple(cells), seeds=seeds,
-                              outdir=outdir, mode=mode, eval_n=eval_n,
-                              constraint_floor=constraint_floor)
-    except ValueError as exc:
-        return None, [str(exc)]
-    return plan, []
+    return ExperimentPlan(**values, constraint_floor=plan_keys.get("constraint_floor", False)), []
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +795,12 @@ def main(argv=None) -> int:
               f"outdir {plan.outdir}")
         return 0
 
-    if args.outdir:
-        plan = dataclasses.replace(plan, outdir=args.outdir)
+    if args.outdir is not None:
+        try:
+            plan = dataclasses.replace(plan, outdir=args.outdir)
+        except ValueError as exc:
+            print(f"--outdir {args.outdir!r}: {exc}", file=sys.stderr)
+            return 2
     if args.seed_offset:
         try:
             plan = dataclasses.replace(

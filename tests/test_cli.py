@@ -580,6 +580,95 @@ batch = {batch}
                               eta2=0.3, batch=41), 40, 60)
 
 
+SHIFT_TASK = """
+[task]
+mode = input_shift
+n = 40
+m = 60
+d = 3
+k = 3
+delta_p = 0.2
+"""
+
+WEMIX_KEYS = "scheme = wemix\nlam = 0.5\ndelta_y = 0.2\nt1 = 4\nt2 = 4\nm0 = 3\neta1 = 0.3\neta2 = 0.3\n"
+
+
+def wemix():
+    return WeMix(lam=0.5, delta_y=0.2, t1=4, t2=4, m0=3, eta1=0.3, eta2=0.3)
+
+
+class TestPlanRules:
+    """A plan built in code takes every rule that a config file is checked
+    for: it raises one ValueError at construction, joining the errors that
+    validate_config gives the same values, so run_plan never meets it."""
+
+    TASK = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
+    SHIFT = SyntheticTask(mode="input_shift", n=40, m=60, d=3, k=3, delta_p=0.2)
+    ORIG = "\n[cell.orig]\nscheme = original\neta = 0.3\n"
+
+    # the plan's values besides task=TASK, seeds=(0,) and outdir="o"; the
+    # same plan as a config file; the errors both give
+    CASES = {
+        "theory-mode wemix": (
+            dict(mode="theory", cells=(Cell("w", wemix()),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir = o\nmode = theory\n[cell.w]\n" + WEMIX_KEYS,
+            ["[cell.w] theory mode does not resolve wemix schedules"]),
+        "batch above n": (
+            dict(cells=(Cell("orig", Original(eta=0.3, batch=41)),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir = o\n" + ORIG + "batch = 41\n",
+            ["[cell.orig] batch 41 is larger than the 40 original examples"]),
+        "override out of range": (
+            dict(cells=(Cell("orig", Original(eta=0.3), task_delta_y=5.0),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir = o\n" + ORIG + "task_delta_y = 5.0\n",
+            ["[cell.orig] delta_y exceeds the simplex diameter"]),
+        "path in a cell name": (
+            dict(cells=(Cell("../escape", Original(eta=0.3)),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir = o\n[cell.../escape]\n"
+            "scheme = original\neta = 0.3\n",
+            ["[cell.../escape] cell names must be alphanumeric with - or _"]),
+        "empty outdir": (
+            dict(outdir="", cells=(Cell("orig", Original(eta=0.3)),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir =\n" + ORIG,
+            ["[plan] outdir must not be empty"]),
+        "task_delta_p on a label_bias task": (
+            dict(cells=(Cell("orig", Original(eta=0.3), task_delta_p=0.1),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir = o\n" + ORIG + "task_delta_p = 0.1\n",
+            ["[cell.orig] task_delta_p changes no run in label_bias mode"]),
+        "task_delta_y on an input_shift task": (
+            dict(task=SHIFT, cells=(Cell("orig", Original(eta=0.3), task_delta_y=0.1),)),
+            SHIFT_TASK + "[plan]\nseeds = 0\noutdir = o\n" + ORIG + "task_delta_y = 0.1\n",
+            ["[cell.orig] task_delta_y changes no run in input_shift mode"]),
+        "three rules at once": (
+            dict(outdir="", mode="theory", cells=(Cell("w", wemix(), task_delta_p=0.1),)),
+            TINY_TASK + "[plan]\nseeds = 0\noutdir =\nmode = theory\n[cell.w]\n" + WEMIX_KEYS
+            + "task_delta_p = 0.1\n",
+            ["[plan] outdir must not be empty",
+             "[cell.w] theory mode does not resolve wemix schedules",
+             "[cell.w] task_delta_p changes no run in label_bias mode"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_plan_in_code_raises_what_validate_reports(self, tmp_path, case):
+        values, ini, want = self.CASES[case]
+        plan, errors = validate_config(write_cfg(tmp_path, ini))
+        assert plan is None and errors == want
+        with pytest.raises(ValueError) as info:
+            ExperimentPlan(**{"task": self.TASK, "seeds": (0,), "outdir": "o", **values})
+        assert str(info.value) == "; ".join(want)
+
+    def test_repeated_cell_names_are_named_once_each(self, tmp_path):
+        """A config file cannot repeat a section, so only a plan built in
+        code or changed with dataclasses.replace can repeat a cell name."""
+        a, b = Cell("a", Original(eta=0.3)), Cell("b", Augmented(eta=0.3))
+        with pytest.raises(ValueError) as info:
+            tiny_plan(tmp_path / "o", cells=(a, b, a, b, b))
+        assert str(info.value) == ("[cell.a] cell names must be distinct; "
+                                   "[cell.b] cell names must be distinct")
+        with pytest.raises(ValueError, match=r"^\[cell\.a\] cell names must be distinct$"):
+            dataclasses.replace(tiny_plan(tmp_path / "o", cells=(a,)), cells=(a, a))
+        assert not (tmp_path / "o").exists()
+
+
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads")
 
 
@@ -888,7 +977,7 @@ class TestMain:
         out = tmp_path / "o"
         cfg = tiny_cfg(tmp_path, outdir=str(out))
         assert main(["run", cfg, "--seed-offset", "-1"]) == 2
-        assert "--seed-offset -1: seeds must be nonnegative, not -1" in capsys.readouterr().err
+        assert "--seed-offset -1: [plan] seeds must be nonnegative, not -1" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(ValueError, match="not -3"):
             dataclasses.replace(presets()["small-bias"], seeds=(0, -3))
@@ -896,6 +985,16 @@ class TestMain:
     def test_run_invalid_config_exit_2(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "", name="empty.ini")
         assert main(["run", bad]) == 2
+
+    def test_empty_outdir_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, "[plan]\npreset = table1-desk\nseeds = 0\noutdir =\n")
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err == "[plan] outdir must not be empty\n" * 2
+        assert main(["run", tiny_cfg(tmp_path), "--outdir", ""]) == 2
+        assert capsys.readouterr().err == "--outdir '': [plan] outdir must not be empty\n"
+        assert sorted(os.listdir(tmp_path)) == ["plan.ini"]
 
     def test_outdir_override(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
