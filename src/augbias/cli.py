@@ -627,6 +627,14 @@ def _announced(summaries) -> list[dict]:
     return out
 
 
+def _make_outdir(outdir: str) -> None:
+    """Create `outdir`; OSError when no file can be written there."""
+    os.makedirs(outdir, exist_ok=True)
+    probe = os.path.join(outdir, ".writable")
+    open(probe, "w", encoding="utf-8").close()
+    os.remove(probe)
+
+
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
     groups per worker process; returns (aggregate rows, exit code). Each of
@@ -637,11 +645,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     code is 1 when any run aborted or failed.
     """
     _keep_freed_memory()
-    os.makedirs(plan.outdir, exist_ok=True)
-    probe = os.path.join(plan.outdir, ".writable")
-    with open(probe, "w", encoding="utf-8") as fh:  # I/O failure surfaces here,
-        fh.write("ok\n")                            # before any run starts
-    os.remove(probe)
+    _make_outdir(plan.outdir)
 
     groups = _groups(plan)
     processes = min(jobs, len(groups)) if jobs > 1 else 1
@@ -810,6 +814,11 @@ def main(argv=None) -> int:
             return 2
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
+        return 2
+    try:
+        _make_outdir(plan.outdir)
+    except OSError as exc:
+        print(f"outdir {plan.outdir!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
     rows, code = run_plan(plan, jobs=args.jobs)

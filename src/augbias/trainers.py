@@ -1,8 +1,8 @@
 """Mini-batch SGD engine and the five training schemes.
 
-A scheme is a tuple of stages (`Scheme`, `Stage`), and `run_scheme` runs
-every scheme through one engine, so the stated reductions hold bit-exactly,
-not just approximately:
+A scheme is a tuple of stages (`Scheme`, `Stage`), each with its own step
+size, batch and length, and `run_scheme` runs every scheme through one
+engine, so the stated reductions hold bit-exactly, not just approximately:
 
   * WeMix(lam=0, delta_y=0)  is AugDrop with m1 = m0 and m2 = batch;
   * WeMix(t1=n, t2=0)        is MixLoss at one epoch;
@@ -51,7 +51,7 @@ import signal
 import struct
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -78,39 +78,39 @@ class Stage:
 
     mode "orig" steps on a batch of originals, "aug" on a batch of augmented
     examples, "mixed" on one original and `batch` augmented draws weighted
-    by the scheme's lam. A None `iters` or `batch` is sized from the
-    scheme (see size_stages). eta is positive and finite, iters nonnegative
-    and batch at least 1.
+    by the scheme's lam. The stage runs `iters` steps, or `epochs` passes
+    when iters is None (see size_stages); an iters with an epochs other
+    than 1 is an error, since that epochs would change nothing. eta is
+    positive and finite, iters and epochs nonnegative and batch at least 1.
     """
 
     mode: str
     eta: float
+    _: KW_ONLY
+    batch: int
     iters: int | None = None
-    batch: int | None = None
+    epochs: int = 1
 
     def __post_init__(self):
-        mode_bad = () if self.mode in MODES else (f"stage mode must be one of {', '.join(MODES)}",)
-        _check(*mode_bad, eta=self.eta, iters=self.iters, batch=self.batch)
+        bad = () if self.mode in MODES else (f"stage mode must be one of {', '.join(MODES)}",)
+        if self.iters is not None and self.epochs != 1:
+            bad += ("epochs must be 1 when iters is given",)
+        _check(*bad, eta=self.eta, iters=self.iters, batch=self.batch, epochs=self.epochs)
 
 
 @dataclass(frozen=True)
 class Scheme:
     """Stages run in order. lam and delta_y weight the mixed steps and the
-    L_c trace column, lam * L + (1 - lam) * L_a at radius delta_y. A stage
-    without a batch steps on `batch` examples, and one without iters runs
-    `epochs` passes."""
+    L_c trace column, lam * L + (1 - lam) * L_a at radius delta_y."""
 
     name: str
     stages: tuple[Stage, ...]
     lam: float = 0.0
     delta_y: float = 0.0
-    batch: int = 32
-    epochs: int = 1
 
     def __post_init__(self):
         stages_bad = () if self.stages else ("a scheme needs at least one stage",)
-        _check(*stages_bad, lam=self.lam, delta_y=self.delta_y, batch=self.batch,
-               epochs=self.epochs)
+        _check(*stages_bad, lam=self.lam, delta_y=self.delta_y)
 
 
 # Out-of-range tests by argument family (eta1 is an eta, t2 a t, ...); a
@@ -140,37 +140,35 @@ def _check(*found: str, **args) -> None:
 
 def Original(eta: float, batch: int = 32, epochs: int = 1) -> Scheme:
     """Mini-batch SGD on the original objective, `epochs` passes."""
-    _check(eta=eta, batch=batch, epochs=epochs)
-    return Scheme("original", (Stage("orig", eta),), lam=1.0, batch=batch, epochs=epochs)
+    return Scheme("original", (Stage("orig", eta, batch=batch, epochs=epochs),), lam=1.0)
 
 
 def Augmented(eta: float, batch: int = 32, epochs: int = 1) -> Scheme:
     """Mini-batch SGD on the augmented objective, `epochs` passes."""
-    _check(eta=eta, batch=batch, epochs=epochs)
-    return Scheme("augmented", (Stage("aug", eta),), batch=batch, epochs=epochs)
+    return Scheme("augmented", (Stage("aug", eta, batch=batch, epochs=epochs),))
 
 
 def AugDrop(t1: int, m1: int, m2: int, eta1: float, eta2: float,
             t2: int | None = None) -> Scheme:
-    """Stage 1 on the augmented objective, stage 2 on the original one; t2
-    defaults to one pass, n // m2, and m2 is capped at n."""
+    """Augmented stage, then an original-only stage; t2 defaults to one pass."""
     _check(t1=t1, m1=m1, m2=m2, eta1=eta1, eta2=eta2, t2=t2)
-    return Scheme("augdrop", (Stage("aug", eta1, t1, m1), Stage("orig", eta2, t2, m2)))
+    return Scheme("augdrop", (Stage("aug", eta1, batch=m1, iters=t1),
+                              Stage("orig", eta2, batch=m2, iters=t2)))
 
 
 def MixLoss(lam: float, delta_y: float, m0: int, eta: float, epochs: int = 1) -> Scheme:
     """One stage on the mixed objective, `epochs` passes over the originals."""
     lam_bad = () if 0.0 < lam <= 1.0 else ("lambda out of (0,1]",)
     _check(*lam_bad, delta_y=delta_y, m0=m0, eta=eta, epochs=epochs)
-    return Scheme("mixloss", (Stage("mixed", eta, batch=m0),), lam, delta_y, epochs=epochs)
+    return Scheme("mixloss", (Stage("mixed", eta, batch=m0, epochs=epochs),), lam, delta_y)
 
 
 def WeMix(lam: float, delta_y: float, t1: int, t2: int, m0: int,
           eta1: float, eta2: float, batch: int = 32) -> Scheme:
     """Mixed-objective stage, then an original-only stage at `batch`."""
     _check(lam=lam, delta_y=delta_y, t1=t1, t2=t2, m0=m0, eta1=eta1, eta2=eta2, batch=batch)
-    return Scheme("wemix", (Stage("mixed", eta1, t1, m0), Stage("orig", eta2, t2)),
-                  lam, delta_y, batch=batch)
+    return Scheme("wemix", (Stage("mixed", eta1, batch=m0, iters=t1),
+                            Stage("orig", eta2, batch=batch, iters=t2)), lam, delta_y)
 
 
 # The scheme constructors by scheme name; their signatures are the INI keys.
@@ -313,27 +311,18 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
     """(iters, batch) of each stage of `scheme` on n_orig originals and
     n_aug augmented examples.
 
-    A None batch is scheme.batch; an explicit batch of originals is capped
-    at n_orig. A None iters is scheme.epochs passes. A pass is n // batch
-    steps on one side, or n_orig mixed steps (one original each), and must
-    hold at least one batch. A batch of originals must hold too, whatever
-    the iters, so scheme.batch above n_orig is an error on every orig stage.
+    A None iters is the stage's epochs passes. A pass is n // batch steps
+    on one side, or n_orig mixed steps (one original each). A batch of
+    originals larger than its set is an error, and so is a batch of
+    augmented examples in an aug stage that a pass sizes.
     """
     sizes = []
     for st in scheme.stages:
-        batch = scheme.batch if st.batch is None else st.batch
-        if st.mode == "orig" and st.batch is not None:
-            batch = min(batch, n_orig)
-        iters = st.iters
-        if iters is None and st.mode == "mixed":
-            iters = scheme.epochs * n_orig
-        elif iters is None or st.mode == "orig":
-            n, side = (n_orig, "original") if st.mode == "orig" else (n_aug, "augmented")
-            if batch > n:
-                raise ValueError(f"batch {batch} is larger than the {n} {side} examples")
-            if iters is None:
-                iters = scheme.epochs * (n // batch)
-        sizes.append((iters, batch))
+        n, side = (n_orig, "original") if st.mode == "orig" else (n_aug, "augmented")
+        if st.batch > n and (st.mode == "orig" or (st.mode == "aug" and st.iters is None)):
+            raise ValueError(f"batch {st.batch} is larger than the {n} {side} examples")
+        per_pass = n_orig if st.mode == "mixed" else n // st.batch
+        sizes.append((st.epochs * per_pass if st.iters is None else st.iters, st.batch))
     return sizes
 
 

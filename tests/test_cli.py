@@ -579,6 +579,29 @@ batch = {batch}
             size_stages(WeMix(lam=0.5, delta_y=0.2, t1=t1, t2=t2, m0=3, eta1=0.3,
                               eta2=0.3, batch=41), 40, 60)
 
+    @pytest.mark.parametrize("t2", ["t2 = 4\n", ""], ids=["t2", "one-pass"])
+    def test_augdrop_m2_above_n_rejected_on_its_cell_line(self, tmp_path, t2, capsys):
+        """AugDrop's m2 is a batch of originals like WeMix's batch, and takes
+        the same rule, whether t2 is given or sized as one pass."""
+        cfg = write_cfg(tmp_path, TINY_TASK + "\n[plan]\nseeds = 0\noutdir = o\n" + f"""
+[cell.orig]
+scheme = original
+eta = 0.3
+
+[cell.drop]
+scheme = augdrop
+t1 = 4
+{t2}m1 = 6
+m2 = 50
+eta1 = 0.3
+eta2 = 0.3
+""")
+        plan, errors = validate_config(cfg)
+        assert plan is None
+        assert errors == ["[cell.drop] batch 50 is larger than the 40 original examples"]
+        assert main(["validate", cfg]) == 2
+        assert "[cell.drop] batch 50" in capsys.readouterr().err
+
 
 SHIFT_TASK = """
 [task]
@@ -995,6 +1018,15 @@ class TestMain:
         assert main(["run", tiny_cfg(tmp_path), "--outdir", ""]) == 2
         assert capsys.readouterr().err == "--outdir '': [plan] outdir must not be empty\n"
         assert sorted(os.listdir(tmp_path)) == ["plan.ini"]
+
+    def test_unwritable_outdir_exit_2_before_runs(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        outdir = str(blocker / "sub")
+        assert main(["run", tiny_cfg(tmp_path), "--outdir", outdir]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"outdir {outdir!r}: Not a directory\n"
+        assert captured.out == "" and blocker.read_text() == "x"
 
     def test_outdir_override(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

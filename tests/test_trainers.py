@@ -331,17 +331,19 @@ class TestEdgeBehaviour:
         assert tags.count(1) == 4
         assert tags.count(2) == orig.n // 6
 
-    def test_augdrop_m2_above_n_runs_stage_two_at_batch_n(self):
+    @pytest.mark.parametrize("t2", [4, None])
+    def test_augdrop_m2_above_n_is_an_error(self, t2):
+        """m2 is a batch of originals like WeMix's batch, and takes its rule."""
         orig, aug, _ = small_task(seed=17)
         w0 = 0.1 * Rng(17).gen.standard_normal(3 * 3)
-        runs = [
-            run_scheme(w0, orig, aug, TrainConfig(
-                scheme=AugDrop(t1=3, m1=5, m2=m2, eta1=0.2, eta2=0.2, t2=t2), seed=3))
-            for m2, t2 in ((orig.n, 4), (orig.n + 7, 4), (orig.n + 7, None))
-        ]
-        assert_rows_equal(runs[0].rows, runs[1].rows)
-        np.testing.assert_array_equal(runs[0].final_params, runs[1].final_params)
-        assert [r.stage for r in runs[2].rows[1:]].count(2) == 1
+        scheme = AugDrop(t1=3, m1=5, m2=orig.n + 7, eta1=0.2, eta2=0.2, t2=t2)
+        bad = f"batch {orig.n + 7} is larger than the {orig.n} original examples"
+        with pytest.raises(ValueError, match=bad):
+            trainers.size_stages(scheme, orig.n, aug.n)
+        with pytest.raises(ValueError, match=bad):
+            run_scheme(w0, orig, aug, TrainConfig(scheme=scheme, seed=3))
+        at_n = AugDrop(t1=3, m1=5, m2=orig.n, eta1=0.2, eta2=0.2, t2=t2)
+        assert trainers.size_stages(at_n, orig.n, aug.n)[1] == (t2 or 1, orig.n)
 
     def test_wemix_stage_two_batch_is_its_batch_not_m0(self):
         orig, aug, _ = small_task(seed=18)
@@ -526,7 +528,7 @@ class TestFirstStageStore:
             second["scheme"] = AugDrop(t1=21, m1=6, m2=8, eta1=0.3, eta2=0.2)
         elif change == "mode":
             # lam 0 and the same sets, as AugDrop's: only the mode differs
-            scheme = trainers.Scheme("orig-first", (Stage("orig", 0.3, 12, 6),))
+            scheme = trainers.Scheme("orig-first", (Stage("orig", 0.3, iters=12, batch=6),))
             base["eval_aug"] = aug
         elif change == "lam":
             second["scheme"] = WeMix(lam=0.5, delta_y=0.2, t1=9, t2=5, m0=3, eta1=0.3,
@@ -605,12 +607,12 @@ class TestConfigValidation:
     ])
     def test_stage_rejects_a_bad_step_size_count_or_batch(self, eta, iters, batch, bad):
         with pytest.raises(ValueError, match=bad):
-            Stage("orig", eta, iters, batch)
+            Stage("orig", eta, iters=iters, batch=batch)
 
     def test_stage_names_every_bad_field(self):
         with pytest.raises(ValueError, match="stage mode must be one of .*; eta must be "
                                              ".*; iters must be .*; batch must be"):
-            Stage("both", 0.0, -1, 0)
+            Stage("both", 0.0, iters=-1, batch=0)
 
     def test_mixloss_lambda_range(self):
         with pytest.raises(ValueError, match=r"lambda out of \(0,1\]"):
@@ -621,7 +623,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("delta_y", [math.nan, math.inf, -1.0])
     def test_scheme_rejects_a_bad_radius(self, delta_y):
         with pytest.raises(ValueError, match="delta_y must be nonnegative and finite"):
-            trainers.Scheme("a", (Stage("aug", 0.5, 5, 4),), delta_y=delta_y)
+            trainers.Scheme("a", (Stage("aug", 0.5, iters=5, batch=4),), delta_y=delta_y)
 
     @pytest.mark.parametrize("ctor,kw,bad", [
         (Original, dict(eta=0.1, epochs=-1), "epochs must be nonnegative"),
@@ -637,20 +639,29 @@ class TestConfigValidation:
             ctor(**kw)
 
     def test_scheme_takes_lam_in_the_unit_interval(self):
-        stages = (Stage("mixed", 0.5, 5, 3),)
+        stages = (Stage("mixed", 0.5, iters=5, batch=3),)
         for lam in (0.0, 1.0):
             assert trainers.Scheme("a", stages, lam=lam, delta_y=0.1).lam == lam
         for lam in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
                 trainers.Scheme("a", stages, lam=lam)
 
-    def test_stages_without_a_size_take_the_schemes_batch_and_epochs(self):
-        scheme = trainers.Scheme("a", (Stage("aug", 0.5), Stage("orig", 0.5, 3),
-                                       Stage("mixed", 0.5, batch=4)), batch=5, epochs=2)
+    def test_stages_are_sized_by_their_own_batch_and_length(self):
+        scheme = trainers.Scheme("a", (Stage("aug", 0.5, batch=5, epochs=2),
+                                       Stage("orig", 0.5, batch=5, iters=3),
+                                       Stage("mixed", 0.5, batch=4, epochs=2)))
         assert trainers.size_stages(scheme, 20, 32) == [(12, 5), (3, 5), (40, 4)]
+
+    def test_stage_takes_its_sizes_by_keyword_only(self):
+        with pytest.raises(TypeError):
+            Stage("orig", 0.3, 12, 6)
+
+    def test_stage_with_iters_rejects_an_epochs_that_changes_nothing(self):
+        with pytest.raises(ValueError, match="epochs must be 1 when iters is given"):
+            Stage("aug", 0.5, batch=4, iters=3, epochs=2)
+        assert Stage("aug", 0.5, batch=4, iters=3, epochs=1).iters == 3
 
     def test_scheme_names_every_bad_field(self):
         with pytest.raises(ValueError, match="a scheme needs at least one stage; "
-                                             "lam must .*; delta_y must be .*; batch must be "
-                                             ".*; epochs must be"):
-            trainers.Scheme("a", (), lam=2.0, delta_y=math.nan, batch=0, epochs=-1)
+                                             "lam must .*; delta_y must be"):
+            trainers.Scheme("a", (), lam=2.0, delta_y=math.nan)
