@@ -41,14 +41,12 @@ from .trainers import (
     write_trace_csv,
 )
 from .theory import (
-    BoundReport,
     CeObjective,
     ConstantEstimates,
     ConstraintCheck,
     ResolvedSchedule,
     best_found_floor,
     bias_radius,
-    bound_report,
     estimate_constants,
     estimate_L_smooth,
     estimate_mu,

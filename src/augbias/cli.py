@@ -400,22 +400,16 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
 _CAPPED_BATCHES = {"augmented": (("m0", 0),), "augdrop": (("m1", 0),)}
 
 
-def _theory_scheme(cell: Cell, task: SyntheticTask, consts: ConstantEstimates,
-                   n_orig: int, n_aug: int):
-    """Map the shared constants to the cell's schedule.
+def _theory_scheme(cell: Cell, consts: ConstantEstimates, n_orig: int, n_aug: int):
+    """Map the shared constants to the cell's schedule and its gap bounds.
 
     The warnings add one line for each place where the run departs from the
     resolved values: a step count other than the resolved iters or t1, and a
     capped batch.
     """
-    shift = task.mode == "input_shift"
     name = cell.scheme.name
     lam = cell.scheme.lam if name == "mixloss" else None
-    mode = {"original": "original",
-            "augmented": "augmented_shift" if shift else "augmented",
-            "augdrop": "augdrop_shift" if shift else "augdrop",
-            "mixloss": "mixloss"}[name]
-    sched = theory_stepsizes(consts, mode, n=n_orig, lam=lam)
+    sched = theory_stepsizes(consts, name, n=n_orig, lam=lam)
     v = dict(sched.values)
     if name == "original":
         scheme = Original(eta=v["eta"], batch=1, epochs=max(1, v["iters"] // n_orig))
@@ -440,7 +434,7 @@ def _theory_scheme(cell: Cell, task: SyntheticTask, consts: ConstantEstimates,
         if sizes[i][1] != resolved[key]:
             warnings.append(f"runs batch {sizes[i][1]} where the resolved {key} is "
                             f"{resolved[key]}")
-    return scheme, resolved, warnings
+    return scheme, resolved, warnings, sched.bounds
 
 
 def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
@@ -457,11 +451,11 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     it can, and scores its records with `workers`."""
     resolved: dict = {}
     warnings: list[str] = []
+    bounds: dict = {}
     constants = None
     scheme = cell.scheme
     if plan.mode == "theory":
-        scheme, resolved, warnings = _theory_scheme(
-            cell, task, s.consts, s.orig.n, s.aug.n)
+        scheme, resolved, warnings, bounds = _theory_scheme(cell, s.consts, s.orig.n, s.aug.n)
         constants = dataclasses.asdict(s.consts)
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
@@ -474,6 +468,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     write_trace_csv(trace, os.path.join(plan.outdir, csv_name))
     csv_s = time.perf_counter() - t_csv
 
+    final_gap = trace.rows[-1].L - s.floor
     return {
         "cell": cell.name,
         "seed": seed,
@@ -481,7 +476,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "task": dataclasses.asdict(task),
         "final_L": trace.rows[-1].L,
         "floor": s.floor,
-        "final_gap": trace.rows[-1].L - s.floor,
+        "final_gap": final_gap,
         "initial_gap": trace.rows[0].L - s.floor,
         "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
@@ -495,6 +490,8 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "resolved": resolved,
         "constants": constants,
         "warnings": warnings,
+        "bounds": bounds,
+        "bounds_held": {key: final_gap <= bound for key, bound in bounds.items()},
     }
 
 
@@ -565,10 +562,13 @@ def _worker(plan: ExperimentPlan, group: tuple, workers: int) -> list[dict]:
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
+    """Each cell's gap statistics, over its gaps in seed order, so the same
+    summaries give the same bits in whatever order they come."""
     rows = []
     for name in cell_order:
-        gaps = [s["final_gap"] for s in summaries if s["cell"] == name and not s["aborted"]]
-        aborted = sum(1 for s in summaries if s["cell"] == name and s["aborted"])
+        runs = sorted((s for s in summaries if s["cell"] == name), key=lambda s: s["seed"])
+        gaps = [s["final_gap"] for s in runs if not s["aborted"]]
+        aborted = sum(1 for s in runs if s["aborted"])
         if gaps:
             median = float(np.median(gaps))
             mean = float(np.mean(gaps))
@@ -669,11 +669,12 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
 def report(outdir: str) -> int:
     """Re-aggregate a finished directory from its per-run summaries.
 
-    Rewrites aggregate.csv (noting when the stored copy was stale or does
-    not parse) and keeps the run exit-code convention: 1 when any summarized
-    run diverged. A `*.json` file that is not a run summary is named on
-    stderr, left out of the aggregate, and also makes the exit code 1. A
-    directory that cannot be read exits 2, as one with no summaries does.
+    Rewrites aggregate.csv (noting when the stored copy differs from the
+    fresh one in any byte) and keeps the run exit-code convention: 1 when
+    any summarized run diverged. A `*.json` file that is not a run summary
+    is named on stderr, left out of the aggregate, and also makes the exit
+    code 1. A directory that cannot be read exits 2, as one with no
+    summaries does.
     """
     try:
         names = sorted(f for f in os.listdir(outdir) if f.endswith(".json"))
@@ -697,31 +698,17 @@ def report(outdir: str) -> int:
 
     agg_path = os.path.join(outdir, "aggregate.csv")
     if os.path.exists(agg_path):
-        try:
-            with open(agg_path, "r", encoding="utf-8") as fh:
-                stored = _parse_aggregate(fh.read())
-        except ValueError:  # a table that does not parse reads as empty, so stale
-            stored = []
-        by_cell = {r["cell"]: r for r in stored}
-        stale = len(stored) != len(rows)
-        for fresh in rows:
-            old = by_cell.get(fresh["cell"])
-            if old is None:
-                stale = True
-                continue
-            for key in ("median_gap", "mean_gap", "std_gap"):
-                a, b = fresh[key], old[key]
-                if not ((math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12):
-                    stale = True
-        if stale:
-            print("stored aggregate.csv was stale; rewritten", file=sys.stderr)
+        with open(agg_path, "rb") as fh:
+            if fh.read() != text.encode("utf-8"):
+                print("stored aggregate.csv was stale; rewritten", file=sys.stderr)
     with open(agg_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 1 if skipped or any(s["aborted"] for s in summaries) else 0
 
 
 # The summary fields report() aggregates, with the types it needs.
-_SUMMARY_FIELDS = (("cell", str), ("final_gap", (int, float)), ("aborted", bool))
+_SUMMARY_FIELDS = (("cell", str), ("seed", int), ("final_gap", (int, float)),
+                   ("aborted", bool))
 
 
 def _load_summary(path: str) -> dict:
@@ -738,17 +725,6 @@ def _load_summary(path: str) -> dict:
         if not isinstance(summary.get(key), kind):
             raise ValueError(f"not a run summary (missing or mistyped {key!r})")
     return summary
-
-
-def _parse_aggregate(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln]
-    rows = []
-    for ln in lines[1:]:
-        cell, seeds, med, mean, std, aborted = ln.split(",")
-        rows.append({"cell": cell, "seeds": int(seeds), "median_gap": float(med),
-                     "mean_gap": float(mean), "std_gap": float(std),
-                     "aborted": int(aborted)})
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,6 @@ class ConstantEstimates:
         if self.mu > self.l_smooth:
             raise ValueError("curvature estimates violate mu <= l_smooth")
 
-    @property
-    def condition_number(self) -> float:
-        return self.l_smooth / self.mu
-
 
 def estimate_mu(obj, points, l_floor: float) -> float:
     """Smallest squared-gradient-to-gap ratio over the cloud.
@@ -316,82 +312,6 @@ def augdrop_shift_bound(g: float, l: float, mu_restricted: float, n: int, initia
     return lead * (1.0 + _clog(8.0 * n * mu_restricted**2 * initial_gap / (g**2 * l)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    values: dict
-    measured_gap: float
-    satisfied: dict
-    notes: tuple
-
-
-_SCHEME_BOUNDS = {
-    "original": ("original_sgd",),
-    "augmented": ("plateau_label",),
-    "augdrop": ("augdrop_label",),
-    "mixloss": ("mixloss",),
-    "augmented_shift": ("plateau_shift",),
-    "augdrop_shift": ("augdrop_shift",),
-    "wemix": ("augdrop_label", "mixloss"),
-}
-
-
-def bound_report(
-    constants: ConstantEstimates,
-    run,
-    scheme: str,
-    n: int,
-    lam: float | None = None,
-) -> BoundReport:
-    """Evaluate the scheme's bound(s) against a measured final gap.
-
-    run is either a finished TrainTrace (the gap is its last recorded L minus
-    the estimated floor) or the gap itself. Bounds whose constants are
-    unavailable are listed in notes instead of being guessed.
-    """
-    if scheme not in _SCHEME_BOUNDS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if hasattr(run, "rows"):
-        measured_gap = run.rows[-1].L - constants.l_floor
-    else:
-        measured_gap = float(run)
-    c = constants
-    values: dict[str, float] = {}
-    notes: list[str] = []
-    for key in _SCHEME_BOUNDS[scheme]:
-        if key == "plateau_label":
-            values[key] = plateau_label_bound(c.delta_y, c.g_bound, c.mu)
-        elif key == "original_sgd":
-            values[key] = original_sgd_bound(c.g_bound, c.l_smooth, c.mu, n, c.initial_gap)
-        elif key == "augdrop_label":
-            values[key] = augdrop_label_bound(
-                c.g_bound, c.l_smooth, c.mu_restricted, n, c.initial_gap
-            )
-        elif key == "mixloss":
-            if lam is None:
-                notes.append("mixloss bound needs lam")
-                continue
-            values[key] = mixloss_bound(c.g_bound, c.l_smooth, c.mu, n, lam, c.initial_gap)
-        elif key == "plateau_shift":
-            if c.delta_p is None:
-                notes.append("plateau_shift bound needs delta_p")
-                continue
-            values[key] = plateau_shift_bound(c.delta_p, c.g_bound, c.mu)
-        elif key == "augdrop_shift":
-            if c.delta_p is None:
-                notes.append("augdrop_shift bound needs delta_p")
-                continue
-            values[key] = augdrop_shift_bound(
-                c.g_bound, c.l_smooth, c.mu_restricted, n, c.initial_gap
-            )
-    satisfied = {k: bool(measured_gap <= v) for k, v in values.items()}
-    return BoundReport(
-        values=values,
-        measured_gap=float(measured_gap),
-        satisfied=satisfied,
-        notes=tuple(notes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -412,6 +332,7 @@ def _iceil(x: float) -> int:
 class ResolvedSchedule:
     values: dict
     warnings: tuple
+    bounds: dict  # the gap bound the schedule guarantees, by bound name (`mixloss`, ...)
 
 
 def theory_stepsizes(
@@ -420,7 +341,10 @@ def theory_stepsizes(
     n: int,
     lam: float | None = None,
 ) -> ResolvedSchedule:
-    """Step sizes, batch sizes, and iteration counts from estimated constants.
+    """Step sizes, batch sizes, iteration counts and the gap bound they
+    guarantee, from estimated constants, for the trainer scheme `scheme`:
+    original, augmented, augdrop or mixloss. Augmented and AugDrop take
+    their input-shift forms when the constants carry a delta_p.
 
     All resolved values are positive and finite; a log argument below e is
     clamped there (flagged), and the mixed-scheme step honors its analysis
@@ -432,8 +356,14 @@ def theory_stepsizes(
             raise DegenerateEstimateError(f"{name} must be positive for schedule resolution")
     if n < 1:
         raise ValueError("n must be at least 1")
+    shift = c.delta_p is not None
+    if scheme in ("augmented", "augdrop"):
+        bias, name = (c.delta_p, "delta_p") if shift else (c.delta_y, "delta_y")
+        if bias <= 0:
+            raise DegenerateEstimateError(f"{name} must be positive for this schedule")
     w: list[str] = []
     v: dict[str, float | int] = {}
+    bounds: dict[str, float] = {}
 
     def logged(x: float, label: str) -> float:
         if x < _E:
@@ -447,32 +377,37 @@ def theory_stepsizes(
         )
         v["iters"] = n
         v["batch"] = 1
+        bounds["original_sgd"] = original_sgd_bound(c.g_bound, c.l_smooth, c.mu, n, c.initial_gap)
     elif scheme == "augmented":
-        if c.delta_y <= 0:
-            raise DegenerateEstimateError("delta_y must be positive for this schedule")
         v["eta"] = 1.0 / c.l_smooth
-        v["m0"] = _iceil(8.0 / c.delta_y**2)
-        v["iters"] = _iceil(
-            (c.l_smooth / c.mu)
-            * logged(4.0 * c.initial_gap * c.mu / (c.delta_y**2 * g2), "iters")
-        )
+        if shift:
+            v["m0"] = _iceil(4.0 * c.l_smooth / c.delta_p)
+            arg = c.initial_gap * c.mu / (2.0 * c.delta_p * g2)
+            bounds["plateau_shift"] = plateau_shift_bound(c.delta_p, c.g_bound, c.mu)
+        else:
+            v["m0"] = _iceil(8.0 / c.delta_y**2)
+            arg = 4.0 * c.initial_gap * c.mu / (c.delta_y**2 * g2)
+            bounds["plateau_label"] = plateau_label_bound(c.delta_y, c.g_bound, c.mu)
+        v["iters"] = _iceil((c.l_smooth / c.mu) * logged(arg, "iters"))
     elif scheme == "augdrop":
-        if c.delta_y <= 0:
-            raise DegenerateEstimateError("delta_y must be positive for this schedule")
+        r = c.delta_p if shift else c.delta_y**2  # what the t1 and batch formulas divide by
         v["eta1"] = 1.0 / c.l_smooth
         t1 = _iceil(
             (c.l_smooth / c.mu)
-            * logged(2.0 * c.initial_gap_tilde * c.mu / (c.delta_y**2 * g2), "t1")
+            * logged(2.0 * c.initial_gap_tilde * c.mu / (r * g2), "t1")
         )
         v["t1"] = t1
-        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / _CONFIDENCE) * 8.0 / c.delta_y**2)
-        v["m2"] = _iceil(highprob_inflation(2.0 * n / _CONFIDENCE) * 4.0 / c.delta_y**2)
+        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / _CONFIDENCE) * 8.0 / r)
+        v["m2"] = _iceil(highprob_inflation(2.0 * n / _CONFIDENCE) * (8.0 if shift else 4.0) / r)
         if v["m2"] > n:
             v["m2"] = n
             w.append("m2 capped at n")
         v["eta2"] = (1.0 / (2.0 * n * c.mu_restricted)) * logged(
             8.0 * n * c.mu_restricted**2 * c.initial_gap / (g2 * c.l_smooth), "eta2"
         )
+        bound = augdrop_shift_bound if shift else augdrop_label_bound
+        bounds["augdrop_shift" if shift else "augdrop_label"] = bound(
+            c.g_bound, c.l_smooth, c.mu_restricted, n, c.initial_gap)
     elif scheme == "mixloss":
         if lam is None or not (0.0 < lam <= 1.0):
             raise ValueError("lambda out of (0,1]")
@@ -486,35 +421,10 @@ def theory_stepsizes(
             raw = cap
         v["eta"] = raw
         v["iters"] = n
-    elif scheme == "augmented_shift":
-        if c.delta_p is None or c.delta_p <= 0:
-            raise DegenerateEstimateError("delta_p must be positive for this schedule")
-        v["eta"] = 1.0 / c.l_smooth
-        v["m0"] = _iceil(4.0 * c.l_smooth / c.delta_p)
-        v["iters"] = _iceil(
-            (c.l_smooth / c.mu)
-            * logged(c.initial_gap * c.mu / (2.0 * c.delta_p * g2), "iters")
-        )
-    elif scheme == "augdrop_shift":
-        if c.delta_p is None or c.delta_p <= 0:
-            raise DegenerateEstimateError("delta_p must be positive for this schedule")
-        v["eta1"] = 1.0 / c.l_smooth
-        t1 = _iceil(
-            (c.l_smooth / c.mu)
-            * logged(2.0 * c.initial_gap_tilde * c.mu / (c.delta_p * g2), "t1")
-        )
-        v["t1"] = t1
-        v["m1"] = _iceil(highprob_inflation(2.0 * t1 / _CONFIDENCE) * 8.0 / c.delta_p)
-        v["m2"] = _iceil(highprob_inflation(2.0 * n / _CONFIDENCE) * 8.0 / c.delta_p)
-        if v["m2"] > n:
-            v["m2"] = n
-            w.append("m2 capped at n")
-        v["eta2"] = (1.0 / (2.0 * n * c.mu_restricted)) * logged(
-            8.0 * n * c.mu_restricted**2 * c.initial_gap / (g2 * c.l_smooth), "eta2"
-        )
+        bounds["mixloss"] = mixloss_bound(c.g_bound, c.l_smooth, c.mu, n, lam, c.initial_gap)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     for key, val in v.items():
         if not np.isfinite(val) or val <= 0:
             raise DegenerateEstimateError(f"resolved {key} is not positive and finite")
-    return ResolvedSchedule(values=v, warnings=tuple(w))
+    return ResolvedSchedule(values=v, warnings=tuple(w), bounds=bounds)

@@ -24,6 +24,7 @@ from augbias.cli import (
 )
 from augbias.augment import SyntheticTask
 from augbias.core import DegenerateEstimateError
+from augbias.theory import ConstantEstimates, theory_stepsizes
 from augbias.trainers import (
     AugDrop,
     Augmented,
@@ -903,21 +904,66 @@ class TestRunPlan:
             assert np.isfinite(c["g_bound"]) and c["g_bound"] > 0
             assert c["mu"] <= c["l_smooth"]
 
+    @pytest.mark.parametrize("task", [
+        SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2),
+        SyntheticTask(mode="input_shift", n=40, m=60, d=3, k=3, delta_p=0.3),
+    ], ids=["label", "shift"])
+    def test_theory_summary_carries_each_bound_and_whether_it_held(self, tmp_path, task):
+        cells = (Cell("orig", Original(eta=0.3)), Cell("aug", Augmented(eta=0.3)),
+                 Cell("drop", AugDrop(t1=8, m1=6, m2=6, eta1=0.3, eta2=0.3)),
+                 Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=4, eta=0.3)))
+        plan = dataclasses.replace(tiny_plan(tmp_path / "o", mode="theory", cells=cells),
+                                   task=task)
+        assert run_plan(plan)[1] == 0
+        for cell in cells:
+            s = json.load(open(tmp_path / "o" / f"{cell.name}__seed0.json"))
+            lam = cell.scheme.lam if cell.scheme.name == "mixloss" else None
+            expected = theory_stepsizes(ConstantEstimates(**s["constants"]),
+                                        cell.scheme.name, task.n, lam).bounds
+            assert s["bounds"] == expected and len(expected) == 1
+            assert s["bounds_held"] == {k: s["final_gap"] <= v for k, v in expected.items()}
+        form = "shift" if task.mode == "input_shift" else "label"
+        assert set(json.load(open(tmp_path / "o" / "aug__seed0.json"))["bounds"]) == \
+            {f"plateau_{form}"}
+
+    def test_practical_summary_carries_no_bounds(self, tmp_path):
+        run_plan(tiny_plan(tmp_path / "o"))
+        for name in ("orig", "drop"):
+            s = json.load(open(tmp_path / "o" / f"{name}__seed0.json"))
+            assert s["bounds"] == {} and s["bounds_held"] == {} and s["resolved"] == {}
+
 
 class TestReport:
     def test_report_reproduces_aggregate(self, tmp_path, capsys):
         plan = tiny_plan(tmp_path / "o", seeds=(0, 1))
         run_plan(plan)
         capsys.readouterr()  # the plan's progress lines
-        before = (tmp_path / "o" / "aggregate.csv").read_text()
+        before = (tmp_path / "o" / "aggregate.csv").read_bytes()
         assert report(str(tmp_path / "o")) == 0
         assert capsys.readouterr().err == ""  # not stale
-        after = (tmp_path / "o" / "aggregate.csv").read_text()
-        for line_b, line_a in zip(before.splitlines()[1:], after.splitlines()[1:]):
-            cb, ca = line_b.split(","), line_a.split(",")
-            assert cb[0] == ca[0]
-            for i in (2, 3, 4):
-                assert abs(float(cb[i]) - float(ca[i])) <= 1e-12
+        assert (tmp_path / "o" / "aggregate.csv").read_bytes() == before
+
+    def test_aggregate_takes_gaps_in_seed_order(self):
+        """The mean of 0.1, 0.2 and 0.3 depends on the order of the sum, so
+        summaries in any order give the seed-ordered statistics."""
+        runs = [{"cell": "c", "seed": seed, "final_gap": gap, "aborted": False}
+                for seed, gap in ((2, 0.1), (9, 0.2), (10, 0.3))]
+        rows = cli._aggregate_rows(runs, ["c"])
+        assert rows[0]["mean_gap"] == np.mean([0.1, 0.2, 0.3]) != np.mean([0.3, 0.2, 0.1])
+        assert cli._aggregate_rows(runs[::-1], ["c"]) == rows
+
+    def test_report_sees_a_change_below_1e_12(self, tmp_path, capsys):
+        run_plan(tiny_plan(tmp_path / "o", seeds=(0, 1)))
+        agg = tmp_path / "o" / "aggregate.csv"
+        before = agg.read_text()
+        lines = before.splitlines()
+        parts = lines[2].split(",")
+        parts[2] = repr(float(parts[2]) + 5e-13)
+        agg.write_text("\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n")
+        capsys.readouterr()
+        assert report(str(tmp_path / "o")) == 0
+        assert "stale" in capsys.readouterr().err
+        assert agg.read_text() == before
 
     def test_report_flags_stale_table(self, tmp_path, capsys):
         plan = tiny_plan(tmp_path / "o")

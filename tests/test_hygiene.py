@@ -28,7 +28,7 @@ UNREACHED_PUBLIC = {
     "bias_radius": "the label-bias constraint-set radius, for the restricted-curvature criterion",
     "shift_radius": "the input-shift constraint-set radius, for the restricted-curvature criterion",
     "in_constraint_set": "the constraint-set test that theory mode is to run on its iterates",
-    "bound_report": "the bound check that theory mode is to write into every summary",
+    "ConstraintCheck": "what in_constraint_set returns: membership and margin",
     "read_trace_csv": "the public reader of the files write_trace_csv writes",
 }
 
@@ -133,28 +133,40 @@ def package_trees() -> list[ast.Module]:
 
 
 def unreached_public(trees, callers) -> set[str]:
-    """Public module-level functions and classes of `trees` that no other
-    module-level statement of `trees` reads and no tree in `callers` reads.
-    Imports are not reads, and a definition's reads of its own name do not
-    count, so a function that only calls itself is unreached."""
-    statements = [node for tree in trees for node in tree.body]
-    reads = [(node, read_anywhere([node])) for node in statements]
-    outside = read_anywhere(callers)
-    return {node.name for node in statements
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in outside
-            and not any(node.name in read for other, read in reads if other is not node)}
+    """Public module-level functions and classes of `trees` that no chain of
+    reads reaches. A chain starts at a module-level statement of `trees`
+    that is not a definition, or at a tree in `callers`, and goes on
+    through each definition it reads, private ones included. Imports are
+    not reads, so a definition that only unreached code reads, itself
+    included, is unreached."""
+    definitions: dict[str, list] = {}
+    roots = list(callers)
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions.setdefault(node.name, []).append(node)
+        else:
+            roots.append(node)
+    reached: set[str] = set()
+    pending = read_anywhere(roots)
+    while pending:
+        name = pending.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            pending |= read_anywhere(definitions[name])
+    return {name for name in definitions if not name.startswith("_") and name not in reached}
 
 
 def test_public_definition_scan_sees_its_cases():
     tree = ast.parse("def f(n):\n    return f(n - 1) + g()\n"
                      "def g():\n    pass\n"
-                     "def h():\n    pass\n"
+                     "def h():\n    return _k()\n"
+                     "def _k():\n    return j()\n"
+                     "def j():\n    pass\n"
                      "class C:\n    pass\n"
                      "TABLE = {'c': C}\n"
                      "def _p():\n    pass\n")
     caller = ast.parse("import m\nm.h()\n")
-    assert unreached_public([tree], [caller]) == {"f"}
+    assert unreached_public([tree], [caller]) == {"f", "g"}
 
 
 def test_every_public_definition_is_reached():

@@ -16,14 +16,12 @@ import pytest
 from augbias.augment import SyntheticTask, gen_synthetic
 from augbias.core import DegenerateEstimateError, Rng
 from augbias.theory import (
-    BoundReport,
     CeObjective,
     ConstantEstimates,
     augdrop_label_bound,
     augdrop_shift_bound,
     best_found_floor,
     bias_radius,
-    bound_report,
     estimate_constants,
     estimate_L_smooth,
     estimate_mu,
@@ -37,7 +35,7 @@ from augbias.theory import (
     shift_radius,
     theory_stepsizes,
 )
-from augbias.trainers import Original, TrainConfig, run_scheme, train
+from augbias.trainers import Original, TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -349,9 +347,6 @@ class TestConstantEstimates:
         base.update(kw)
         return ConstantEstimates(**base)
 
-    def test_condition_number(self):
-        assert self.ok().condition_number == pytest.approx(20.0)
-
     def test_mu_above_l_smooth_rejected(self):
         with pytest.raises(ValueError, match="mu <= l_smooth"):
             self.ok(mu=11.0, mu_restricted=11.0)
@@ -405,63 +400,6 @@ class TestBoundFormulas:
         small = original_sgd_bound(1.0, 10.0, 0.5, 100, 2.0)
         large = original_sgd_bound(1.0, 10.0, 0.5, 100000, 2.0)
         assert large < small
-
-
-class TestBoundReport:
-    def constants(self, **kw):
-        base = dict(
-            g_bound=1.0, l_smooth=10.0, mu=0.5, mu_restricted=0.8,
-            delta_y=0.2, l_floor=0.2, ltilde_floor=0.3,
-            initial_gap=2.0, initial_gap_tilde=2.5,
-        )
-        base.update(kw)
-        return ConstantEstimates(**base)
-
-    def test_values_match_formula_functions(self):
-        c = self.constants(delta_p=0.1)
-        rep = bound_report(c, 0.05, "augmented", n=100)
-        assert rep.values == {"plateau_label": plateau_label_bound(0.2, 1.0, 0.5)}
-        rep = bound_report(c, 0.05, "augdrop", n=100)
-        assert rep.values["augdrop_label"] == augdrop_label_bound(1.0, 10.0, 0.8, 100, 2.0)
-        rep = bound_report(c, 0.05, "augdrop_shift", n=100)
-        assert rep.values["augdrop_shift"] == augdrop_shift_bound(1.0, 10.0, 0.8, 100, 2.0)
-        rep = bound_report(c, 0.05, "augmented_shift", n=100)
-        assert rep.values["plateau_shift"] == plateau_shift_bound(0.1, 1.0, 0.5)
-
-    def test_satisfied_iff_gap_at_most_bound(self):
-        c = self.constants()
-        bound = plateau_label_bound(0.2, 1.0, 0.5)
-        assert bound_report(c, bound - 1e-9, "augmented", n=10).satisfied["plateau_label"]
-        assert not bound_report(c, bound + 1e-9, "augmented", n=10).satisfied["plateau_label"]
-
-    def test_trace_input_uses_final_L_minus_floor(self):
-        orig, aug, _, size = small_ce(23, n=30)
-        cfg = TrainConfig(scheme=Original(eta=0.1, batch=5), seed=0, eval_aug=aug)
-        trace = run_scheme(0.1 * Rng(24, 0).gen.standard_normal(size), orig, None, cfg)
-        c = self.constants(l_floor=0.05)
-        rep = bound_report(c, trace, "original", n=orig.n)
-        assert rep.measured_gap == pytest.approx(trace.rows[-1].L - 0.05, abs=1e-15)
-
-    def test_missing_constant_noted_never_guessed(self):
-        c = self.constants()  # no delta_p
-        rep = bound_report(c, 0.1, "augdrop_shift", n=100)
-        assert rep.values == {} and rep.satisfied == {}
-        assert any("delta_p" in note for note in rep.notes)
-        rep = bound_report(c, 0.1, "mixloss", n=100)  # no lam
-        assert rep.values == {} and any("lam" in note for note in rep.notes)
-
-    def test_wemix_reports_both_stages_bounds(self):
-        rep = bound_report(self.constants(), 0.1, "wemix", n=100, lam=0.1)
-        assert set(rep.values) == {"augdrop_label", "mixloss"}
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            bound_report(self.constants(), 0.1, "sgd", n=10)
-
-    def test_pure_function_of_inputs(self):
-        a = bound_report(self.constants(), 0.1, "mixloss", n=100, lam=0.2)
-        b = bound_report(self.constants(), 0.1, "mixloss", n=100, lam=0.2)
-        assert a == b and isinstance(a, BoundReport)
 
 
 class TestTheoryStepsizes:
@@ -528,7 +466,7 @@ class TestTheoryStepsizes:
         assert sched.values["eta"] == pytest.approx(0.1)
         assert sched.values["m0"] == 200  # 8 / 0.04
         assert sched.values["iters"] >= 1
-        shift = theory_stepsizes(self.constants(delta_p=0.05), "augmented_shift", n=1000)
+        shift = theory_stepsizes(self.constants(delta_p=0.05), "augmented", n=1000)
         assert shift.values["m0"] == 800  # 4 * 10 / 0.05
 
     def test_m2_capped_at_n(self):
@@ -537,8 +475,10 @@ class TestTheoryStepsizes:
         assert any("m2 capped" in w for w in sched.warnings)
 
     def test_missing_requirements_rejected(self):
-        with pytest.raises(DegenerateEstimateError):
-            theory_stepsizes(self.constants(), "augdrop_shift", n=100)
+        with pytest.raises(DegenerateEstimateError, match="delta_p must be positive"):
+            theory_stepsizes(self.constants(delta_p=0.0), "augdrop", n=100)
+        with pytest.raises(DegenerateEstimateError, match="delta_p must be positive"):
+            theory_stepsizes(self.constants(delta_p=0.0), "augmented", n=100)
         with pytest.raises(DegenerateEstimateError):
             theory_stepsizes(self.constants(delta_y=0.0), "augmented", n=100)
         with pytest.raises(ValueError, match=r"lambda out of \(0,1\]"):
@@ -551,12 +491,44 @@ class TestTheoryStepsizes:
             theory_stepsizes(self.constants(), "original", n=0)
 
     def test_all_modes_positive_and_finite(self):
-        c = self.constants(delta_p=0.1)
-        for scheme in ("original", "augmented", "augdrop", "mixloss",
-                       "augmented_shift", "augdrop_shift"):
-            sched = theory_stepsizes(c, scheme, n=500, lam=0.2)
-            for key, val in sched.values.items():
-                assert np.isfinite(val) and val > 0, (scheme, key)
+        for c in (self.constants(), self.constants(delta_p=0.1)):
+            for scheme in ("original", "augmented", "augdrop", "mixloss"):
+                sched = theory_stepsizes(c, scheme, n=500, lam=0.2)
+                for key, val in {**sched.values, **sched.bounds}.items():
+                    assert np.isfinite(val) and val > 0, (scheme, c.delta_p, key)
+
+    @pytest.mark.parametrize("scheme", ["augmented_shift", "augdrop_shift", "wemix"])
+    def test_only_trainer_schemes_resolve(self, scheme):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            theory_stepsizes(self.constants(delta_p=0.1), scheme, n=100, lam=0.2)
+
+    # Each scheme's bound in its label form (no delta_p) and its input-shift
+    # form, evaluated by the bound function at the constants below.
+    @pytest.mark.parametrize("scheme, delta_p, bounds", [
+        pytest.param("original", None,
+                     {"original_sgd": original_sgd_bound(1.0, 10.0, 0.5, 100, 2.0)},
+                     id="original-label"),
+        pytest.param("original", 0.1,
+                     {"original_sgd": original_sgd_bound(1.0, 10.0, 0.5, 100, 2.0)},
+                     id="original-shift"),
+        pytest.param("augmented", None, {"plateau_label": plateau_label_bound(0.2, 1.0, 0.5)},
+                     id="augmented-label"),
+        pytest.param("augmented", 0.1, {"plateau_shift": plateau_shift_bound(0.1, 1.0, 0.5)},
+                     id="augmented-shift"),
+        pytest.param("augdrop", None,
+                     {"augdrop_label": augdrop_label_bound(1.0, 10.0, 0.8, 100, 2.0)},
+                     id="augdrop-label"),
+        pytest.param("augdrop", 0.1,
+                     {"augdrop_shift": augdrop_shift_bound(1.0, 10.0, 0.8, 100, 2.0)},
+                     id="augdrop-shift"),
+        pytest.param("mixloss", None, {"mixloss": mixloss_bound(1.0, 10.0, 0.5, 100, 0.3, 2.0)},
+                     id="mixloss-label"),
+        pytest.param("mixloss", 0.1, {"mixloss": mixloss_bound(1.0, 10.0, 0.5, 100, 0.3, 2.0)},
+                     id="mixloss-shift"),
+    ])
+    def test_bounds_are_the_bound_functions_values(self, scheme, delta_p, bounds):
+        sched = theory_stepsizes(self.constants(delta_p=delta_p), scheme, n=100, lam=0.3)
+        assert sched.bounds == bounds
 
     def test_deterministic(self):
         a = theory_stepsizes(self.constants(), "augdrop", n=300)
