@@ -26,6 +26,7 @@ import configparser
 import ctypes
 import dataclasses
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -355,10 +356,12 @@ class _Setup:
 
 
 def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: bool,
-                 mode: str) -> _Setup:
+                 mode: str, floors: dict) -> _Setup:
     """Data, floors and, in theory mode, estimated constants of one (task, seed),
     with the wall seconds of each phase. The layer functions are called
     through this module's globals, so wrappers installed there see every call.
+    The gap floor is taken from `floors`, the plan's solved floors, when
+    one was solved there on the same bytes (_gap_floor).
 
     Theory mode runs a short full-batch probe for the iterate cloud; the
     declared generator bias stands in for the estimated one (the generator
@@ -370,8 +373,7 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
     rng = np.random.default_rng(seed)
     eval_set = sample_original(planted, Rng(seed, 7), eval_n) if eval_n > 0 else orig
     t_floor = time.perf_counter()
-    floor, _ = best_found_floor(CeObjective.over(eval_set), size, rng,
-                                extra_starts=[planted.w_star.ravel()], n_random=1)
+    floor = _gap_floor(floors, eval_set, planted.w_star.ravel(), seed, rng)
     ltilde_floor = None
     if constraint_floor:  # drawn from rng right after the gap floor
         ltilde_floor, _ = best_found_floor(CeObjective.over(aug), size, rng, n_random=1)
@@ -394,6 +396,29 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
     phases = {"data_s": t_floor - t_data, "floor_s": t_consts - t_floor,
               "constants_s": time.perf_counter() - t_consts}
     return _Setup(orig, aug, eval_set, floor, ltilde_floor, consts, phases)
+
+
+def _gap_floor(floors: dict, eval_set: LabeledSet, w_star: np.ndarray, seed: int,
+               rng: np.random.Generator) -> float:
+    """The best-found floor of `eval_set` from zero, `w_star` and one start
+    drawn from `rng`, a default_rng(seed) that nothing has drawn from yet.
+
+    A floor is solved once per plan on the same bytes: `floors` holds each
+    solved floor with the state its solve left `rng` in, under a digest of
+    everything the solve reads. On a hit `rng` is set to that state, so
+    what it draws next is what it would draw after solving again.
+    """
+    digest = hashlib.sha256()
+    for arr in (eval_set.inputs, eval_set.labels, w_star):
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    key = (seed, digest.digest())
+    if key not in floors:
+        floor, _ = best_found_floor(CeObjective.over(eval_set), w_star.size, rng,
+                                    extra_starts=[w_star], n_random=1)
+        floors[key] = floor, rng.bit_generator.state
+    floor, rng.bit_generator.state = floors[key]
+    return floor
 
 
 # The resolved batches that _theory_scheme caps, as (resolved key, stage index).
@@ -469,6 +494,10 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     csv_s = time.perf_counter() - t_csv
 
     final_gap = trace.rows[-1].L - s.floor
+    initial_gap = trace.rows[0].L - s.floor
+    rise = _rise(final_gap, initial_gap)
+    if rise:
+        warnings.append(rise)
     return {
         "cell": cell.name,
         "seed": seed,
@@ -477,7 +506,7 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "final_L": trace.rows[-1].L,
         "floor": s.floor,
         "final_gap": final_gap,
-        "initial_gap": trace.rows[0].L - s.floor,
+        "initial_gap": initial_gap,
         "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
         "iterations": trace.iterations,
@@ -493,6 +522,13 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "bounds": bounds,
         "bounds_held": {key: final_gap <= bound for key, bound in bounds.items()},
     }
+
+
+def _rise(final_gap: float, initial_gap: float) -> str | None:
+    """The warning for a run that ended above the gap it started at."""
+    if final_gap > initial_gap:
+        return f"ended above its initial gap ({final_gap:.6g} > {initial_gap:.6g})"
+    return None
 
 
 def _failed(cell: Cell, seed: int, exc: Exception) -> dict:
@@ -513,37 +549,37 @@ def _groups(plan: ExperimentPlan) -> list[tuple]:
             for (task, seed), run in itertools.groupby(pairs, key=lambda p: p[:2])]
 
 
-def _run_group(plan: ExperimentPlan, task: SyntheticTask, seed: int,
-               cells: tuple, workers: int) -> typing.Iterator[dict]:
+def _run_group(plan: ExperimentPlan, task: SyntheticTask, seed: int, cells: tuple,
+               scorers: ScoringWorkers, floors: dict) -> typing.Iterator[dict]:
     """Run `cells` on one (task, seed), writing and yielding each summary as
     its cell finishes. The cells share one set-up, built once, one
-    first-stage store and up to `workers` record-scoring worker processes,
-    which end with the group. The first cell's wall_time includes the
-    set-up, and its summary gives the set-up phases' seconds; the later
-    cells give 0.0 for them. A run that raises, or a set-up that did, gives
-    its cells failed summaries, which give no phases."""
+    first-stage store, and the plan process's record-scoring workers and
+    solved floors. The first cell's wall_time includes the set-up, and its
+    summary gives the set-up phases' seconds; the later cells give 0.0 for
+    them. A run that raises, or a set-up that did, gives its cells failed
+    summaries, which give no phases."""
     t_start = time.perf_counter()
     try:
-        setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode)
+        setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode,
+                             floors)
     except Exception as exc:  # fails this group's cells, not the plan
         setup, setup_error = None, exc
     phases = setup.phases if setup is not None else {}
     store = FirstStageStore()
-    with ScoringWorkers(workers) as scorers:
-        for cell in cells:
-            if setup is None:
-                summary = _failed(cell, seed, setup_error)
-            else:
-                try:
-                    summary = _run_one(plan, cell, task, seed, setup, store, scorers)
-                    summary.update(phases)
-                except Exception as exc:  # one bad pair must not stop the plan
-                    summary = _failed(cell, seed, exc)
-            phases = dict.fromkeys(phases, 0.0)
-            summary["wall_time"] = time.perf_counter() - t_start
-            _write_summary(plan, summary)
-            yield summary
-            t_start = time.perf_counter()
+    for cell in cells:
+        if setup is None:
+            summary = _failed(cell, seed, setup_error)
+        else:
+            try:
+                summary = _run_one(plan, cell, task, seed, setup, store, scorers)
+                summary.update(phases)
+            except Exception as exc:  # one bad pair must not stop the plan
+                summary = _failed(cell, seed, exc)
+        phases = dict.fromkeys(phases, 0.0)
+        summary["wall_time"] = time.perf_counter() - t_start
+        _write_summary(plan, summary)
+        yield summary
+        t_start = time.perf_counter()
 
 
 def _scoring_workers(processes: int) -> int:
@@ -558,7 +594,8 @@ def _scoring_workers(processes: int) -> int:
 
 
 def _worker(plan: ExperimentPlan, group: tuple, workers: int) -> list[dict]:
-    return list(_run_group(plan, *group, workers))
+    with ScoringWorkers(workers) as scorers:
+        return list(_run_group(plan, *group, scorers, {}))
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
@@ -621,8 +658,10 @@ def _announced(summaries) -> list[dict]:
         if "error" in s:
             print(f"{head} failed ({s['error']}), {s['wall_time']:.2f} s", file=sys.stderr)
         else:
+            rise = _rise(s["final_gap"], s["initial_gap"])
             print(f"{head} final gap {s['final_gap']:.6g}, {s['iterations']} steps "
-                  f"({s['reused_steps']} reused), {s['wall_time']:.2f} s", file=sys.stderr)
+                  f"({s['reused_steps']} reused), {s['wall_time']:.2f} s"
+                  + (f"; {rise}" if rise else ""), file=sys.stderr)
         out.append(s)
     return out
 
@@ -639,7 +678,9 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
     groups per worker process; returns (aggregate rows, exit code). Each of
     those processes scores trace records with its share of the CPUs it may
-    run on, less one: that many forked workers per group (_scoring_workers).
+    run on, less one (_scoring_workers): that many forked workers for the
+    whole plan, or on `jobs` > 1 for each group. The plan process solves a
+    floor that several groups share once.
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
@@ -655,8 +696,10 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
             summaries = _announced(itertools.chain.from_iterable(
                 pool.map(_worker, itertools.repeat(plan), groups, itertools.repeat(workers))))
     else:
-        summaries = _announced(s for group in groups
-                               for s in _run_group(plan, *group, workers))
+        floors: dict = {}
+        with ScoringWorkers(workers) as scorers:
+            summaries = _announced(s for group in groups
+                                   for s in _run_group(plan, *group, scorers, floors))
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))

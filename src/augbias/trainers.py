@@ -50,8 +50,9 @@ import multiprocessing
 import signal
 import struct
 import time
+import weakref
 from collections.abc import Iterator
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -329,11 +330,22 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
 # Steps trained ahead of their trace records, so the records of one chunk are
 # scored together; chosen by measurement on the table1 benchmark workload.
 # In a run that scoring workers share, the first chunk holds FIRST_CHUNK
-# records and each later one twice as many as the one before, up to CHUNK:
-# the calling thread scores the first chunk alone, so a small one lets the
-# workers start early (measured on the plateau benchmark workload).
+# records and each later one twice as many as the one before, up to CHUNK,
+# but at most a quarter of the steps still to train and no fewer than
+# LAST_CHUNK: the workers start on a small first chunk at once, and few
+# records are left to score when training stops (measured on the plateau
+# benchmark workload).
 CHUNK = 128
 FIRST_CHUNK = 16
+LAST_CHUNK = 8
+
+
+def _chunk_size(shared: bool, ramp: int, steps_left: int) -> int:
+    """Records in the next chunk of a run, `ramp` the ramp's next size and
+    `steps_left` the steps still to train."""
+    if not shared:
+        return CHUNK  # nothing to overlap, so nothing to ramp
+    return min(ramp, CHUNK, max(LAST_CHUNK, steps_left // 4))
 
 
 class ScoringWorkers:
@@ -347,13 +359,18 @@ class ScoringWorkers:
     so a plan of short runs forks none. A forked worker starts with numpy
     and this package imported, and scores with the same code and BLAS as the
     calling thread; fork is safe because the calling process runs one Python
-    thread. A worker that dies is dropped: the run using it raises, and
+    thread. A worker keeps the evaluation sets of the last run it scored,
+    so a run on the same sets (by identity) sends it only lam, delta_y and
+    ltilde_ref. A worker that dies is dropped: the run using it raises, and
     later runs go on with the workers left.
     """
 
     def __init__(self, count: int):
         self._unforked = count
         self._live: list = []  # (process, connection)
+        # weak references to each worker's evaluation sets, by connection: a
+        # set freed since reads as None, so it matches no set made after it
+        self._held: dict = {}
 
     def __enter__(self):
         return self
@@ -370,7 +387,7 @@ class ScoringWorkers:
                 pass
         for proc, conn in self._live:
             _reap(proc, conn, 5.0)
-        self._live = []
+        self._live, self._held = [], {}
 
     def connections(self, fork: bool) -> list:
         """Connections to the live workers, forked first when `fork` is set
@@ -386,11 +403,22 @@ class ScoringWorkers:
                 self._live.append((proc, ours))
         return [conn for _, conn in self._live]
 
+    def set_up(self, conn, sets: tuple, scorer: _Scorer):
+        """The message that sets up a run scored on `sets` by `scorer` on the
+        worker behind `conn`, which is then taken to hold those sets: the
+        scorer whole, or its scalars when the worker holds the sets already."""
+        held = self._held.get(conn)
+        self._held[conn] = [weakref.ref(ds) if ds is not None else lambda: None for ds in sets]
+        if held is not None and all(ref() is ds for ref, ds in zip(held, sets)):
+            return scorer.lam, scorer.delta_y, scorer.ltilde_ref
+        return scorer
+
     def lost(self, conn) -> RuntimeError:
         """Drop the worker behind `conn`, which failed to send or receive,
         and return the error that the run using it raises."""
         proc = next(p for p, c in self._live if c is conn)
         self._live.remove((proc, conn))
+        self._held.pop(conn, None)
         _reap(proc, conn, 1.0)
         return RuntimeError(f"record-scoring worker {proc.pid} exited with code "
                             f"{proc.exitcode}")
@@ -407,7 +435,8 @@ def _reap(proc, conn, timeout: float) -> None:
 
 
 def _serve(conn) -> None:
-    """A scoring worker's loop: a _Scorer sets up a run, and each (B, P)
+    """A scoring worker's loop: a _Scorer sets up a run, and so does a
+    (lam, delta_y, ltilde_ref) tuple on the last _Scorer's sets; each (B, P)
     stack of iterates is then answered with (values, seconds spent); None
     ends the loop. Interrupts are left to the calling process, which ends
     its workers itself."""
@@ -416,6 +445,9 @@ def _serve(conn) -> None:
     while (msg := conn.recv()) is not None:
         if isinstance(msg, _Scorer):
             scorer, ws = msg, msg.workspace()
+        elif isinstance(msg, tuple):
+            lam, delta_y, ltilde_ref = msg
+            scorer = replace(scorer, lam=lam, delta_y=delta_y, ltilde_ref=ltilde_ref)
         else:
             t0 = time.perf_counter()
             values = scorer.score(msg, ws)
@@ -576,16 +608,18 @@ def run_scheme(
     steps_total = sum(iters for _, _, (iters, _) in stages)
     # the start's record and one per step, less those taken from the store
     to_score = steps_total - first if taken is not None else steps_total + 1
-    with _RecordScorer(scorer, workers, to_score) as records:
-        size = min(FIRST_CHUNK, CHUNK) if records.shared else CHUNK
+    with _RecordScorer(scorer, sets[2:], workers, to_score) as records:
+        size = _chunk_size(records.shared, FIRST_CHUNK, steps_total - end[0])
         stopped, error, step_s = fill(chunk, size)
         while True:
             # the workers score their share while this thread trains ahead
-            size = min(2 * size, CHUNK)
-            records.start(chunk, 0.0 if stopped
-                          else step_s * min(size, steps_total - chunk[-1][0]))
             ahead = []
-            if not stopped:
+            if stopped:
+                records.start(chunk, 0.0)
+            else:
+                steps_left = steps_total - chunk[-1][0]
+                size = _chunk_size(records.shared, 2 * size, steps_left)
+                records.start(chunk, step_s * min(size, steps_left))
                 ahead_stopped, ahead_error, step_s = fill(ahead, size)
             good = records.finish()
             rows.extend(good)
@@ -709,12 +743,18 @@ class _RecordScorer:
     The workers' parts are sized so that they finish when the calling thread
     has scored its own part and trained for the seconds start() is told,
     from the seconds per record that each side took on the last chunk it
-    scored. The calling thread scores a run's first chunk alone, which
-    measures its own cost, and any chunk too small to share.
+    scored; a side not measured yet is taken to be as fast as the other,
+    and before either is measured each side scores an equal part. The
+    calling thread scores a chunk too small to share alone. When its own
+    part ends at a non-finite value, the workers' parts are not needed:
+    finish() leaves them in flight, and they are read and dropped when the
+    run ends.
     """
 
-    def __init__(self, scorer: _Scorer, workers: ScoringWorkers | None, records: int):
+    def __init__(self, scorer: _Scorer, sets: tuple, workers: ScoringWorkers | None,
+                 records: int):
         self._scorer = scorer
+        self._sets = sets  # the (original, augmented) sets the scorer evaluates on
         self._ws = scorer.workspace()
         self._workers = workers
         self._conns = workers.connections(fork=records >= CHUNK) if workers is not None else []
@@ -730,13 +770,14 @@ class _RecordScorer:
 
     def __enter__(self):
         for conn in self._conns:
-            self._send(conn, self._scorer)
+            self._send(conn, self._workers.set_up(conn, self._sets, self._scorer))
         return self
 
     def __exit__(self, *exc):
-        # only a run that raised leaves parts in flight; they are read and
-        # dropped, so a worker starts the next run with nothing queued, and a
-        # worker found dead here is dropped without hiding the run's error
+        # a run that raised, or was cut in the calling thread's part, leaves
+        # parts in flight; they are read and dropped, so a worker starts the
+        # next run with nothing queued, and a worker found dead here is
+        # dropped without hiding the run's error
         while self._pending:
             conn = self._pending.pop()
             try:
@@ -766,14 +807,17 @@ class _RecordScorer:
             finite -= 1  # training stops at a non-finite iterate, so only the last can be
         params = np.array([w for _, _, w in chunk[:finite]])
         workers = len(self._conns)
-        if self._own_rec is None or not workers:
-            share = 0  # this thread measures a run's first chunk
+        if not workers:
+            share = 0
+        elif self._own_rec is None and self._worker_rec is None:
+            share = finite // (workers + 1)  # no side measured: equal parts
         else:
             # (finite - workers * share) * own_rec + overlap_s == share * worker_rec,
-            # with a worker taken to be as fast as this thread until measured
-            worker_rec = self._worker_rec or self._own_rec
-            share = min(round((finite * self._own_rec + overlap_s)
-                              / (worker_rec + workers * self._own_rec)), finite // workers)
+            # with a side taken to be as fast as the other until measured
+            own_rec = self._own_rec or self._worker_rec
+            worker_rec = self._worker_rec or own_rec
+            share = min(round((finite * own_rec + overlap_s)
+                              / (worker_rec + workers * own_rec)), finite // workers)
         own = finite - workers * share
         if share:
             for i, conn in enumerate(self._conns):
@@ -789,24 +833,31 @@ class _RecordScorer:
     def finish(self) -> list[TraceRow]:
         """TraceRows of the started chunk, up to its first non-finite iterate
         or value."""
-        scored, worker_s = [self._own], 0.0
-        if self._pending:
-            t0 = time.perf_counter()
-            while self._pending:
-                values, seconds = self._recv(self._pending.pop(0))
-                scored.append(values)
-                worker_s += seconds
-            wait = time.perf_counter() - t0
-            self.wait_s += wait
-            self.score_s += wait
-        values = np.concatenate(scored)
         own = len(self._own)
         if own:
             self._own_rec = self._own_s / own
-        if len(values) > own:
-            self._worker_rec = worker_s / (len(values) - own)
+        rows = self._rows(self._chunk, self._own)
+        if len(rows) < own or not self._pending:
+            return rows  # cut in this thread's part, or nothing shared
+        t0 = time.perf_counter()
+        parts, worker_s = [], 0.0
+        while self._pending:
+            values, seconds = self._recv(self._pending.pop(0))
+            parts.append(values)
+            worker_s += seconds
+        wait = time.perf_counter() - t0
+        self.wait_s += wait
+        self.score_s += wait
+        values = np.concatenate(parts)
+        self._worker_rec = worker_s / len(values)
+        return rows + self._rows(self._chunk[own:], values)
+
+    @staticmethod
+    def _rows(chunk: list, values: np.ndarray) -> list[TraceRow]:
+        """TraceRows of the (t, tag, w) records in `chunk` with their values,
+        up to the first non-finite value."""
         rows = []
-        for (t, tag, _), vals in zip(self._chunk, values.tolist()):
+        for (t, tag, _), vals in zip(chunk, values.tolist()):
             if not all(math.isfinite(v) for v in vals):
                 break
             rows.append(TraceRow(t, tag, *vals))

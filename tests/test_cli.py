@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from augbias import cli
+from augbias import cli, trainers
 from augbias.cli import (
     Cell,
     ExperimentPlan,
@@ -1138,6 +1138,51 @@ class TestSharedSetup:
         assert len(shared) == 2 * len(cells) * len(kw["seeds"])
         assert shared == alone
 
+    def test_groups_that_share_a_floor_match_one_plan_per_group(self, tmp_path, monkeypatch):
+        """Three task_delta_y groups, with the constraint floor, give the
+        trace bytes and summaries (floor, ltilde_floor and final_gap
+        included) of each group run as a plan of its own. delta_y moves
+        only the augmented labels, so the gap floor is solved once: four
+        floor solves, not six. The host is said to have two CPUs, so the
+        plan forks one scoring worker, which all three groups share."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        serve, log = trainers._serve, tmp_path / "serve.log"
+
+        def logged_serve(conn):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            serve(conn)
+
+        monkeypatch.setattr(trainers, "_serve", logged_serve)
+        floors, solve = [], cli.best_found_floor
+
+        def counted(*args, **kwargs):
+            floors.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "best_found_floor", counted)
+        task = SyntheticTask(mode="label_bias", n=200, m=300, d=3, k=3, delta_y=0.2)
+        cells = tuple(Cell(f"aug-{i}", Augmented(eta=0.3, batch=4, epochs=2), task_delta_y=dy)
+                      for i, dy in enumerate((0.1, 0.2, 0.4)))
+
+        def plan(outdir, cells):
+            return ExperimentPlan(task=task, cells=cells, seeds=(3,), outdir=str(outdir),
+                                  constraint_floor=True)
+
+        _, code = run_plan(plan(tmp_path / "shared", cells))
+        assert code == 0 and len(floors) == 4
+        assert len(log.read_text().split()) == 1  # one worker, forked once
+        shared, alone = outputs(tmp_path / "shared"), {}
+        for cell in cells:
+            run_plan(plan(tmp_path / cell.name, (cell,)))
+            alone.update(outputs(tmp_path / cell.name))
+        assert len(floors) == 4 + 2 * len(cells)
+        assert len(shared) == 2 * len(cells) and shared == alone
+        summaries = [v for k, v in shared.items() if k.endswith(".json")]
+        assert all(s["iterations"] == 150 and s["ltilde_floor"] is not None for s in summaries)
+        assert len({s["floor"] for s in summaries}) == 1
+        assert len({s["ltilde_floor"] for s in summaries}) == 3
+
     # Cells whose first stages repeat an earlier cell's. Theory mode resolves
     # Augmented's batch apart from AugDrop's m1 and runs no wemix cell, so
     # there the repeat is a second augdrop cell.
@@ -1242,8 +1287,10 @@ class TestSharedSetup:
         _, code = run_plan(tiny_plan(tmp_path / "o", cells=cells, seeds=(0, 1),
                                      mode="theory"))
         assert code == 0
-        # two tasks (the plan's and the delta_y override) times two seeds
-        assert calls == {"gen_synthetic": 4, "best_found_floor": 4, "estimate_constants": 4}
+        # two tasks (the plan's and the delta_y override) times two seeds; the
+        # floor is solved on the originals, which delta_y leaves alone, so
+        # once per seed
+        assert calls == {"gen_synthetic": 4, "best_found_floor": 2, "estimate_constants": 4}
 
 
     def test_theory_setup_runs_no_scheme(self, monkeypatch):
@@ -1257,7 +1304,7 @@ class TestSharedSetup:
 
         monkeypatch.setattr(cli, "run_scheme", counted)
         task = SyntheticTask(mode="label_bias", n=40, m=60, d=3, k=3, delta_y=0.2)
-        setup = cli._build_setup(task, 0, 0, False, "theory")
+        setup = cli._build_setup(task, 0, 0, False, "theory", {})
         assert setup.consts is not None and calls == []
 
     def test_previous_setup_is_dropped_before_the_next(self, tmp_path, monkeypatch):
@@ -1282,6 +1329,31 @@ class TestSharedSetup:
 
 
 class TestScheduleFlags:
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_a_run_that_ends_above_its_initial_gap_says_so(self, tmp_path, capsys,
+                                                           monkeypatch, mode):
+        """At eta 20, Original ends above the gap it started at: its summary
+        warns and its progress line says so. At eta 0.3 it ends below and
+        neither does. In theory mode each cell runs its own scheme here, in
+        place of the resolved one."""
+        monkeypatch.setattr(cli, "_theory_scheme",
+                            lambda cell, consts, n_orig, n_aug: (cell.scheme, {}, [], {}))
+        plan = tiny_plan(tmp_path / "o", cells=(
+            Cell("big", Original(eta=20.0, batch=8, epochs=2)),
+            Cell("small", Original(eta=0.3, batch=8, epochs=2)),
+        ), mode=mode)
+        _, code = run_plan(plan)
+        assert code == 0
+        big, small = (json.load(open(tmp_path / "o" / f"{name}__seed0.json"))
+                      for name in ("big", "small"))
+        assert not big["aborted"] and big["final_gap"] > 10 * big["initial_gap"]
+        warning = (f"ended above its initial gap "
+                   f"({big['final_gap']:.6g} > {big['initial_gap']:.6g})")
+        assert big["warnings"] == [warning]
+        assert small["final_gap"] < small["initial_gap"] and small["warnings"] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.endswith(f"; {warning}") for line in lines] == [True, False]
+
     def test_theory_summary_flags_departures_from_the_schedule(self, tmp_path):
         task = SyntheticTask(mode="label_bias", n=40, m=400, d=3, k=3, delta_y=0.4)
         plan = ExperimentPlan(task=task, cells=(

@@ -16,6 +16,7 @@ trainers.train are checked against the same loop run without records.
 """
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -608,26 +609,73 @@ def test_calling_thread_and_workers_give_the_per_step_run(d, workers):
         assert_same_run(run, frozen_run_scheme(w0, orig, aug, cfg))
 
 
-@pytest.mark.parametrize("workers, sizes", [(0, [128, 128, 45]),
-                                            (1, [16, 32, 64, 128, 61])])
+@pytest.mark.parametrize("workers, sizes", [
+    (0, [128, 128, 45]),
+    (1, [16, 32, 63, 47, 35, 27, 20, 15, 11, 8, 8, 8, 8, 3])])
 def test_only_a_run_that_workers_share_starts_with_small_chunks(monkeypatch, workers, sizes):
-    """The calling thread scores a run's first chunk alone, so a run that
-    workers share starts with FIRST_CHUNK records and doubles up to CHUNK;
-    a run scored on the calling thread alone has nothing to overlap and
+    """A run that workers share starts with FIRST_CHUNK records, of which
+    the worker scores an equal part, and doubles its chunks up to CHUNK, but
+    caps each at a quarter of the steps still to train, down to LAST_CHUNK:
+    when training stops, at most LAST_CHUNK records are left to score. A
+    run scored on the calling thread alone has nothing to overlap and
     scores CHUNK-record chunks from the start."""
     orig, aug = _sets(6, 200, 300, 4, 6)
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5,
                                    eta1=0.5, eta2=0.5, batch=4), seed=4)
     start, started = trainers._RecordScorer.start, []
+    score, calling, own = trainers._Scorer.score, os.getpid(), []
 
     def counted(self, chunk, overlap_s):
         started.append(len(chunk))
         return start(self, chunk, overlap_s)
 
+    def counted_score(self, params, ws):
+        if os.getpid() == calling:
+            own.append(len(params))
+        return score(self, params, ws)
+
     monkeypatch.setattr(trainers._RecordScorer, "start", counted)
+    monkeypatch.setattr(trainers._Scorer, "score", counted_score)
     with ScoringWorkers(workers) as pool:
         run = run_scheme(np.zeros(6 * 4), orig, aug, cfg, workers=pool)
     assert len(run.rows) == 301 and started == sizes
+    assert len(own) == len(sizes)
+    if workers:
+        assert sizes[-2] <= trainers.LAST_CHUNK and sizes[-1] <= trainers.LAST_CHUNK
+        assert own[0] == trainers.FIRST_CHUNK // 2  # the worker scored the other half
+    else:
+        assert own == sizes
+
+
+def test_a_worker_is_sent_each_evaluation_set_once(monkeypatch):
+    """A worker keeps the evaluation sets of the run it scored last, so a
+    second run on the same sets sends it under 1 KB to set up, where the
+    first sent every set; that run's lam and delta_y (new here) reach the
+    worker all the same. A run on other sets, equal in shape, sends them.
+    Every run is the per-step loop's run."""
+    sent = []
+    send_bytes = multiprocessing.connection.Connection._send_bytes
+
+    def counted(self, buf):
+        sent[-1].append(len(buf))
+        return send_bytes(self, buf)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "_send_bytes", counted)
+    orig, aug = _sets(6, 200, 300, 4, 6)
+    other = _sets(7, 200, 300, 4, 6)
+    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
+    runs = [(orig, aug, MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5)),
+            (orig, aug, MixLoss(lam=0.3, delta_y=0.1, m0=5, eta=0.5)),
+            (*other, MixLoss(lam=0.3, delta_y=0.1, m0=5, eta=0.5))]
+    with ScoringWorkers(1) as pool:
+        for o, a, scheme in runs:
+            cfg = TrainConfig(scheme=scheme, seed=4)
+            sent.append([])
+            new = run_scheme(w0, o, a, cfg, workers=pool)
+            assert new.score_wait_s > 0  # the worker scored a part of some chunk
+            assert_same_run(new, frozen_run_scheme(w0, o, a, cfg))
+    set_up = [run[0] for run in sent]  # each run's first message sets it up
+    assert set_up[0] > 20_000 and set_up[1] < 1024 and set_up[2] == set_up[0]
 
 
 def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
@@ -652,7 +700,9 @@ def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
         with pytest.raises(MemoryError, match="planted"):
             run_scheme(w0, orig, aug, cfg, workers=pool)
         new = run_scheme(w0, orig, aug, cfg, workers=pool)
-    assert calls[1] + calls[2] < 32 + 64  # the worker held parts of both chunks
+    # the worker held parts of both chunks, of 32 and 38 records (a quarter
+    # of the 153 steps still to train after the second chunk)
+    assert calls[1] < 32 and calls[2] < 38
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
 
 
@@ -669,7 +719,7 @@ def test_a_worker_that_dies_under_a_failing_run_does_not_hide_its_error(monkeypa
     def failing(self, params, ws):
         if os.getpid() != calling:
             worker_calls.append(len(params))
-            if len(worker_calls) == 2:
+            if len(worker_calls) == 3:
                 time.sleep(60)  # never answers the third chunk's part
         else:
             calls.append(len(params))
