@@ -11,10 +11,12 @@ the plan ends with an aggregate CSV of per-cell gap statistics.
 
 The unit of work is a group: the consecutive cells of the seed-major pair
 order that run on one (task, seed). A group computes that (task, seed)'s
-data, floors and theory-mode constants once, and its cells share them and
-any first stage they repeat. With --jobs, each worker runs whole groups and
-computes their set-ups from the seed, so the pool never ships arrays
-between processes.
+data, floors and theory-mode constants once, and its cells share them. A
+group's cells fall into chains, the cells that may continue one another's
+first stage; a plan process that may use more than one CPU runs a long
+chain in a process forked from it, which inherits the set-up. With --jobs,
+each worker runs whole groups and computes their set-ups from the seed, so
+the pool never ships arrays between processes.
 
 Exit codes: 0 all runs finished finite, 1 some run diverged or failed (or a
 report mismatch), 2 invalid configuration or no readable run summaries.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -34,6 +37,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import time
 import traceback
@@ -45,6 +49,7 @@ import numpy as np
 
 from .augment import SyntheticTask, gen_synthetic, sample_original
 from .core import LabeledSet, Rng
+from .models import EvalSet, eval_scores
 from .theory import (
     CeObjective,
     ConstantEstimates,
@@ -53,6 +58,7 @@ from .theory import (
     theory_stepsizes,
 )
 from .trainers import (
+    CHUNK,
     SCHEMES,
     AugDrop,
     Augmented,
@@ -60,7 +66,6 @@ from .trainers import (
     MixLoss,
     Original,
     Scheme,
-    ScoringWorkers,
     TrainConfig,
     run_scheme,
     size_stages,
@@ -462,31 +467,42 @@ def _theory_scheme(cell: Cell, consts: ConstantEstimates, n_orig: int, n_aug: in
     return scheme, resolved, warnings, sched.bounds
 
 
+def _summary_path(plan: ExperimentPlan, cell: str, seed: int) -> str:
+    return os.path.join(plan.outdir, f"{cell}__seed{seed}.json")
+
+
 def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
-    path = os.path.join(plan.outdir, f"{summary['cell']}__seed{summary['seed']}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_summary_path(plan, summary["cell"], summary["seed"]), "w",
+              encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _resolve(plan: ExperimentPlan, cell: Cell, s: _Setup):
+    """The scheme `cell` runs on set-up `s`, with its resolved values,
+    warnings and gap bounds, which only theory mode has."""
+    if plan.mode == "theory":
+        return _theory_scheme(cell, s.consts, s.orig.n, s.aug.n)
+    return cell.scheme, {}, [], {}
+
+
 def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
-             s: _Setup, store: FirstStageStore, workers: ScoringWorkers) -> dict:
+             s: _Setup, store: FirstStageStore) -> dict:
     """Train `cell` on its set-up, write its trace CSV and return its summary,
     without wall_time or set-up phases. The run continues from `store` where
-    it can, and scores its records with `workers`."""
-    resolved: dict = {}
-    warnings: list[str] = []
-    bounds: dict = {}
-    constants = None
-    scheme = cell.scheme
-    if plan.mode == "theory":
-        scheme, resolved, warnings, bounds = _theory_scheme(cell, s.consts, s.orig.n, s.aug.n)
-        constants = dataclasses.asdict(s.consts)
+    it can.
+
+    final_gap and initial_gap are on the evaluation set (held out when
+    eval_n > 0) against its floor. The theory bounds are on the training
+    objective, so in theory mode train_gap is the final iterate's loss on
+    the training originals against constants.l_floor, and bounds_held
+    compares it with each bound."""
+    scheme, resolved, warnings, bounds = _resolve(plan, cell, s)
+    constants = dataclasses.asdict(s.consts) if plan.mode == "theory" else None
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
                       ltilde_ref=0.0 if s.ltilde_floor is None else s.ltilde_floor)
-    trace = run_scheme(np.zeros(task.k * task.d), s.orig, s.aug, cfg, first_stage=store,
-                       workers=workers)
+    trace = run_scheme(np.zeros(task.k * task.d), s.orig, s.aug, cfg, first_stage=store)
 
     csv_name = f"{cell.name}__seed{seed}.csv"
     t_csv = time.perf_counter()
@@ -498,6 +514,11 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     rise = _rise(final_gap, initial_gap)
     if rise:
         warnings.append(rise)
+    train_gap = None
+    if plan.mode == "theory":  # the trace's L is on the training originals unless held out
+        l_train = trace.rows[-1].L if s.eval_set is s.orig else eval_scores(
+            trace.final_params, EvalSet.of(s.orig.inputs, s.orig.labels)).loss
+        train_gap = l_train - s.consts.l_floor
     return {
         "cell": cell.name,
         "seed": seed,
@@ -507,20 +528,20 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
         "floor": s.floor,
         "final_gap": final_gap,
         "initial_gap": initial_gap,
+        "train_gap": train_gap,
         "ltilde_floor": s.ltilde_floor,
         "aborted": trace.aborted,
         "iterations": trace.iterations,
         "reused_steps": trace.reused_steps,
         "train_s": trace.train_s,
         "score_s": trace.score_s,
-        "score_wait_s": trace.score_wait_s,
         "csv_s": csv_s,
         "trace_csv": csv_name,
         "resolved": resolved,
         "constants": constants,
         "warnings": warnings,
         "bounds": bounds,
-        "bounds_held": {key: final_gap <= bound for key, bound in bounds.items()},
+        "bounds_held": {key: train_gap <= bound for key, bound in bounds.items()},
     }
 
 
@@ -549,53 +570,170 @@ def _groups(plan: ExperimentPlan) -> list[tuple]:
             for (task, seed), run in itertools.groupby(pairs, key=lambda p: p[:2])]
 
 
-def _run_group(plan: ExperimentPlan, task: SyntheticTask, seed: int, cells: tuple,
-               scorers: ScoringWorkers, floors: dict) -> typing.Iterator[dict]:
-    """Run `cells` on one (task, seed), writing and yielding each summary as
-    its cell finishes. The cells share one set-up, built once, one
-    first-stage store, and the plan process's record-scoring workers and
-    solved floors. The first cell's wall_time includes the set-up, and its
-    summary gives the set-up phases' seconds; the later cells give 0.0 for
-    them. A run that raises, or a set-up that did, gives its cells failed
-    summaries, which give no phases."""
-    t_start = time.perf_counter()
-    try:
-        setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode,
-                             floors)
-    except Exception as exc:  # fails this group's cells, not the plan
-        setup, setup_error = None, exc
-    phases = setup.phases if setup is not None else {}
-    store = FirstStageStore()
+def _chains(plan: ExperimentPlan, cells: tuple) -> list[tuple]:
+    """One group's cells as chains, in the order of their first cells: the
+    cells that may continue one another's first stage (FirstStageStore),
+    each chain in plan order. In practical mode those are the cells whose
+    first stages agree in mode, step size and batch, and whose schemes agree
+    in lam and delta_y. Theory mode resolves the stages only after the
+    set-up, so there the whole group is one chain."""
+    if plan.mode == "theory":
+        return [cells]
+    chains: dict = {}
     for cell in cells:
-        if setup is None:
-            summary = _failed(cell, seed, setup_error)
+        first = cell.scheme.stages[0]
+        key = (first.mode, first.eta, first.batch, cell.scheme.lam, cell.scheme.delta_y)
+        chains.setdefault(key, []).append(cell)
+    return [tuple(chain) for chain in chains.values()]
+
+
+def _steps(plan: ExperimentPlan, chain: tuple, s: _Setup) -> int:
+    """The steps that a chain's cells run on set-up `s`; a cell whose
+    schedule does not resolve runs none (its run fails on its own)."""
+    steps = 0
+    for cell in chain:
+        try:
+            steps += sum(iters for iters, _ in size_stages(_resolve(plan, cell, s)[0],
+                                                           s.orig.n, s.aug.n))
+        except Exception:
+            pass
+    return steps
+
+
+def _run_chain(plan: ExperimentPlan, task: SyntheticTask, seed: int, chain: tuple,
+               setup: _Setup | Exception, phases: dict, t_start: float | None,
+               announce: bool) -> list[dict]:
+    """Run a chain's cells in order on their group's set-up, or fail each
+    with the exception the set-up raised, writing each summary (and, when
+    `announce`, its progress line) as its cell finishes. The cells share one
+    first-stage store. The first cell's summary gives `phases` and its
+    wall_time counts from `t_start` (None: from now); a later cell's counts
+    from the end of the one before and gives 0.0 for each phase. A run that
+    raises gets a failed summary."""
+    t_start = time.perf_counter() if t_start is None else t_start
+    store = FirstStageStore()
+    summaries = []
+    for cell in chain:
+        if isinstance(setup, Exception):
+            summary = _failed(cell, seed, setup)
         else:
             try:
-                summary = _run_one(plan, cell, task, seed, setup, store, scorers)
+                summary = _run_one(plan, cell, task, seed, setup, store)
                 summary.update(phases)
             except Exception as exc:  # one bad pair must not stop the plan
                 summary = _failed(cell, seed, exc)
         phases = dict.fromkeys(phases, 0.0)
         summary["wall_time"] = time.perf_counter() - t_start
         _write_summary(plan, summary)
-        yield summary
+        if announce:
+            _announce(summary)
+        summaries.append(summary)
         t_start = time.perf_counter()
+    return summaries
 
 
-def _scoring_workers(processes: int) -> int:
-    """Record-scoring workers for each of `processes` plan processes: its
-    share of the CPUs this process may run on, less the one it trains on. A
-    daemonic process, such as a multiprocessing.Pool worker, may not start
-    processes, so it scores on its training thread."""
+def _chain_process(*args) -> None:
+    """A forked chain process: _run_chain(*args). Interrupts are left to
+    the plan process, which ends its chain processes itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _run_chain(*args)
+
+
+def _reaped(plan: ExperimentPlan, proc, seed: int, chain: tuple, announce: bool) -> list[dict]:
+    """The summaries of a chain process once it has exited: those it wrote,
+    and for each cell it left without one, a failed summary naming its exit
+    code (-N for signal N)."""
+    proc.join()
+    summaries = []
+    for cell in chain:
+        try:
+            summary = _load_summary(_summary_path(plan, cell.name, seed))
+        except ValueError:
+            summary = _failed(cell, seed, RuntimeError(
+                f"chain process {proc.pid} exited with code {proc.exitcode}"))
+            summary["wall_time"] = math.nan
+            _write_summary(plan, summary)
+            if announce:
+                _announce(summary)
+        summaries.append(summary)
+    return summaries
+
+
+def _run_group(plan: ExperimentPlan, group: tuple, cpus: int, last: bool, floors: dict,
+               forked: list, announce: bool) -> list[dict]:
+    """Run one (task, seed) group and return the summaries of the chains it
+    ran in this process.
+
+    The set-up is built once, here, its gap floor taken from or added to
+    `floors`, the plan's solved floors. With `cpus` > 1, each chain of at
+    least CHUNK steps is forked into a process of its own, added to `forked`
+    as (process, seed, chain), which inherits the set-up and writes its own
+    outputs; on the plan's `last` group the last such chain runs here, with
+    the short chains."""
+    task, seed, cells = group
+    t_start = time.perf_counter()
+    try:
+        setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode, floors)
+        phases = setup.phases
+    except Exception as exc:  # fails this group's cells, not the plan
+        setup, phases = exc, {}
+    chains = _chains(plan, cells)
+    long = [] if cpus < 2 or isinstance(setup, Exception) else \
+        [i for i, chain in enumerate(chains) if _steps(plan, chain, setup) >= CHUNK]
+    if long and last:
+        long.pop()
+    summaries = []
+    # the long chains are forked first, so that they run while this process runs the rest
+    for i in long + [i for i in range(len(chains)) if i not in long]:
+        # the group's first cell gives the set-up phases, and its wall_time has the set-up
+        args = (plan, task, seed, chains[i], setup,
+                phases if i == 0 else dict.fromkeys(phases, 0.0), t_start if i == 0 else None,
+                announce)
+        if i not in long:
+            summaries += _run_chain(*args)
+            continue
+        for cell in chains[i]:  # a summary found once the process exits is then its own
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(_summary_path(plan, cell.name, seed))
+        proc = multiprocessing.get_context("fork").Process(target=_chain_process, args=args)
+        proc.start()
+        forked.append((proc, seed, chains[i]))
+    return summaries
+
+
+def _run_groups(plan: ExperimentPlan, groups: list, cpus: int, floors: dict,
+                announce: bool) -> list[dict]:
+    """Run `groups` in order (_run_group) and return every summary, those
+    of the chain processes once each has exited. Should this process raise,
+    even by an interrupt, it first ends and reaps every chain process."""
+    forked, summaries = [], []
+    try:
+        for g, group in enumerate(groups):
+            summaries += _run_group(plan, group, cpus, g == len(groups) - 1, floors, forked,
+                                    announce)
+        for proc, seed, chain in forked:
+            summaries += _reaped(plan, proc, seed, chain, announce)
+    except BaseException:
+        for proc, _, _ in forked:
+            proc.terminate()
+        for proc, _, _ in forked:
+            proc.join()
+        raise
+    return summaries
+
+
+def _cpu_share(processes: int) -> int:
+    """The CPUs for each of `processes` plan processes: its share of those
+    this process may run on, at least 1. A daemonic process, such as a
+    multiprocessing.Pool worker, may not start processes, so its share is 1."""
     if multiprocessing.current_process().daemon:
-        return 0
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(0, (cpus or 1) // processes - 1)
+    return max(1, (cpus or 1) // processes)
 
 
-def _worker(plan: ExperimentPlan, group: tuple, workers: int) -> list[dict]:
-    with ScoringWorkers(workers) as scorers:
-        return list(_run_group(plan, *group, scorers, {}))
+def _worker(plan: ExperimentPlan, group: tuple, cpus: int) -> list[dict]:
+    return _run_groups(plan, [group], cpus, {}, announce=False)
 
 
 def _aggregate_rows(summaries, cell_order) -> list[dict]:
@@ -649,21 +787,20 @@ def _keep_freed_memory() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _announced(summaries) -> list[dict]:
-    """The summaries, each announced on stderr by one progress line as it
-    arrives: cell, seed, final gap, steps (with those reused) and wall time."""
-    out = []
-    for s in summaries:
-        head = f"{s['cell']} seed {s['seed']}:"
-        if "error" in s:
-            print(f"{head} failed ({s['error']}), {s['wall_time']:.2f} s", file=sys.stderr)
-        else:
-            rise = _rise(s["final_gap"], s["initial_gap"])
-            print(f"{head} final gap {s['final_gap']:.6g}, {s['iterations']} steps "
-                  f"({s['reused_steps']} reused), {s['wall_time']:.2f} s"
-                  + (f"; {rise}" if rise else ""), file=sys.stderr)
-        out.append(s)
-    return out
+def _announce(s: dict) -> None:
+    """One progress line on stderr for a finished pair: cell, seed, final
+    gap, steps (with those reused) and wall time. The line goes out in one
+    write, so lines that chain processes print at once never interleave,
+    even on an unbuffered stderr."""
+    head = f"{s['cell']} seed {s['seed']}:"
+    if "error" in s:
+        line = f"{head} failed ({s['error']}), {s['wall_time']:.2f} s"
+    else:
+        rise = _rise(s["final_gap"], s["initial_gap"])
+        line = (f"{head} final gap {s['final_gap']:.6g}, {s['iterations']} steps "
+                f"({s['reused_steps']} reused), {s['wall_time']:.2f} s"
+                + (f"; {rise}" if rise else ""))
+    sys.stderr.write(line + "\n")
 
 
 def _make_outdir(outdir: str) -> None:
@@ -677,29 +814,29 @@ def _make_outdir(outdir: str) -> None:
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
     groups per worker process; returns (aggregate rows, exit code). Each of
-    those processes scores trace records with its share of the CPUs it may
-    run on, less one (_scoring_workers): that many forked workers for the
-    whole plan, or on `jobs` > 1 for each group. The plan process solves a
-    floor that several groups share once.
+    those processes may use its share of the CPUs this one may run on
+    (_cpu_share), and with more than one it runs long chains in forked
+    processes (_run_groups). The plan process solves a floor that several
+    groups share once. Each finished pair prints one progress line.
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
     """
-    _keep_freed_memory()
+    _keep_freed_memory()  # before any fork, so chain processes inherit it
     _make_outdir(plan.outdir)
 
     groups = _groups(plan)
     processes = min(jobs, len(groups)) if jobs > 1 else 1
-    workers = _scoring_workers(processes)
+    cpus = _cpu_share(processes)
     if jobs > 1:
+        summaries = []
         with ProcessPoolExecutor(max_workers=processes, initializer=_keep_freed_memory) as pool:
-            summaries = _announced(itertools.chain.from_iterable(
-                pool.map(_worker, itertools.repeat(plan), groups, itertools.repeat(workers))))
+            for s in itertools.chain.from_iterable(
+                    pool.map(_worker, itertools.repeat(plan), groups, itertools.repeat(cpus))):
+                _announce(s)  # pool processes announce nothing themselves
+                summaries.append(s)
     else:
-        floors: dict = {}
-        with ScoringWorkers(workers) as scorers:
-            summaries = _announced(s for group in groups
-                                   for s in _run_group(plan, *group, scorers, floors))
+        summaries = _run_groups(plan, groups, cpus, {}, announce=True)
 
     # Sorted so report() can reproduce the file from summaries alone.
     rows = _aggregate_rows(summaries, sorted(c.name for c in plan.cells))

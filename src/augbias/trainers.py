@@ -27,10 +27,9 @@ instead of raising, so sweeps never die on divergence.
 The trace has one record at the start and one after every step, but records
 are not scored step by step. Training runs up to CHUNK steps ahead, keeping
 each iterate, and the chunk's records are then scored together by the
-batched evaluation kernel (models.stack_stats), in part by ScoringWorkers
-processes while the calling thread trains the next chunk. Training never
-reads a record, so the trace is the one a per-step loop records, cut at
-the same step when the run diverges. `train` yields the same iterates and
+batched evaluation kernel (models.stack_stats). Training never reads a
+record, so the trace is the one a per-step loop records, cut at the same
+step when the run diverges. `train` yields the same iterates and
 scores no record, for callers that read only the iterates.
 
 A caller may own a FirstStageStore and pass it to every run_scheme call of a
@@ -46,13 +45,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import signal
 import struct
 import time
-import weakref
 from collections.abc import Iterator
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -214,11 +210,9 @@ class TrainTrace:
     aborted: bool = False
     iterations: int = 0
     # wall seconds run_scheme spent training (the steps and the check of
-    # each iterate) and scoring the records on the calling thread; the
-    # scoring seconds include score_wait_s, the time it waited on workers
+    # each iterate) and scoring the records
     train_s: float = 0.0
     score_s: float = 0.0
-    score_wait_s: float = 0.0
     # leading steps and records taken from a FirstStageStore, not computed
     reused_steps: int = 0
 
@@ -329,129 +323,7 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
 
 # Steps trained ahead of their trace records, so the records of one chunk are
 # scored together; chosen by measurement on the table1 benchmark workload.
-# In a run that scoring workers share, the first chunk holds FIRST_CHUNK
-# records and each later one twice as many as the one before, up to CHUNK,
-# but at most a quarter of the steps still to train and no fewer than
-# LAST_CHUNK: the workers start on a small first chunk at once, and few
-# records are left to score when training stops (measured on the plateau
-# benchmark workload).
 CHUNK = 128
-FIRST_CHUNK = 16
-LAST_CHUNK = 8
-
-
-def _chunk_size(shared: bool, ramp: int, steps_left: int) -> int:
-    """Records in the next chunk of a run, `ramp` the ramp's next size and
-    `steps_left` the steps still to train."""
-    if not shared:
-        return CHUNK  # nothing to overlap, so nothing to ramp
-    return min(ramp, CHUNK, max(LAST_CHUNK, steps_left // 4))
-
-
-class ScoringWorkers:
-    """Up to `count` worker processes that score trace records while the
-    calling thread trains; run_scheme takes them as `workers`, and close()
-    ends them.
-
-    They are forked when a run that scores at least CHUNK records first asks
-    for them. A shorter run shares fewer records than that, which saves less
-    than forking, the copy-on-write faults that follow it and reaping cost,
-    so a plan of short runs forks none. A forked worker starts with numpy
-    and this package imported, and scores with the same code and BLAS as the
-    calling thread; fork is safe because the calling process runs one Python
-    thread. A worker keeps the evaluation sets of the last run it scored,
-    so a run on the same sets (by identity) sends it only lam, delta_y and
-    ltilde_ref. A worker that dies is dropped: the run using it raises, and
-    later runs go on with the workers left.
-    """
-
-    def __init__(self, count: int):
-        self._unforked = count
-        self._live: list = []  # (process, connection)
-        # weak references to each worker's evaluation sets, by connection: a
-        # set freed since reads as None, so it matches no set made after it
-        self._held: dict = {}
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
-        """End every worker and reap it."""
-        for _, conn in self._live:
-            try:
-                conn.send(None)
-            except OSError:
-                pass
-        for proc, conn in self._live:
-            _reap(proc, conn, 5.0)
-        self._live, self._held = [], {}
-
-    def connections(self, fork: bool) -> list:
-        """Connections to the live workers, forked first when `fork` is set
-        and they have not been."""
-        if fork and self._unforked:
-            count, self._unforked = self._unforked, 0
-            ctx = multiprocessing.get_context("fork")
-            for _ in range(count):
-                ours, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
-                proc.start()
-                theirs.close()  # before the next fork, so a worker's death reads as EOF
-                self._live.append((proc, ours))
-        return [conn for _, conn in self._live]
-
-    def set_up(self, conn, sets: tuple, scorer: _Scorer):
-        """The message that sets up a run scored on `sets` by `scorer` on the
-        worker behind `conn`, which is then taken to hold those sets: the
-        scorer whole, or its scalars when the worker holds the sets already."""
-        held = self._held.get(conn)
-        self._held[conn] = [weakref.ref(ds) if ds is not None else lambda: None for ds in sets]
-        if held is not None and all(ref() is ds for ref, ds in zip(held, sets)):
-            return scorer.lam, scorer.delta_y, scorer.ltilde_ref
-        return scorer
-
-    def lost(self, conn) -> RuntimeError:
-        """Drop the worker behind `conn`, which failed to send or receive,
-        and return the error that the run using it raises."""
-        proc = next(p for p, c in self._live if c is conn)
-        self._live.remove((proc, conn))
-        self._held.pop(conn, None)
-        _reap(proc, conn, 1.0)
-        return RuntimeError(f"record-scoring worker {proc.pid} exited with code "
-                            f"{proc.exitcode}")
-
-
-def _reap(proc, conn, timeout: float) -> None:
-    """Wait up to `timeout` seconds for a worker to exit, end it if it has
-    not, and close its connection."""
-    proc.join(timeout)
-    if proc.exitcode is None:
-        proc.terminate()
-        proc.join()
-    conn.close()
-
-
-def _serve(conn) -> None:
-    """A scoring worker's loop: a _Scorer sets up a run, and so does a
-    (lam, delta_y, ltilde_ref) tuple on the last _Scorer's sets; each (B, P)
-    stack of iterates is then answered with (values, seconds spent); None
-    ends the loop. Interrupts are left to the calling process, which ends
-    its workers itself."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    scorer = ws = None
-    while (msg := conn.recv()) is not None:
-        if isinstance(msg, _Scorer):
-            scorer, ws = msg, msg.workspace()
-        elif isinstance(msg, tuple):
-            lam, delta_y, ltilde_ref = msg
-            scorer = replace(scorer, lam=lam, delta_y=delta_y, ltilde_ref=ltilde_ref)
-        else:
-            t0 = time.perf_counter()
-            values = scorer.score(msg, ws)
-            conn.send((values, time.perf_counter() - t0))
 
 
 class FirstStageStore:
@@ -534,19 +406,14 @@ def run_scheme(
     cfg: TrainConfig,
     *,
     first_stage: FirstStageStore | None = None,
-    workers: ScoringWorkers | None = None,
 ) -> TrainTrace:
     """Run cfg.scheme's stages from the flat weights `w0`, with one trace
     record at the start and one after every step.
 
-    Training runs up to CHUNK steps ahead, and each chunk's records are
-    scored together. Without `workers` the calling thread scores a chunk and
-    then trains the next one. With them, the workers score a share of the
-    chunk while the calling thread scores the rest and trains the next
-    chunk; the share is sized from the last chunk's measured costs, so both
-    sides finish together. Training never reads a record, so the trace is
-    the same as recording after every step; the first non-finite iterate,
-    record or gradient ends it where a per-step loop would.
+    Training runs up to CHUNK steps ahead, and then the chunk's records are
+    scored together. Training never reads a record, so the trace is the same
+    as recording after every step; the first non-finite iterate, record or
+    gradient ends it where a per-step loop would.
 
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
@@ -584,63 +451,45 @@ def run_scheme(
     storing = first_stage is not None and taken is None
     stage_iterates = np.empty((first + 1, w.size)) if storing else None
 
-    def fill(chunk: list, size: int) -> tuple[bool, Exception | None, float]:
-        """Train into `chunk` until it holds `size` records or training stops:
-        (stopped, the exception that stopped it, seconds per step)."""
-        nonlocal train_s
-        t0, start = time.perf_counter(), len(chunk)
+    ws = scorer.workspace()
+    train_s = score_s = 0.0
+    while True:
+        t0 = time.perf_counter()
         stopped, error = True, None
         try:
             for step in steps:
                 chunk.append(step)
                 if not np.isfinite(step[2]).all():
                     break  # training never resumes after a non-finite iterate
-                if len(chunk) == size:
+                if len(chunk) == CHUNK:
                     stopped = False
                     break
         except Exception as exc:  # raised once the chunk's records are known
             error = exc
-        seconds = time.perf_counter() - t0
-        train_s += seconds
-        return stopped, error, seconds / max(1, len(chunk) - start)
-
-    train_s = 0.0
-    steps_total = sum(iters for _, _, (iters, _) in stages)
-    # the start's record and one per step, less those taken from the store
-    to_score = steps_total - first if taken is not None else steps_total + 1
-    with _RecordScorer(scorer, sets[2:], workers, to_score) as records:
-        size = _chunk_size(records.shared, FIRST_CHUNK, steps_total - end[0])
-        stopped, error, step_s = fill(chunk, size)
-        while True:
-            # the workers score their share while this thread trains ahead
-            ahead = []
-            if stopped:
-                records.start(chunk, 0.0)
-            else:
-                steps_left = steps_total - chunk[-1][0]
-                size = _chunk_size(records.shared, 2 * size, steps_left)
-                records.start(chunk, step_s * min(size, steps_left))
-                ahead_stopped, ahead_error, step_s = fill(ahead, size)
-            good = records.finish()
-            rows.extend(good)
-            if storing:
-                for t, _, w_t in chunk[:len(good)]:
-                    if t <= first:
-                        stage_iterates[t] = w_t
-            if chunk:
-                end = chunk[min(len(good), len(chunk) - 1)]
-            if len(good) < len(chunk):
-                break  # what training met after a non-finite record does not count
-            if error is not None:
-                raise error
-            if stopped:
-                break
-            chunk, stopped, error = ahead, ahead_stopped, ahead_error
+        t1 = time.perf_counter()
+        good = scorer.rows(chunk, ws)
+        train_s += t1 - t0
+        score_s += time.perf_counter() - t1
+        rows.extend(good)
+        if storing:
+            for t, _, w_t in chunk[:len(good)]:
+                if t <= first:
+                    stage_iterates[t] = w_t
+        if chunk:
+            end = chunk[min(len(good), len(chunk) - 1)]
+        if len(good) < len(chunk):
+            break  # what training met after a non-finite record does not count
+        if error is not None:
+            raise error
+        if stopped:
+            break
+        chunk = []
     global_t, _, w = end
     if storing:
         stored = min(len(rows), first + 1)
         first_stage.put(key, sets, rows[:stored], stage_iterates[:stored])
     # a run stops short at a non-finite iterate, record or gradient
+    steps_total = sum(iters for _, _, (iters, _) in stages)
     aborted = len(rows) == 0 or rows[-1].t < steps_total
     return TrainTrace(
         rows=rows,
@@ -648,8 +497,7 @@ def run_scheme(
         aborted=aborted,
         iterations=global_t,
         train_s=train_s,
-        score_s=records.score_s,
-        score_wait_s=records.wait_s,
+        score_s=score_s,
         reused_steps=reused,
     )
 
@@ -698,8 +546,7 @@ def _train(w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0
 @dataclass(frozen=True)
 class _Scorer:
     """What scores one run's records: its evaluation sets (None for a side
-    it does not score), lam, delta_y and ltilde_ref. Each worker receives a
-    copy."""
+    it does not score), lam, delta_y and ltilde_ref."""
 
     eval_orig: EvalSet | None
     eval_aug: EvalSet | None
@@ -734,128 +581,13 @@ class _Scorer:
             out[:, 2] = self.lam * out[:, 0] + (1.0 - self.lam) * l_a
         return out
 
-
-class _RecordScorer:
-    """Scores one run's trace records, a chunk at a time: start() hands each
-    live worker a contiguous part of the chunk and scores the first part on
-    the calling thread; finish() collects the parts.
-
-    The workers' parts are sized so that they finish when the calling thread
-    has scored its own part and trained for the seconds start() is told,
-    from the seconds per record that each side took on the last chunk it
-    scored; a side not measured yet is taken to be as fast as the other,
-    and before either is measured each side scores an equal part. The
-    calling thread scores a chunk too small to share alone. When its own
-    part ends at a non-finite value, the workers' parts are not needed:
-    finish() leaves them in flight, and they are read and dropped when the
-    run ends.
-    """
-
-    def __init__(self, scorer: _Scorer, sets: tuple, workers: ScoringWorkers | None,
-                 records: int):
-        self._scorer = scorer
-        self._sets = sets  # the (original, augmented) sets the scorer evaluates on
-        self._ws = scorer.workspace()
-        self._workers = workers
-        self._conns = workers.connections(fork=records >= CHUNK) if workers is not None else []
-        self._pending: list = []  # connections owing a part of the chunk
-        self._chunk: list = []
-        self._own: np.ndarray | None = None
-        self._own_s = 0.0
-        # seconds per record on the calling thread and on a worker
-        self._own_rec: float | None = None
-        self._worker_rec: float | None = None
-        self.score_s = self.wait_s = 0.0
-        self.shared = bool(self._conns)  # whether workers score parts of chunks
-
-    def __enter__(self):
-        for conn in self._conns:
-            self._send(conn, self._workers.set_up(conn, self._sets, self._scorer))
-        return self
-
-    def __exit__(self, *exc):
-        # a run that raised, or was cut in the calling thread's part, leaves
-        # parts in flight; they are read and dropped, so a worker starts the
-        # next run with nothing queued, and a worker found dead here is
-        # dropped without hiding the run's error
-        while self._pending:
-            conn = self._pending.pop()
-            try:
-                conn.recv()
-            except (EOFError, OSError):
-                self._workers.lost(conn)
-
-    def _send(self, conn, msg) -> None:
-        try:
-            conn.send(msg)
-        except OSError:
-            raise self._workers.lost(conn) from None
-
-    def _recv(self, conn):
-        try:
-            return conn.recv()
-        except (EOFError, OSError):
-            raise self._workers.lost(conn) from None
-
-    def start(self, chunk: list, overlap_s: float) -> None:
-        """Start scoring a chunk of (t, tag, w) records, up to its first
-        non-finite iterate, while this thread then works `overlap_s` more
-        seconds before finish()."""
-        t0 = time.perf_counter()
+    def rows(self, chunk: list, ws: Workspace) -> list[TraceRow]:
+        """TraceRows of a chunk of (t, tag, w) records, up to its first
+        non-finite iterate or value."""
         finite = len(chunk)
         if chunk and not np.isfinite(chunk[-1][2]).all():
             finite -= 1  # training stops at a non-finite iterate, so only the last can be
-        params = np.array([w for _, _, w in chunk[:finite]])
-        workers = len(self._conns)
-        if not workers:
-            share = 0
-        elif self._own_rec is None and self._worker_rec is None:
-            share = finite // (workers + 1)  # no side measured: equal parts
-        else:
-            # (finite - workers * share) * own_rec + overlap_s == share * worker_rec,
-            # with a side taken to be as fast as the other until measured
-            own_rec = self._own_rec or self._worker_rec
-            worker_rec = self._worker_rec or own_rec
-            share = min(round((finite * own_rec + overlap_s)
-                              / (worker_rec + workers * own_rec)), finite // workers)
-        own = finite - workers * share
-        if share:
-            for i, conn in enumerate(self._conns):
-                self._send(conn, params[own + i * share:own + (i + 1) * share])
-                self._pending.append(conn)
-        self._chunk = chunk
-        t1 = time.perf_counter()
-        self._own = self._scorer.score(params[:own], self._ws)
-        t2 = time.perf_counter()
-        self._own_s = t2 - t1
-        self.score_s += t2 - t0
-
-    def finish(self) -> list[TraceRow]:
-        """TraceRows of the started chunk, up to its first non-finite iterate
-        or value."""
-        own = len(self._own)
-        if own:
-            self._own_rec = self._own_s / own
-        rows = self._rows(self._chunk, self._own)
-        if len(rows) < own or not self._pending:
-            return rows  # cut in this thread's part, or nothing shared
-        t0 = time.perf_counter()
-        parts, worker_s = [], 0.0
-        while self._pending:
-            values, seconds = self._recv(self._pending.pop(0))
-            parts.append(values)
-            worker_s += seconds
-        wait = time.perf_counter() - t0
-        self.wait_s += wait
-        self.score_s += wait
-        values = np.concatenate(parts)
-        self._worker_rec = worker_s / len(values)
-        return rows + self._rows(self._chunk[own:], values)
-
-    @staticmethod
-    def _rows(chunk: list, values: np.ndarray) -> list[TraceRow]:
-        """TraceRows of the (t, tag, w) records in `chunk` with their values,
-        up to the first non-finite value."""
+        values = self.score(np.array([w for _, _, w in chunk[:finite]]), ws)
         rows = []
         for (t, tag, _), vals in zip(chunk, values.tolist()):
             if not all(math.isfinite(v) for v in vals):

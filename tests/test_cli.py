@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from augbias import cli, trainers
+from augbias import cli
 from augbias.cli import (
     Cell,
     ExperimentPlan,
@@ -26,6 +26,7 @@ from augbias.augment import SyntheticTask
 from augbias.core import DegenerateEstimateError
 from augbias.theory import ConstantEstimates, theory_stepsizes
 from augbias.trainers import (
+    CHUNK,
     AugDrop,
     Augmented,
     MixLoss,
@@ -814,7 +815,6 @@ class TestRunPlan:
         for cell in ("orig", "drop"):
             s = json.load(open(tmp_path / "o" / f"{cell}__seed0.json"))
             assert 0 < s["train_s"] and 0 < s["score_s"] and 0 < s["csv_s"]
-            assert 0 <= s["score_wait_s"] <= s["score_s"]
             assert sum(s[key] for key in ("train_s", "score_s", "csv_s", *phases)) \
                 < s["wall_time"]
         # the set-up is timed once, on the group's first cell, whose wall_time has it
@@ -921,7 +921,7 @@ class TestRunPlan:
             expected = theory_stepsizes(ConstantEstimates(**s["constants"]),
                                         cell.scheme.name, task.n, lam).bounds
             assert s["bounds"] == expected and len(expected) == 1
-            assert s["bounds_held"] == {k: s["final_gap"] <= v for k, v in expected.items()}
+            assert s["bounds_held"] == {k: s["train_gap"] <= v for k, v in expected.items()}
         form = "shift" if task.mode == "input_shift" else "label"
         assert set(json.load(open(tmp_path / "o" / "aug__seed0.json"))["bounds"]) == \
             {f"plateau_{form}"}
@@ -931,6 +931,41 @@ class TestRunPlan:
         for name in ("orig", "drop"):
             s = json.load(open(tmp_path / "o" / f"{name}__seed0.json"))
             assert s["bounds"] == {} and s["bounds_held"] == {} and s["resolved"] == {}
+            assert s["train_gap"] is None
+
+    def test_theory_bounds_are_held_on_the_training_gap(self, tmp_path, monkeypatch):
+        """With eval_n > 0, final_gap is on the held-out set, while the bounds
+        are on the training objective: train_gap is the final iterate's loss
+        on the training originals less constants.l_floor, and bounds_held
+        compares it with each bound, here also with a bound planted between
+        Augmented's two gaps. Training does not depend on eval_n, so
+        train_gap is the same at eval_n = 0, where the trace's L is the
+        training loss itself."""
+        cells = (Cell("aug", Augmented(eta=0.3)), Cell("orig", Original(eta=0.3)))
+
+        def run(eval_n, name):
+            assert run_plan(tiny_plan(tmp_path / name, mode="theory", eval_n=eval_n,
+                                      cells=cells))[1] == 0
+            return {cell.name: json.load(open(tmp_path / name / f"{cell.name}__seed0.json"))
+                    for cell in cells}
+
+        train, held = run(0, "train"), run(50, "held")
+        for cell in ("aug", "orig"):
+            assert train[cell]["train_gap"] == \
+                train[cell]["final_L"] - train[cell]["constants"]["l_floor"]
+            assert held[cell]["train_gap"] == train[cell]["train_gap"]
+            assert held[cell]["bounds_held"] == {k: held[cell]["train_gap"] <= v
+                                                 for k, v in held[cell]["bounds"].items()}
+        # Augmented trains on no original, so its trace is scored on the held-out set
+        aug = held["aug"]
+        assert abs(aug["train_gap"] - aug["final_gap"]) > 1e-3
+        mid = (aug["train_gap"] + aug["final_gap"]) / 2
+        theory_scheme = cli._theory_scheme
+        monkeypatch.setattr(cli, "_theory_scheme",
+                            lambda *args: (*theory_scheme(*args)[:3], {"mid": mid}))
+        planted = run(50, "planted")["aug"]
+        assert planted["bounds_held"] == {"mid": aug["train_gap"] <= mid}
+        assert planted["bounds_held"] != {"mid": aug["final_gap"] <= mid}
 
 
 class TestReport:
@@ -1104,7 +1139,7 @@ def outputs(outdir) -> dict:
             out[name] = open(path, "rb").read()
         elif name.endswith(".json"):
             summary = json.load(open(path))
-            for key in ("wall_time", "train_s", "score_s", "score_wait_s", "csv_s",
+            for key in ("wall_time", "train_s", "score_s", "csv_s",
                         "data_s", "floor_s", "constants_s", "reused_steps"):
                 summary.pop(key)
             out[name] = summary
@@ -1144,16 +1179,17 @@ class TestSharedSetup:
         included) of each group run as a plan of its own. delta_y moves
         only the augmented labels, so the gap floor is solved once: four
         floor solves, not six. The host is said to have two CPUs, so the
-        plan forks one scoring worker, which all three groups share."""
+        plan process forks the first two groups' chains, which inherit the
+        floor it solved, and runs the last."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        serve, log = trainers._serve, tmp_path / "serve.log"
+        chain_process, log = cli._chain_process, tmp_path / "chains.log"
 
-        def logged_serve(conn):
+        def logged_chain_process(*args):
             with open(log, "a", encoding="ascii") as fh:
                 fh.write(f"{os.getpid()}\n")
-            serve(conn)
+            chain_process(*args)
 
-        monkeypatch.setattr(trainers, "_serve", logged_serve)
+        monkeypatch.setattr(cli, "_chain_process", logged_chain_process)
         floors, solve = [], cli.best_found_floor
 
         def counted(*args, **kwargs):
@@ -1171,7 +1207,7 @@ class TestSharedSetup:
 
         _, code = run_plan(plan(tmp_path / "shared", cells))
         assert code == 0 and len(floors) == 4
-        assert len(log.read_text().split()) == 1  # one worker, forked once
+        assert len(set(log.read_text().split())) == 2  # two chain processes
         shared, alone = outputs(tmp_path / "shared"), {}
         for cell in cells:
             run_plan(plan(tmp_path / cell.name, (cell,)))
@@ -1471,15 +1507,15 @@ class TestAllocator:
         assert faults < 100
 
 
-class TestScoringPool:
+class TestChainProcesses:
     def test_worker_plan_after_a_serial_plan_in_one_process(self, tmp_path):
         """A --jobs 2 plan that follows a jobs=1 plan in the same process
         finishes, with the same aggregate.csv. On Linux the --jobs workers
-        fork from that process, so they would inherit any scoring worker the
+        fork from that process, so they would inherit any chain process the
         first plan left behind. The process is told it has four CPUs, so the
-        first plan forks three scoring workers per group and each --jobs
-        worker forks one of its own, on any host; it runs in a child with a
-        timeout, so a hang fails the test instead of stopping the suite."""
+        first plan forks the first seed's long chain, and each --jobs worker
+        may fork; it runs in a child with a timeout, so a hang fails the
+        test instead of stopping the suite."""
         long_cell = "\n[cell.long]\nscheme = original\neta = 0.3\nbatch = 4\nepochs = 20\n"
         ini = tiny_cfg(tmp_path, extra=long_cell)
         serial, workers = tmp_path / "serial", tmp_path / "workers"
@@ -1509,12 +1545,13 @@ class TestScoringPool:
             (workers / "aggregate.csv").read_bytes()
         assert len(read_trace_csv(workers / "long__seed1.csv")) == 201
 
-    def test_a_plan_in_a_daemonic_pool_worker_scores_without_workers(self, tmp_path):
+    def test_a_plan_in_a_daemonic_pool_worker_forks_no_chain_process(self, tmp_path):
         """A multiprocessing.Pool worker is daemonic and may not start
-        processes, so a plan run there forks no scoring worker and still
+        processes, so a plan run there forks no chain process and still
         finishes, with the bytes of a plan run in the main process. The
         process is told it has four CPUs, so the main process's plan forks
-        three; it runs in a child with a timeout, so a hang fails the test."""
+        the first seed's long chain; it runs in a child with a timeout, so a
+        hang fails the test."""
         long_cell = "\n[cell.long]\nscheme = original\neta = 0.3\nbatch = 4\nepochs = 20\n"
         ini = tiny_cfg(tmp_path, extra=long_cell)
         main_dir, pool_dir = tmp_path / "main", tmp_path / "pool"
@@ -1546,3 +1583,90 @@ class TestScoringPool:
         assert proc.returncode == 0, err
         for name in ("long__seed1.csv", "aggregate.csv"):
             assert (main_dir / name).read_bytes() == (pool_dir / name).read_bytes()
+
+    def test_augdrop_and_wemix_run_in_the_chain_of_their_first_stage(self):
+        """AugDrop's first stage is Augmented's and WeMix's is MixLoss's, so
+        each joins that cell's chain; Original runs alone. In theory mode a
+        group is one chain."""
+        plan = presets()["table1-desk"]
+        assert [[cell.name for cell in chain] for chain in cli._chains(plan, plan.cells)] == \
+            [["original"], ["augmented", "augdrop"], ["mixloss", "wemix"]]
+        theory = dataclasses.replace(plan, mode="theory", cells=plan.cells[:4])
+        assert cli._chains(theory, theory.cells) == [theory.cells]
+
+    @pytest.mark.parametrize("cpus, processes, share", [
+        (1, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (8, 3, 2)])
+    def test_cpu_share_divides_the_cpus_among_the_plan_processes(self, monkeypatch, cpus,
+                                                                 processes, share):
+        """Each plan process may use the CPUs it may run on over the plan
+        processes, rounded down, and at least one."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert cli._cpu_share(processes) == share
+
+    @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK])
+    def test_only_a_chain_of_at_least_CHUNK_steps_is_forked(self, tmp_path, monkeypatch,
+                                                             steps):
+        """Two seeds of one Original cell, one step per original, on a host
+        said to have two CPUs: a chain of CHUNK - 1 steps runs in the plan
+        process, and one of CHUNK steps is forked for the first seed, while
+        the plan process runs the last seed's itself. Either way both runs
+        finish with the outputs of a plan that forks nothing."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        chain_process, log = cli._chain_process, tmp_path / "chains.log"
+
+        def logged_chain_process(*args):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            chain_process(*args)
+
+        monkeypatch.setattr(cli, "_chain_process", logged_chain_process)
+        task = SyntheticTask(mode="label_bias", n=steps, m=300, d=3, k=3, delta_y=0.2)
+        plan = ExperimentPlan(task=task, cells=(Cell("orig", Original(eta=0.3, batch=1,
+                                                                      epochs=1)),),
+                              seeds=(0, 1), outdir=str(tmp_path / "plan"))
+        assert run_plan(plan)[1] == 0
+        assert len(log.read_text().split() if log.exists() else []) == int(steps >= CHUNK)
+        monkeypatch.setattr(cli, "_cpu_share", lambda processes: 1)
+        assert run_plan(dataclasses.replace(plan, outdir=str(tmp_path / "one")))[1] == 0
+        forked, one = outputs(tmp_path / "plan"), outputs(tmp_path / "one")
+        assert len(forked) == 4 and forked == one
+        assert len(read_trace_csv(tmp_path / "plan" / "orig__seed0.csv")) == steps + 1
+
+    def test_chain_processes_give_the_outputs_of_one_process(self, tmp_path, monkeypatch):
+        """Two seeds of five cells in three chains of at least CHUNK steps,
+        on a host said to have four CPUs: the plan process forks five chain
+        processes and runs the last chain itself. Every trace CSV and summary
+        (final_gap, floor and reused_steps included) is that of the plan with
+        its CPU share set to 1, which forks none."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        chain_process, log = cli._chain_process, tmp_path / "chains.log"
+
+        def logged_chain_process(*args):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            chain_process(*args)
+
+        monkeypatch.setattr(cli, "_chain_process", logged_chain_process)
+        task = SyntheticTask(mode="label_bias", n=200, m=300, d=3, k=3, delta_y=0.2)
+        cells = (
+            Cell("orig", Original(eta=0.3, batch=4, epochs=3)),
+            Cell("aug", Augmented(eta=0.3, batch=4, epochs=2)),
+            Cell("drop", AugDrop(t1=100, m1=4, m2=4, eta1=0.3, eta2=0.3, t2=50)),
+            Cell("mix", MixLoss(lam=0.6, delta_y=0.2, m0=3, eta=0.3)),
+            Cell("wemix", WeMix(lam=0.6, delta_y=0.2, t1=100, t2=50, m0=3, eta1=0.3, eta2=0.3)),
+        )
+        plan = ExperimentPlan(task=task, cells=cells, seeds=(0, 1), outdir=str(tmp_path / "forked"))
+        assert run_plan(plan)[1] == 0
+        assert len(set(log.read_text().split())) == 5
+        monkeypatch.setattr(cli, "_cpu_share", lambda processes: 1)
+        assert run_plan(dataclasses.replace(plan, outdir=str(tmp_path / "one")))[1] == 0
+        assert len(log.read_text().split()) == 5
+        forked, one = outputs(tmp_path / "forked"), outputs(tmp_path / "one")
+        assert len(forked) == 2 * 2 * len(cells) and forked == one
+        reused = TestSharedSetup._reused(tmp_path / "forked")
+        assert reused == TestSharedSetup._reused(tmp_path / "one")
+        assert {name for name, steps in reused.items() if steps} == {
+            f"{cell}__seed{seed}.json" for cell in ("drop", "wemix") for seed in (0, 1)}
+        assert (tmp_path / "forked" / "aggregate.csv").read_bytes() == \
+            (tmp_path / "one" / "aggregate.csv").read_bytes()

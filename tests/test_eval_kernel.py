@@ -11,18 +11,18 @@ cross numpy's 8-item pairwise block, and parameter scales reach the range
 where scores overflow. The batched kernel is checked on stacks of iterates
 against the same formulas, and whole runs are checked against a frozen copy
 of the per-step training loop that recorded after every step, with records
-scored on the calling thread and by forked scoring workers; the steps of
-trainers.train are checked against the same loop run without records.
+scored a chunk at a time; the steps of trainers.train are checked against
+the same loop run without records. Plans that run chains of runs in forked
+processes are checked for what they leave behind when a process dies or
+the plan process raises.
 """
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
+import re
 import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -51,7 +51,6 @@ from augbias.trainers import (
     FirstStageStore,
     MixLoss,
     Original,
-    ScoringWorkers,
     TrainConfig,
     TrainTrace,
     TraceRow,
@@ -466,22 +465,43 @@ FAULTS = {
 }
 
 
-# Scoring workers of the whole-run tests: none, so the calling thread scores
-# every record, one, and two, which split a chunk three ways.
-WORKERS = [0, 1, 2]
+# Where a whole-run test's first stage comes from: no store; an empty store,
+# which the run fills; and a store that a run of the same scheme, under the
+# same faults, filled first.
+FIRST_STAGES = ["no store", "empty store", "filled store"]
+
+
+def run_from_store(source, faults, w0, orig, aug, cfg):
+    """run_scheme with its first stage from `source` (FIRST_STAGES). A run
+    takes a filled store's stage exactly when the run that filled it reached
+    the stage's last step with a finite record; it then takes none of the
+    stage's steps, so the planted faults count from the step after it."""
+    if source == "no store":
+        return run_scheme(w0, orig, aug, cfg)
+    store, reused = FirstStageStore(), 0
+    if source == "filled store":
+        filled = run_scheme(w0, orig, aug, cfg, first_stage=store)
+        first = size_stages(cfg.scheme, orig.n, aug.n)[0][0]
+        reused = first if len(filled.rows) > first else 0
+        faults.reset()
+        faults.steps = faults.grads = reused
+    run = run_scheme(w0, orig, aug, cfg, first_stage=store)
+    assert run.reused_steps == reused
+    return run
 
 
 @pytest.mark.parametrize("d", FEATURES)
 @pytest.mark.parametrize("chunk", [6, trainers.CHUNK])
-@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("source", FIRST_STAGES)
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, workers,
+def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chunk, source,
                                                                 fault, d):
     """rows, aborted, final_params and iterations equal the frozen
     per-step loop's, wherever in a chunk, stage or run the first non-finite
-    record, iterate or gradient falls, with records scored on the calling
-    thread alone and with workers. The runs score 19 records, so at chunks
-    of CHUNK they fork no workers and only the chunks of 6 share records."""
+    record, iterate or gradient falls, and whether the first stage is
+    trained without a store, stored, or taken from a store that the same
+    run filled. The runs score 19 records: one chunk of CHUNK, or four of
+    6."""
     monkeypatch.setattr(trainers, "CHUNK", chunk)
     orig, aug = _sets(4, 30, 50, d, 4)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * d)
@@ -489,8 +509,7 @@ def test_divergence_ends_the_trace_where_the_per_step_loop_does(monkeypatch, chu
     for scheme in (AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9),
                    WeMix(lam=0.6, delta_y=0.3, t1=9, t2=9, m0=5, eta1=0.5, eta2=0.5, batch=4)):
         cfg = TrainConfig(scheme=scheme, seed=2)
-        with ScoringWorkers(workers) as pool:
-            new = run_scheme(w0, orig, aug, cfg, workers=pool)
+        new = run_from_store(source, faults, w0, orig, aug, cfg)
         faults.reset()
         old = frozen_run_scheme(w0, orig, aug, cfg)
         faults.reset()
@@ -544,205 +563,81 @@ def test_train_yields_the_steps_of_the_per_step_loop(monkeypatch, name, run):
         assert len(got) == 7  # the fault is at step 8
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_divergence_at_the_first_record(workers, monkeypatch):
+@pytest.mark.parametrize("source", FIRST_STAGES)
+def test_divergence_at_the_first_record(monkeypatch, source):
     """An initial iterate whose record overflows gives an empty trace at
-    t = 0, although training runs ahead of it. Chunks of 6 make the run
-    long enough to fork its workers."""
+    t = 0, although training runs ahead of it, over several chunks of 6;
+    such a run stores no first stage for a later run to take."""
     monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 1e300 * np.random.default_rng(1).standard_normal(4 * 3)
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
-    with ScoringWorkers(workers) as pool:
-        new = run_scheme(w0, orig, aug, cfg, workers=pool)
+    new = run_from_store(source, Faults(monkeypatch), w0, orig, aug, cfg)
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
     assert new.rows == [] and new.aborted and new.iterations == 0
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_a_step_that_raises_after_finite_records_raises(monkeypatch, workers):
+def test_a_step_that_raises_after_finite_records_raises(monkeypatch):
     """An exception from a step whose earlier records are all finite is the
     per-step loop's exception too, so it is raised, not turned into an
-    abort. The workers take the next run with nothing left over from it.
-    Chunks of 6 make the runs long enough to share their records."""
+    abort, and the next run is the per-step loop's. Chunks of 6 put the
+    step in the second chunk."""
     monkeypatch.setattr(trainers, "CHUNK", 6)
     orig, aug = _sets(4, 30, 50, 3, 4)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(4 * 3)
     cfg = TrainConfig(scheme=AugDrop(t1=9, m1=4, m2=4, eta1=0.5, eta2=0.5, t2=9), seed=2)
     faults = Faults(monkeypatch, raise_at=(8,))
-    with ScoringWorkers(workers) as pool:
-        with pytest.raises(RuntimeError, match="step 8"):
-            run_scheme(w0, orig, aug, cfg, workers=pool)
-        faults.reset()
-        with pytest.raises(RuntimeError, match="step 8"):
-            frozen_run_scheme(w0, orig, aug, cfg)
-        faults.raise_at = ()
-        faults.reset()
-        new = run_scheme(w0, orig, aug, cfg, workers=pool)
+    with pytest.raises(RuntimeError, match="step 8"):
+        run_scheme(w0, orig, aug, cfg)
+    faults.reset()
+    with pytest.raises(RuntimeError, match="step 8"):
+        frozen_run_scheme(w0, orig, aug, cfg)
+    faults.raise_at = ()
+    faults.reset()
+    new = run_scheme(w0, orig, aug, cfg)
     faults.reset()
     assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
-    assert (new.score_wait_s > 0) == (workers > 0)
 
 
 @pytest.mark.parametrize("d", [4, 7])
-@pytest.mark.parametrize("workers", WORKERS)
-def test_calling_thread_and_workers_give_the_per_step_run(d, workers):
+def test_chunks_and_a_stored_first_stage_give_the_per_step_run(d):
     """Several chunks of records, a first stage taken from the store and
-    runs without one, scored with 0, 1 and 2 workers (more processes than
-    this host may have CPUs), give the per-step loop's runs to the bit."""
+    runs without one give the per-step loop's runs to the bit."""
     orig, aug = _sets(6, 200, 300, d, 6)
     w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * d)
     configs = [TrainConfig(scheme=scheme, seed=4) for scheme in (
         MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5),
         WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5, eta1=0.5, eta2=0.5, batch=4))]
     store = FirstStageStore()
-    with ScoringWorkers(workers) as pool:
-        runs = [run_scheme(w0, orig, aug, cfg, first_stage=store, workers=pool)
-                for cfg in configs]
-        runs.append(run_scheme(w0, orig, aug, configs[1], workers=pool))  # without the store
+    runs = [run_scheme(w0, orig, aug, cfg, first_stage=store) for cfg in configs]
+    runs.append(run_scheme(w0, orig, aug, configs[1]))  # without the store
     configs.append(configs[1])
     assert [run.reused_steps for run in runs] == [0, 150, 0]
     assert len(runs[2].rows) == 301 > 2 * trainers.CHUNK
-    # a worker scored a part of some chunk, and the calling thread waited on it
-    assert all((run.score_wait_s > 0) == (workers > 0) for run in runs)
     for cfg, run in zip(configs, runs):
         assert_same_run(run, frozen_run_scheme(w0, orig, aug, cfg))
 
 
-@pytest.mark.parametrize("workers, sizes", [
-    (0, [128, 128, 45]),
-    (1, [16, 32, 63, 47, 35, 27, 20, 15, 11, 8, 8, 8, 8, 3])])
-def test_only_a_run_that_workers_share_starts_with_small_chunks(monkeypatch, workers, sizes):
-    """A run that workers share starts with FIRST_CHUNK records, of which
-    the worker scores an equal part, and doubles its chunks up to CHUNK, but
-    caps each at a quarter of the steps still to train, down to LAST_CHUNK:
-    when training stops, at most LAST_CHUNK records are left to score. A
-    run scored on the calling thread alone has nothing to overlap and
-    scores CHUNK-record chunks from the start."""
+def test_a_run_scores_its_records_in_chunks_of_CHUNK(monkeypatch):
+    """A 301-record run scores 128, 128 and 45 records at a time."""
     orig, aug = _sets(6, 200, 300, 4, 6)
     cfg = TrainConfig(scheme=WeMix(lam=0.6, delta_y=0.3, t1=150, t2=150, m0=5,
                                    eta1=0.5, eta2=0.5, batch=4), seed=4)
-    start, started = trainers._RecordScorer.start, []
-    score, calling, own = trainers._Scorer.score, os.getpid(), []
-
-    def counted(self, chunk, overlap_s):
-        started.append(len(chunk))
-        return start(self, chunk, overlap_s)
+    score, sizes = trainers._Scorer.score, []
 
     def counted_score(self, params, ws):
-        if os.getpid() == calling:
-            own.append(len(params))
+        sizes.append(len(params))
         return score(self, params, ws)
 
-    monkeypatch.setattr(trainers._RecordScorer, "start", counted)
     monkeypatch.setattr(trainers._Scorer, "score", counted_score)
-    with ScoringWorkers(workers) as pool:
-        run = run_scheme(np.zeros(6 * 4), orig, aug, cfg, workers=pool)
-    assert len(run.rows) == 301 and started == sizes
-    assert len(own) == len(sizes)
-    if workers:
-        assert sizes[-2] <= trainers.LAST_CHUNK and sizes[-1] <= trainers.LAST_CHUNK
-        assert own[0] == trainers.FIRST_CHUNK // 2  # the worker scored the other half
-    else:
-        assert own == sizes
+    run = run_scheme(np.zeros(6 * 4), orig, aug, cfg)
+    assert len(run.rows) == 301 and sizes == [128, 128, 45]
 
 
-def test_a_worker_is_sent_each_evaluation_set_once(monkeypatch):
-    """A worker keeps the evaluation sets of the run it scored last, so a
-    second run on the same sets sends it under 1 KB to set up, where the
-    first sent every set; that run's lam and delta_y (new here) reach the
-    worker all the same. A run on other sets, equal in shape, sends them.
-    Every run is the per-step loop's run."""
-    sent = []
-    send_bytes = multiprocessing.connection.Connection._send_bytes
-
-    def counted(self, buf):
-        sent[-1].append(len(buf))
-        return send_bytes(self, buf)
-
-    monkeypatch.setattr(multiprocessing.connection.Connection, "_send_bytes", counted)
-    orig, aug = _sets(6, 200, 300, 4, 6)
-    other = _sets(7, 200, 300, 4, 6)
-    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
-    runs = [(orig, aug, MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5)),
-            (orig, aug, MixLoss(lam=0.3, delta_y=0.1, m0=5, eta=0.5)),
-            (*other, MixLoss(lam=0.3, delta_y=0.1, m0=5, eta=0.5))]
-    with ScoringWorkers(1) as pool:
-        for o, a, scheme in runs:
-            cfg = TrainConfig(scheme=scheme, seed=4)
-            sent.append([])
-            new = run_scheme(w0, o, a, cfg, workers=pool)
-            assert new.score_wait_s > 0  # the worker scored a part of some chunk
-            assert_same_run(new, frozen_run_scheme(w0, o, a, cfg))
-    set_up = [run[0] for run in sent]  # each run's first message sets it up
-    assert set_up[0] > 20_000 and set_up[1] < 1024 and set_up[2] == set_up[0]
-
-
-def test_a_run_that_raises_while_workers_score_leaves_them_ready(monkeypatch):
-    """The calling thread raises while a worker holds a part of the chunk
-    (here, from scoring its own part of the third chunk). The run fails with
-    that error, the worker's part is read and dropped, and the next run on
-    the same worker is the per-step loop's run."""
-    orig, aug = _sets(6, 200, 300, 4, 6)
-    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
-    cfg = TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5), seed=4)
-    score, calling, calls = trainers._Scorer.score, os.getpid(), []
-
-    def failing(self, params, ws):
-        if os.getpid() == calling:
-            calls.append(len(params))
-            if len(calls) == 3:
-                raise MemoryError("planted")
-        return score(self, params, ws)
-
-    monkeypatch.setattr(trainers._Scorer, "score", failing)
-    with ScoringWorkers(1) as pool:
-        with pytest.raises(MemoryError, match="planted"):
-            run_scheme(w0, orig, aug, cfg, workers=pool)
-        new = run_scheme(w0, orig, aug, cfg, workers=pool)
-    # the worker held parts of both chunks, of 32 and 38 records (a quarter
-    # of the 153 steps still to train after the second chunk)
-    assert calls[1] < 32 and calls[2] < 38
-    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
-
-
-def test_a_worker_that_dies_under_a_failing_run_does_not_hide_its_error(monkeypatch):
-    """The worker is killed while it holds a part of the third chunk, and the
-    calling thread then raises. The run fails with the calling thread's
-    error, not with the lost worker's, and the next run on the same
-    ScoringWorkers scores on the calling thread alone."""
-    orig, aug = _sets(6, 200, 300, 4, 6)
-    w0 = 0.1 * np.random.default_rng(1).standard_normal(6 * 4)
-    cfg = TrainConfig(scheme=MixLoss(lam=0.6, delta_y=0.3, m0=5, eta=0.5), seed=4)
-    score, calling, calls, worker_calls = trainers._Scorer.score, os.getpid(), [], []
-
-    def failing(self, params, ws):
-        if os.getpid() != calling:
-            worker_calls.append(len(params))
-            if len(worker_calls) == 3:
-                time.sleep(60)  # never answers the third chunk's part
-        else:
-            calls.append(len(params))
-            if len(calls) == 3:
-                [worker] = multiprocessing.active_children()
-                worker.kill()
-                worker.join()
-                raise MemoryError("planted")
-        return score(self, params, ws)
-
-    monkeypatch.setattr(trainers._Scorer, "score", failing)
-    with ScoringWorkers(1) as pool:
-        with pytest.raises(MemoryError, match="planted"):
-            run_scheme(w0, orig, aug, cfg, workers=pool)
-        assert multiprocessing.active_children() == []
-        new = run_scheme(w0, orig, aug, cfg, workers=pool)
-    assert new.score_wait_s == 0.0
-    assert_same_run(new, frozen_run_scheme(w0, orig, aug, cfg))
-
-
-def run_script(script: str, timeout: float = 120.0) -> str:
+def run_script(script: str, timeout: float = 120.0) -> tuple[str, str]:
     """Run `script` in a fresh interpreter, in a session of its own, and
-    return its stdout; a hang past `timeout` ends the session and fails."""
+    return its stdout and stderr; a hang past `timeout` ends the session
+    and fails."""
     src = os.path.dirname(os.path.dirname(trainers.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -756,36 +651,70 @@ def run_script(script: str, timeout: float = 120.0) -> str:
         proc.communicate()
         pytest.fail(f"the script did not finish within {timeout} s")
     assert proc.returncode == 0, err
-    return out
+    return out, err
 
 
-# A plan on a small task, run by the scripts below; `cells` names Original
-# cells as (name, eta, epochs). Each pass over the 200 originals is 50 steps.
+# A plan on a small task, run by the scripts below; `cells` are (name,
+# scheme) pairs. A pass over the 200 originals at batch 4 is 50 steps, so a
+# cell of three passes is a chain of 150 steps, which a plan process that
+# may use more than one CPU forks. `forked()` counts the chain processes
+# started, and `session_others()` the processes left in the script's session.
 PLAN_SCRIPT = """
-    import json, multiprocessing, os, sys
+    import json, multiprocessing, os, signal, sys, time
     from augbias import cli, trainers
     from augbias.augment import SyntheticTask
+    from augbias.trainers import AugDrop, Augmented, Original
+
+    PLAN = os.getpid()
+    read, write = os.pipe()
+    os.set_blocking(read, False)
+    chain_process = cli._chain_process
+
+    def logged_chain_process(*args):
+        os.write(write, b"x")
+        chain_process(*args)
+
+    cli._chain_process = logged_chain_process
+
+    def forked():
+        try:
+            return len(os.read(read, 1024))
+        except BlockingIOError:
+            return 0
 
     def plan(outdir, cells, seeds=(0,)):
         task = SyntheticTask(mode="label_bias", n=200, m=300, d=3, k=3, delta_y=0.2)
         return cli.ExperimentPlan(task=task, seeds=seeds, outdir=outdir, cells=tuple(
-            cli.Cell(name, trainers.Original(eta=eta, batch=4, epochs=epochs))
-            for name, eta, epochs in cells))
+            cli.Cell(name, scheme) for name, scheme in cells))
 
     def summary(outdir, cell, seed=0):
         with open(os.path.join(outdir, f"{cell}__seed{seed}.json")) as fh:
             return json.load(fh)
+
+    def session_others():
+        sid, found = os.getsid(0), []
+        for pid in os.listdir("/proc"):
+            if pid.isdigit() and int(pid) != os.getpid():
+                try:
+                    with open(f"/proc/{pid}/stat") as fh:
+                        stat = fh.read()
+                except OSError:
+                    continue
+                if int(stat[stat.rindex(")") + 2:].split()[3]) == sid:
+                    found.append(pid)
+        return found
 """
 
 
 def test_no_process_outlives_a_plan(tmp_path):
     """After a plan with a pair that finishes, one whose training raises and
-    one that diverges, on one process and on two --jobs workers, no scoring
-    worker is left: none among the plan process's children, and no other
+    one that diverges, on one process and on two --jobs workers, no chain
+    process is left: none among the plan process's children, and no other
     process in its session. The host is said to have four CPUs, so the
-    plan forks three scoring workers per group, and each --jobs worker one,
-    for runs of 151 records."""
-    out = run_script(PLAN_SCRIPT + f"""
+    cells' three chains of 150 steps are forked, but for the last one: five
+    chain processes for the plan's two groups, and two in each --jobs
+    worker's group."""
+    out, _ = run_script(PLAN_SCRIPT + f"""
     os.sched_getaffinity = lambda pid: set(range(4))
     step, calls = trainers.sgd_step, [0]
 
@@ -797,69 +726,138 @@ def test_no_process_outlives_a_plan(tmp_path):
         return step(w, grad, eta)
 
     trainers.sgd_step = sgd_step
-
-    def session_others():
-        sid, found = os.getsid(0), []
-        for pid in os.listdir("/proc"):
-            if pid.isdigit() and int(pid) != os.getpid():
-                try:
-                    with open(f"/proc/{{pid}}/stat") as fh:
-                        stat = fh.read()
-                except OSError:
-                    continue
-                if int(stat[stat.rindex(")") + 2:].split()[3]) == sid:
-                    found.append(pid)
-        return found
-
-    cells = (("ok", 0.3, 3), ("raises", 0.25, 3), ("diverges", 1e300, 3))
+    cells = [(name, Original(eta=eta, batch=4, epochs=3))
+             for name, eta in (("ok", 0.3), ("raises", 0.25), ("diverges", 1e300))]
     for jobs in (1, 2):
         outdir = os.path.join({str(tmp_path)!r}, f"jobs{{jobs}}")
         _, code = cli.run_plan(plan(outdir, cells, seeds=(0, 1)), jobs=jobs)
-        states = [(s.get("error"), s["aborted"], s.get("score_wait_s", 0.0) > 0) for s in
-                  (summary(outdir, cell, seed) for seed in (0, 1) for cell, _, _ in cells)]
-        print(json.dumps([code, states, len(multiprocessing.active_children()),
+        states = [(s.get("error"), s["aborted"]) for s in
+                  (summary(outdir, cell, seed) for seed in (0, 1) for cell, _ in cells)]
+        print(json.dumps([code, states, forked(), len(multiprocessing.active_children()),
                           session_others()]))
     """)
-    for line in out.splitlines():
-        code, states, children, others = json.loads(line)
+    for line, chains in zip(out.splitlines(), (5, 4)):
+        code, states, forked, children, others = json.loads(line)
         assert code == 1
-        # the finishing run waited on a worker, so the workers were forked
-        assert states == 2 * [[None, False, True], ["RuntimeError: planted", True, False],
-                              [None, True, False]]
-        assert children == 0 and others == []
+        assert states == 2 * [[None, False], ["RuntimeError: planted", True], [None, True]]
+        assert forked == chains and children == 0 and others == []
 
 
-def test_a_worker_that_dies_fails_its_run_and_the_plan_goes_on(tmp_path):
-    """The scoring worker is terminated in the middle of the first run. That
-    run fails, naming the worker and its exit code, and the plan goes on:
-    the next run scores on the calling thread, to the same bytes as a plan
-    without workers, and nothing is left running."""
-    out = run_script(PLAN_SCRIPT + f"""
-    os.sched_getaffinity = lambda pid: {{0, 1}}
-    step, calls = trainers.sgd_step, [0]
+@pytest.mark.parametrize("fault", ["interrupt", "raise"])
+def test_no_chain_process_outlives_a_plan_that_raises(tmp_path, fault):
+    """The plan process's own run is interrupted, or writing its summary
+    raises, once the two chain processes it forked have started and while
+    they still train (slowly: each step sleeps). run_plan raises that
+    exception, after ending and reaping both: none is left among its
+    children or in its session, and neither finished a run."""
+    out, _ = run_script(PLAN_SCRIPT + f"""
+    os.sched_getaffinity = lambda pid: set(range(4))
+    step, write_summary, started = trainers.sgd_step, cli._write_summary, [0]
 
     def sgd_step(w, grad, eta):
-        calls[0] += 1
-        if calls[0] == 300:  # mid-way through the first run's 1000 steps
-            for child in multiprocessing.active_children():
-                child.terminate()
+        if os.getpid() != PLAN:
+            time.sleep(0.05)
+            return step(w, grad, eta)
+        while started[0] < 2:  # until both chain processes have started
+            started[0] += forked()
+            time.sleep(0.001)
+        if {fault!r} == "interrupt" and eta == 0.2:
+            raise KeyboardInterrupt
+        return step(w, grad, eta)
+
+    def failing_write_summary(plan, summary):
+        if os.getpid() == PLAN:
+            raise OSError("planted")
+        write_summary(plan, summary)
+
+    trainers.sgd_step = sgd_step
+    cli._write_summary = failing_write_summary
+    cells = [(name, Original(eta=eta, batch=4, epochs=3))
+             for name, eta in (("a", 0.3), ("b", 0.25), ("c", 0.2))]
+    outdir = {str(tmp_path / "o")!r}
+    try:
+        cli.run_plan(plan(outdir, cells))
+        raised = None
+    except BaseException as exc:
+        raised = type(exc).__name__
+    print(json.dumps([raised, started[0] + forked(), len(multiprocessing.active_children()),
+                      session_others(), sorted(os.listdir(outdir))]))
+    """)
+    raised, forked, children, others, written = json.loads(out)
+    assert raised == {"interrupt": "KeyboardInterrupt", "raise": "OSError"}[fault]
+    assert forked == 2 and children == 0 and others == []
+    assert not any(name.startswith(("a__", "b__")) for name in written)
+
+
+def test_a_killed_chain_process_fails_its_unfinished_runs_and_the_plan_goes_on(tmp_path):
+    """The chain process of Augmented and the AugDrop that continues it is
+    killed by SIGKILL in AugDrop's second stage. Augmented's outputs, which
+    that process wrote, and Original's, from the plan process, are those of
+    the plan run in one process; AugDrop gets a failed summary naming the
+    signal (not the summary an earlier plan left in the directory), its
+    progress line comes from the plan process, the plan exits 1 and nothing
+    is left running."""
+    out, err = run_script(PLAN_SCRIPT + f"""
+    os.sched_getaffinity = lambda pid: {{0, 1}}
+    step = trainers.sgd_step
+
+    def sgd_step(w, grad, eta):
+        if eta == 0.2 and os.getpid() != PLAN:  # AugDrop's second stage
+            os.kill(os.getpid(), signal.SIGKILL)
         return step(w, grad, eta)
 
     trainers.sgd_step = sgd_step
-    cells = (("first", 0.3, 20), ("second", 0.2, 20))
-    with_worker = os.path.join({str(tmp_path)!r}, "with_worker")
-    _, code = cli.run_plan(plan(with_worker, cells))
-    children = len(multiprocessing.active_children())
-    cli._scoring_workers = lambda processes: 0
+    cells = [("aug", Augmented(eta=0.3, batch=4, epochs=1)),
+             ("drop", AugDrop(t1=50, m1=4, m2=4, eta1=0.3, eta2=0.2, t2=100)),
+             ("orig", Original(eta=0.3, batch=4, epochs=3))]
+    killed = os.path.join({str(tmp_path)!r}, "killed")
+    os.makedirs(killed)
+    with open(os.path.join(killed, "drop__seed0.json"), "w") as fh:  # from an earlier plan
+        json.dump({{"cell": "drop", "seed": 0, "final_gap": 0.0, "aborted": False}}, fh)
+    _, code = cli.run_plan(plan(killed, cells))
+    chains, children = forked(), len(multiprocessing.active_children())
+    cli._cpu_share = lambda processes: 1
     alone = os.path.join({str(tmp_path)!r}, "alone")
-    cli.run_plan(plan(alone, cells))
-    same = (open(os.path.join(with_worker, "second__seed0.csv"), "rb").read()
-            == open(os.path.join(alone, "second__seed0.csv"), "rb").read())
-    print(json.dumps([code, summary(with_worker, "first").get("error"),
-                      summary(with_worker, "second")["aborted"], same, children]))
+    _, alone_code = cli.run_plan(plan(alone, cells))
+    same = [open(os.path.join(killed, f"{{cell}}__seed0.csv"), "rb").read()
+            == open(os.path.join(alone, f"{{cell}}__seed0.csv"), "rb").read()
+            and summary(killed, cell)["final_gap"] == summary(alone, cell)["final_gap"]
+            for cell in ("aug", "orig")]
+    print(json.dumps([code, alone_code, chains, forked(), children, same,
+                      summary(killed, "drop"), summary(alone, "drop").get("error")]))
     """)
-    code, error, second_aborted, same, children = json.loads(out)
-    assert code == 1
-    assert error.startswith("RuntimeError: record-scoring worker ")
-    assert error.endswith(f"exited with code {-signal.SIGTERM}")
-    assert not second_aborted and same and children == 0
+    code, alone_code, chains, chains_alone, children, same, drop, alone_error = json.loads(out)
+    assert (code, alone_code, chains, chains_alone, children) == (1, 0, 1, 0, 0)
+    assert same == [True, True] and alone_error is None
+    assert drop["error"].startswith("RuntimeError: chain process ")
+    assert drop["error"].endswith(f"exited with code {-signal.SIGKILL}") and drop["aborted"]
+    lines = err.splitlines()
+    assert sum(line.startswith("aug seed 0: final gap ") for line in lines) == 2
+    assert sum(line.startswith("drop seed 0: failed (RuntimeError: chain process ")
+               for line in lines) == 1
+
+
+def test_progress_lines_printed_at_once_by_two_processes_stay_whole():
+    """A plan process and a chain process forked from it print progress
+    lines at the same time. On an unbuffered stderr (PYTHONUNBUFFERED), a
+    line written in two pieces can be split by the other process's line;
+    each line goes out in one write, so none is."""
+    _, err = run_script("""
+    import io, os, sys
+    from augbias import cli
+
+    sys.stderr = io.TextIOWrapper(io.FileIO(2, "w", closefd=False), write_through=True)
+    summary = {"seed": 0, "final_gap": 0.1, "initial_gap": 0.2, "iterations": 5,
+               "reused_steps": 0, "wall_time": 1.0}
+    pid = os.fork()
+    for _ in range(2000):
+        cli._announce({**summary, "cell": "plan" if pid else "chain"})
+    if pid:
+        os.waitpid(pid, 0)
+    else:
+        os._exit(0)
+    """)
+    lines = err.splitlines()
+    assert len(lines) == 4000
+    assert all(re.fullmatch(r"(plan|chain) seed 0: final gap 0\.1, 5 steps \(0 reused\), 1\.00 s",
+                            line) for line in lines)
