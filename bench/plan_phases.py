@@ -90,11 +90,16 @@ class Forks:
 
 
 def chains_of(cli, plan) -> list[tuple]:
-    """The plan's chains, as tuples of cell names."""
+    """The plan's chains, as tuples of cell names. They go by the runs that
+    the cells resolve to, so each group's set-up is built again here."""
     if not hasattr(cli, "_chains"):
         return [tuple(cell.name for cell in plan.cells)]
-    return [tuple(cell.name for cell in chain)
-            for _task, _seed, cells in cli._groups(plan) for chain in cli._chains(plan, cells)]
+    chains = []
+    for task, seed, cells in cli._groups(plan):
+        setup = cli._build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode, {})
+        runs = {cell.name: cli._resolve(plan, cell, setup) for cell in cells}
+        chains += [tuple(cell.name for cell in chain) for chain in cli._chains(cells, runs)]
+    return chains
 
 
 def run_workload(name: str, seeds: list[int], forks: Forks) -> dict:

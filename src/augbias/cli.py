@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import SyntheticTask, gen_synthetic, sample_original
-from .core import LabeledSet, Rng
+from .core import DegenerateEstimateError, LabeledSet, Rng
 from .models import EvalSet, eval_scores
 from .theory import (
     CeObjective,
@@ -69,6 +69,7 @@ from .trainers import (
     TrainConfig,
     run_scheme,
     size_stages,
+    stage_family,
     train,
     write_trace_csv,
 )
@@ -435,7 +436,8 @@ def _theory_scheme(cell: Cell, consts: ConstantEstimates, n_orig: int, n_aug: in
 
     The warnings add one line for each place where the run departs from the
     resolved values: a step count other than the resolved iters or t1, and a
-    capped batch.
+    capped batch. Raises ValueError or DegenerateEstimateError when the
+    constants give no schedule, or one whose stages do not fit the sets.
     """
     name = cell.scheme.name
     lam = cell.scheme.lam if name == "mixloss" else None
@@ -478,26 +480,40 @@ def _write_summary(plan: ExperimentPlan, summary: dict) -> None:
         fh.write("\n")
 
 
-def _resolve(plan: ExperimentPlan, cell: Cell, s: _Setup):
-    """The scheme `cell` runs on set-up `s`, with its resolved values,
-    warnings and gap bounds, which only theory mode has."""
+class _Run(typing.NamedTuple):
+    """The run a cell makes on one set-up (_resolve)."""
+
+    scheme: Scheme
+    resolved: dict  # the resolved schedule values, theory mode only
+    warnings: list
+    bounds: dict  # gap bounds on the training objective, theory mode only
+    steps: int
+
+
+def _resolve(plan: ExperimentPlan, cell: Cell, s: _Setup) -> _Run:
+    """The run `cell` makes on set-up `s`. Raises ValueError or
+    DegenerateEstimateError when its schedule does not resolve or its stages
+    do not fit the sets."""
     if plan.mode == "theory":
-        return _theory_scheme(cell, s.consts, s.orig.n, s.aug.n)
-    return cell.scheme, {}, [], {}
+        scheme, resolved, warnings, bounds = _theory_scheme(cell, s.consts, s.orig.n, s.aug.n)
+    else:
+        scheme, resolved, warnings, bounds = cell.scheme, {}, [], {}
+    steps = sum(iters for iters, _ in size_stages(scheme, s.orig.n, s.aug.n))
+    return _Run(scheme, resolved, warnings, bounds, steps)
 
 
 def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
-             s: _Setup, store: FirstStageStore) -> dict:
-    """Train `cell` on its set-up, write its trace CSV and return its summary,
-    without wall_time or set-up phases. The run continues from `store` where
-    it can.
+             s: _Setup, store: FirstStageStore, run: _Run) -> dict:
+    """Train `cell`'s `run` on its set-up, write its trace CSV and return its
+    summary, without wall_time or set-up phases. The run continues from
+    `store` where it can.
 
     final_gap and initial_gap are on the evaluation set (held out when
     eval_n > 0) against its floor. The theory bounds are on the training
     objective, so in theory mode train_gap is the final iterate's loss on
-    the training originals against constants.l_floor, and bounds_held
-    compares it with each bound."""
-    scheme, resolved, warnings, bounds = _resolve(plan, cell, s)
+    the training originals against constants.l_floor (NaN for a run that
+    aborted), and bounds_held compares it with each bound."""
+    scheme, resolved, warnings, bounds, _ = run
     constants = dataclasses.asdict(s.consts) if plan.mode == "theory" else None
 
     cfg = TrainConfig(scheme=scheme, seed=seed, eval_orig=s.eval_set, eval_aug=s.aug,
@@ -515,7 +531,9 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     if rise:
         warnings.append(rise)
     train_gap = None
-    if plan.mode == "theory":  # the trace's L is on the training originals unless held out
+    if plan.mode == "theory" and trace.aborted:
+        train_gap = math.nan  # no final iterate; the trace stops at its last finite record
+    elif plan.mode == "theory":  # the trace's L is on the training originals unless held out
         l_train = trace.rows[-1].L if s.eval_set is s.orig else eval_scores(
             trace.final_params, EvalSet.of(s.orig.inputs, s.orig.labels)).loss
         train_gap = l_train - s.consts.l_floor
@@ -570,55 +588,41 @@ def _groups(plan: ExperimentPlan) -> list[tuple]:
             for (task, seed), run in itertools.groupby(pairs, key=lambda p: p[:2])]
 
 
-def _chains(plan: ExperimentPlan, cells: tuple) -> list[tuple]:
+def _chains(cells: tuple, runs: dict) -> list[tuple]:
     """One group's cells as chains, in the order of their first cells: the
     cells that may continue one another's first stage (FirstStageStore),
-    each chain in plan order. In practical mode those are the cells whose
-    first stages agree in mode, step size and batch, and whose schemes agree
-    in lam and delta_y. Theory mode resolves the stages only after the
-    set-up, so there the whole group is one chain."""
-    if plan.mode == "theory":
-        return [cells]
+    each chain in plan order. Those are the cells whose runs (`runs`, by
+    name) agree in trainers.stage_family; the cells whose runs did not
+    resolve make one chain."""
     chains: dict = {}
     for cell in cells:
-        first = cell.scheme.stages[0]
-        key = (first.mode, first.eta, first.batch, cell.scheme.lam, cell.scheme.delta_y)
+        run = runs[cell.name]
+        key = None if isinstance(run, Exception) else stage_family(run.scheme)
         chains.setdefault(key, []).append(cell)
     return [tuple(chain) for chain in chains.values()]
 
 
-def _steps(plan: ExperimentPlan, chain: tuple, s: _Setup) -> int:
-    """The steps that a chain's cells run on set-up `s`; a cell whose
-    schedule does not resolve runs none (its run fails on its own)."""
-    steps = 0
-    for cell in chain:
-        try:
-            steps += sum(iters for iters, _ in size_stages(_resolve(plan, cell, s)[0],
-                                                           s.orig.n, s.aug.n))
-        except Exception:
-            pass
-    return steps
-
-
 def _run_chain(plan: ExperimentPlan, task: SyntheticTask, seed: int, chain: tuple,
-               setup: _Setup | Exception, phases: dict, t_start: float | None,
+               setup: _Setup | Exception, runs: dict, phases: dict, lead: float,
                announce: bool) -> list[dict]:
-    """Run a chain's cells in order on their group's set-up, or fail each
-    with the exception the set-up raised, writing each summary (and, when
-    `announce`, its progress line) as its cell finishes. The cells share one
-    first-stage store. The first cell's summary gives `phases` and its
-    wall_time counts from `t_start` (None: from now); a later cell's counts
-    from the end of the one before and gives 0.0 for each phase. A run that
-    raises gets a failed summary."""
-    t_start = time.perf_counter() if t_start is None else t_start
+    """Run a chain's cells in order on their group's set-up, writing each
+    summary (and, when `announce`, its progress line) as its cell finishes.
+    `runs` holds each cell's _Run by name, or the exception that its set-up
+    or resolution raised, which fails it. The cells share one first-stage
+    store. The first cell's summary gives `phases` and its wall_time adds
+    `lead`, the set-up's seconds; a later cell's counts from the end of the
+    one before and gives 0.0 for each phase. A run that raises gets a failed
+    summary."""
+    t_start = time.perf_counter() - lead
     store = FirstStageStore()
     summaries = []
     for cell in chain:
-        if isinstance(setup, Exception):
-            summary = _failed(cell, seed, setup)
+        run = runs[cell.name]
+        if isinstance(run, Exception):
+            summary = _failed(cell, seed, run)
         else:
             try:
-                summary = _run_one(plan, cell, task, seed, setup, store)
+                summary = _run_one(plan, cell, task, seed, setup, store, run)
                 summary.update(phases)
             except Exception as exc:  # one bad pair must not stop the plan
                 summary = _failed(cell, seed, exc)
@@ -632,10 +636,22 @@ def _run_chain(plan: ExperimentPlan, task: SyntheticTask, seed: int, chain: tupl
     return summaries
 
 
-def _chain_process(*args) -> None:
-    """A forked chain process: _run_chain(*args). Interrupts are left to
-    the plan process, which ends its chain processes itself."""
+# prctl's option that has the kernel signal a process when its parent ends
+_PR_SET_PDEATHSIG = 1
+
+
+def _chain_process(parent: int, *args) -> None:
+    """A chain process forked from the plan process `parent` (its pid):
+    _run_chain(*args). It ends with the plan process, even one ended by
+    SIGKILL: on Linux the kernel then sends it SIGKILL (PR_SET_PDEATHSIG,
+    which watches the thread that forked it), and a parent that ended
+    before that was set shows in the parent pid. Interrupts are left to the
+    plan process, which ends its chain processes itself."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError, AttributeError, TypeError):  # no prctl: not Linux
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
+    if os.getppid() != parent:
+        os._exit(1)
     _run_chain(*args)
 
 
@@ -659,45 +675,69 @@ def _reaped(plan: ExperimentPlan, proc, seed: int, chain: tuple, announce: bool)
     return summaries
 
 
+def _reap_exited(plan: ExperimentPlan, live: list, announce: bool) -> list[dict]:
+    """The summaries of the chain processes in `live` that have exited
+    (_reaped); each leaves `live` once reaped."""
+    summaries = []
+    for entry in [entry for entry in live if not entry[0].is_alive()]:
+        summaries += _reaped(plan, *entry, announce)
+        live.remove(entry)
+    return summaries
+
+
 def _run_group(plan: ExperimentPlan, group: tuple, cpus: int, last: bool, floors: dict,
-               forked: list, announce: bool) -> list[dict]:
+               live: list, announce: bool) -> list[dict]:
     """Run one (task, seed) group and return the summaries of the chains it
-    ran in this process.
+    ran in this process and of the chain processes it reaped.
 
     The set-up is built once, here, its gap floor taken from or added to
-    `floors`, the plan's solved floors. With `cpus` > 1, each chain of at
-    least CHUNK steps is forked into a process of its own, added to `forked`
-    as (process, seed, chain), which inherits the set-up and writes its own
-    outputs; on the plan's `last` group the last such chain runs here, with
-    the short chains."""
+    `floors`, the plan's solved floors, and each cell's run is resolved
+    once. The chains go longest first. With `cpus` > 1, a chain of at least
+    CHUNK steps is forked into a process of its own, which inherits the
+    set-up and writes its own outputs, when fewer than cpus - 1 chain
+    processes are alive (`live`, as (process, seed, chain)); otherwise it
+    runs here, as the short chains do. On the plan's `last` group the last
+    long chain also runs here, where the plan would only wait for it."""
     task, seed, cells = group
     t_start = time.perf_counter()
     try:
         setup = _build_setup(task, seed, plan.eval_n, plan.constraint_floor, plan.mode, floors)
-        phases = setup.phases
     except Exception as exc:  # fails this group's cells, not the plan
-        setup, phases = exc, {}
-    chains = _chains(plan, cells)
-    long = [] if cpus < 2 or isinstance(setup, Exception) else \
-        [i for i, chain in enumerate(chains) if _steps(plan, chain, setup) >= CHUNK]
+        setup = exc
+    runs = {}
+    for cell in cells:
+        try:
+            runs[cell.name] = setup if isinstance(setup, Exception) else \
+                _resolve(plan, cell, setup)
+        except (ValueError, DegenerateEstimateError) as exc:  # fails this cell only
+            runs[cell.name] = exc
+    phases = {} if isinstance(setup, Exception) else setup.phases
+    lead = time.perf_counter() - t_start
+    chains = _chains(cells, runs)
+    steps = [sum(runs[cell.name].steps for cell in chain
+                 if not isinstance(runs[cell.name], Exception)) for chain in chains]
+    order = sorted(range(len(chains)), key=lambda i: -steps[i])
+    long = [i for i in order if cpus > 1 and steps[i] >= CHUNK]
     if long and last:
         long.pop()
     summaries = []
-    # the long chains are forked first, so that they run while this process runs the rest
-    for i in long + [i for i in range(len(chains)) if i not in long]:
+    for i in order:
         # the group's first cell gives the set-up phases, and its wall_time has the set-up
-        args = (plan, task, seed, chains[i], setup,
-                phases if i == 0 else dict.fromkeys(phases, 0.0), t_start if i == 0 else None,
+        args = (plan, task, seed, chains[i], setup, runs,
+                phases if i == 0 else dict.fromkeys(phases, 0.0), lead if i == 0 else 0.0,
                 announce)
-        if i not in long:
+        if i in long:
+            summaries += _reap_exited(plan, live, announce)
+        if i in long and len(live) < cpus - 1:
+            for cell in chains[i]:  # a summary found once the process exits is then its own
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(_summary_path(plan, cell.name, seed))
+            proc = multiprocessing.get_context("fork").Process(
+                target=_chain_process, args=(os.getpid(), *args))
+            proc.start()
+            live.append((proc, seed, chains[i]))
+        else:
             summaries += _run_chain(*args)
-            continue
-        for cell in chains[i]:  # a summary found once the process exits is then its own
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(_summary_path(plan, cell.name, seed))
-        proc = multiprocessing.get_context("fork").Process(target=_chain_process, args=args)
-        proc.start()
-        forked.append((proc, seed, chains[i]))
     return summaries
 
 
@@ -706,17 +746,18 @@ def _run_groups(plan: ExperimentPlan, groups: list, cpus: int, floors: dict,
     """Run `groups` in order (_run_group) and return every summary, those
     of the chain processes once each has exited. Should this process raise,
     even by an interrupt, it first ends and reaps every chain process."""
-    forked, summaries = [], []
+    live, summaries = [], []
     try:
         for g, group in enumerate(groups):
-            summaries += _run_group(plan, group, cpus, g == len(groups) - 1, floors, forked,
+            summaries += _run_group(plan, group, cpus, g == len(groups) - 1, floors, live,
                                     announce)
-        for proc, seed, chain in forked:
-            summaries += _reaped(plan, proc, seed, chain, announce)
+        while live:
+            summaries += _reaped(plan, *live[0], announce)
+            del live[0]
     except BaseException:
-        for proc, _, _ in forked:
+        for proc, _, _ in live:
             proc.terminate()
-        for proc, _, _ in forked:
+        for proc, _, _ in live:
             proc.join()
         raise
     return summaries

@@ -333,7 +333,7 @@ class FirstStageStore:
 
     A run may take the stored stage when its own first stage is at least one
     step long, no longer than the stored one, and keyed the same: the start
-    iterate's bytes, the stage's mode, step size and resolved batch, the
+    iterate's bytes, the stage's mode, step size and batch, the
     scheme's lam and delta_y, the seed, ltilde_ref, and the very sets (by
     identity) it trains on and scores, which fix the iterate's shape. A
     longer first stage runs from scratch, since continuing the stored one
@@ -363,12 +363,18 @@ class FirstStageStore:
         return self._rows[:steps + 1], self._iterates[steps].copy()
 
 
-def _stage_key(w: np.ndarray, scheme: Scheme, cfg: TrainConfig, batch: int) -> tuple:
-    """What decides a run's first-stage steps and records, besides the sets;
-    floats by their bits, so a key never matches a different value."""
+def stage_family(scheme: Scheme) -> tuple:
+    """The part of a run's first-stage key that its scheme decides: the first
+    stage's mode, batch and step size, and the scheme's lam and delta_y.
+    Runs whose schemes differ here never share a first stage. Floats go by
+    their bits, so a key never matches a different value."""
     stage = scheme.stages[0]
-    floats = struct.pack("<4d", stage.eta, scheme.lam, scheme.delta_y, cfg.ltilde_ref)
-    return (w.tobytes(), stage.mode, batch, cfg.seed, floats)
+    return (stage.mode, stage.batch, struct.pack("<3d", stage.eta, scheme.lam, scheme.delta_y))
+
+
+def _stage_key(w: np.ndarray, scheme: Scheme, cfg: TrainConfig) -> tuple:
+    """What decides a run's first-stage steps and records, besides the sets."""
+    return (w.tobytes(), cfg.seed, struct.pack("<d", cfg.ltilde_ref), *stage_family(scheme))
 
 
 def _start(w0: np.ndarray, orig, aug, cfg: TrainConfig) -> tuple[np.ndarray, list, bool, bool]:
@@ -433,8 +439,8 @@ def run_scheme(
                      scheme.lam, scheme.delta_y, cfg.ltilde_ref)
 
     first_tag = next((tag for _, tag, (iters, _) in stages if iters > 0), stages[-1][1])
-    _, tag0, (first, batch0) = stages[0]
-    key = _stage_key(w, scheme, cfg, batch0) if first_stage is not None else None
+    _, tag0, (first, _) = stages[0]
+    key = _stage_key(w, scheme, cfg) if first_stage is not None else None
     taken = first_stage.take(key, sets, first) if first_stage is not None else None
     if taken is not None:
         # the first stage's records are known; training resumes after it

@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from augbias import cli
+from augbias import cli, trainers
 from augbias.cli import (
     Cell,
     ExperimentPlan,
@@ -943,9 +944,9 @@ class TestRunPlan:
         training loss itself."""
         cells = (Cell("aug", Augmented(eta=0.3)), Cell("orig", Original(eta=0.3)))
 
-        def run(eval_n, name):
+        def run(eval_n, name, code=0):
             assert run_plan(tiny_plan(tmp_path / name, mode="theory", eval_n=eval_n,
-                                      cells=cells))[1] == 0
+                                      cells=cells))[1] == code
             return {cell.name: json.load(open(tmp_path / name / f"{cell.name}__seed0.json"))
                     for cell in cells}
 
@@ -966,6 +967,13 @@ class TestRunPlan:
         planted = run(50, "planted")["aug"]
         assert planted["bounds_held"] == {"mid": aug["train_gap"] <= mid}
         assert planted["bounds_held"] != {"mid": aug["final_gap"] <= mid}
+        # a run that diverges has no final iterate, so at either eval_n no bound holds
+        monkeypatch.setattr(cli, "_theory_scheme", lambda cell, *args: (
+            Original(eta=1e300, batch=1), *theory_scheme(cell, *args)[1:]))
+        for eval_n in (0, 50):
+            for diverged in run(eval_n, f"diverged{eval_n}", code=1).values():
+                assert diverged["aborted"] and math.isnan(diverged["train_gap"])
+                assert diverged["bounds"] and not any(diverged["bounds_held"].values())
 
 
 class TestReport:
@@ -1178,10 +1186,10 @@ class TestSharedSetup:
         trace bytes and summaries (floor, ltilde_floor and final_gap
         included) of each group run as a plan of its own. delta_y moves
         only the augmented labels, so the gap floor is solved once: four
-        floor solves, not six. The host is said to have two CPUs, so the
+        floor solves, not six. The host is said to have four CPUs, so the
         plan process forks the first two groups' chains, which inherit the
         floor it solved, and runs the last."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         chain_process, log = cli._chain_process, tmp_path / "chains.log"
 
         def logged_chain_process(*args):
@@ -1586,13 +1594,19 @@ class TestChainProcesses:
 
     def test_augdrop_and_wemix_run_in_the_chain_of_their_first_stage(self):
         """AugDrop's first stage is Augmented's and WeMix's is MixLoss's, so
-        each joins that cell's chain; Original runs alone. In theory mode a
-        group is one chain."""
+        each joins that cell's chain; Original runs alone. Chains go by the
+        scheme each cell runs, which theory mode resolves, and the cells
+        whose runs did not resolve make one chain."""
         plan = presets()["table1-desk"]
-        assert [[cell.name for cell in chain] for chain in cli._chains(plan, plan.cells)] == \
-            [["original"], ["augmented", "augdrop"], ["mixloss", "wemix"]]
-        theory = dataclasses.replace(plan, mode="theory", cells=plan.cells[:4])
-        assert cli._chains(theory, theory.cells) == [theory.cells]
+        runs = {cell.name: cli._Run(cell.scheme, {}, [], {}, 0) for cell in plan.cells}
+
+        def chains():
+            return [[cell.name for cell in chain] for chain in cli._chains(plan.cells, runs)]
+
+        assert chains() == [["original"], ["augmented", "augdrop"], ["mixloss", "wemix"]]
+        runs["augdrop"] = runs["original"]
+        runs["mixloss"] = runs["wemix"] = ValueError("no schedule")
+        assert chains() == [["original", "augdrop"], ["augmented"], ["mixloss", "wemix"]]
 
     @pytest.mark.parametrize("cpus, processes, share", [
         (1, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (8, 3, 2)])
@@ -1633,13 +1647,52 @@ class TestChainProcesses:
         assert len(forked) == 4 and forked == one
         assert len(read_trace_csv(tmp_path / "plan" / "orig__seed0.csv")) == steps + 1
 
+    def test_at_most_cpus_less_one_chain_processes_are_alive(self, tmp_path, monkeypatch):
+        """Six seeds of one cell, whose chain of 150 steps trains slowly in a
+        chain process (each step sleeps), on a host said to have three CPUs.
+        The plan process forks a chain only while fewer than two chain
+        processes are alive, and runs it itself otherwise, so at no time do
+        more than two train; each logs when it started and ended. The outputs
+        are those of a plan that forks none."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        plan_pid, step = os.getpid(), trainers.sgd_step
+
+        def slow_step(w, grad, eta):
+            if os.getpid() != plan_pid:
+                time.sleep(0.002)
+            return step(w, grad, eta)
+
+        monkeypatch.setattr(trainers, "sgd_step", slow_step)
+        chain_process, log = cli._chain_process, tmp_path / "chains.log"
+
+        def logged_chain_process(*args):
+            start = time.monotonic()
+            chain_process(*args)
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{start!r} {time.monotonic()!r}\n")
+
+        monkeypatch.setattr(cli, "_chain_process", logged_chain_process)
+        task = SyntheticTask(mode="label_bias", n=200, m=300, d=3, k=3, delta_y=0.2)
+        plan = ExperimentPlan(task=task, cells=(Cell("orig", Original(eta=0.3, batch=4,
+                                                                      epochs=3)),),
+                              seeds=tuple(range(6)), outdir=str(tmp_path / "capped"))
+        assert run_plan(plan)[1] == 0
+        spans = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
+        assert len(spans) >= 2
+        assert max(sum(start <= t < end for start, end in spans) for t, _ in spans) <= 2
+        monkeypatch.setattr(cli, "_cpu_share", lambda processes: 1)
+        assert run_plan(dataclasses.replace(plan, outdir=str(tmp_path / "one")))[1] == 0
+        capped, one = outputs(tmp_path / "capped"), outputs(tmp_path / "one")
+        assert len(capped) == 2 * 6 and capped == one
+
     def test_chain_processes_give_the_outputs_of_one_process(self, tmp_path, monkeypatch):
         """Two seeds of five cells in three chains of at least CHUNK steps,
-        on a host said to have four CPUs: the plan process forks five chain
-        processes and runs the last chain itself. Every trace CSV and summary
+        on a host said to have eight CPUs, so that no cap on the live chain
+        processes is reached: the plan process forks five chain processes
+        and runs the last chain itself. Every trace CSV and summary
         (final_gap, floor and reused_steps included) is that of the plan with
         its CPU share set to 1, which forks none."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         chain_process, log = cli._chain_process, tmp_path / "chains.log"
 
         def logged_chain_process(*args):

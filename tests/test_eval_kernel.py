@@ -16,6 +16,7 @@ the same loop run without records. Plans that run chains of runs in forked
 processes are checked for what they leave behind when a process dies or
 the plan process raises.
 """
+import contextlib
 import json
 import os
 import re
@@ -23,6 +24,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -634,16 +636,19 @@ def test_a_run_scores_its_records_in_chunks_of_CHUNK(monkeypatch):
     assert len(run.rows) == 301 and sizes == [128, 128, 45]
 
 
-def run_script(script: str, timeout: float = 120.0) -> tuple[str, str]:
-    """Run `script` in a fresh interpreter, in a session of its own, and
-    return its stdout and stderr; a hang past `timeout` ends the session
-    and fails."""
+def start_script(script: str, **kwargs) -> subprocess.Popen:
+    """`script` started in a fresh interpreter, in a session of its own."""
     src = os.path.dirname(os.path.dirname(trainers.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                            text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
+    return subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                            start_new_session=True, **kwargs)
+
+
+def run_script(script: str, timeout: float = 120.0) -> tuple[str, str]:
+    """Run `script` (start_script) and return its stdout and stderr; a hang
+    past `timeout` ends the session and fails."""
+    proc = start_script(script, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -710,12 +715,12 @@ def test_no_process_outlives_a_plan(tmp_path):
     """After a plan with a pair that finishes, one whose training raises and
     one that diverges, on one process and on two --jobs workers, no chain
     process is left: none among the plan process's children, and no other
-    process in its session. The host is said to have four CPUs, so the
-    cells' three chains of 150 steps are forked, but for the last one: five
-    chain processes for the plan's two groups, and two in each --jobs
-    worker's group."""
+    process in its session. The host is said to have eight CPUs, so no cap
+    on the live chain processes is reached and the cells' three chains of
+    150 steps are forked, but for the last one: five chain processes for
+    the plan's two groups, and two in each --jobs worker's group."""
     out, _ = run_script(PLAN_SCRIPT + f"""
-    os.sched_getaffinity = lambda pid: set(range(4))
+    os.sched_getaffinity = lambda pid: set(range(8))
     step, calls = trainers.sgd_step, [0]
 
     def sgd_step(w, grad, eta):
@@ -787,6 +792,63 @@ def test_no_chain_process_outlives_a_plan_that_raises(tmp_path, fault):
     assert raised == {"interrupt": "KeyboardInterrupt", "raise": "OSError"}[fault]
     assert forked == 2 and children == 0 and others == []
     assert not any(name.startswith(("a__", "b__")) for name in written)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL])
+def test_no_chain_process_outlives_a_plan_process_ended_by_a_signal(tmp_path, sig):
+    """The plan process is ended by SIGTERM (as `timeout` ends it) or by
+    SIGKILL, which no handler sees, once the two chain processes it forked
+    have started and while they still train (slowly: each step sleeps).
+    Neither outlives it by more than a moment, and neither writes a
+    summary."""
+    pids, outdir = tmp_path / "chains", tmp_path / "o"
+    proc = start_script(PLAN_SCRIPT + f"""
+    os.sched_getaffinity = lambda pid: set(range(4))
+    step = trainers.sgd_step
+
+    def sgd_step(w, grad, eta):
+        time.sleep(0.05)
+        return step(w, grad, eta)
+
+    def pid_logged_chain_process(*args):
+        with open({str(pids)!r}, "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+        chain_process(*args)
+
+    trainers.sgd_step = sgd_step
+    cli._chain_process = pid_logged_chain_process
+    cells = [(name, Original(eta=eta, batch=4, epochs=3))
+             for name, eta in (("a", 0.3), ("b", 0.25), ("c", 0.2))]
+    cli.run_plan(plan({str(outdir)!r}, cells))
+    """, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def chains():
+        return [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
+
+    def alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            return False
+        return stat[stat.rindex(")") + 2] not in "ZX"  # a zombie has ended
+
+    try:
+        deadline = time.monotonic() + 60
+        while len(chains()) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(proc.pid, sig)
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 2  # a chain process trains for 7.5 s
+        while any(map(alive, chains())) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        survivors = [pid for pid in chains() if alive(pid)]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -sig and len(chains()) == 2 and survivors == []
+    assert not [name for name in os.listdir(outdir) if name.endswith(".json")]
 
 
 def test_a_killed_chain_process_fails_its_unfinished_runs_and_the_plan_goes_on(tmp_path):
