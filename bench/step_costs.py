@@ -5,8 +5,9 @@
 Imports augbias from CHECKOUT/src, so one copy of this script times any
 checkout whose step functions take the flat weight vector with these
 signatures: label_grad(w, x, z), combined_grad(w, orig_batch, aug_batch,
-lam, delta_y) and trainers._train(w, orig, aug, cfg, stages). It times, in
-microseconds per call:
+lam, delta_y), trainers._train(w, orig, aug, cfg, stages) and
+models.stack_stats(params, set, delta_y, grad). It times, in microseconds
+per call:
 
   draw_aug.64, draw_aug.4000        trainers._draw_aug at 64 and 4,000 rows
   label_grad.64, label_grad.4000    models.label_grad at 64 and 4,000 rows
@@ -14,6 +15,20 @@ microseconds per call:
   train_step.aug64, train_step.aug4000, train_step.mixed33
                                     one step of trainers._train: draw, gradient
                                     and sgd_step, at those batches
+
+and, in microseconds per iterate, the trace record's two kernel calls, each
+on a stack of trainers.CHUNK iterates (the first steps of an Augmented run
+at batch 64), as a run scores a chunk of records:
+
+  record.orig2000_grad              models.stack_stats on the 2,000 originals
+                                    with the gradient
+  record.aug4000_dy0, record.aug4000_dy0.4
+                                    models.stack_stats on the 4,000 augmented
+                                    examples with the corrected loss at
+                                    delta_y 0 and 0.4
+
+A checkout whose kernel reads a models.EvalSet gets one, built once per set
+as a run builds it, and the kernel's own scratch arrays per call.
 
 The task is table1-desk's canonical one (n = 2,000 originals, m = 4,000
 augmented, d = 10, k = 5, delta_y = 0.4), at seed 0, with BLAS on one
@@ -34,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import itertools
 import json
 import platform
 import statistics
@@ -53,25 +69,29 @@ def _src_sha256(src: str) -> str:
     return h.hexdigest()
 
 
-def _per_call_us(fn, calls: int, rounds: int) -> tuple[float, float]:
-    """(median, min) over rounds of the mean microseconds per call."""
+def _per_call_us(fn, calls: int, rounds: int, per: int = 1) -> tuple[float, float]:
+    """(median, min) over rounds of the mean microseconds per call, or per
+    one of the `per` items each call handles."""
     fn()  # warm caches and lazy set-up
     means = []
     for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        means.append(1e6 * (time.perf_counter() - t0) / calls)
+        means.append(1e6 * (time.perf_counter() - t0) / (calls * per))
     return round(statistics.median(means), 2), round(min(means), 2)
 
 
 def measure(calls: int, rounds: int) -> dict:
-    """{layer: (median, min) microseconds per call}."""
-    from augbias import cli, trainers
+    """{layer: (median, min) microseconds per call, or per iterate for the
+    record layers}."""
+    import numpy as np
+
+    from augbias import cli, models, trainers
     from augbias.augment import gen_synthetic
     from augbias.core import Rng
     from augbias.losses import combined_grad
-    from augbias.models import label_grad
+    from augbias.models import label_grad, stack_stats
     from augbias.trainers import Augmented, MixLoss, TrainConfig
 
     cli._keep_freed_memory()  # as run_plan does, so fresh batches reuse heap pages
@@ -89,6 +109,14 @@ def measure(calls: int, rounds: int) -> dict:
         cfg = TrainConfig(scheme=scheme, seed=0)
         return trainers._train(w0, orig, aug, cfg, [(stage, 1, (10**9, batch))])
 
+    def kernel_set(ds):
+        """What the checkout's kernel reads for the set `ds`."""
+        return models.EvalSet.of(ds.inputs, ds.labels) if hasattr(models, "EvalSet") else ds
+
+    stack = np.array([w for _, _, w in itertools.islice(
+        train_steps(Augmented(eta=0.5), 64), trainers.CHUNK)])
+    ev_orig, ev_aug = kernel_set(orig), kernel_set(aug)
+
     # name: (one call, rows per call)
     costs = {}
     for rows in (64, 4000):
@@ -103,6 +131,12 @@ def measure(calls: int, rounds: int) -> dict:
     for name, (fn, rows) in costs.items():
         n = calls if rows <= 64 else max(1, calls // 20)  # a 4,000-row call costs ~20 small ones
         out[name] = _per_call_us(fn, n, rounds)
+    # name: one call on the stack; a 4,000-example call costs ~500 small ones
+    records = {"record.orig2000_grad": lambda: stack_stats(stack, ev_orig, grad=True),
+               "record.aug4000_dy0": lambda: stack_stats(stack, ev_aug, delta_y=0.0),
+               "record.aug4000_dy0.4": lambda: stack_stats(stack, ev_aug, delta_y=0.4)}
+    for name, fn in records.items():
+        out[name] = _per_call_us(fn, max(1, calls // 500), rounds, per=len(stack))
     return out
 
 
@@ -139,7 +173,8 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc.setdefault("unit", "microseconds per call: the median and the min over rounds")
+    doc["unit"] = ("microseconds per call, per iterate for record.*: the median and the min "
+                   "over rounds")
     doc.setdefault("runs", {})[args.label] = result
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

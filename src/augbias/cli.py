@@ -49,7 +49,7 @@ import numpy as np
 
 from .augment import SyntheticTask, gen_synthetic, sample_original
 from .core import DegenerateEstimateError, LabeledSet, Rng
-from .models import EvalSet, eval_scores
+from .models import eval_scores
 from .theory import (
     CeObjective,
     ConstantEstimates,
@@ -382,7 +382,7 @@ def _build_setup(task: SyntheticTask, seed: int, eval_n: int, constraint_floor: 
     floor = _gap_floor(floors, eval_set, planted.w_star.ravel(), seed, rng)
     ltilde_floor = None
     if constraint_floor:  # drawn from rng right after the gap floor
-        ltilde_floor, _ = best_found_floor(CeObjective.over(aug), size, rng, n_random=1)
+        ltilde_floor, _ = best_found_floor(CeObjective(aug), size, rng, n_random=1)
     t_consts = time.perf_counter()
     consts = None
     if mode == "theory":
@@ -420,7 +420,7 @@ def _gap_floor(floors: dict, eval_set: LabeledSet, w_star: np.ndarray, seed: int
         digest.update(arr.tobytes())
     key = (seed, digest.digest())
     if key not in floors:
-        floor, _ = best_found_floor(CeObjective.over(eval_set), w_star.size, rng,
+        floor, _ = best_found_floor(CeObjective(eval_set), w_star.size, rng,
                                     extra_starts=[w_star], n_random=1)
         floors[key] = floor, rng.bit_generator.state
     floor, rng.bit_generator.state = floors[key]
@@ -534,8 +534,8 @@ def _run_one(plan: ExperimentPlan, cell: Cell, task: SyntheticTask, seed: int,
     if plan.mode == "theory" and trace.aborted:
         train_gap = math.nan  # no final iterate; the trace stops at its last finite record
     elif plan.mode == "theory":  # the trace's L is on the training originals unless held out
-        l_train = trace.rows[-1].L if s.eval_set is s.orig else eval_scores(
-            trace.final_params, EvalSet.of(s.orig.inputs, s.orig.labels)).loss
+        l_train = trace.rows[-1].L if s.eval_set is s.orig else \
+            eval_scores(trace.final_params, s.orig).loss
         train_gap = l_train - s.consts.l_floor
     return {
         "cell": cell.name,

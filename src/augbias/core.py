@@ -6,6 +6,7 @@ derivation) in one place rather than wrap numpy wholesale.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +61,17 @@ def softmax(scores) -> np.ndarray:
 _PAIRWISE_BLOCK = 8
 
 
-def class_sum(a_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def class_sum(a_t: np.ndarray) -> np.ndarray:
     """Per-example sums of a class-major (k, n) array, or of each array in a
-    (B, k, n) stack, into `out` when given.
+    (B, k, n) stack.
 
     Bit-identical to np.sum(a_t.T, axis=1) on a row-major copy at any k. Below
     the pairwise block the sum runs over the class axis, which reduces in
     full-length vector adds instead of numpy's slow k-wide inner loop.
     """
     if a_t.shape[-2] < _PAIRWISE_BLOCK:
-        return np.add.reduce(a_t, axis=-2, out=out)
-    return np.add.reduce(np.ascontiguousarray(np.swapaxes(a_t, -1, -2)), axis=-1, out=out)
+        return np.add.reduce(a_t, axis=-2)
+    return np.add.reduce(np.ascontiguousarray(np.swapaxes(a_t, -1, -2)), axis=-1)
 
 
 def softmax_parts(scores: np.ndarray):
@@ -126,9 +127,16 @@ def _validate_labels(labels: np.ndarray) -> None:
         raise ValueError("label rows must be nonnegative")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class LabeledSet:
-    """Inputs paired with simplex label rows."""
+    """Inputs paired with simplex label rows, and the class-major copies the
+    evaluation kernel (models.stack_stats) reads, each made on first use."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -143,12 +151,8 @@ class LabeledSet:
         if y.shape[1] < 2:
             raise ValueError("need at least 2 classes")
         _validate_labels(y)
-        x = x.copy()
-        y = y.copy()
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "inputs", _frozen(x.copy()))
+        object.__setattr__(self, "labels", _frozen(y.copy()))
 
     @property
     def n(self) -> int:
@@ -161,3 +165,18 @@ class LabeledSet:
     @property
     def k(self) -> int:
         return self.labels.shape[1]
+
+    @functools.cached_property
+    def inputs_t(self) -> np.ndarray:
+        """The (d, n) transpose of the inputs, C-ordered and read-only."""
+        return _frozen(np.ascontiguousarray(self.inputs.T))
+
+    @functools.cached_property
+    def labels_t(self) -> np.ndarray:
+        """The (k, n) transpose of the labels, C-ordered and read-only."""
+        return _frozen(np.ascontiguousarray(self.labels.T))
+
+    @functools.cached_property
+    def label_sums(self) -> np.ndarray:
+        """The (n,) label row sums, read-only."""
+        return _frozen(self.labels.sum(axis=1))

@@ -11,7 +11,6 @@ in the label; several estimators downstream rely on exactly that structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,69 +68,20 @@ def label_grad(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _grad_from_parts(x, e_t, tot, z_t, class_sum(z_t))
 
 
-@dataclass(frozen=True)
-class EvalSet:
-    """A fixed evaluation set with the per-set constants the evaluation kernel
-    reuses on every call: class-major inputs (d, n) for the linear scores,
-    class-major labels and label row sums."""
-
-    inputs: np.ndarray
-    inputs_t: np.ndarray
-    labels_t: np.ndarray
-    label_sums: np.ndarray
-
-    @staticmethod
-    def of(inputs, labels) -> "EvalSet":
-        x = np.asarray(inputs, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.float64)
-        return EvalSet(x, np.ascontiguousarray(x.T), np.ascontiguousarray(y.T),
-                       y.sum(axis=1))
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-
 # Iterates the evaluation kernel scores per pass. Numpy's per-call cost is
-# paid once per pass, and a pass's (STACK_BATCH, k, n) workspaces stay in the
-# cache; chosen by measurement on the table1 benchmark workload.
+# paid once per pass, and a pass's (STACK_BATCH, k, n) temporaries stay in
+# the cache; chosen by measurement on the table1 benchmark workload.
 STACK_BATCH = 4
 
 
-class Workspace:
-    """Scratch arrays for the evaluation kernel, one per thread: passes of up
-    to `batch` iterates over sets of up to n examples and k classes, with
-    gradients on sets of up to n_grad examples."""
-
-    def __init__(self, batch: int, k: int, n: int, n_grad: int):
-        self.batch = batch
-        self._k = k
-        self._buffers = (np.empty(batch * k * n), np.empty(batch * k * n),
-                         np.empty(batch * k * n_grad), np.empty((5, batch * n)))
-        self._views: dict = {}
-
-    def views(self, b: int, n: int) -> tuple:
-        """Contiguous views for a pass of b iterates over n examples: two
-        (b, k, n) stacks, the (b, n, k) gradient stack and five (b, n) rows."""
-        v = self._views.get((b, n))
-        if v is None:
-            stack, size = (b, self._k, n), b * self._k * n
-            s, e, d, rows = self._buffers
-            v = (s[:size].reshape(stack), e[:size].reshape(stack),
-                 d[:size].reshape(b, n, self._k) if d.size >= size else None,
-                 *(r[:b * n].reshape(b, n) for r in rows))
-            self._views[(b, n)] = v
-        return v
-
-
-def scores_t(params: np.ndarray, ev: EvalSet, out: np.ndarray) -> np.ndarray:
-    """Class-major (B, k, n) scores of a (B, P) stack of parameter vectors
-    over an evaluation set, into the C-ordered `out`.
+def scores_t(params: np.ndarray, ds: LabeledSet) -> np.ndarray:
+    """Class-major (B, k, n) scores, C-ordered, of a (B, P) stack of
+    parameter vectors over a dataset.
 
     This is W @ inputs_t for every W in the stack, which equals
     batch_scores(...).T bit for bit and needs no transposed copy.
     """
-    return np.matmul(params.reshape(len(params), -1, len(ev.inputs_t)), ev.inputs_t, out=out)
+    return np.matmul(params.reshape(len(params), -1, ds.d), ds.inputs_t)
 
 
 # k entries of p below _P_FINITE_NORM / sqrt(k) have a finite squared norm:
@@ -146,50 +96,47 @@ class StackStats(NamedTuple):
     grad: np.ndarray | None  # (B, P) gradients of `loss` in the parameters
 
 
-def stack_stats(params: np.ndarray, ev: EvalSet, delta_y: float | None = None,
-                grad: bool = False, ws: Workspace | None = None) -> StackStats:
-    """Mean cross entropy over an evaluation set at each of a (B, P) stack of
+def stack_stats(params: np.ndarray, ds: LabeledSet, delta_y: float | None = None,
+                grad: bool = False) -> StackStats:
+    """Mean cross entropy over a dataset at each of a (B, P) stack of
     parameter vectors: the evaluation kernel.
 
-    The stack is scored ws.batch iterates per pass, class-major from the
+    The stack is scored STACK_BATCH iterates per pass, class-major from the
     start (scores_t). The softmax max, exp and sum are computed once per pass
     and shared by p and by the gradient; the corrected loss at radius delta_y
-    and the gradient are computed only on request. Every step writes into
-    the workspace `ws` (a fresh one when None). Each value equals the
+    and the gradient are computed only on request. Each pass allocates its
+    own temporaries, a few (STACK_BATCH, k, n) arrays. Each value equals the
     row-major formula at one iterate bit for bit (core.class_sum).
     """
     params = np.ascontiguousarray(params, dtype=np.float64)
     total = len(params)
-    if ws is None:
-        batch = min(total, STACK_BATCH)
-        ws = Workspace(batch, len(ev.labels_t), ev.n, ev.n if grad else 0)
     loss = np.empty(total)
     corrected = np.empty(total) if delta_y is not None else None
     grads = np.empty(params.shape) if grad else None
-    for lo in range(0, total, ws.batch):
-        hi = min(lo + ws.batch, total)
-        _stack_pass(params[lo:hi], ev, delta_y, ws, loss[lo:hi],
+    for lo in range(0, total, STACK_BATCH):
+        hi = min(lo + STACK_BATCH, total)
+        _stack_pass(params[lo:hi], ds, delta_y, loss[lo:hi],
                     None if corrected is None else corrected[lo:hi],
                     None if grads is None else grads[lo:hi])
     return StackStats(loss, corrected, grads)
 
 
-def _stack_pass(params, ev, delta_y, ws, loss, corrected, grads) -> None:
-    """stack_stats for at most ws.batch iterates, into loss, corrected and grads.
+def _stack_pass(params, ds, delta_y, loss, corrected, grads) -> None:
+    """stack_stats for at most STACK_BATCH iterates, into loss, corrected and
+    grads.
 
     The means are sums over the examples divided by n, which is what np.mean
     computes, without its Python wrapper. At delta_y = 0 the corrected loss
     is the loss, ce - 0 * ||p|| = ce, whenever every ||p|| is finite; the
     largest entry of p tells that without the norms (_P_FINITE_NORM).
     """
-    n = ev.n
-    p_t, e_t, ds, m, tot, lse, ce, norms = ws.views(len(params), n)
-    scores_t(params, ev, out=p_t)
-    np.maximum.reduce(p_t, axis=1, out=m)
-    np.subtract(p_t, m[:, None, :], out=e_t)
+    n = ds.n
+    p_t = scores_t(params, ds)
+    m = np.maximum.reduce(p_t, axis=1)
+    e_t = np.subtract(p_t, m[:, None, :])
     np.exp(e_t, out=e_t)
-    class_sum(e_t, out=tot)
-    np.log(tot, out=lse)
+    tot = class_sum(e_t)
+    lse = np.log(tot)
     lse += m
     np.subtract(lse[:, None, :], p_t, out=p_t)  # p = logsumexp(s) - s, over the scores
     if grads is not None:
@@ -197,19 +144,18 @@ def _stack_pass(params, ev, delta_y, ws, loss, corrected, grads) -> None:
         # per iterate as in _grad_from_parts, so the products keep their
         # BLAS rounding
         np.divide(e_t, tot[:, None, :], out=e_t)
-        e_t *= ev.label_sums
-        e_t -= ev.labels_t
-        np.divide(e_t.transpose(0, 2, 1), n, out=ds)
-        np.matmul(ds.transpose(0, 2, 1), ev.inputs,
-                  out=grads.reshape(p_t.shape[:2] + (-1,)))
-    class_sum(np.multiply(ev.labels_t, p_t, out=e_t), out=ce)
+        e_t *= ds.label_sums
+        e_t -= ds.labels_t
+        np.matmul(np.divide(e_t.transpose(0, 2, 1), n, order="C").transpose(0, 2, 1),
+                  ds.inputs, out=grads.reshape(p_t.shape[:2] + (-1,)))
+    ce = class_sum(np.multiply(ds.labels_t, p_t, out=e_t))
     np.add.reduce(ce, axis=1, out=loss)
     loss /= n
     if corrected is not None and delta_y == 0.0 and \
             np.maximum.reduce(p_t, axis=None) < _P_FINITE_NORM / math.sqrt(p_t.shape[1]):
         corrected[:] = loss
     elif corrected is not None:
-        class_sum(np.multiply(p_t, p_t, out=e_t), out=norms)
+        norms = class_sum(np.multiply(p_t, p_t, out=e_t))
         np.sqrt(norms, out=norms)
         norms *= delta_y
         np.subtract(ce, norms, out=norms)
@@ -223,11 +169,11 @@ class ScoreStats(NamedTuple):
     grad: np.ndarray | None  # gradient of `loss` in the parameters
 
 
-def eval_scores(w: np.ndarray, ev: EvalSet, delta_y: float | None = None,
+def eval_scores(w: np.ndarray, ds: LabeledSet, delta_y: float | None = None,
                 grad: bool = False) -> ScoreStats:
-    """Mean cross entropy over an evaluation set at one weight vector:
-    stack_stats on a stack of one."""
-    st = stack_stats(w[None, :], ev, delta_y, grad)
+    """Mean cross entropy over a dataset at one weight vector: stack_stats on
+    a stack of one."""
+    st = stack_stats(w[None, :], ds, delta_y, grad)
     return ScoreStats(float(st.loss[0]),
                       None if st.corrected is None else float(st.corrected[0]),
                       None if st.grad is None else st.grad[0])

@@ -19,13 +19,13 @@ formulas share the clamp and flag it in the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .core import DegenerateEstimateError, LabeledSet, as_vec
-from .models import EvalSet, eval_scores, label_grad
+from .models import eval_scores, label_grad
 
 _E = math.e
 _START_SCALE = 0.5  # standard deviation of best_found_floor's random starts
@@ -44,31 +44,21 @@ class CeObjective:
     """Full-batch cross entropy over a fixed dataset, with exact gradient.
     Each method takes the flat weights w of a (k, d) matrix."""
 
-    inputs: np.ndarray
-    labels: np.ndarray
-    _eval: EvalSet = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_eval", EvalSet.of(self.inputs, self.labels))
-
-    @staticmethod
-    def over(dataset: LabeledSet) -> "CeObjective":
-        return CeObjective(dataset.inputs, dataset.labels)
+    dataset: LabeledSet
 
     def _w(self, w) -> np.ndarray:
         """`w` as a finite float64 vector of k * d entries."""
-        ev = self._eval
-        return as_vec(w, size=len(ev.labels_t) * len(ev.inputs_t), name="w")
+        return as_vec(w, size=self.dataset.k * self.dataset.d, name="w")
 
     def loss(self, w: np.ndarray) -> float:
-        return eval_scores(self._w(w), self._eval).loss
+        return eval_scores(self._w(w), self.dataset).loss
 
     def grad(self, w: np.ndarray) -> np.ndarray:
-        return label_grad(self._w(w), self.inputs, self.labels)
+        return label_grad(self._w(w), self.dataset.inputs, self.dataset.labels)
 
     def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         """(loss(w), grad(w)) from one scores pass, equal to both bit for bit."""
-        st = eval_scores(self._w(w), self._eval, grad=True)
+        st = eval_scores(self._w(w), self.dataset, grad=True)
         return st.loss, st.grad
 
 
@@ -236,8 +226,8 @@ def estimate_constants(
     """One-stop estimation pipeline over a cloud of visited iterates."""
     from .models import estimate_G
 
-    obj = CeObjective.over(orig)
-    obj_t = CeObjective.over(aug)
+    obj = CeObjective(orig)
+    obj_t = CeObjective(aug)
     pts = perturbed_cloud(cloud, rng)
     size = orig.k * orig.d
     l_floor, w_star = best_found_floor(obj, size, rng, extra_starts=floor_hints)

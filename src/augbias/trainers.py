@@ -53,7 +53,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .core import LabeledSet, Rng, as_vec
-from .models import STACK_BATCH, EvalSet, Workspace, label_grad, stack_stats
+from .models import label_grad, stack_stats
 from .losses import combined_grad
 
 STREAM_INIT = 0
@@ -434,9 +434,7 @@ def run_scheme(
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
     sets = (orig, aug, eval_orig, eval_aug)
-    scorer = _Scorer(*(EvalSet.of(ds.inputs, ds.labels) if ds is not None else None
-                       for ds in (eval_orig, eval_aug)),
-                     scheme.lam, scheme.delta_y, cfg.ltilde_ref)
+    scorer = _Scorer(eval_orig, eval_aug, scheme.lam, scheme.delta_y, cfg.ltilde_ref)
 
     first_tag = next((tag for _, tag, (iters, _) in stages if iters > 0), stages[-1][1])
     _, tag0, (first, _) = stages[0]
@@ -457,7 +455,6 @@ def run_scheme(
     storing = first_stage is not None and taken is None
     stage_iterates = np.empty((first + 1, w.size)) if storing else None
 
-    ws = scorer.workspace()
     train_s = score_s = 0.0
     while True:
         t0 = time.perf_counter()
@@ -473,7 +470,7 @@ def run_scheme(
         except Exception as exc:  # raised once the chunk's records are known
             error = exc
         t1 = time.perf_counter()
-        good = scorer.rows(chunk, ws)
+        good = scorer.rows(chunk)
         train_s += t1 - t0
         score_s += time.perf_counter() - t1
         rows.extend(good)
@@ -554,19 +551,13 @@ class _Scorer:
     """What scores one run's records: its evaluation sets (None for a side
     it does not score), lam, delta_y and ltilde_ref."""
 
-    eval_orig: EvalSet | None
-    eval_aug: EvalSet | None
+    eval_orig: LabeledSet | None
+    eval_aug: LabeledSet | None
     lam: float
     delta_y: float
     ltilde_ref: float
 
-    def workspace(self) -> Workspace:
-        sets = [ev for ev in (self.eval_orig, self.eval_aug) if ev is not None]
-        return Workspace(STACK_BATCH, max((len(ev.labels_t) for ev in sets), default=0),
-                         max((ev.n for ev in sets), default=0),
-                         self.eval_orig.n if self.eval_orig is not None else 0)
-
-    def score(self, params: np.ndarray, ws: Workspace) -> np.ndarray:
+    def score(self, params: np.ndarray) -> np.ndarray:
         """(L, L_tilde, L_c, grad_norm, constraint) at each of a (B, P) stack
         of finite iterates, one row each; a missing evaluation set reads as
         zeros."""
@@ -576,24 +567,24 @@ class _Scorer:
         # check on the values turns that into an abort rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.eval_orig is not None:
-                st = stack_stats(params, self.eval_orig, grad=True, ws=ws)
+                st = stack_stats(params, self.eval_orig, grad=True)
                 out[:, 0] = st.loss
                 out[:, 3] = [np.linalg.norm(g) for g in st.grad]
             if self.eval_aug is not None:
-                st = stack_stats(params, self.eval_aug, delta_y=self.delta_y, ws=ws)
+                st = stack_stats(params, self.eval_aug, delta_y=self.delta_y)
                 out[:, 1] = st.loss
                 out[:, 4] = st.loss - self.ltilde_ref
                 l_a = st.corrected
             out[:, 2] = self.lam * out[:, 0] + (1.0 - self.lam) * l_a
         return out
 
-    def rows(self, chunk: list, ws: Workspace) -> list[TraceRow]:
+    def rows(self, chunk: list) -> list[TraceRow]:
         """TraceRows of a chunk of (t, tag, w) records, up to its first
         non-finite iterate or value."""
         finite = len(chunk)
         if chunk and not np.isfinite(chunk[-1][2]).all():
             finite -= 1  # training stops at a non-finite iterate, so only the last can be
-        values = self.score(np.array([w for _, _, w in chunk[:finite]]), ws)
+        values = self.score(np.array([w for _, _, w in chunk[:finite]]))
         rows = []
         for (t, tag, _), vals in zip(chunk, values.tolist()):
             if not all(math.isfinite(v) for v in vals):

@@ -19,7 +19,7 @@ import numpy as np
 from augbias.augment import PlantedParams
 from augbias.core import LabeledSet, as_vec, softmax_rows
 from augbias.losses import _P_NORM_FLOOR, _corrected_labels_t
-from augbias.models import EvalSet, batch_scores, eval_scores, forward, label_grad
+from augbias.models import batch_scores, eval_scores, forward, label_grad
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,7 @@ def objective_value(w: np.ndarray, dataset: LabeledSet, kind: str, *,
     if kind in ("L", "L_tilde", "L_a"):
         if kind == "L_a" and delta_y < 0:
             raise ValueError("delta_y must be nonnegative")
-        ev = EvalSet.of(dataset.inputs, dataset.labels)
-        st = eval_scores(w, ev, delta_y=delta_y if kind == "L_a" else None)
+        st = eval_scores(w, dataset, delta_y=delta_y if kind == "L_a" else None)
         return st.corrected if kind == "L_a" else st.loss
     if kind == "L_c":
         if lam is None or not (0.0 <= lam <= 1.0):

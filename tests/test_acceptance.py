@@ -223,8 +223,8 @@ def membership_runs():
         s2 = stage2_all[::STRIDE]
         union = s1 + s2
 
-        orig_obj = CeObjective.over(orig)
-        aug_obj = CeObjective.over(aug)
+        orig_obj = CeObjective(orig)
+        aug_obj = CeObjective(aug)
         hint = planted.w_star.ravel()
         l_floor, _ = best_found_floor(
             orig_obj, size, Rng(seed, 11).gen,

@@ -130,5 +130,6 @@ def test_the_step_bench_times_every_layer(tmp_path):
     costs = json.loads(out.read_text())["runs"]["smoke"]["us_per_call"]
     assert sorted(costs) == sorted([
         "draw_aug.64", "draw_aug.4000", "label_grad.64", "label_grad.4000",
-        "combined_grad.33", "train_step.aug64", "train_step.aug4000", "train_step.mixed33"])
+        "combined_grad.33", "train_step.aug64", "train_step.aug4000", "train_step.mixed33",
+        "record.orig2000_grad", "record.aug4000_dy0", "record.aug4000_dy0.4"])
     assert all(us > 0 for us in costs.values())

@@ -152,3 +152,19 @@ class TestLabeledSet:
         ds = LabeledSet(np.zeros((2, 2)), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             ds.inputs[0, 0] = 1.0
+
+    # k = 9 is past the pairwise block at which numpy changes summation order
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_class_major_copies(self, k):
+        """The copies the evaluation kernel reads equal the arrays they are
+        made from, bit for bit, and are made once, C-ordered and read-only."""
+        rng = np.random.default_rng(k)
+        x, y = rng.standard_normal((40, 3)), rng.dirichlet(np.full(k, 0.5), size=40)
+        ds = LabeledSet(x, y)
+        copies = {"inputs_t": np.ascontiguousarray(x.T), "labels_t": np.ascontiguousarray(y.T),
+                  "label_sums": y.sum(axis=1)}
+        for name, want in copies.items():
+            got = getattr(ds, name)
+            assert got.shape == want.shape and (got == want).all(), name
+            assert got.flags.c_contiguous and not got.flags.writeable, name
+            assert getattr(ds, name) is got, name

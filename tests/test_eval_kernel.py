@@ -25,6 +25,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ import augbias.trainers as trainers
 from augbias.core import LabeledSet, Rng, as_vec, softmax_rows
 from augbias.models import (
     STACK_BATCH,
-    EvalSet,
     batch_scores,
     eval_scores,
     label_grad,
@@ -104,21 +104,14 @@ def frozen_mean_corrected(w, ds, delta_y):
     return float(np.mean(vals))
 
 
-def as_labeled(ev):
-    """The LabeledSet an EvalSet was built from (row-major labels)."""
-    return LabeledSet(ev.inputs, np.ascontiguousarray(ev.labels_t.T))
-
-
 def frozen_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values, one formula per value, as before the kernel."""
     if eval_orig is not None:
-        eval_orig = as_labeled(eval_orig)
         l_val = frozen_mean_ce(w, eval_orig)
         gnorm = float(np.linalg.norm(frozen_label_grad(w, eval_orig.inputs, eval_orig.labels)))
     else:
         l_val, gnorm = 0.0, 0.0
     if eval_aug is not None:
-        eval_aug = as_labeled(eval_aug)
         lt_val = frozen_mean_ce(w, eval_aug)
         la_val = frozen_mean_corrected(w, eval_aug, delta_y)
         cons = lt_val - ltilde_ref
@@ -131,7 +124,7 @@ def frozen_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
 def kernel_record(w, eval_orig, eval_aug, lam, delta_y, ltilde_ref):
     """The record's five values at one iterate, from the trainer's scorer."""
     scorer = trainers._Scorer(eval_orig, eval_aug, lam, delta_y, ltilde_ref)
-    return tuple(scorer.score(w[None, :], scorer.workspace())[0])
+    return tuple(scorer.score(w[None, :])[0])
 
 
 def frozen_run_scheme(w0, orig, aug, cfg, steps=None):
@@ -151,8 +144,6 @@ def frozen_run_scheme(w0, orig, aug, cfg, steps=None):
     w = as_vec(w0, size=data.k * data.d, name="w0").copy()
     eval_orig = orig if uses_orig else cfg.eval_orig
     eval_aug = aug if uses_aug else cfg.eval_aug
-    eval_orig = EvalSet.of(eval_orig.inputs, eval_orig.labels) if eval_orig is not None else None
-    eval_aug = EvalSet.of(eval_aug.inputs, eval_aug.labels) if eval_aug is not None else None
     lam, delta_y = scheme.lam, scheme.delta_y
     rows, aborted = [], False
 
@@ -258,13 +249,12 @@ def test_linear_class_major_scores_match_transposed_batch_scores(k, n, d, b, log
     of the second."""
     rng = np.random.default_rng(seed)
     params = 10.0**log_scale * rng.standard_normal((b, k * d))
-    ev = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
-    out = np.empty((b, k, n))  # C-ordered, as the class-major reductions need
+    ds = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = scores_t(params, ev, out=out)
-        assert got is out
+        got = scores_t(params, ds)
+        assert got.flags.c_contiguous  # as the class-major reductions need
         for i, w in enumerate(params):
-            assert same(got[i], batch_scores(w, ev.inputs).T)
+            assert same(got[i], batch_scores(w, ds.inputs).T)
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,11 +269,11 @@ def test_stack_matches_per_iterate_eval_scores(k, n, d, b, log_scale, delta_y, s
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
     params = scales * rng.standard_normal((b, k * d))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
+    ds = LabeledSet(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = stack_stats(params, ev, delta_y=delta_y, grad=True)
+        got = stack_stats(params, ds, delta_y=delta_y, grad=True)
         for i, w in enumerate(params):
-            one = eval_scores(w, ev, delta_y=delta_y, grad=True)
+            one = eval_scores(w, ds, delta_y=delta_y, grad=True)
             assert same(got.loss[i], one.loss)
             assert same(got.corrected[i], one.corrected)
             assert same(got.grad[i], one.grad)
@@ -305,9 +295,9 @@ def test_corrected_loss_at_delta_y_zero_matches_the_full_pass(k, n, d, b, log_sc
     scales = 10.0 ** rng.uniform(-3.0, log_scale, size=(b, 1))
     params = scales * rng.standard_normal((b, k * d))
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
+    ds = LabeledSet(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = stack_stats(params, ev, delta_y=0.0)
+        got = stack_stats(params, ds, delta_y=0.0)
         for i, w in enumerate(params):
             assert same(got.corrected[i], frozen_mean_corrected(w, ds, 0.0))
 
@@ -318,14 +308,38 @@ def test_corrected_loss_at_delta_y_zero_where_p_squared_overflows():
     At 1e150 both are finite and equal."""
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((40, 3)), random_labels(rng, 40, 4)
-    ev, ds = EvalSet.of(x, y), LabeledSet(x, y)
+    ds = LabeledSet(x, y)
     params = np.stack([1e160 * rng.standard_normal(12), 1e150 * rng.standard_normal(12)])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = stack_stats(params, ev, delta_y=0.0)
+        got = stack_stats(params, ds, delta_y=0.0)
         want = [frozen_mean_corrected(w, ds, 0.0) for w in params]
     assert np.isfinite(got.loss).all()
     assert np.isnan(got.corrected[0]) and np.isnan(want[0])
     assert got.corrected[1] == got.loss[1] == want[1]
+
+
+@pytest.mark.parametrize("kwargs", [{"grad": True}, {"delta_y": 0.4}])
+def test_kernel_memory_is_a_pass_not_a_chunk(kwargs):
+    """Scoring a CHUNK-iterate stack over 4,000 examples at table1's k = 5,
+    with the gradient or with the corrected loss (the two calls of a
+    record), peaks below four (STACK_BATCH, k, n) float64 arrays at
+    STACK_BATCH = 4, 2.56 MB: a pass's temporaries. Scoring the whole chunk
+    in one pass would take CHUNK / 4 = 32 times as much per array. The bound
+    is in bytes, so a larger STACK_BATCH must answer to it too. The set's
+    class-major copies are made before tracing starts, as a run's first
+    chunk makes them for all the others."""
+    k, n, d = 5, 4000, 10
+    rng = np.random.default_rng(0)
+    ds = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k))
+    params = 0.1 * rng.standard_normal((trainers.CHUNK, k * d))
+    stack_stats(params[:1], ds, **kwargs)
+    tracemalloc.start()
+    try:
+        stack_stats(params, ds, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (4 * k * n * 8)
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,8 +347,8 @@ def test_corrected_loss_at_delta_y_zero_where_p_squared_overflows():
 def test_record_matches_frozen_formulas(k, n, m, d, log_scale, seed):
     rng = np.random.default_rng(seed)
     w = 10.0**log_scale * rng.standard_normal(k * d)
-    orig = EvalSet.of(rng.standard_normal((n, d)), random_labels(rng, n, k))
-    aug = EvalSet.of(rng.standard_normal((m, d)), random_labels(rng, m, k))
+    orig = LabeledSet(rng.standard_normal((n, d)), random_labels(rng, n, k))
+    aug = LabeledSet(rng.standard_normal((m, d)), random_labels(rng, m, k))
     lam, delta_y, ref = float(rng.random()), float(rng.random()), float(rng.random())
     for eo, ea in ((orig, aug), (orig, None), (None, aug)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +368,7 @@ def test_gradient_and_objectives_match_frozen_formulas(k, n, d, log_scale, seed)
     z = y - 0.3 * rng.random((n, k))
     assert same(label_grad(w, x, z), frozen_label_grad(w, x, z))
     orig, aug = LabeledSet(x, y), LabeledSet(x, y)
-    assert CeObjective.over(orig).loss(w) == frozen_mean_ce(w, orig)
+    assert CeObjective(orig).loss(w) == frozen_mean_ce(w, orig)
     assert objective_value(w, orig, "L") == frozen_mean_ce(w, orig)
     assert objective_value(w, aug, "L_tilde") == frozen_mean_ce(w, aug)
     assert objective_value(w, aug, "L_a", delta_y=0.3) == frozen_mean_corrected(w, aug, 0.3)
@@ -370,7 +384,7 @@ def test_single_pass_gradients_match_two_pass(k, n, d, log_scale, delta_y, seed)
     x, y = rng.standard_normal((n, d)), random_labels(rng, n, k)
     with np.errstate(over="ignore", invalid="ignore"):
         assert same(mean_grad_a(w, x, y, delta_y), frozen_mean_grad_a(w, x, y, delta_y))
-        obj = CeObjective.over(LabeledSet(x, y))
+        obj = CeObjective(LabeledSet(x, y))
         value, grad = obj.value_and_grad(w)
         assert same(value, obj.loss(w)) and same(grad, obj.grad(w))
 
@@ -627,9 +641,9 @@ def test_a_run_scores_its_records_in_chunks_of_CHUNK(monkeypatch):
                                    eta1=0.5, eta2=0.5, batch=4), seed=4)
     score, sizes = trainers._Scorer.score, []
 
-    def counted_score(self, params, ws):
+    def counted_score(self, params):
         sizes.append(len(params))
-        return score(self, params, ws)
+        return score(self, params)
 
     monkeypatch.setattr(trainers._Scorer, "score", counted_score)
     run = run_scheme(np.zeros(6 * 4), orig, aug, cfg)

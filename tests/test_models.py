@@ -341,12 +341,12 @@ class TestGradientLabelLipschitz:
     def test_label_lipschitz_and_boundedness(self):
         rng = np.random.default_rng(14)
         k = 4
-        ws = [0.6 * rng.standard_normal(k * 3) for _ in range(4)]
+        cloud = [0.6 * rng.standard_normal(k * 3) for _ in range(4)]
         xs = rng.standard_normal((6, 3))
         labels = np.full((6, k), 1.0 / k)
         ds = LabeledSet(xs, labels)
-        g_hat = estimate_G(ds, ws)
-        for w in ws:
+        g_hat = estimate_G(ds, cloud)
+        for w in cloud:
             for i in range(6):
                 y1 = random_simplex(rng, k)
                 y2 = random_simplex(rng, k)

@@ -92,7 +92,7 @@ class TestCeObjective:
 
         orig, _, _, size = small_ce(0)
         w = 0.1 * Rng(1, 0).gen.standard_normal(size)
-        obj = CeObjective.over(orig)
+        obj = CeObjective(orig)
         assert obj.loss(w) == pytest.approx(
             objective_value(w, orig, "L"), abs=1e-14
         )
@@ -100,7 +100,7 @@ class TestCeObjective:
     def test_grad_finite_difference(self):
         orig, _, _, size = small_ce(1, n=12)
         w = 0.1 * Rng(2, 0).gen.standard_normal(size)
-        obj = CeObjective.over(orig)
+        obj = CeObjective(orig)
         g = obj.grad(w)
         h = 1e-6
         fd = np.array([
@@ -121,7 +121,7 @@ class TestCeObjective:
         orig, _, _, size = small_ce(0)
         assert size == 9
         with pytest.raises(ValueError, match=message):
-            getattr(CeObjective.over(orig), method)(w)
+            getattr(CeObjective(orig), method)(w)
 
 
 class Counting:
@@ -178,7 +178,7 @@ def repeating_pairs(center, rng, count=12):
 
 def ce_objective(seed):
     orig, _, _, size = small_ce(seed)
-    return CeObjective.over(orig), 0.1 * Rng(seed, 1).gen.standard_normal(size)
+    return CeObjective(orig), 0.1 * Rng(seed, 1).gen.standard_normal(size)
 
 
 class TestEstimateMu:
@@ -286,7 +286,7 @@ class TestRadii:
 class TestConstraintCheck:
     def test_floor_point_is_member_at_zero_radius(self):
         orig, aug, _, size = small_ce(12)
-        obj = CeObjective.over(aug)
+        obj = CeObjective(aug)
         w0 = 0.1 * Rng(13, 0).gen.standard_normal(size)
         floor = obj.loss(w0)
         chk = in_constraint_set(w0, 0.0, floor, obj)
@@ -295,14 +295,14 @@ class TestConstraintCheck:
 
     def test_infinite_radius_always_member(self):
         orig, aug, _, size = small_ce(14)
-        obj = CeObjective.over(aug)
+        obj = CeObjective(aug)
         w = 100.0 * np.ones(size)
         chk = in_constraint_set(w, math.inf, 0.0, obj)
         assert chk.member and chk.margin == math.inf
 
     def test_nonmember_margin_is_negative_deficit(self):
         orig, aug, _, size = small_ce(15)
-        obj = CeObjective.over(aug)
+        obj = CeObjective(aug)
         w = np.zeros(size)
         value = obj.loss(w)
         chk = in_constraint_set(w, value - 0.1, 0.0, obj)
@@ -320,7 +320,7 @@ class TestBestFoundFloor:
 
     def test_realizable_ce_reaches_planted_floor(self):
         orig, _, planted, size = small_ce(18, n=400)
-        obj = CeObjective.over(orig)
+        obj = CeObjective(orig)
         val, _ = best_found_floor(
             obj, size, np.random.default_rng(19),
             extra_starts=[planted.w_star.ravel()],
@@ -330,7 +330,7 @@ class TestBestFoundFloor:
 
     def test_floor_lower_bounds_random_points(self):
         orig, _, _, size = small_ce(20)
-        obj = CeObjective.over(orig)
+        obj = CeObjective(orig)
         val, _ = best_found_floor(obj, size, np.random.default_rng(21))
         r = np.random.default_rng(22)
         for _ in range(5):

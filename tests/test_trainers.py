@@ -305,9 +305,9 @@ class TestEdgeBehaviour:
         both = run_scheme(w0, orig, aug, cfg)
         alone = run_scheme(w0, None, aug, cfg)
         assert_rows_equal(both.rows, alone.rows)
-        assert both.rows[0].L == pytest.approx(CeObjective.over(held).loss(w0),
+        assert both.rows[0].L == pytest.approx(CeObjective(held).loss(w0),
                                                rel=1e-12)
-        assert both.rows[0].L != pytest.approx(CeObjective.over(orig).loss(w0),
+        assert both.rows[0].L != pytest.approx(CeObjective(orig).loss(w0),
                                                rel=1e-6)
 
     def test_original_scores_L_tilde_on_eval_aug_even_given_augmented(self):
@@ -319,9 +319,9 @@ class TestEdgeBehaviour:
         alone = run_scheme(w0, orig, None, cfg)
         assert_rows_equal(both.rows, alone.rows)
         assert both.rows[0].L_tilde == pytest.approx(
-            CeObjective.over(held_aug).loss(w0), rel=1e-12)
+            CeObjective(held_aug).loss(w0), rel=1e-12)
         assert both.rows[0].L_tilde != pytest.approx(
-            CeObjective.over(aug).loss(w0), rel=1e-6)
+            CeObjective(aug).loss(w0), rel=1e-6)
 
     def test_augdrop_default_t2_is_one_pass(self):
         orig, aug, _ = small_task(seed=16)
