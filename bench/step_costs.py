@@ -18,7 +18,7 @@ per call:
 
 and, in microseconds per iterate, the trace record's two kernel calls, each
 on a stack of trainers.CHUNK iterates (the first steps of an Augmented run
-at batch 64), as a run scores a chunk of records:
+at batch 64), as a run scores trainers.CHUNK records per kernel call:
 
   record.orig2000_grad              models.stack_stats on the 2,000 originals
                                     with the gradient
@@ -35,8 +35,8 @@ augmented, d = 10, k = 5, delta_y = 0.4), at seed 0, with BLAS on one
 thread and the allocator thresholds run_plan sets (cli._keep_freed_memory),
 from the start 0.1 * Rng(0, STREAM_INIT).gen.standard_normal(k * d).
 Each cost is the mean of --calls calls (a twentieth of that for 4,000-row
-calls), and the median and the min of that mean over --rounds rounds are
-kept; on a shared host the min is the steadier of the two. The result is
+calls, and a five-hundredth, but at least 25, for the record layers), and
+the median and the min of that mean over --rounds rounds are kept; on a shared host the min is the steadier of the two. The result is
 stored under --label in the JSON file --out, next to the labels already
 there, so the costs of two checkouts measured on one host sit side by side.
 """
@@ -131,12 +131,13 @@ def measure(calls: int, rounds: int) -> dict:
     for name, (fn, rows) in costs.items():
         n = calls if rows <= 64 else max(1, calls // 20)  # a 4,000-row call costs ~20 small ones
         out[name] = _per_call_us(fn, n, rounds)
-    # name: one call on the stack; a 4,000-example call costs ~500 small ones
+    # name: one call on the stack, which costs ~500 small ones; fewer than 25
+    # calls a round (about 0.4 s) spread the medians wider than a kernel change
     records = {"record.orig2000_grad": lambda: stack_stats(stack, ev_orig, grad=True),
                "record.aug4000_dy0": lambda: stack_stats(stack, ev_aug, delta_y=0.0),
                "record.aug4000_dy0.4": lambda: stack_stats(stack, ev_aug, delta_y=0.4)}
     for name, fn in records.items():
-        out[name] = _per_call_us(fn, max(1, calls // 500), rounds, per=len(stack))
+        out[name] = _per_call_us(fn, max(25, calls // 500), rounds, per=len(stack))
     return out
 
 

@@ -853,12 +853,14 @@ def _make_outdir(outdir: str) -> None:
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
-    """Execute every (cell, seed) pair, group by group, or on `jobs` > 1 whole
-    groups per worker process; returns (aggregate rows, exit code). Each of
-    those processes may use its share of the CPUs this one may run on
-    (_cpu_share), and with more than one it runs long chains in forked
-    processes (_run_groups). The plan process solves a floor that several
-    groups share once. Each finished pair prints one progress line.
+    """Execute every (cell, seed) pair, group by group, or on min(jobs,
+    groups) worker processes, whole groups each, when that is more than
+    one; returns (aggregate rows, exit code). So a plan of one group runs
+    in this process at any `jobs`. Each plan process may use its share of
+    the CPUs this one may run on (_cpu_share), and with more than one it
+    runs long chains in forked processes (_run_groups). The plan process
+    solves a floor that several groups share once. Each finished pair
+    prints one progress line.
 
     A pair that raises gets a failed summary and the plan goes on; the exit
     code is 1 when any run aborted or failed.
@@ -869,7 +871,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[dict], int]:
     groups = _groups(plan)
     processes = min(jobs, len(groups)) if jobs > 1 else 1
     cpus = _cpu_share(processes)
-    if jobs > 1:
+    if processes > 1:
         summaries = []
         with ProcessPoolExecutor(max_workers=processes, initializer=_keep_freed_memory) as pool:
             for s in itertools.chain.from_iterable(

@@ -36,7 +36,7 @@ _CONFIDENCE = 0.05  # failure probability the AugDrop batch sizes are sized for
 
 
 # ---------------------------------------------------------------------------
-# objectives as picklable closures
+# the full-batch objective the floor solves and the constant estimates read
 
 
 @dataclass(frozen=True)

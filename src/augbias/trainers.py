@@ -24,10 +24,10 @@ at lam in {0, 1}; that is what makes the reductions exact. On a non-finite
 loss or gradient the run aborts and returns the trace accumulated so far
 instead of raising, so sweeps never die on divergence.
 
-The trace has one record at the start and one after every step, but records
-are not scored step by step. Training runs up to CHUNK steps ahead, keeping
-each iterate, and the chunk's records are then scored together by the
-batched evaluation kernel (models.stack_stats). Training never reads a
+The trace has one record at the start and one after every step. A run
+trains, then scores: every step's iterate goes into one (steps + 1, P)
+array, and the records are then scored from that array, CHUNK at a time, by
+the batched evaluation kernel (models.stack_stats). Training never reads a
 record, so the trace is the one a per-step loop records, cut at the same
 step when the run diverges. `train` yields the same iterates and
 scores no record, for callers that read only the iterates.
@@ -321,8 +321,8 @@ def size_stages(scheme: Scheme, n_orig: int, n_aug: int) -> list[tuple[int, int]
     return sizes
 
 
-# Steps trained ahead of their trace records, so the records of one chunk are
-# scored together; chosen by measurement on the table1 benchmark workload.
+# Records per kernel call: a run trains, then scores its iterates CHUNK at a
+# time; chosen by measurement on the table1 benchmark workload.
 CHUNK = 128
 
 
@@ -351,7 +351,7 @@ class FirstStageStore:
 
     def put(self, key: tuple, sets: tuple, rows: list[TraceRow], iterates: np.ndarray) -> None:
         """Hold `rows` (records 0..T, shared, not copied) and the (T+1, P)
-        iterates they score."""
+        iterates they score, rows 0..T of the storing run's own array."""
         self._key, self._sets, self._rows, self._iterates = key, sets, rows, iterates
 
     def take(self, key: tuple, sets: tuple, steps: int):
@@ -416,18 +416,22 @@ def run_scheme(
     """Run cfg.scheme's stages from the flat weights `w0`, with one trace
     record at the start and one after every step.
 
-    Training runs up to CHUNK steps ahead, and then the chunk's records are
-    scored together. Training never reads a record, so the trace is the same
-    as recording after every step; the first non-finite iterate, record or
-    gradient ends it where a per-step loop would.
+    The run trains, then scores. Training writes every step's iterate into
+    one (steps + 1, P) array and stops at the first non-finite iterate or
+    gradient; the records are then scored from that array, CHUNK per kernel
+    call. Training never reads a record, so the trace is the same as
+    recording after every step; the first non-finite iterate, record or
+    gradient ends it where a per-step loop would. An exception from a step
+    is raised only when every record before it is finite.
 
     Trace rows carry stage 2 for original-only steps and 1 otherwise. A side
     no stage trains on is evaluated on cfg.eval_orig / cfg.eval_aug, even
     when its set is passed in.
 
     With `first_stage`, the run takes its first stage from that store when
-    the store holds the same one (see FirstStageStore), and otherwise stores
-    its own there.
+    the store holds the same one (see FirstStageStore), and then allocates
+    rows only for the steps it trains itself; otherwise it stores its own
+    first stage there.
     """
     scheme = cfg.scheme
     w, stages, uses_orig, uses_aug = _start(w0, orig, aug, cfg)
@@ -437,71 +441,59 @@ def run_scheme(
     scorer = _Scorer(eval_orig, eval_aug, scheme.lam, scheme.delta_y, cfg.ltilde_ref)
 
     first_tag = next((tag for _, tag, (iters, _) in stages if iters > 0), stages[-1][1])
-    _, tag0, (first, _) = stages[0]
+    tags = [first_tag] + [tag for _, tag, (iters, _) in stages for _ in range(iters)]
+    _, _, (first, _) = stages[0]
     key = _stage_key(w, scheme, cfg) if first_stage is not None else None
     taken = first_stage.take(key, sets, first) if first_stage is not None else None
     if taken is not None:
         # the first stage's records are known; training resumes after it
-        (rows, w), reused = taken, first
-        chunk, end = [], (first, tag0, w)
+        (rows, w), start = taken, first
         steps = _train(w, orig, aug, cfg, stages[1:], first)
     else:
-        rows, reused = [], 0
-        chunk = [(0, first_tag, w)]
-        end = chunk[0]  # the (t, tag, w) the run ends on
+        rows, start = [], 0
         steps = _train(w, orig, aug, cfg, stages)
         if first_stage is not None:
             first_stage.clear()  # released before this run fills its own stage
-    storing = first_stage is not None and taken is None
-    stage_iterates = np.empty((first + 1, w.size)) if storing else None
 
-    train_s = score_s = 0.0
-    while True:
-        t0 = time.perf_counter()
-        stopped, error = True, None
-        try:
-            for step in steps:
-                chunk.append(step)
-                if not np.isfinite(step[2]).all():
-                    break  # training never resumes after a non-finite iterate
-                if len(chunk) == CHUNK:
-                    stopped = False
-                    break
-        except Exception as exc:  # raised once the chunk's records are known
-            error = exc
-        t1 = time.perf_counter()
-        good = scorer.rows(chunk)
-        train_s += t1 - t0
-        score_s += time.perf_counter() - t1
-        rows.extend(good)
-        if storing:
-            for t, _, w_t in chunk[:len(good)]:
-                if t <= first:
-                    stage_iterates[t] = w_t
-        if chunk:
-            end = chunk[min(len(good), len(chunk) - 1)]
-        if len(good) < len(chunk):
-            break  # what training met after a non-finite record does not count
-        if error is not None:
-            raise error
-        if stopped:
+    # train: row i of `iterates` is the iterate at step start + i
+    t0 = time.perf_counter()
+    iterates = np.empty((len(tags) - start, w.size))
+    iterates[0] = w
+    n, error = 1, None
+    try:
+        for _, _, w in steps:
+            iterates[n] = w
+            n += 1
+            if not np.isfinite(w).all():
+                break  # training never resumes after a non-finite iterate
+    except Exception as exc:  # raised below if the records before it are finite
+        error = exc
+    # score, up to the first non-finite iterate or record
+    t1 = time.perf_counter()
+    finite = n if np.isfinite(w).all() else n - 1  # only the last can be non-finite
+    for lo in range(len(rows) - start, finite, CHUNK):
+        stack = iterates[lo:min(lo + CHUNK, finite)]
+        got = scorer.rows(stack, start + lo, tags)
+        rows += got
+        if len(got) < len(stack):
             break
-        chunk = []
-    global_t, _, w = end
-    if storing:
+    t2 = time.perf_counter()
+    if error is not None and len(rows) == start + n:
+        raise error
+    if taken is None and first_stage is not None:
         stored = min(len(rows), first + 1)
-        first_stage.put(key, sets, rows[:stored], stage_iterates[:stored])
-    # a run stops short at a non-finite iterate, record or gradient
-    steps_total = sum(iters for _, _, (iters, _) in stages)
-    aborted = len(rows) == 0 or rows[-1].t < steps_total
+        first_stage.put(key, sets, rows[:stored], iterates[:stored])
+    # a run stops short at a non-finite iterate, record or gradient, and
+    # ends on the first iterate without a finite record, if it has one
+    end = min(len(rows), start + n - 1)
     return TrainTrace(
         rows=rows,
-        final_params=w,
-        aborted=aborted,
-        iterations=global_t,
-        train_s=train_s,
-        score_s=score_s,
-        reused_steps=reused,
+        final_params=iterates[end - start].copy(),
+        aborted=len(rows) == 0 or rows[-1].t < len(tags) - 1,
+        iterations=end,
+        train_s=t1 - t0,
+        score_s=t2 - t1,
+        reused_steps=start,
     )
 
 
@@ -515,7 +507,7 @@ def _train(w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0
     An iterate is checked by the caller, which resumes the generator only
     after a finite one, so a step uses w without checking or copying it again.
 
-    Steps run ahead of their records, so a step can follow an iterate whose
+    A run trains before it scores, so a step can follow an iterate whose
     record overflows; its arithmetic may then give inf and NaN, without
     warnings.
     """
@@ -536,7 +528,7 @@ def _train(w: np.ndarray, orig, aug, cfg: TrainConfig, stages, global_t: int = 0
                     grad = combined_grad(w, _gather(orig, orig_sampler.draw(1)),
                                          _draw_aug(aug, rng_aug, batch), lam, delta_y)
                 try:
-                    # divergence overflows to inf and is caught at the next record
+                    # divergence overflows to inf and is caught when its record is scored
                     w = sgd_step(w, grad, stage.eta)
                 except ValueError:
                     if not np.isfinite(grad).all():
@@ -578,18 +570,15 @@ class _Scorer:
             out[:, 2] = self.lam * out[:, 0] + (1.0 - self.lam) * l_a
         return out
 
-    def rows(self, chunk: list) -> list[TraceRow]:
-        """TraceRows of a chunk of (t, tag, w) records, up to its first
-        non-finite iterate or value."""
-        finite = len(chunk)
-        if chunk and not np.isfinite(chunk[-1][2]).all():
-            finite -= 1  # training stops at a non-finite iterate, so only the last can be
-        values = self.score(np.array([w for _, _, w in chunk[:finite]]))
+    def rows(self, stack: np.ndarray, t: int, tags: list) -> list[TraceRow]:
+        """TraceRows of a (B, P) stack of finite iterates at steps t, t + 1,
+        ..., tagged tags[t], tags[t + 1], ..., up to its first non-finite
+        value."""
         rows = []
-        for (t, tag, _), vals in zip(chunk, values.tolist()):
+        for i, vals in enumerate(self.score(stack).tolist(), t):
             if not all(math.isfinite(v) for v in vals):
                 break
-            rows.append(TraceRow(t, tag, *vals))
+            rows.append(TraceRow(i, tags[i], *vals))
         return rows
 
 

@@ -1,5 +1,5 @@
-"""The benchmark's tracer still finds every layer it reports, and the step
-bench still runs.
+"""The benchmark's tracer still finds every layer it reports, the step
+bench still runs, and the preset byte check names every difference.
 
 perfbench/tracing.py wraps layer functions where their callers look them
 up, and a traced benchmark run fails when a per-layer metric that
@@ -8,6 +8,7 @@ with all five schemes and a tiny theory plan through cli.run_plan, so a
 change that renames, unbinds or stops calling a wrapped layer fails here
 first. They read the files under perfbench/ and change none of them.
 """
+import copy
 import importlib.util
 import json
 import os
@@ -30,12 +31,15 @@ DERIVED = {"trainers.steps", "trainers.records", "trace.overhead_s"}
 STALE = ["augbias.trainers.batch_scores", "augbias.theory.batch_scores"]
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("perfbench_tracing", "perfbench", "tracing.py")
 
 
 def _plans(tmp_path):
@@ -133,3 +137,23 @@ def test_the_step_bench_times_every_layer(tmp_path):
         "combined_grad.33", "train_step.aug64", "train_step.aug4000", "train_step.mixed33",
         "record.orig2000_grad", "record.aug4000_dy0", "record.aug4000_dy0.4"])
     assert all(us > 0 for us in costs.values())
+
+
+def test_the_preset_byte_check_names_every_difference():
+    """bench/preset_bytes.py's comparison: a NaN field matches NaN, and a
+    changed digest, a changed field, a missing run and a changed exit code
+    each give one line."""
+    pb = _load("preset_bytes", "bench", "preset_bytes.py")
+    run = {"csv_sha256": "a", **dict.fromkeys(pb.FIELDS), "final_gap": float("nan")}
+    a = {"p/practical": {"exit": 0, "runs": {"x__seed0": run, "y__seed0": dict(run)}},
+         "p/theory": {"exit": 2, "runs": {}}}
+    assert pb.differences(a, copy.deepcopy(a)) == []
+    b = copy.deepcopy(a)
+    b["p/practical"]["runs"]["x__seed0"].update(csv_sha256="b", warnings=["w"])
+    del b["p/practical"]["runs"]["y__seed0"]
+    b["p/theory"]["exit"] = 0
+    assert pb.differences(a, b) == [
+        'p/practical x__seed0 csv_sha256: "a" != "b"',
+        'p/practical x__seed0 warnings: null != ["w"]',
+        "p/practical y__seed0: only in A",
+        "p/theory: exit 2 != 0"]

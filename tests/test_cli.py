@@ -1292,6 +1292,13 @@ class TestSharedSetup:
         _, code = run_plan(tiny_plan(tmp_path / "o", seeds=(0, 1)), jobs=5)
         assert code == 0
         assert started == [2]
+        # one seed: one group, which runs in the plan process with no pool
+        _, code = run_plan(tiny_plan(tmp_path / "one"), jobs=5)
+        assert code == 0
+        assert started == [2]
+        assert sorted(os.listdir(tmp_path / "one")) == [
+            "aggregate.csv", "drop__seed0.csv", "drop__seed0.json",
+            "orig__seed0.csv", "orig__seed0.json"]
 
     def test_a_shorter_first_stage_does_not_serve_a_longer_one(self, tmp_path):
         cells = self.SHARING["practical"][:2][::-1]  # augdrop before augmented
